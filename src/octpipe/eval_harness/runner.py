@@ -3,16 +3,21 @@
 A run walks one fold's test volumes: read, preprocess to the working
 resolution, predict (whole image for variant F, overlapping patches for
 variant P), stitch, arg-max, close, score against the preprocessed truth.
-Slices are fanned out over worker threads; stitching and scoring happen in
-canonical order, so results never depend on the worker count.
+Prediction streams: worker threads predict slice batches (single patches in
+3D) with a bounded number in flight, and ``stitch`` sums each into the output
+volume as it arrives, in canonical anchor order, so results never depend on
+the worker count.  Each volume is scored with one confusion count per fluid.
 """
 
 from __future__ import annotations
 
 import json
+from collections import deque
 from concurrent.futures import ThreadPoolExecutor
+from contextlib import closing
 from dataclasses import dataclass, field
 from pathlib import Path
+from typing import Iterator
 
 import numpy as np
 
@@ -24,7 +29,16 @@ from ..backends import (
     threshold_backend,
 )
 from ..errors import StageError, ValidationError
-from ..patch_engine import DepthMode, close_all, extract, labelize, plan_grid, stitch
+from ..patch_engine import (
+    DepthMode,
+    Patch,
+    PatchGrid,
+    close_all,
+    extract,
+    labelize,
+    plan_grid,
+    stitch,
+)
 from ..preprocess import PreprocessConfig, preprocess_volume, resize_volume
 from ..volume_io import FLUIDS, LabelVolume, OctVolume, ProbVolume, read_labels, read_volume
 from .folds import FoldPlan, make_folds
@@ -106,18 +120,44 @@ def preprocess_pair(
     return out_vol, out_labels
 
 
-def _chunk(items: list, n: int) -> list[list]:
-    n = max(1, min(n, len(items)))
-    size = (len(items) + n - 1) // n
-    return [items[i : i + size] for i in range(0, len(items), size)]
+def _predictions(
+    vol: OctVolume, grid: PatchGrid, backend: Backend, jobs: int
+) -> Iterator[tuple[tuple[int, int, int], np.ndarray]]:
+    """Yield (anchor, prediction) pairs in canonical order.
+
+    The patches of each slice, or in 3d each full-depth patch on its own,
+    form one batch; ``jobs`` threads run ``backend.predict`` on batches while
+    the caller consumes earlier ones.  At most ``jobs + 1`` batches are in
+    flight, so memory does not grow with the depth or the anchor count.
+    """
+    mode = grid.depth_mode
+    if mode.kind == "3d":
+        batches = ([patch] for patch in extract(vol, grid))
+    else:
+        batches = (extract(vol, grid, z) for z in range(vol.dims[2]))
+
+    def predict(patches: list[Patch]):
+        return zip([p.anchor for p in patches], backend.predict(patches, mode, vol.volume_id))
+
+    with ThreadPoolExecutor(max_workers=jobs) as pool:
+        in_flight: deque = deque()
+        for patches in batches:
+            in_flight.append(pool.submit(predict, patches))
+            if len(in_flight) > jobs:
+                yield from in_flight.popleft().result()
+        while in_flight:
+            yield from in_flight.popleft().result()
 
 
 def predict_volume(vol: OctVolume, backend: Backend, spec: ExperimentSpec) -> ProbVolume:
     """Predict a whole volume through the patch pipeline and stitch.
 
     Variant P tiles each plane with the configured overlapping grid; variant F
-    degenerates to a single image-sized patch.  Work is distributed over
-    ``spec.jobs`` threads, then merged canonically.
+    degenerates to a single image-sized patch.  ``stitch`` drives the
+    prediction stream directly, summing each batch into the output volume as
+    it arrives, so no list of a volume's predictions is ever built; at most
+    ``spec.jobs + 1`` batches (slices, or single patches in 3d) are in flight.
+    The result is bit-identical for every ``spec.jobs``.
     """
     width, height, depth = vol.dims
     mode = spec.depth_mode
@@ -125,28 +165,8 @@ def predict_volume(vol: OctVolume, backend: Backend, spec: ExperimentSpec) -> Pr
         grid = plan_grid((width, height), (width, height), 0.0, mode)
     else:
         grid = plan_grid((width, height), spec.patch, spec.overlap, mode)
-
-    pairs: list[tuple[tuple[int, int, int], np.ndarray]] = []
-    if mode.kind == "3d":
-        patches = extract(vol, grid)
-        with ThreadPoolExecutor(max_workers=spec.jobs) as pool:
-            chunks = _chunk(patches, spec.jobs)
-            results = list(
-                pool.map(lambda ch: backend.predict(ch, mode, vol.volume_id), chunks)
-            )
-        for chunk, preds in zip(chunks, results):
-            pairs.extend((p.anchor, pred) for p, pred in zip(chunk, preds))
-    else:
-
-        def work(z: int):
-            patches = extract(vol, grid, z)
-            preds = backend.predict(patches, mode, vol.volume_id)
-            return [(p.anchor, pred) for p, pred in zip(patches, preds)]
-
-        with ThreadPoolExecutor(max_workers=spec.jobs) as pool:
-            for chunk in pool.map(work, range(depth)):
-                pairs.extend(chunk)
-    return stitch(pairs, grid, (width, height, depth), volume_id=vol.volume_id)
+    with closing(_predictions(vol, grid, backend, spec.jobs)) as pairs:
+        return stitch(pairs, grid, (width, height, depth), volume_id=vol.volume_id)
 
 
 def segment_volume(
@@ -188,9 +208,8 @@ def evaluate_volume(
     )
     bound = backend if backend is not None else oracle_backend(truth).with_variant(spec.variant)
     _prob, pred = segment_volume(vol, bound, spec)
-    scores = _stage("score", volume_id, dice_volume, pred, truth)
-    counts = {cls: confusion(pred, truth, cls) for cls in FLUIDS}
-    return scores, counts
+    counts = _stage("score", volume_id, lambda: {cls: confusion(pred, truth, cls) for cls in FLUIDS})
+    return {cls: dice(c) for cls, c in counts.items()}, counts
 
 
 def run_experiment(

@@ -1,11 +1,14 @@
-"""Overlapping-patch grids, 2D/2.5D/3D extraction, prediction stitching, closing.
+"""Overlapping-patch grids, 2D/2.5D/3D extraction, streaming stitch, closing.
 
 Patch anchors are (x, y) top-left corners in image coordinates; patch data is
 indexed [plane, y, x].  Per-patch predictions are class-first: a 2-D map
 (4, h, w) placed at the anchor's slice, or a 3-D block (4, planes, h, w)
-spanning the anchored slice range.  Stitching averages all predictions that
-cover a voxel, merging in canonical row-major anchor order so the result is
-independent of the input ordering and of any parallel schedule upstream.
+spanning the anchored slice range.  Stitching streams: it takes predictions
+from any iterable, in any order, and sums each into the output volume as soon
+as every anchor before it in canonical row-major order has been summed (early
+arrivals wait in a small per-slice pending map), so the result is independent
+of the input ordering and of any parallel schedule upstream.  A slice range
+whose predictions are all in is divided in place by the grid's coverage plane.
 """
 
 from __future__ import annotations
@@ -13,11 +16,12 @@ from __future__ import annotations
 import json
 from dataclasses import dataclass, field
 from pathlib import Path
+from typing import Iterable
 
 import numpy as np
 from scipy import ndimage
 
-from .errors import CoverageError
+from .errors import CoverageError, ValidationError
 from .volume_io import N_CLASSES, FluidClass, LabelVolume, OctVolume, ProbVolume
 
 DEPTH_KINDS = ("2d", "2.5d", "3d")
@@ -183,46 +187,150 @@ def extract(vol, grid: PatchGrid, z: int = 0) -> list[Patch]:
     return patches
 
 
+def coverage_plane(grid: PatchGrid) -> np.ndarray:
+    """How many of ``grid``'s patches cover each pixel of one plane, as a
+    float32 (height, width) array."""
+    width, height = grid.image_dims
+    plane = np.zeros((height, width), dtype=np.float32)
+    for x, y in grid.anchors:
+        plane[y : y + grid.patch_h, x : x + grid.patch_w] += 1
+    return plane
+
+
 def stitch(
-    patch_probs: list[tuple[tuple[int, int, int], np.ndarray]],
+    patch_probs: Iterable[tuple[tuple[int, int, int], np.ndarray]],
     grid: PatchGrid,
     dims: tuple[int, int, int],
     volume_id: str = "",
 ) -> ProbVolume:
     """Average per-patch class probabilities into a full probability volume.
 
-    ``patch_probs`` holds (anchor, prediction) pairs where a prediction is
-    (4, h, w) for one slice or (4, planes, h, w) for a slice range starting at
-    the anchor's z.  Every anchor must belong to ``grid``; every voxel of
-    ``dims`` must be covered, else a :class:`CoverageError` names the first
-    hole.
+    ``patch_probs`` is any iterable of (anchor, prediction) pairs, in any
+    order, and is consumed once.  A prediction is (4, patch_h, patch_w) for
+    the anchor's slice z, or a block (4, planes, patch_h, patch_w) for slices
+    z .. z + planes - 1.  Every anchor z needs a prediction at every anchor
+    of ``grid``, with one shape, and the slice ranges of different anchor z
+    must not overlap.
+
+    Predictions are summed as they arrive into the float32 array that becomes
+    the result.  Each anchor z keeps a cursor into ``grid.anchors``: the pair
+    at the cursor is added at once, and a pair that arrives early waits until
+    the anchors before it have been added.  Every voxel therefore sums its
+    predictions in canonical row-major anchor order whatever the input order
+    (or upstream schedule), and input that is already in order is never held.
+    Once an anchor z has all its predictions, its slice range is divided in
+    place by :func:`coverage_plane`; that matches dividing by per-voxel counts
+    bit for bit, since both operands are exact in float32.
+
+    Raises :class:`CoverageError` for an anchor outside ``grid`` and for a
+    voxel no patch covers, naming it (or, where every voxel is covered, the
+    first anchor that never arrived), and :class:`ValidationError` for
+    ``dims`` unlike the grid's image, an anchor z outside ``dims``, a
+    prediction of the wrong shape, overlapping slice ranges, a repeated
+    anchor, or a non-finite result, naming the first bad voxel.
     """
     width, height, depth = (int(v) for v in dims)
-    known = set(grid.anchors)
-    for (x, y, _z), _pred in patch_probs:
-        if (x, y) not in known:
-            raise CoverageError(f"anchor ({x}, {y}) is not part of the planned grid")
-
-    sums = np.zeros((N_CLASSES, depth, height, width), dtype=np.float32)
-    counts = np.zeros((depth, height, width), dtype=np.int32)
-    # canonical row-major merge order makes the result permutation-independent
-    for (x, y, z), pred in sorted(patch_probs, key=lambda item: (item[0][2], item[0][1], item[0][0])):
-        pred = np.asarray(pred)
-        if pred.ndim == 3:
-            sums[:, z, y : y + pred.shape[1], x : x + pred.shape[2]] += pred
-            counts[z, y : y + pred.shape[1], x : x + pred.shape[2]] += 1
-        elif pred.ndim == 4:
-            nz = pred.shape[1]
-            sums[:, z : z + nz, y : y + pred.shape[2], x : x + pred.shape[3]] += pred
-            counts[z : z + nz, y : y + pred.shape[2], x : x + pred.shape[3]] += 1
-        else:
-            raise ValueError(f"prediction at ({x},{y},{z}) has unexpected shape {pred.shape}")
-
-    if counts.min() == 0:
-        zz, yy, xx = (int(i) for i in np.argwhere(counts == 0)[0])
-        raise CoverageError(f"voxel (x={xx}, y={yy}, z={zz}) is covered by no patch")
-    probs = sums / counts[None, :, :, :]
+    if (width, height) != grid.image_dims:
+        raise ValidationError(
+            f"grid was planned for image {grid.image_dims}, stitch dims are {(width, height)}"
+        )
+    probs = np.zeros((N_CLASSES, depth, height, width), dtype=np.float32)
+    owner, cursors, pending = _accumulate(patch_probs, grid, probs)
+    _check_complete(grid, owner, cursors, pending)
+    if not np.isfinite(probs).all():
+        zz, yy, xx = (int(i) for i in np.argwhere(~np.isfinite(probs).all(axis=0))[0])
+        raise ValidationError(
+            f"stitched probability at voxel (x={xx}, y={yy}, z={zz}) is not finite"
+        )
     return ProbVolume(probs=probs, volume_id=volume_id)
+
+
+def _accumulate(patch_probs, grid: PatchGrid, probs: np.ndarray):
+    """Sum ``patch_probs`` into the zeroed ``probs`` and divide each completed
+    slice range by the coverage plane; returns (owner, cursors, pending): the
+    anchor z whose predictions cover each slice (-1 for none), and per anchor
+    z the count of anchors summed and the early arrivals still waiting."""
+    depth = probs.shape[1]
+    index = {anchor: i for i, anchor in enumerate(grid.anchors)}
+    ph, pw = grid.patch_h, grid.patch_w
+    plane = coverage_plane(grid)
+    owner = np.full(depth, -1)
+    shapes: dict[int, tuple[int, ...]] = {}
+    cursors: dict[int, int] = {}
+    pending: dict[int, dict[int, np.ndarray]] = {}
+
+    def add(z: int, i: int, block: np.ndarray) -> None:
+        x, y = grid.anchors[i]
+        probs[:, z : z + block.shape[1], y : y + ph, x : x + pw] += block
+
+    for (x, y, z), pred in patch_probs:
+        i = index.get((x, y))
+        if i is None:
+            raise CoverageError(f"anchor ({x}, {y}) is not part of the planned grid")
+        if not 0 <= z < depth:
+            raise ValidationError(f"anchor ({x}, {y}, {z}) lies outside depth {depth}")
+        pred = np.asarray(pred)
+        block = pred[:, None] if pred.ndim == 3 else pred
+        if z not in shapes:
+            planes = block.shape[1] if block.ndim == 4 else 0
+            if block.shape != (N_CLASSES, planes, ph, pw) or planes < 1:
+                raise ValidationError(
+                    f"prediction at ({x}, {y}, {z}) has shape {pred.shape}, expected "
+                    f"({N_CLASSES}, {ph}, {pw}) or ({N_CLASSES}, planes, {ph}, {pw})"
+                )
+            if z + planes > depth:
+                raise ValidationError(
+                    f"prediction at ({x}, {y}, {z}) spans {planes} planes, past depth {depth}"
+                )
+            taken = owner[z : z + planes]
+            if (taken >= 0).any():
+                raise ValidationError(
+                    f"prediction at ({x}, {y}, {z}) overlaps slices already covered by "
+                    f"predictions anchored at z={int(taken[taken >= 0][0])}"
+                )
+            owner[z : z + planes] = z
+            shapes[z], cursors[z], pending[z] = block.shape, 0, {}
+        elif block.shape != shapes[z]:
+            raise ValidationError(
+                f"prediction at ({x}, {y}, {z}) has shape {pred.shape}, "
+                f"other predictions at z={z} have {shapes[z]}"
+            )
+        waiting = pending[z]
+        if i < cursors[z] or i in waiting:
+            raise ValidationError(f"prediction for anchor ({x}, {y}, {z}) arrived twice")
+        if i != cursors[z]:
+            waiting[i] = block
+            continue
+        add(z, i, block)
+        i += 1
+        while i in waiting:
+            add(z, i, waiting.pop(i))
+            i += 1
+        cursors[z] = i
+        if i == len(grid.anchors):
+            probs[:, z : z + shapes[z][1]] /= plane
+    return owner, cursors, pending
+
+
+def _check_complete(grid: PatchGrid, owner: np.ndarray, cursors: dict, pending: dict) -> None:
+    """Raise CoverageError naming the first uncovered voxel in (z, y, x) order,
+    or else the first missing anchor of the first incomplete anchor z."""
+    incomplete = [z for z in sorted(cursors) if cursors[z] < len(grid.anchors)]
+    if not incomplete and (owner >= 0).all():
+        return
+    width, height = grid.image_dims
+    for z, az in enumerate(owner.tolist()):
+        covered = np.zeros((height, width), dtype=bool)
+        if az >= 0:
+            for i in [*range(cursors[az]), *pending[az]]:
+                x, y = grid.anchors[i]
+                covered[y : y + grid.patch_h, x : x + grid.patch_w] = True
+        if not covered.all():
+            yy, xx = (int(i) for i in np.argwhere(~covered)[0])
+            raise CoverageError(f"voxel (x={xx}, y={yy}, z={z}) is covered by no patch")
+    z = incomplete[0]
+    x, y = grid.anchors[cursors[z]]
+    raise CoverageError(f"no prediction arrived for anchor ({x}, {y}, {z})")
 
 
 def labelize(prob: ProbVolume) -> LabelVolume:

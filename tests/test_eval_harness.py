@@ -523,3 +523,82 @@ def test_run_experiment_jobs_invariant(make_dataset):
     assert [(e.vendor, e.fluid, e.dice) for e in base] == [
         (e.vendor, e.fluid, e.dice) for e in threaded
     ]
+
+
+def test_evaluate_volume_counts_each_fluid_once(make_dataset, tmp_path, monkeypatch):
+    from octpipe.eval_harness import metrics, runner
+
+    root, _, truths = make_dataset(vendors=("Cirrus",), n_per_vendor=2)
+    prob_dir = tmp_path / "probs"
+    prob_dir.mkdir()
+    rng = np.random.default_rng(62)
+    for vid, truth in truths.items():
+        raw = one_hot(truth.voxels) * 0.5 + rng.random((4,) + truth.voxels.shape, dtype=np.float32)
+        probs = raw / raw.sum(axis=0, keepdims=True)
+        write_volume(ProbVolume(probs=probs, volume_id=vid), prob_dir / f"{vid}_prob.mhd")
+    backend = runner.external_backend(prob_dir)
+
+    calls = []
+
+    def counted(*args):
+        calls.append(args[2])
+        return confusion(*args)
+
+    # dice_volume reaches confusion through metrics, evaluate_volume through runner
+    monkeypatch.setattr(metrics, "confusion", counted)
+    monkeypatch.setattr(runner, "confusion", counted)
+    seen = {}
+    segment = runner.segment_volume
+    monkeypatch.setattr(
+        runner, "segment_volume",
+        lambda vol, *a: seen.setdefault("pred", segment(vol, *a)),
+    )
+    spec = nat_spec(root, close_radius=0)
+    for vid, truth in truths.items():
+        calls.clear()
+        seen.clear()
+        scores, counts = evaluate_volume(vid, backend, spec)
+        assert sorted(calls) == sorted(FLUIDS)
+        pred = seen["pred"][1]
+        assert scores == dice_volume(pred, truth)
+        assert counts == {cls: confusion(pred, truth, cls) for cls in FLUIDS}
+        assert any(score < 1.0 for score in scores.values())
+
+
+@pytest.mark.parametrize("mode", [DepthMode.d25(1), DepthMode.d3()], ids=["2.5d", "3d"])
+@pytest.mark.parametrize("jobs", [1, 2])
+def test_predict_volume_peak_memory_stays_near_output_size(tmp_path, mode, jobs):
+    """Overlap 0.75 covers each voxel 9 times on average, so holding every
+    patch prediction would cost about 9 output volumes."""
+    import tracemalloc
+
+    from octpipe.eval_harness.runner import predict_volume
+    from octpipe.volume_io import OctVolume
+
+    rng = np.random.default_rng(71)
+    vol = OctVolume(rng.random((48, 48, 48), dtype=np.float32), volume_id="mem")
+    spec = ExperimentSpec(
+        data_root=tmp_path, depth_mode=mode, patch=(16, 16), overlap=0.75, jobs=jobs
+    )
+    backend = threshold_backend()
+    tracemalloc.start()
+    try:
+        prob = predict_volume(vol, backend, spec)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak < 3 * prob.probs.nbytes
+
+
+def test_predict_volume_3d_is_jobs_invariant(tmp_path):
+    from octpipe.eval_harness.runner import predict_volume
+    from octpipe.volume_io import OctVolume
+
+    vol = OctVolume(np.random.default_rng(72).random((6, 40, 40), dtype=np.float32), volume_id="j")
+    outputs = set()
+    for jobs in (1, 2, 8):
+        spec = ExperimentSpec(
+            data_root=tmp_path, depth_mode=DepthMode.d3(), patch=(16, 16), overlap=0.5, jobs=jobs
+        )
+        outputs.add(predict_volume(vol, threshold_backend(), spec).probs.tobytes())
+    assert len(outputs) == 1

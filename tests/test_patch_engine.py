@@ -2,8 +2,10 @@
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
-from octpipe.errors import CoverageError
+from octpipe.errors import CoverageError, ValidationError
 from octpipe.patch_engine import (
     DepthMode,
     Patch,
@@ -204,9 +206,10 @@ def test_stitch_reports_uncovered_voxel():
         preds.append(((x, y, 0), p))
     with pytest.raises(CoverageError) as err:
         stitch(preds[:-1], grid, (32, 32, 1))
-    assert "voxel" in str(err.value)
-    with pytest.raises(CoverageError):
+    assert "voxel (x=16, y=16, z=0)" in str(err.value)
+    with pytest.raises(CoverageError) as err:
         stitch(preds, grid, (32, 32, 2))  # z=1 never predicted
+    assert "voxel (x=0, y=0, z=1)" in str(err.value)
 
 
 def test_stitch_rejects_anchor_not_in_grid():
@@ -214,6 +217,121 @@ def test_stitch_rejects_anchor_not_in_grid():
     p = np.full((4, 16, 16), 0.25, dtype=np.float32)
     with pytest.raises(CoverageError):
         stitch([((3, 3, 0), p)], grid, (32, 32, 1))
+
+
+def reference_stitch(pairs, grid, dims):
+    """The plain algorithm: float32 sums in canonical (z, y, x) anchor order,
+    divided by an int32 per-voxel count array."""
+    width, height, depth = dims
+    sums = np.zeros((4, depth, height, width), dtype=np.float32)
+    counts = np.zeros((depth, height, width), dtype=np.int32)
+    for (x, y, z), pred in sorted(pairs, key=lambda item: (item[0][2], item[0][1], item[0][0])):
+        block = pred[:, None] if pred.ndim == 3 else pred
+        nz, h, w = block.shape[1:]
+        sums[:, z : z + nz, y : y + h, x : x + w] += block
+        counts[z : z + nz, y : y + h, x : x + w] += 1
+    assert counts.min() > 0
+    return (sums / counts[None]).astype(np.float32)
+
+
+@st.composite
+def stitch_inputs(draw):
+    width = draw(st.integers(1, 40))
+    height = draw(st.integers(1, 40))
+    patch = (draw(st.integers(1, width)), draw(st.integers(1, height)))
+    overlap = draw(st.floats(0.0, 0.95))
+    depth = draw(st.integers(1, 4))
+    full_depth = draw(st.booleans())
+    grid = plan_grid((width, height), patch, overlap, DepthMode.d3() if full_depth else None)
+    rng = np.random.default_rng(draw(st.integers(0, 2**32 - 1)))
+    pw, ph = patch
+    if full_depth:
+        keys = [(x, y, 0) for x, y in grid.anchors]
+        shape = (4, depth, ph, pw)
+    else:
+        keys = [(x, y, z) for z in range(depth) for x, y in grid.anchors]
+        shape = (4, ph, pw)
+    pairs = [(key, rng.random(shape, dtype=np.float32)) for key in keys]
+    order = draw(st.permutations(range(len(pairs))))
+    return grid, (width, height, depth), pairs, [pairs[i] for i in order]
+
+
+@settings(max_examples=150, deadline=None)
+@given(stitch_inputs())
+def test_stitch_matches_reference_in_any_order(case):
+    grid, dims, pairs, shuffled = case
+    expected = reference_stitch(pairs, grid, dims)
+    assert stitch(iter(shuffled), grid, dims).probs.tobytes() == expected.tobytes()
+
+
+def flat_pairs(grid, depth, value=0.25):
+    h, w = grid.patch_h, grid.patch_w
+    return [
+        ((x, y, z), np.full((4, h, w), value, dtype=np.float32))
+        for z in range(depth)
+        for x, y in grid.anchors
+    ]
+
+
+def test_stitch_rejects_anchor_z_outside_depth():
+    grid = plan_grid((32, 32), (16, 16), 0.0)
+    pairs = flat_pairs(grid, 1)
+    for z in (-1, 1):
+        (x, y, _), pred = pairs[0]
+        with pytest.raises(ValidationError, match=f"anchor \\(0, 0, {z}\\)"):
+            stitch(pairs[1:] + [((x, y, z), pred)], grid, (32, 32, 1))
+
+
+def test_stitch_rejects_prediction_of_wrong_shape():
+    grid = plan_grid((16, 16), (16, 16), 0.0)
+    with pytest.raises(ValidationError, match="shape"):
+        stitch([((0, 0, 0), np.full((4, 8, 8), 0.25, dtype=np.float32))], grid, (16, 16, 1))
+    with pytest.raises(ValidationError, match="shape"):
+        stitch([((0, 0, 0), np.full((3, 16, 16), 0.25, dtype=np.float32))], grid, (16, 16, 1))
+    block = np.full((4, 3, 16, 16), 0.25, dtype=np.float32)
+    with pytest.raises(ValidationError, match="past depth 3"):
+        stitch([((0, 0, 1), block)], grid, (16, 16, 3))
+    grid = plan_grid((32, 16), (16, 16), 0.0)
+    mixed = [((0, 0, 0), block[:, 0]), ((16, 0, 0), block)]
+    with pytest.raises(ValidationError, match="other predictions at z=0"):
+        stitch(mixed, grid, (32, 16, 3))
+
+
+def test_stitch_rejects_overlapping_slice_ranges():
+    grid = plan_grid((16, 16), (16, 16), 0.0)
+    block = np.full((4, 2, 16, 16), 0.25, dtype=np.float32)
+    with pytest.raises(ValidationError, match="anchored at z=0"):
+        stitch([((0, 0, 0), block), ((0, 0, 1), block)], grid, (16, 16, 3))
+
+
+def test_stitch_rejects_repeated_anchor():
+    grid = plan_grid((32, 32), (16, 16), 0.0)
+    pairs = flat_pairs(grid, 1)
+    # once after the anchor was summed, once while it waits for an earlier one
+    for repeated in (pairs[:2] + pairs[1:], pairs[1:2] + pairs[1:]):
+        with pytest.raises(ValidationError, match="anchor \\(16, 0, 0\\) arrived twice"):
+            stitch(repeated, grid, (32, 32, 1))
+
+
+def test_stitch_rejects_non_finite_output():
+    grid = plan_grid((32, 32), (16, 16), 0.5)
+    pairs = flat_pairs(grid, 2)
+    (anchor, pred) = pairs[-1]
+    bad = pred.copy()
+    bad[2, 3, 5] = np.nan
+    pairs[-1] = (anchor, bad)
+    x, y, z = anchor
+    with pytest.raises(ValidationError, match=f"voxel \\(x={x + 5}, y={y + 3}, z={z}\\)"):
+        stitch(pairs, grid, (32, 32, 2))
+
+
+def test_stitch_names_missing_anchor_when_every_voxel_is_covered():
+    grid = plan_grid((48, 48), (16, 16), 0.5)
+    pairs = flat_pairs(grid, 1)
+    missing = pairs.pop(grid.anchors.index((16, 16)))
+    assert missing[0] == (16, 16, 0)
+    with pytest.raises(CoverageError, match="anchor \\(16, 16, 0\\)"):
+        stitch(pairs, grid, (48, 48, 1))
 
 
 def test_labelize_rules():
