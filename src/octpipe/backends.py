@@ -25,8 +25,6 @@ PredictFn = Callable[[list[Patch], DepthMode, str], list[np.ndarray]]
 
 BACKEND_KINDS = ("threshold", "oracle", "external")
 
-VARIANTS = ("F", "P")
-
 DEFAULT_BANDS = (0.25, 0.5, 0.75)
 
 PROB_CLAMP = 1e-7
@@ -40,21 +38,7 @@ class Backend:
     kind: str
     descriptor: str
     predict: PredictFn
-    variant: str = "P"
     needs_truth: bool = False
-
-    def __post_init__(self):
-        if self.variant not in VARIANTS:
-            raise ValidationError(f"variant must be one of {VARIANTS}, got {self.variant!r}")
-
-    def with_variant(self, variant: str) -> "Backend":
-        return Backend(
-            kind=self.kind,
-            descriptor=self.descriptor,
-            predict=self.predict,
-            variant=variant,
-            needs_truth=self.needs_truth,
-        )
 
 
 @dataclass(frozen=True)

@@ -14,16 +14,18 @@ import sys
 from pathlib import Path
 
 from . import patch_engine
-from .backends import parse_backend_descriptor
 from .config import (
+    DATA_ROOT,
+    KEYS,
+    OUTPUT_DIR,
+    Key,
     RunConfig,
-    SLICE_POLICY_CHOICES,
     apply_settings,
     load_config,
     render_config,
     resolve_data_root,
 )
-from .errors import ConfigError, ValidationError
+from .errors import ConfigError
 from .eval_harness.folds import make_folds, save_folds
 from .eval_harness.phantom import random_phantom
 from .eval_harness.report import load_report_csv, render_report
@@ -34,67 +36,29 @@ from .eval_harness.runner import (
     load_inventory,
     run_experiment,
 )
-from .preprocess import (
-    DENOISERS,
-    default_slice_policy,
-    filter_slices,
-    preprocess_volume,
-    resize_volume,
-)
+from .preprocess import default_slice_policy, filter_slices, preprocess_volume, resize_volume
 from .volume_io import read_labels, read_volume, vendor_of, write_volume
-
-_OVERRIDE_KEYS = (
-    ("data_root", "data_root"),
-    ("output_dir", "output_dir"),
-    ("backend", "backend"),
-    ("variant", "variant"),
-    ("depth_mode", "depth_mode"),
-    ("jobs", "jobs"),
-    ("patch_size", "grid.patch_size"),
-    ("overlap", "grid.overlap"),
-    ("close_radius", "grid.close_radius"),
-    ("folds", "folds.k"),
-    ("seed", "folds.seed"),
-    ("aggregate", "eval.aggregate"),
-    ("denoiser", "preprocess.denoiser"),
-    ("slice_policy", "slice_policy"),
-)
 
 
 def _add_common(sub: argparse.ArgumentParser) -> None:
     sub.add_argument("--config", type=Path, help="flat key=value configuration file")
-    sub.add_argument("--data-root", dest="data_root")
-    sub.add_argument("--output-dir", dest="output_dir")
-    sub.add_argument("--backend", help="threshold | oracle | external:DIR")
-    sub.add_argument("--variant", choices=("F", "P"))
-    sub.add_argument("--depth-mode", dest="depth_mode", help="2d | 2.5d | 3d")
-    sub.add_argument("--jobs", type=int)
-    sub.add_argument("--patch-size", dest="patch_size", type=int)
-    sub.add_argument("--overlap", type=float)
-    sub.add_argument("--close-radius", dest="close_radius", type=int)
-    sub.add_argument("--folds", type=int, help="number of cross-validation folds")
-    sub.add_argument("--seed", type=int)
-    sub.add_argument("--aggregate", choices=("macro", "micro"))
-    sub.add_argument("--denoiser", choices=DENOISERS)
-    sub.add_argument("--slice-policy", dest="slice_policy", choices=SLICE_POLICY_CHOICES)
+    for key in KEYS:
+        if key.flag is not None:
+            sub.add_argument(key.flag, dest=key.name, choices=key.choices, help=key.help)
 
 
 def _config_from_args(args: argparse.Namespace) -> RunConfig:
+    """Config file (if any), then every flag given, each parsed by its key."""
     cfg = load_config(args.config) if args.config else RunConfig()
-    overrides = {}
-    for attr, key in _OVERRIDE_KEYS:
-        value = getattr(args, attr, None)
-        if value is not None:
-            overrides[key] = str(value)
-    cfg = apply_settings(cfg, overrides)
+    given = {key.name: getattr(args, key.name) for key in KEYS if key.flag is not None}
+    cfg = apply_settings(cfg, {name: text for name, text in given.items() if text is not None})
     return resolve_data_root(cfg)
 
 
-def _require(cfg: RunConfig, *fields: str) -> None:
-    for name in fields:
-        if getattr(cfg, name) is None:
-            flag = "--" + name.replace("_", "-")
-            raise ConfigError(f"{flag} is required for this command (or set it in the config)")
+def _require(cfg: RunConfig, *keys: Key) -> None:
+    for key in keys:
+        if key.get(cfg) is None:
+            raise ConfigError(f"{key.flag} is required for this command (or set it in the config)")
 
 
 def _write_config_copy(cfg: RunConfig, directory: Path) -> None:
@@ -129,9 +93,8 @@ def cmd_info(args: argparse.Namespace, cfg: RunConfig) -> int:
 
 
 def cmd_preprocess(args: argparse.Namespace, cfg: RunConfig) -> int:
-    _require(cfg, "data_root", "output_dir")
-    is_2d = cfg.parsed_depth_mode().kind == "2d"
-    spec_target = cfg.preprocess.target_2d if is_2d else cfg.preprocess.target_vol
+    _require(cfg, DATA_ROOT, OUTPUT_DIR)
+    spec_target = cfg.preprocess.target_for(cfg.parsed_depth_mode())
     out_dir = cfg.output_dir / "volumes"
     inventory = load_inventory(cfg.data_root)
     for vendor in sorted(inventory):
@@ -152,7 +115,7 @@ def cmd_preprocess(args: argparse.Namespace, cfg: RunConfig) -> int:
 
 
 def cmd_folds(args: argparse.Namespace, cfg: RunConfig) -> int:
-    _require(cfg, "data_root", "output_dir")
+    _require(cfg, DATA_ROOT, OUTPUT_DIR)
     inventory = load_inventory(cfg.data_root)
     plan = make_folds(inventory, cfg.folds_k, cfg.seed)
     out_dir = cfg.output_dir / "folds"
@@ -168,11 +131,11 @@ def cmd_folds(args: argparse.Namespace, cfg: RunConfig) -> int:
 
 
 def cmd_patchify(args: argparse.Namespace, cfg: RunConfig) -> int:
-    _require(cfg, "data_root", "output_dir")
+    _require(cfg, DATA_ROOT, OUTPUT_DIR)
     mode = cfg.parsed_depth_mode()
     native = read_volume(image_path(cfg.data_root, args.volume))
     native_dims = native.dims
-    target = cfg.preprocess.target_2d if mode.kind == "2d" else cfg.preprocess.target_vol
+    target = cfg.preprocess.target_for(mode)
     vol = preprocess_volume(native, cfg.preprocess, target)
     grid = patch_engine.plan_grid(vol.dims[:2], (cfg.patch_size, cfg.patch_size), cfg.overlap, mode)
     out_dir = cfg.output_dir / "patches"
@@ -208,7 +171,7 @@ def cmd_patchify(args: argparse.Namespace, cfg: RunConfig) -> int:
 
 
 def cmd_stitch(args: argparse.Namespace, cfg: RunConfig) -> int:
-    _require(cfg, "output_dir")
+    _require(cfg, OUTPUT_DIR)
     pairs = []
     for base in args.predictions:
         pairs.extend(patch_engine.load_predictions(Path(base)))
@@ -227,11 +190,7 @@ def cmd_stitch(args: argparse.Namespace, cfg: RunConfig) -> int:
 
 
 def cmd_evaluate(args: argparse.Namespace, cfg: RunConfig) -> int:
-    _require(cfg, "data_root", "output_dir")
-    try:
-        parse_backend_descriptor(cfg.backend)  # usage-check the descriptor up front
-    except ValidationError as exc:
-        raise ConfigError(str(exc)) from exc
+    _require(cfg, DATA_ROOT, OUTPUT_DIR)
     spec = _experiment_spec(cfg)
     inventory = load_inventory(cfg.data_root)
     plan = make_folds(inventory, cfg.folds_k, cfg.seed)
@@ -251,7 +210,7 @@ def cmd_evaluate(args: argparse.Namespace, cfg: RunConfig) -> int:
 
 
 def cmd_report(args: argparse.Namespace, cfg: RunConfig) -> int:
-    _require(cfg, "output_dir")
+    _require(cfg, OUTPUT_DIR)
     entries = []
     for path in args.csvs:
         entries.extend(load_report_csv(path))
@@ -266,7 +225,7 @@ def cmd_report(args: argparse.Namespace, cfg: RunConfig) -> int:
 
 
 def cmd_synth(args: argparse.Namespace, cfg: RunConfig) -> int:
-    _require(cfg, "data_root")
+    _require(cfg, DATA_ROOT)
     dims = _parse_dims3(args.dims)
     vendors = [v.strip() for v in args.vendors.split(",") if v.strip()]
     if not vendors:

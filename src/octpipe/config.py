@@ -2,8 +2,11 @@
 
 The file format is one ``section.key=value`` pair per line (``#`` comments,
 blank lines ignored), flat on purpose so resolved configs diff cleanly.
-``render_config(cfg)`` emits every resolved setting in sorted order; parsing
-that text back yields an identical configuration.
+Every setting is declared once, as a row of ``KEYS``: its file key, where it
+lives in ``RunConfig``, how it is parsed and rendered, and its command-line
+flag.  Values are checked when read, so a bad one fails as ``ConfigError``
+naming its key.  ``render_config(cfg)`` emits every resolved setting in
+sorted order; parsing that text back yields an identical configuration.
 """
 
 from __future__ import annotations
@@ -11,16 +14,17 @@ from __future__ import annotations
 import os
 from dataclasses import dataclass, field, replace
 from pathlib import Path
+from typing import Any, Callable
 
 from .augment import AugmentConfig
-from .backends import TrainingConfig
+from .backends import TrainingConfig, parse_backend_descriptor
 from .errors import ConfigError
+from .eval_harness.report import VARIANT_ORDER
+from .eval_harness.runner import AGGREGATES
 from .patch_engine import DepthMode
-from .preprocess import DENOISERS, PreprocessConfig
+from .preprocess import DENOISERS, SLICE_POLICIES, PreprocessConfig
 
 DATA_ROOT_ENV = "OCTPIPE_DATA_ROOT"
-
-SLICE_POLICY_CHOICES = ("auto", "diseased_only", "all")
 
 
 @dataclass(frozen=True)
@@ -50,11 +54,75 @@ class RunConfig:
         return DepthMode.parse(self.depth_mode)
 
 
+@dataclass(frozen=True)
+class Key:
+    """One setting: file key ``name``, ``RunConfig`` attribute ``path``
+    (``section.attr`` for nested configs; defaults to ``name``), text parser
+    and renderer, the allowed ``choices`` if any, and the command-line
+    ``flag`` (None for file-only keys)."""
+
+    name: str
+    parse: Callable[[str], Any] = str
+    render: Callable[[Any], str] = str
+    flag: str | None = None
+    choices: tuple[str, ...] | None = None
+    help: str | None = None
+    path: str | None = None
+
+    def __post_init__(self):
+        if self.path is None:
+            object.__setattr__(self, "path", self.name)
+
+    def read(self, text: str) -> Any:
+        """Parse one value; a bad value raises ConfigError naming this key."""
+        if self.choices is not None and text not in self.choices:
+            raise ConfigError(f"{self.name} must be one of {self.choices}, got {text!r}")
+        try:
+            return self.parse(text)
+        except (ValueError, TypeError) as exc:
+            raise ConfigError(f"bad value for {self.name!r}: {exc}") from exc
+
+    def get(self, cfg: RunConfig) -> Any:
+        section, _, attr = self.path.rpartition(".")
+        return getattr(getattr(cfg, section) if section else cfg, attr)
+
+
+def _at_least(low: int) -> Callable[[str], int]:
+    def parse(text: str) -> int:
+        value = int(text)
+        if value < low:
+            raise ValueError(f"must be >= {low}, got {value}")
+        return value
+
+    return parse
+
+
+def _fraction(text: str) -> float:
+    value = float(text)
+    if not 0.0 <= value < 1.0:
+        raise ValueError(f"must lie in [0, 1), got {value}")
+    return value
+
+
+def _checked(check: Callable[[str], Any]) -> Callable[[str], str]:
+    """Keep the text itself once ``check`` accepts it."""
+
+    def parse(text: str) -> str:
+        check(text)
+        return text
+
+    return parse
+
+
 def _parse_dims2(text: str) -> tuple[int, int]:
     parts = text.lower().split("x")
     if len(parts) != 2:
-        raise ConfigError(f"expected WIDTHxHEIGHT, got {text!r}")
+        raise ValueError(f"expected WIDTHxHEIGHT, got {text!r}")
     return int(parts[0]), int(parts[1])
+
+
+def _render_dims2(dims: tuple[int, int]) -> str:
+    return f"{dims[0]}x{dims[1]}"
 
 
 def _parse_bool(text: str) -> bool:
@@ -63,7 +131,63 @@ def _parse_bool(text: str) -> bool:
         return True
     if t in ("false", "no", "0"):
         return False
-    raise ConfigError(f"expected a boolean, got {text!r}")
+    raise ValueError(f"expected a boolean, got {text!r}")
+
+
+def _render_bool(value: bool) -> str:
+    return "true" if value else "false"
+
+
+DATA_ROOT = Key("data_root", Path, flag="--data-root")
+OUTPUT_DIR = Key("output_dir", Path, flag="--output-dir")
+
+KEYS: tuple[Key, ...] = (
+    DATA_ROOT,
+    OUTPUT_DIR,
+    Key("variant", flag="--variant", choices=VARIANT_ORDER),
+    Key("depth_mode", _checked(DepthMode.parse), flag="--depth-mode", help="2d | 2.5d | 3d"),
+    Key(
+        "backend",
+        _checked(parse_backend_descriptor),
+        flag="--backend",
+        help="threshold | oracle | external:DIR",
+    ),
+    Key("jobs", _at_least(0), flag="--jobs", help="0 = all cores"),
+    Key("grid.patch_size", _at_least(1), flag="--patch-size", path="patch_size"),
+    Key("grid.overlap", _fraction, repr, flag="--overlap", path="overlap"),
+    Key("grid.close_radius", _at_least(0), flag="--close-radius", path="close_radius"),
+    Key("eval.aggregate", flag="--aggregate", choices=AGGREGATES, path="aggregate"),
+    Key(
+        "folds.k",
+        _at_least(2),
+        flag="--folds",
+        help="number of cross-validation folds",
+        path="folds_k",
+    ),
+    Key("folds.seed", int, flag="--seed", path="seed"),
+    Key("slice_policy", flag="--slice-policy", choices=("auto", *SLICE_POLICIES)),
+    Key("preprocess.target_2d", _parse_dims2, _render_dims2),
+    Key("preprocess.target_vol", _parse_dims2, _render_dims2),
+    Key("preprocess.denoiser", flag="--denoiser", choices=DENOISERS),
+    Key("preprocess.sigma", float, repr),
+    Key("preprocess.search_radius", int),
+    Key("preprocess.patch_radius", int),
+    Key("preprocess.h", float, repr),
+    Key("preprocess.normalize"),
+    Key("augment.rotation_deg", float, repr),
+    Key("augment.translate_px", int),
+    Key("augment.copies_per_sample", int),
+    Key("augment.seed", int),
+    Key("training.optimizer"),
+    Key("training.decay", float, repr),
+    Key("training.lr_start", float, repr),
+    Key("training.lr_end", float, repr),
+    Key("training.epochs", int),
+    Key("training.shuffle_each_epoch", _parse_bool, _render_bool),
+    Key("training.loss"),
+)
+
+_BY_NAME = {key.name: key for key in KEYS}
 
 
 def parse_config_text(text: str, origin: str = "<config>") -> dict[str, str]:
@@ -87,91 +211,26 @@ def parse_config_text(text: str, origin: str = "<config>") -> dict[str, str]:
 
 
 def apply_settings(cfg: RunConfig, mapping: dict[str, str]) -> RunConfig:
-    """Overlay flat settings onto a configuration; unknown keys are errors."""
-    pre = cfg.preprocess
-    aug = cfg.augment
-    train = cfg.training
-    top: dict = {}
-    try:
-        for key, value in mapping.items():
-            if key == "data_root":
-                top["data_root"] = Path(value)
-            elif key == "output_dir":
-                top["output_dir"] = Path(value)
-            elif key == "variant":
-                top["variant"] = value
-            elif key == "depth_mode":
-                DepthMode.parse(value)
-                top["depth_mode"] = value
-            elif key == "backend":
-                top["backend"] = value
-            elif key == "jobs":
-                top["jobs"] = int(value)
-            elif key == "grid.patch_size":
-                top["patch_size"] = int(value)
-            elif key == "grid.overlap":
-                top["overlap"] = float(value)
-            elif key == "grid.close_radius":
-                top["close_radius"] = int(value)
-            elif key == "eval.aggregate":
-                top["aggregate"] = value
-            elif key == "folds.k":
-                top["folds_k"] = int(value)
-            elif key == "folds.seed":
-                top["seed"] = int(value)
-            elif key == "slice_policy":
-                if value not in SLICE_POLICY_CHOICES:
-                    raise ConfigError(
-                        f"slice_policy must be one of {SLICE_POLICY_CHOICES}, got {value!r}"
-                    )
-                top["slice_policy"] = value
-            elif key == "preprocess.target_2d":
-                pre = replace(pre, target_2d=_parse_dims2(value))
-            elif key == "preprocess.target_vol":
-                pre = replace(pre, target_vol=_parse_dims2(value))
-            elif key == "preprocess.denoiser":
-                if value not in DENOISERS:
-                    raise ConfigError(f"denoiser must be one of {DENOISERS}, got {value!r}")
-                pre = replace(pre, denoiser=value)
-            elif key == "preprocess.sigma":
-                pre = replace(pre, sigma=float(value))
-            elif key == "preprocess.search_radius":
-                pre = replace(pre, search_radius=int(value))
-            elif key == "preprocess.patch_radius":
-                pre = replace(pre, patch_radius=int(value))
-            elif key == "preprocess.h":
-                pre = replace(pre, h=float(value))
-            elif key == "preprocess.normalize":
-                pre = replace(pre, normalize=value)
-            elif key == "augment.rotation_deg":
-                aug = replace(aug, rotation_deg=float(value))
-            elif key == "augment.translate_px":
-                aug = replace(aug, translate_px=int(value))
-            elif key == "augment.copies_per_sample":
-                aug = replace(aug, copies_per_sample=int(value))
-            elif key == "augment.seed":
-                aug = replace(aug, seed=int(value))
-            elif key == "training.optimizer":
-                train = replace(train, optimizer=value)
-            elif key == "training.decay":
-                train = replace(train, decay=float(value))
-            elif key == "training.lr_start":
-                train = replace(train, lr_start=float(value))
-            elif key == "training.lr_end":
-                train = replace(train, lr_end=float(value))
-            elif key == "training.epochs":
-                train = replace(train, epochs=int(value))
-            elif key == "training.shuffle_each_epoch":
-                train = replace(train, shuffle_each_epoch=_parse_bool(value))
-            elif key == "training.loss":
-                train = replace(train, loss=value)
-            else:
-                raise ConfigError(f"unknown configuration key {key!r}")
-    except ConfigError:
-        raise
-    except (ValueError, TypeError) as exc:
-        raise ConfigError(f"bad value for {key!r}: {exc}") from exc
-    return replace(cfg, preprocess=pre, augment=aug, training=train, **top)
+    """Overlay flat settings onto a configuration; unknown keys are errors.
+
+    Each nested section is rebuilt once from all of its settings together,
+    so cross-field checks (``lr_start >= lr_end``) never see a half-applied
+    mapping and the result does not depend on the mapping's order.
+    """
+    sections: dict[str, dict[str, Any]] = {}
+    for name, text in mapping.items():
+        key = _BY_NAME.get(name)
+        if key is None:
+            raise ConfigError(f"unknown configuration key {name!r}")
+        section, _, attr = key.path.rpartition(".")
+        sections.setdefault(section, {})[attr] = key.read(text)
+    top = sections.pop("", {})
+    for section, values in sections.items():
+        try:
+            top[section] = replace(getattr(cfg, section), **values)
+        except (ValueError, TypeError) as exc:
+            raise ConfigError(f"bad {section} settings: {exc}") from exc
+    return replace(cfg, **top)
 
 
 def load_config(path: str | Path) -> RunConfig:
@@ -192,43 +251,9 @@ def resolve_data_root(cfg: RunConfig) -> RunConfig:
 
 def render_config(cfg: RunConfig) -> str:
     """Every resolved setting, one per line, sorted; parses back identically."""
-    pre = cfg.preprocess
-    aug = cfg.augment
-    train = cfg.training
-    settings = {
-        "variant": cfg.variant,
-        "depth_mode": cfg.depth_mode,
-        "backend": cfg.backend,
-        "jobs": str(cfg.jobs),
-        "grid.patch_size": str(cfg.patch_size),
-        "grid.overlap": repr(cfg.overlap),
-        "grid.close_radius": str(cfg.close_radius),
-        "eval.aggregate": cfg.aggregate,
-        "folds.k": str(cfg.folds_k),
-        "folds.seed": str(cfg.seed),
-        "slice_policy": cfg.slice_policy,
-        "preprocess.target_2d": f"{pre.target_2d[0]}x{pre.target_2d[1]}",
-        "preprocess.target_vol": f"{pre.target_vol[0]}x{pre.target_vol[1]}",
-        "preprocess.denoiser": pre.denoiser,
-        "preprocess.sigma": repr(pre.sigma),
-        "preprocess.search_radius": str(pre.search_radius),
-        "preprocess.patch_radius": str(pre.patch_radius),
-        "preprocess.h": repr(pre.h),
-        "preprocess.normalize": pre.normalize,
-        "augment.rotation_deg": repr(aug.rotation_deg),
-        "augment.translate_px": str(aug.translate_px),
-        "augment.copies_per_sample": str(aug.copies_per_sample),
-        "augment.seed": str(aug.seed),
-        "training.optimizer": train.optimizer,
-        "training.decay": repr(train.decay),
-        "training.lr_start": repr(train.lr_start),
-        "training.lr_end": repr(train.lr_end),
-        "training.epochs": str(train.epochs),
-        "training.shuffle_each_epoch": "true" if train.shuffle_each_epoch else "false",
-        "training.loss": train.loss,
-    }
-    if cfg.data_root is not None:
-        settings["data_root"] = str(cfg.data_root)
-    if cfg.output_dir is not None:
-        settings["output_dir"] = str(cfg.output_dir)
-    return "\n".join(f"{key}={settings[key]}" for key in sorted(settings)) + "\n"
+    lines = [
+        f"{key.name}={key.render(value)}"
+        for key in sorted(KEYS, key=lambda k: k.name)
+        if (value := key.get(cfg)) is not None
+    ]
+    return "\n".join(lines) + "\n"

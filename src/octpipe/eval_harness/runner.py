@@ -43,7 +43,7 @@ from ..preprocess import PreprocessConfig, preprocess_volume, resize_volume
 from ..volume_io import FLUIDS, LabelVolume, OctVolume, ProbVolume, read_labels, read_volume
 from .folds import FoldPlan, make_folds
 from .metrics import ConfusionCounts, confusion, dice, dice_volume
-from .report import ReportEntry
+from .report import VARIANT_ORDER, ReportEntry
 
 AGGREGATES = ("macro", "micro")
 
@@ -65,8 +65,8 @@ class ExperimentSpec:
     jobs: int = 1
 
     def __post_init__(self):
-        if self.variant not in ("F", "P"):
-            raise ValidationError(f"variant must be F or P, got {self.variant!r}")
+        if self.variant not in VARIANT_ORDER:
+            raise ValidationError(f"variant must be one of {VARIANT_ORDER}, got {self.variant!r}")
         if self.aggregate not in AGGREGATES:
             raise ValidationError(f"aggregate must be one of {AGGREGATES}, got {self.aggregate!r}")
         if self.jobs < 1:
@@ -76,9 +76,7 @@ class ExperimentSpec:
 
     @property
     def working_target(self) -> tuple[int, int]:
-        if self.depth_mode.kind == "2d":
-            return self.preprocess.target_2d
-        return self.preprocess.target_vol
+        return self.preprocess.target_for(self.depth_mode)
 
 
 def load_inventory(data_root: str | Path) -> dict[str, list[str]]:
@@ -180,18 +178,18 @@ def segment_volume(
     return prob, pred
 
 
-def _resolve_backend(backend: Backend | str, spec: ExperimentSpec) -> tuple[Backend | None, str]:
+def _resolve_backend(backend: Backend | str) -> tuple[Backend | None, str]:
     """Returns (backend or None when truth-bound per volume, descriptor)."""
     if isinstance(backend, Backend):
         if backend.needs_truth:
             return None, backend.descriptor
-        return backend.with_variant(spec.variant), backend.descriptor
+        return backend, backend.descriptor
     kind, arg = parse_backend_descriptor(backend)
     if kind == "threshold":
-        return threshold_backend().with_variant(spec.variant), "threshold"
+        return threshold_backend(), "threshold"
     if kind == "external":
         bk = external_backend(arg)
-        return bk.with_variant(spec.variant), bk.descriptor
+        return bk, bk.descriptor
     return None, "oracle"
 
 
@@ -206,7 +204,7 @@ def evaluate_volume(
     vol, truth = _stage(
         "preprocess", volume_id, preprocess_pair, vol, truth, spec.preprocess, spec.working_target
     )
-    bound = backend if backend is not None else oracle_backend(truth).with_variant(spec.variant)
+    bound = backend if backend is not None else oracle_backend(truth)
     _prob, pred = segment_volume(vol, bound, spec)
     counts = _stage("score", volume_id, lambda: {cls: confusion(pred, truth, cls) for cls in FLUIDS})
     return {cls: dice(c) for cls, c in counts.items()}, counts
@@ -229,7 +227,7 @@ def run_experiment(
         plan = make_folds(inventory, spec.folds_k, spec.seed)
     if not 0 <= fold < plan.k:
         raise ValidationError(f"fold {fold} outside plan with k={plan.k}")
-    resolved, descriptor = _resolve_backend(backend, spec)
+    resolved, descriptor = _resolve_backend(backend)
 
     entries: list[ReportEntry] = []
     fold_sets = plan.test_sets[fold]

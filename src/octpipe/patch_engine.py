@@ -21,7 +21,7 @@ from typing import Iterable
 import numpy as np
 from scipy import ndimage
 
-from .errors import CoverageError, ValidationError
+from .errors import CoverageError, FormatError, ValidationError
 from .volume_io import N_CLASSES, FluidClass, LabelVolume, OctVolume, ProbVolume
 
 DEPTH_KINDS = ("2d", "2.5d", "3d")
@@ -374,27 +374,48 @@ def close_all(labels: LabelVolume, radius: int) -> LabelVolume:
     return labels
 
 
+_SHAPE_FIELDS = {"patches": "patch_shape", "predictions": "pred_shape"}
+
+
 def _sidecar_paths(path_base) -> tuple[Path, Path]:
     base = Path(path_base)
     return base.with_suffix(".raw"), base.with_suffix(".json")
 
 
+def _save_spill(path_base, kind: str, arrays: list, meta: dict) -> None:
+    """Write same-shaped arrays as one raw float32 blob plus a JSON sidecar
+    holding ``kind``, the per-array shape and the caller's ``meta``."""
+    raw_path, meta_path = _sidecar_paths(path_base)
+    if not arrays:
+        raise ValueError(f"refusing to spill an empty {kind} batch")
+    shape = np.shape(arrays[0])
+    for array in arrays:
+        if np.shape(array) != shape:
+            raise ValueError(f"mixed {kind} shapes {shape} and {np.shape(array)} in one batch")
+    np.stack([np.asarray(a, dtype=np.float32) for a in arrays]).tofile(raw_path)
+    meta = {"kind": kind, _SHAPE_FIELDS[kind]: list(shape), **meta}
+    meta_path.write_text(json.dumps(meta, indent=2, sort_keys=True) + "\n")
+
+
+def _load_spill(path_base, kind: str) -> tuple[dict, np.ndarray]:
+    """Read a spill of ``kind``: its sidecar and an (n_anchors, *shape) stack."""
+    raw_path, meta_path = _sidecar_paths(path_base)
+    meta = json.loads(meta_path.read_text())
+    if meta.get("kind") != kind:
+        raise FormatError(f"{meta_path} describes {meta.get('kind')!r}, expected {kind!r}")
+    shape = (len(meta["anchors"]), *meta[_SHAPE_FIELDS[kind]])
+    stack = np.fromfile(raw_path, dtype=np.float32)
+    expected = int(np.prod(shape))
+    if stack.size != expected:
+        raise FormatError(f"{raw_path} holds {stack.size} values, sidecar promises {expected}")
+    return meta, stack.reshape(shape)
+
+
 def save_patches(path_base, patches: list[Patch], grid: PatchGrid, volume_id: str = "") -> None:
     """Spill a patch batch to disk: one raw float32 blob plus a JSON sidecar
     holding the anchors and the grid parameters needed to rebuild it."""
-    raw_path, meta_path = _sidecar_paths(path_base)
-    if not patches:
-        raise ValueError("refusing to spill an empty patch batch")
-    shape = patches[0].data.shape
-    for p in patches:
-        if p.data.shape != shape:
-            raise ValueError(f"mixed patch shapes {shape} and {p.data.shape} in one batch")
-    stack = np.stack([np.asarray(p.data, dtype=np.float32) for p in patches])
-    stack.tofile(raw_path)
     meta = {
-        "kind": "patches",
         "volume_id": volume_id,
-        "patch_shape": list(shape),
         "anchors": [list(p.anchor) for p in patches],
         "grid": {
             "image_dims": list(grid.image_dims),
@@ -403,24 +424,12 @@ def save_patches(path_base, patches: list[Patch], grid: PatchGrid, volume_id: st
             "depth_mode": {"kind": grid.depth_mode.kind, "radius": grid.depth_mode.radius},
         },
     }
-    meta_path.write_text(json.dumps(meta, indent=2, sort_keys=True) + "\n")
+    _save_spill(path_base, "patches", [p.data for p in patches], meta)
 
 
 def load_patches(path_base) -> tuple[list[Patch], PatchGrid, str]:
     """Read back a spilled patch batch; returns (patches, grid, volume_id)."""
-    raw_path, meta_path = _sidecar_paths(path_base)
-    meta = json.loads(meta_path.read_text())
-    if meta.get("kind") != "patches":
-        raise ValueError(f"{meta_path} does not describe a patch batch")
-    shape = tuple(meta["patch_shape"])
-    anchors = [tuple(a) for a in meta["anchors"]]
-    stack = np.fromfile(raw_path, dtype=np.float32)
-    expected = len(anchors) * int(np.prod(shape))
-    if stack.size != expected:
-        raise ValueError(
-            f"{raw_path} holds {stack.size} values, sidecar promises {expected}"
-        )
-    stack = stack.reshape((len(anchors),) + shape)
+    meta, stack = _load_spill(path_base, "patches")
     g = meta["grid"]
     grid = plan_grid(
         tuple(g["image_dims"]),
@@ -428,41 +437,17 @@ def load_patches(path_base) -> tuple[list[Patch], PatchGrid, str]:
         g["overlap"],
         DepthMode(g["depth_mode"]["kind"], g["depth_mode"].get("radius", 1)),
     )
-    patches = [Patch(anchor=a, data=stack[i]) for i, a in enumerate(anchors)]
+    patches = [Patch(anchor=tuple(a), data=stack[i]) for i, a in enumerate(meta["anchors"])]
     return patches, grid, meta.get("volume_id", "")
 
 
 def save_predictions(path_base, patch_probs: list[tuple[tuple[int, int, int], np.ndarray]]) -> None:
     """Spill per-patch probability predictions next to their anchors."""
-    raw_path, meta_path = _sidecar_paths(path_base)
-    if not patch_probs:
-        raise ValueError("refusing to spill an empty prediction batch")
-    shape = np.asarray(patch_probs[0][1]).shape
-    for _a, pred in patch_probs:
-        if np.asarray(pred).shape != shape:
-            raise ValueError(f"mixed prediction shapes {shape} and {np.asarray(pred).shape}")
-    stack = np.stack([np.asarray(pred, dtype=np.float32) for _a, pred in patch_probs])
-    stack.tofile(raw_path)
-    meta = {
-        "kind": "predictions",
-        "pred_shape": list(shape),
-        "anchors": [list(a) for a, _pred in patch_probs],
-    }
-    meta_path.write_text(json.dumps(meta, indent=2, sort_keys=True) + "\n")
+    meta = {"anchors": [list(a) for a, _pred in patch_probs]}
+    _save_spill(path_base, "predictions", [pred for _a, pred in patch_probs], meta)
 
 
 def load_predictions(path_base) -> list[tuple[tuple[int, int, int], np.ndarray]]:
-    raw_path, meta_path = _sidecar_paths(path_base)
-    meta = json.loads(meta_path.read_text())
-    if meta.get("kind") != "predictions":
-        raise ValueError(f"{meta_path} does not describe a prediction batch")
-    shape = tuple(meta["pred_shape"])
-    anchors = [tuple(a) for a in meta["anchors"]]
-    stack = np.fromfile(raw_path, dtype=np.float32)
-    expected = len(anchors) * int(np.prod(shape))
-    if stack.size != expected:
-        raise ValueError(
-            f"{raw_path} holds {stack.size} values, sidecar promises {expected}"
-        )
-    stack = stack.reshape((len(anchors),) + shape)
-    return [(a, stack[i]) for i, a in enumerate(anchors)]
+    """Read back spilled predictions as (anchor, prediction) pairs."""
+    meta, stack = _load_spill(path_base, "predictions")
+    return [(tuple(a), stack[i]) for i, a in enumerate(meta["anchors"])]

@@ -11,6 +11,7 @@ alphabet.
 from __future__ import annotations
 
 from dataclasses import dataclass, replace
+from typing import TYPE_CHECKING
 
 import numpy as np
 from scipy import ndimage
@@ -18,13 +19,16 @@ from scipy import ndimage
 from .errors import ValidationError
 from .volume_io import LabelVolume, OctVolume, Vendor
 
+if TYPE_CHECKING:
+    from .patch_engine import DepthMode
+
 DENOISERS = ("none", "gaussian", "nlm")
 SLICE_POLICIES = ("diseased_only", "all")
 
 
 @dataclass(frozen=True)
 class PreprocessConfig:
-    """Working resolutions plus the denoiser and slice-filter stage settings."""
+    """Working resolutions plus the denoiser and normalization stage settings."""
 
     target_2d: tuple[int, int] = (572, 572)
     target_vol: tuple[int, int] = (384, 384)
@@ -33,7 +37,6 @@ class PreprocessConfig:
     search_radius: int = 5      # nlm search window half-width
     patch_radius: int = 2       # nlm comparison patch half-width
     h: float = 0.1              # nlm weight bandwidth
-    slice_policy: str = "diseased_only"
     normalize: str = "auto"     # auto | always | never
 
     def __post_init__(self):
@@ -49,12 +52,12 @@ class PreprocessConfig:
                 raise ValueError(f"nlm h must be > 0, got {self.h}")
             if self.search_radius < 1 or self.patch_radius < 1:
                 raise ValueError("nlm radii must be >= 1")
-        if self.slice_policy not in SLICE_POLICIES:
-            raise ValueError(
-                f"slice_policy must be one of {SLICE_POLICIES}, got {self.slice_policy!r}"
-            )
         if self.normalize not in ("auto", "always", "never"):
             raise ValueError(f"normalize must be auto|always|never, got {self.normalize!r}")
+
+    def target_for(self, mode: DepthMode) -> tuple[int, int]:
+        """Working (width, height) for a DepthMode: target_2d in 2d, else target_vol."""
+        return self.target_2d if mode.kind == "2d" else self.target_vol
 
 
 def default_slice_policy(vendor: Vendor | None) -> str:

@@ -282,16 +282,6 @@ def test_weighted_cross_entropy_shape_errors():
         weighted_cross_entropy(np.full((4, 2, 2), 0.25), labels, np.ones(3))
 
 
-def test_backend_with_variant():
-    backend = threshold_backend()
-    assert backend.variant == "P"
-    full = backend.with_variant("F")
-    assert full.variant == "F"
-    assert full.kind == backend.kind
-    with pytest.raises(ValueError):
-        backend.with_variant("Q")
-
-
 def test_training_config_defaults_and_validation():
     cfg = TrainingConfig()
     assert cfg.optimizer == "adam"

@@ -305,6 +305,27 @@ def test_unknown_config_key_is_usage_error(make_dataset, tmp_path, capsys):
     assert "grid.pitch" in err
 
 
+def test_bad_config_value_is_usage_error(make_dataset, tmp_path, capsys):
+    root, _, _ = make_dataset()
+    cfg = tmp_path / "bad.cfg"
+    cfg.write_text("variant = Q\n")
+    out_dir = tmp_path / "o"
+    rc, _, err = run(capsys, "folds", "--config", cfg, "--data-root", root, "--output-dir", out_dir)
+    assert rc == 2
+    assert "variant" in err
+    assert not (out_dir / "folds" / "run_config.txt").exists()
+
+
+@pytest.mark.parametrize("flag, value", [("--jobs", "two"), ("--jobs", "-4"), ("--overlap", "1.5")])
+def test_out_of_range_flag_is_usage_error(make_dataset, tmp_path, capsys, flag, value):
+    root, _, _ = make_dataset()
+    rc, _, err = run(
+        capsys, "folds", "--data-root", root, "--output-dir", tmp_path / "o", flag, value
+    )
+    assert rc == 2
+    assert err.startswith("error:")
+
+
 def test_bad_flag_value_is_usage_error(make_dataset, tmp_path, capsys):
     root, _, _ = make_dataset()
     rc, _, err = run(

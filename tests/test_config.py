@@ -1,11 +1,16 @@
 """Flat configuration files, overrides, and canonical rendering."""
 
+import re
 from pathlib import Path
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
+from octpipe.backends import TrainingConfig
 from octpipe.config import (
     DATA_ROOT_ENV,
+    KEYS,
     RunConfig,
     apply_settings,
     load_config,
@@ -107,3 +112,113 @@ def test_resolve_data_root_env_fallback(monkeypatch, tmp_path):
 def test_resolved_jobs_zero_means_cpu_count():
     assert RunConfig(jobs=0).resolved_jobs >= 1
     assert RunConfig(jobs=3).resolved_jobs == 3
+
+
+def test_render_config_round_trips_lr_pair_below_defaults():
+    cfg = RunConfig(training=TrainingConfig(lr_start=0.01, lr_end=0.005))
+    assert apply_settings(RunConfig(), parse_config_text(render_config(cfg))) == cfg
+
+
+@pytest.mark.parametrize(
+    "key, value",
+    [
+        ("variant", "Q"),
+        ("eval.aggregate", "median"),
+        ("backend", "foo"),
+        ("jobs", "-3"),
+        ("grid.overlap", "1.5"),
+        ("grid.patch_size", "0"),
+        ("grid.close_radius", "-1"),
+        ("folds.k", "0"),
+    ],
+)
+def test_apply_settings_rejects_out_of_range_values(key, value):
+    with pytest.raises(ConfigError, match=re.escape(key)):
+        apply_settings(RunConfig(), {key: value})
+
+
+_words = st.from_regex(r"[a-z][a-z0-9_-]{0,11}", fullmatch=True)
+_paths = st.from_regex(r"/?[a-z0-9_]{1,8}(/[a-z0-9_]{1,8}){0,2}", fullmatch=True)
+
+
+def _floats(low, high=1e6, **kwargs):
+    return st.floats(low, high, allow_nan=False, **kwargs).map(repr)
+
+
+def _ints(low, high=10**6):
+    return st.integers(low, high).map(str)
+
+
+_dims = st.tuples(st.integers(1, 4096), st.integers(1, 4096)).map(lambda d: f"{d[0]}x{d[1]}")
+
+VALUE_STRATEGIES = {
+    "data_root": _paths,
+    "output_dir": _paths,
+    "variant": st.sampled_from(["F", "P"]),
+    "depth_mode": st.sampled_from(["2d", "2.5d", "3d", "2", "3D", "25d"]),
+    "backend": st.sampled_from(["threshold", "oracle", "external:/probs", "Oracle"]),
+    "jobs": _ints(0, 64),
+    "grid.patch_size": _ints(1, 1024),
+    "grid.overlap": _floats(0.0, 1.0, exclude_max=True),
+    "grid.close_radius": _ints(0, 8),
+    "eval.aggregate": st.sampled_from(["macro", "micro"]),
+    "folds.k": _ints(2, 20),
+    "folds.seed": _ints(-(10**6)),
+    "slice_policy": st.sampled_from(["auto", "diseased_only", "all"]),
+    "preprocess.target_2d": _dims,
+    "preprocess.target_vol": _dims,
+    "preprocess.denoiser": st.sampled_from(["none", "gaussian", "nlm"]),
+    "preprocess.sigma": _floats(1e-3, 10.0),
+    "preprocess.search_radius": _ints(1, 9),
+    "preprocess.patch_radius": _ints(1, 5),
+    "preprocess.h": _floats(1e-3, 10.0),
+    "preprocess.normalize": st.sampled_from(["auto", "always", "never"]),
+    "augment.rotation_deg": _floats(0.0, 180.0),
+    "augment.translate_px": _ints(0, 64),
+    "augment.copies_per_sample": _ints(0, 8),
+    "augment.seed": _ints(0),
+    "training.optimizer": _words,
+    "training.decay": _floats(-1e6),
+    "training.epochs": _ints(1, 1000),
+    "training.shuffle_each_epoch": st.sampled_from(["true", "false", "yes", "no", "1", "0"]),
+    "training.loss": _words,
+}
+
+
+@st.composite
+def settings_mappings(draw):
+    """A valid value for every key; optional path keys are sometimes left out."""
+    mapping = {name: draw(strategy) for name, strategy in VALUE_STRATEGIES.items()}
+    lr_end = draw(st.floats(1e-8, 1.0))
+    mapping["training.lr_end"] = repr(lr_end)
+    mapping["training.lr_start"] = repr(draw(st.floats(lr_end, 10.0)))
+    for optional in ("data_root", "output_dir"):
+        if draw(st.booleans()):
+            del mapping[optional]
+    return mapping
+
+
+def test_value_strategies_cover_every_key():
+    lr_keys = {"training.lr_start", "training.lr_end"}
+    assert set(VALUE_STRATEGIES) | lr_keys == {key.name for key in KEYS}
+
+
+@settings(max_examples=200, deadline=None)
+@given(mapping=settings_mappings(), data=st.data())
+def test_render_config_is_a_fixed_point_in_any_order(mapping, data):
+    cfg = apply_settings(RunConfig(), mapping)
+    text = render_config(cfg)
+    again = apply_settings(RunConfig(), parse_config_text(text))
+    assert again == cfg
+    assert render_config(again) == text
+    shuffled = dict(data.draw(st.permutations(list(mapping.items()))))
+    assert apply_settings(RunConfig(), shuffled) == cfg
+
+
+def test_readme_lists_exactly_the_config_keys():
+    readme = (Path(__file__).resolve().parents[1] / "README.md").read_text()
+    section = readme.split("## Configuration file", 1)[1]
+    block = section.split("```", 2)[1]
+    listed = re.sub(r"\([^)]*\)", "", block)
+    names = {word for word in re.split(r"[\s,]+", listed) if word}
+    assert names == {key.name for key in KEYS}

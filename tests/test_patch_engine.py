@@ -5,7 +5,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from octpipe.errors import CoverageError, ValidationError
+from octpipe.errors import CoverageError, FormatError, ValidationError
 from octpipe.patch_engine import (
     DepthMode,
     Patch,
@@ -487,3 +487,20 @@ def test_prediction_spill_round_trip(tmp_path):
     base = stitch(preds, grid, (32, 32, 1))
     again = stitch(loaded, grid, (32, 32, 1))
     np.testing.assert_array_equal(base.probs, again.probs)
+
+
+def test_spill_loaders_reject_other_kind_and_truncated_payload(tmp_path):
+    vol = make_volume((64, 64, 4), seed=9)
+    grid = plan_grid((64, 64), (32, 32), 0.5, DepthMode.d2())
+    patches = extract(vol, grid, z=1)
+    save_patches(tmp_path / "batch", patches, grid, volume_id="v")
+    save_predictions(tmp_path / "pred", [(p.anchor, np.full((4, 32, 32), 0.25)) for p in patches])
+    with pytest.raises(FormatError, match="'patches', expected 'predictions'"):
+        load_predictions(tmp_path / "batch")
+    with pytest.raises(FormatError, match="'predictions', expected 'patches'"):
+        load_patches(tmp_path / "pred")
+    for base, load in ((tmp_path / "batch", load_patches), (tmp_path / "pred", load_predictions)):
+        raw = base.with_suffix(".raw")
+        raw.write_bytes(raw.read_bytes()[:-4])
+        with pytest.raises(FormatError, match="sidecar promises"):
+            load(base)

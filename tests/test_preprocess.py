@@ -203,8 +203,6 @@ def test_preprocess_config_validation():
     with pytest.raises(ValueError):
         PreprocessConfig(denoiser="nlm", search_radius=0)
     with pytest.raises(ValueError):
-        PreprocessConfig(slice_policy="sick")
-    with pytest.raises(ValueError):
         PreprocessConfig(target_vol=(0, 384))
     with pytest.raises(ValueError):
         PreprocessConfig(normalize="sometimes")
