@@ -16,7 +16,7 @@ from .backends import (
 from .errors import ConfigError, CoverageError, FormatError, StageError, ValidationError
 from .patch_engine import (
     DepthMode,
-    Patch,
+    PatchBatch,
     PatchGrid,
     close_all,
     close_mask,
@@ -51,7 +51,7 @@ __all__ = [
     "FormatError",
     "LabelVolume",
     "OctVolume",
-    "Patch",
+    "PatchBatch",
     "PatchGrid",
     "PreprocessConfig",
     "ProbVolume",

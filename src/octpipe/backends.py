@@ -1,7 +1,8 @@
-"""Pluggable per-patch predictors plus class-weighting and loss utilities.
+"""Pluggable batch predictors plus class-weighting and loss utilities.
 
-A backend maps extracted patches to per-class probability maps: (4, h, w) for
-single-slice modes, (4, planes, h, w) for full-depth patches.  Three kinds are
+A backend maps a :class:`PatchBatch` of N patches to one array of N
+per-class probability maps: (N, 4, h, w) for single-slice modes,
+(N, 4, planes, h, w) for full-depth patches.  Three kinds are
 built in: intensity thresholding, a truth-reading oracle, and a directory of
 precomputed probability volumes produced by an outside model.  Network
 architectures themselves are out of scope; they appear only as descriptor
@@ -18,10 +19,10 @@ from typing import Callable, Iterable
 import numpy as np
 
 from .errors import ValidationError
-from .patch_engine import DepthMode, Patch
+from .patch_engine import DepthMode, PatchBatch, windows
 from .volume_io import N_CLASSES, LabelVolume, ProbVolume, read_prob
 
-PredictFn = Callable[[list[Patch], DepthMode, str], list[np.ndarray]]
+PredictFn = Callable[[PatchBatch, DepthMode, str], np.ndarray]
 
 BACKEND_KINDS = ("threshold", "oracle", "external")
 
@@ -32,8 +33,8 @@ PROB_CLAMP = 1e-7
 
 @dataclass(frozen=True)
 class Backend:
-    """A named predictor. ``predict(patches, mode, volume_id)`` returns one
-    class-probability array per patch, aligned with the input order."""
+    """A named predictor. ``predict(batch, mode, volume_id)`` returns the
+    batch's N class-first probability maps as one array, in batch order."""
 
     kind: str
     descriptor: str
@@ -82,12 +83,13 @@ def parse_backend_descriptor(text: str) -> tuple[str, str]:
     return kind, arg
 
 
-def one_hot(labels: np.ndarray) -> np.ndarray:
-    """Class-first one-hot encoding of a label array, float32."""
+def one_hot(labels: np.ndarray, axis: int = 0) -> np.ndarray:
+    """One-hot encoding of a label array, float32, with the class axis
+    inserted at ``axis`` (class-first by default)."""
     labels = np.asarray(labels)
-    out = np.zeros((N_CLASSES,) + labels.shape, dtype=np.float32)
-    for cls in range(N_CLASSES):
-        out[cls] = labels == cls
+    out = np.zeros(labels.shape[:axis] + (N_CLASSES,) + labels.shape[axis:], dtype=np.float32)
+    for cls, plane in enumerate(np.moveaxis(out, axis, 0)):
+        plane[...] = labels == cls
     return out
 
 
@@ -106,22 +108,14 @@ def classify_bands(
     return out
 
 
-def _center_plane(data: np.ndarray) -> np.ndarray:
-    return data[data.shape[0] // 2]
-
-
 def threshold_backend(bands: tuple[float, float, float] = DEFAULT_BANDS) -> Backend:
-    """Classify each voxel of the patch itself by intensity band."""
+    """Classify each voxel of the patch itself by intensity band; single-slice
+    modes classify the centre plane of each patch."""
     classify_bands(np.zeros(1), bands)  # validate the cut points up front
 
-    def predict(patches: list[Patch], mode: DepthMode, volume_id: str) -> list[np.ndarray]:
-        out = []
-        for patch in patches:
-            if mode.kind == "3d":
-                out.append(one_hot(classify_bands(patch.data, bands)))
-            else:
-                out.append(one_hot(classify_bands(_center_plane(patch.data), bands)))
-        return out
+    def predict(batch: PatchBatch, mode: DepthMode, volume_id: str) -> np.ndarray:
+        data = batch.data if mode.kind == "3d" else batch.data[:, batch.data.shape[1] // 2]
+        return one_hot(classify_bands(data, bands), axis=1)
 
     return Backend(kind="threshold", descriptor="threshold", predict=predict)
 
@@ -129,26 +123,9 @@ def threshold_backend(bands: tuple[float, float, float] = DEFAULT_BANDS) -> Back
 def oracle_backend(truth: LabelVolume) -> Backend:
     """Emit the true labels, one-hot, for the requested windows."""
 
-    voxels = truth.voxels
-    depth, height, width = voxels.shape
-
-    def predict(patches: list[Patch], mode: DepthMode, volume_id: str) -> list[np.ndarray]:
-        out = []
-        for patch in patches:
-            x, y, z = patch.anchor
-            h = patch.data.shape[1]
-            w = patch.data.shape[2]
-            if x < 0 or y < 0 or x + w > width or y + h > height or z >= depth:
-                raise IndexError(
-                    f"patch at ({x}, {y}, {z}) falls outside truth dims "
-                    f"{(width, height, depth)}"
-                )
-            if mode.kind == "3d":
-                window = voxels[:, y : y + h, x : x + w]
-            else:
-                window = voxels[z, y : y + h, x : x + w]
-            out.append(one_hot(window))
-        return out
+    def predict(batch: PatchBatch, mode: DepthMode, volume_id: str) -> np.ndarray:
+        labels = windows(truth.voxels, batch.anchors, batch.data.shape[-2:], mode.kind != "3d")
+        return one_hot(labels, axis=1)
 
     return Backend(kind="oracle", descriptor="oracle", predict=predict, needs_truth=True)
 
@@ -156,8 +133,9 @@ def oracle_backend(truth: LabelVolume) -> Backend:
 def external_backend(prob_dir: str | Path, descriptor: str | None = None) -> Backend:
     """Crop windows out of precomputed ``<volume_id>_prob.mhd`` files.
 
-    Loaded volumes are validated once and cached; the cache is guarded so
-    threaded prediction does not load the same file twice.
+    Only the volume last asked for is kept, validated once; the previous one
+    is dropped before the next is read.  The lock makes threaded prediction
+    load each volume once.
     """
     prob_dir = Path(prob_dir)
     cache: dict[str, ProbVolume] = {}
@@ -166,6 +144,7 @@ def external_backend(prob_dir: str | Path, descriptor: str | None = None) -> Bac
     def load(volume_id: str) -> ProbVolume:
         with lock:
             if volume_id not in cache:
+                cache.clear()
                 path = prob_dir / f"{volume_id}_prob.mhd"
                 if not path.exists():
                     raise FileNotFoundError(
@@ -176,37 +155,15 @@ def external_backend(prob_dir: str | Path, descriptor: str | None = None) -> Bac
                 cache[volume_id] = prob
             return cache[volume_id]
 
-    def predict(patches: list[Patch], mode: DepthMode, volume_id: str) -> list[np.ndarray]:
+    def predict(batch: PatchBatch, mode: DepthMode, volume_id: str) -> np.ndarray:
         probs = load(volume_id).probs
-        out = []
-        for patch in patches:
-            x, y, z = patch.anchor
-            h = patch.data.shape[1]
-            w = patch.data.shape[2]
-            if mode.kind == "3d":
-                out.append(probs[:, :, y : y + h, x : x + w])
-            else:
-                out.append(probs[:, z, y : y + h, x : x + w])
-        return out
+        return windows(probs, batch.anchors, batch.data.shape[-2:], mode.kind != "3d")
 
     return Backend(
         kind="external",
         descriptor=descriptor or f"external:{prob_dir}",
         predict=predict,
     )
-
-
-def validate_probs(pred: np.ndarray, tol: float = 1e-5) -> None:
-    """Reject predictions that are not distributions over the 4 classes."""
-    pred = np.asarray(pred)
-    if pred.ndim not in (3, 4) or pred.shape[0] != N_CLASSES:
-        raise ValidationError(f"prediction must be (4, ...) class-first, got shape {pred.shape}")
-    if np.min(pred) < -tol:
-        raise ValidationError(f"prediction has negative probability {float(np.min(pred))}")
-    sums = pred.sum(axis=0)
-    err = float(np.max(np.abs(sums - 1.0)))
-    if err > tol:
-        raise ValidationError(f"class probabilities must sum to 1 +/- {tol}, worst deviation {err}")
 
 
 def class_weights(train_labels: Iterable[LabelVolume] | LabelVolume | np.ndarray) -> np.ndarray:

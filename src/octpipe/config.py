@@ -104,14 +104,14 @@ def _fraction(text: str) -> float:
     return value
 
 
-def _checked(check: Callable[[str], Any]) -> Callable[[str], str]:
-    """Keep the text itself once ``check`` accepts it."""
+def _depth_kind(text: str) -> str:
+    return DepthMode.parse(text).kind
 
-    def parse(text: str) -> str:
-        check(text)
-        return text
 
-    return parse
+def _backend(text: str) -> str:
+    """The descriptor with its kind lower-cased; an external path stays as typed."""
+    kind, arg = parse_backend_descriptor(text)
+    return f"{kind}:{arg}" if arg else kind
 
 
 def _parse_dims2(text: str) -> tuple[int, int]:
@@ -145,13 +145,8 @@ KEYS: tuple[Key, ...] = (
     DATA_ROOT,
     OUTPUT_DIR,
     Key("variant", flag="--variant", choices=VARIANT_ORDER),
-    Key("depth_mode", _checked(DepthMode.parse), flag="--depth-mode", help="2d | 2.5d | 3d"),
-    Key(
-        "backend",
-        _checked(parse_backend_descriptor),
-        flag="--backend",
-        help="threshold | oracle | external:DIR",
-    ),
+    Key("depth_mode", _depth_kind, flag="--depth-mode", help="2d | 2.5d | 3d"),
+    Key("backend", _backend, flag="--backend", help="threshold | oracle | external:DIR"),
     Key("jobs", _at_least(0), flag="--jobs", help="0 = all cores"),
     Key("grid.patch_size", _at_least(1), flag="--patch-size", path="patch_size"),
     Key("grid.overlap", _fraction, repr, flag="--overlap", path="overlap"),

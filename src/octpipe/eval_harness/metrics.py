@@ -41,8 +41,8 @@ def confusion(pred, truth, cls: FluidClass) -> ConfusionCounts:
     pm = p == int(cls)
     tm = t == int(cls)
     tp = int(np.count_nonzero(pm & tm))
-    fp = int(np.count_nonzero(pm & ~tm))
-    fn = int(np.count_nonzero(~pm & tm))
+    fp = int(np.count_nonzero(pm)) - tp
+    fn = int(np.count_nonzero(tm)) - tp
     tn = p.size - tp - fp - fn
     return ConfusionCounts(tp=tp, fp=fp, fn=fn, tn=tn)
 

@@ -31,7 +31,7 @@ from ..backends import (
 from ..errors import StageError, ValidationError
 from ..patch_engine import (
     DepthMode,
-    Patch,
+    PatchBatch,
     PatchGrid,
     close_all,
     extract,
@@ -130,17 +130,17 @@ def _predictions(
     """
     mode = grid.depth_mode
     if mode.kind == "3d":
-        batches = ([patch] for patch in extract(vol, grid))
+        batches = (extract(vol, grid, which=slice(i, i + 1)) for i in range(len(grid.anchors)))
     else:
         batches = (extract(vol, grid, z) for z in range(vol.dims[2]))
 
-    def predict(patches: list[Patch]):
-        return zip([p.anchor for p in patches], backend.predict(patches, mode, vol.volume_id))
+    def predict(batch: PatchBatch):
+        return zip(map(tuple, batch.anchors.tolist()), backend.predict(batch, mode, vol.volume_id))
 
     with ThreadPoolExecutor(max_workers=jobs) as pool:
         in_flight: deque = deque()
-        for patches in batches:
-            in_flight.append(pool.submit(predict, patches))
+        for batch in batches:
+            in_flight.append(pool.submit(predict, batch))
             if len(in_flight) > jobs:
                 yield from in_flight.popleft().result()
         while in_flight:

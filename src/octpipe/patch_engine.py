@@ -1,7 +1,9 @@
 """Overlapping-patch grids, 2D/2.5D/3D extraction, streaming stitch, closing.
 
-Patch anchors are (x, y) top-left corners in image coordinates; patch data is
-indexed [plane, y, x].  Per-patch predictions are class-first: a 2-D map
+Patch anchors are (x, y) top-left corners in image coordinates.  Patches travel
+as one :class:`PatchBatch`: (N, 3) anchors and (N, planes, h, w) data, cut by
+the single window rule in :func:`windows`.  Per-patch predictions are
+class-first: a 2-D map
 (4, h, w) placed at the anchor's slice, or a 3-D block (4, planes, h, w)
 spanning the anchored slice range.  Stitching streams: it takes predictions
 from any iterable, in any order, and sums each into the output volume as soon
@@ -19,10 +21,11 @@ from pathlib import Path
 from typing import Iterable
 
 import numpy as np
+from numpy.lib.stride_tricks import sliding_window_view
 from scipy import ndimage
 
 from .errors import CoverageError, FormatError, ValidationError
-from .volume_io import N_CLASSES, FluidClass, LabelVolume, OctVolume, ProbVolume
+from .volume_io import N_CLASSES, FluidClass, LabelVolume, ProbVolume
 
 DEPTH_KINDS = ("2d", "2.5d", "3d")
 
@@ -140,20 +143,58 @@ def plan_grid(
 
 
 @dataclass(frozen=True)
-class Patch:
-    """One extracted window: anchor (x, y, z) plus data indexed [plane, y, x]."""
+class PatchBatch:
+    """N extracted windows: ``anchors`` (N, 3) as (x, y, z) and ``data``
+    (N, planes, h, w), each window indexed [plane, y, x]."""
 
-    anchor: tuple[int, int, int]
+    anchors: np.ndarray
     data: np.ndarray
 
+    def __post_init__(self):
+        if self.anchors.shape != (len(self.data), 3) or self.data.ndim != 4:
+            raise ValueError(
+                f"need anchors (N, 3) and data (N, planes, h, w), "
+                f"got {self.anchors.shape} and {self.data.shape}"
+            )
 
-def _slab_planes(z: int, radius: int, depth: int) -> np.ndarray:
-    # edge replication: indices are clipped at the volume boundary
-    return np.clip(np.arange(z - radius, z + radius + 1), 0, depth - 1)
+    def __len__(self) -> int:
+        return len(self.anchors)
 
 
-def extract(vol, grid: PatchGrid, z: int = 0) -> list[Patch]:
-    """Extract one patch per anchor at slice ``z`` (ignored for 3d grids).
+def windows(array: np.ndarray, anchors, size: tuple[int, int], at_z: bool = False) -> np.ndarray:
+    """Cut the (h, w) = ``size`` window ``[y:y+h, x:x+w]`` at each (x, y, z)
+    row of ``anchors`` out of ``array``, whose last two axes are (y, x).
+
+    With ``at_z`` the axis before them is indexed by each anchor's z and
+    dropped; otherwise z is ignored and every leading axis is kept.  Returns
+    (N, *leading, h, w): a view of ``array`` for one window, one gathered copy
+    for more.  Raises IndexError naming the first window that leaves ``array``.
+    """
+    anchors = np.asarray(anchors)
+    h, w = size
+    x, y, z = anchors.T
+    bad = (x < 0) | (y < 0) | (x + w > array.shape[-1]) | (y + h > array.shape[-2])
+    if at_z:
+        bad |= (z < 0) | (z >= array.shape[-3])
+    if bad.any():
+        raise IndexError(
+            f"{w}x{h} window at {tuple(anchors[np.argmax(bad)].tolist())} "
+            f"falls outside array of shape {array.shape}"
+        )
+    if len(anchors) == 1:
+        x, y, z = anchors[0].tolist()
+        return (array[..., z, :, :] if at_z else array)[None, ..., y : y + h, x : x + w]
+    lead = array.ndim - 2
+    # (*leading, H', W', h, w) -> (H', W', *leading, h, w), indexed by (y, x)
+    view = np.moveaxis(sliding_window_view(array, size, axis=(-2, -1)), (lead, lead + 1), (0, 1))
+    if at_z:  # z is the last leading axis; bring it next to (y, x)
+        return np.moveaxis(view, lead + 1, 2)[y, x, z]
+    return view[y, x]
+
+
+def extract(vol, grid: PatchGrid, z: int = 0, which: slice = slice(None)) -> PatchBatch:
+    """Extract the patches at ``grid.anchors[which]`` (all by default) at
+    slice ``z`` (ignored for 3d grids) as one batch.
 
     2d patches carry the single plane ``z``; 2.5d patches carry the slab
     ``z-radius .. z+radius`` with edge replication, so the centre plane always
@@ -167,24 +208,16 @@ def extract(vol, grid: PatchGrid, z: int = 0) -> list[Patch]:
         )
     mode = grid.depth_mode
     if mode.kind == "3d":
-        stack = voxels
-        z0 = 0
+        stack, z = voxels, 0
     else:
         if not 0 <= z < depth:
             raise IndexError(f"slice index {z} outside volume depth {depth}")
-        if mode.kind == "2d":
-            stack = voxels[z : z + 1]
-        else:
-            stack = voxels[_slab_planes(z, mode.radius, depth)]
-        z0 = z
-    patches = []
-    for x, y in grid.anchors:
-        if x < 0 or y < 0 or x + grid.patch_w > width or y + grid.patch_h > height:
-            raise RuntimeError(f"grid anchor ({x}, {y}) outside image {grid.image_dims}")
-        patches.append(
-            Patch(anchor=(x, y, z0), data=stack[:, y : y + grid.patch_h, x : x + grid.patch_w])
-        )
-    return patches
+        radius = mode.radius if mode.kind == "2.5d" else 0
+        # edge replication: plane indices are clipped at the volume boundary
+        stack = voxels[np.clip(np.arange(z - radius, z + radius + 1), 0, depth - 1)]
+    xy = np.array(grid.anchors[which], dtype=np.intp).reshape(-1, 2)
+    anchors = np.column_stack([xy, np.full(len(xy), z, dtype=np.intp)])
+    return PatchBatch(anchors, windows(stack, anchors, (grid.patch_h, grid.patch_w)))
 
 
 def coverage_plane(grid: PatchGrid) -> np.ndarray:
@@ -382,18 +415,16 @@ def _sidecar_paths(path_base) -> tuple[Path, Path]:
     return base.with_suffix(".raw"), base.with_suffix(".json")
 
 
-def _save_spill(path_base, kind: str, arrays: list, meta: dict) -> None:
-    """Write same-shaped arrays as one raw float32 blob plus a JSON sidecar
-    holding ``kind``, the per-array shape and the caller's ``meta``."""
+def _save_spill(path_base, kind: str, stack, meta: dict) -> None:
+    """Write n same-shaped arrays, stacked (n, *shape), as one raw float32
+    blob plus a JSON sidecar holding ``kind``, the per-array shape and the
+    caller's ``meta``."""
     raw_path, meta_path = _sidecar_paths(path_base)
-    if not arrays:
+    if not len(stack):
         raise ValueError(f"refusing to spill an empty {kind} batch")
-    shape = np.shape(arrays[0])
-    for array in arrays:
-        if np.shape(array) != shape:
-            raise ValueError(f"mixed {kind} shapes {shape} and {np.shape(array)} in one batch")
-    np.stack([np.asarray(a, dtype=np.float32) for a in arrays]).tofile(raw_path)
-    meta = {"kind": kind, _SHAPE_FIELDS[kind]: list(shape), **meta}
+    stack = np.asarray(stack, dtype=np.float32)
+    stack.tofile(raw_path)
+    meta = {"kind": kind, _SHAPE_FIELDS[kind]: list(stack.shape[1:]), **meta}
     meta_path.write_text(json.dumps(meta, indent=2, sort_keys=True) + "\n")
 
 
@@ -411,12 +442,12 @@ def _load_spill(path_base, kind: str) -> tuple[dict, np.ndarray]:
     return meta, stack.reshape(shape)
 
 
-def save_patches(path_base, patches: list[Patch], grid: PatchGrid, volume_id: str = "") -> None:
-    """Spill a patch batch to disk: one raw float32 blob plus a JSON sidecar
-    holding the anchors and the grid parameters needed to rebuild it."""
+def save_patches(path_base, batch: PatchBatch, grid: PatchGrid, volume_id: str = "") -> None:
+    """Spill a patch batch to disk: its data as one raw float32 blob plus a
+    JSON sidecar holding the anchors and the grid parameters needed to rebuild it."""
     meta = {
         "volume_id": volume_id,
-        "anchors": [list(p.anchor) for p in patches],
+        "anchors": batch.anchors.tolist(),
         "grid": {
             "image_dims": list(grid.image_dims),
             "patch": [grid.patch_w, grid.patch_h],
@@ -424,11 +455,11 @@ def save_patches(path_base, patches: list[Patch], grid: PatchGrid, volume_id: st
             "depth_mode": {"kind": grid.depth_mode.kind, "radius": grid.depth_mode.radius},
         },
     }
-    _save_spill(path_base, "patches", [p.data for p in patches], meta)
+    _save_spill(path_base, "patches", batch.data, meta)
 
 
-def load_patches(path_base) -> tuple[list[Patch], PatchGrid, str]:
-    """Read back a spilled patch batch; returns (patches, grid, volume_id)."""
+def load_patches(path_base) -> tuple[PatchBatch, PatchGrid, str]:
+    """Read back a spilled patch batch; returns (batch, grid, volume_id)."""
     meta, stack = _load_spill(path_base, "patches")
     g = meta["grid"]
     grid = plan_grid(
@@ -437,8 +468,8 @@ def load_patches(path_base) -> tuple[list[Patch], PatchGrid, str]:
         g["overlap"],
         DepthMode(g["depth_mode"]["kind"], g["depth_mode"].get("radius", 1)),
     )
-    patches = [Patch(anchor=tuple(a), data=stack[i]) for i, a in enumerate(meta["anchors"])]
-    return patches, grid, meta.get("volume_id", "")
+    anchors = np.array(meta["anchors"], dtype=np.intp).reshape(-1, 3)
+    return PatchBatch(anchors, stack), grid, meta.get("volume_id", "")
 
 
 def save_predictions(path_base, patch_probs: list[tuple[tuple[int, int, int], np.ndarray]]) -> None:

@@ -8,7 +8,7 @@ which matches the x-fastest raw payload order of MetaImage directly.  All
 from __future__ import annotations
 
 import enum
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from pathlib import Path
 
 import numpy as np
@@ -119,7 +119,7 @@ class ProbVolume:
     def __post_init__(self):
         self.probs = np.asarray(self.probs, dtype=np.float32)
         if self.probs.ndim != 4 or self.probs.shape[0] != N_CLASSES:
-            raise ValueError(
+            raise ValidationError(
                 f"probability volume must have shape (4, depth, height, width), got {self.probs.shape}"
             )
 
@@ -129,10 +129,14 @@ class ProbVolume:
         return (w, h, d)
 
     def validate(self, tol: float = 1e-5) -> None:
+        """Reject a volume that is not a distribution over the classes at
+        every voxel: a negative or non-finite value, or a channel sum off 1."""
         if np.any(self.probs < 0):
             raise ValidationError(f"negative probability in volume '{self.volume_id}'")
         sums = self.probs.sum(axis=0, dtype=np.float64)
         err = float(np.abs(sums - 1.0).max()) if sums.size else 0.0
+        if not np.isfinite(err):
+            raise ValidationError(f"non-finite probability in volume '{self.volume_id}'")
         if err > tol:
             raise ValidationError(
                 f"channel sums deviate from 1 by up to {err:.3g} in volume '{self.volume_id}'"
@@ -182,16 +186,26 @@ def _read_raw(path: Path, header: dict[str, str], header_end: int, expected_byte
     return raw
 
 
+def _numbers(path: Path, header: dict[str, str], key: str, kind: type) -> list:
+    """The whitespace-separated values of header field ``key`` (none if absent)."""
+    try:
+        return [kind(t) for t in header.get(key, "").split()]
+    except ValueError:
+        raise FormatError(
+            f"{path}: {key} must hold {kind.__name__} values, got {header[key]!r}"
+        ) from None
+
+
 def _load_array(path: Path) -> tuple[np.ndarray, dict[str, str]]:
     """Load a MetaImage file as an array shaped (..., depth, height, width)."""
     path = Path(path)
     header, header_end = _parse_header(path)
-    ndims = int(header.get("NDims", "0"))
-    if ndims not in (3, 4):
+    if _numbers(path, header, "NDims", int) not in ([3], [4]):
         raise FormatError(f"{path}: NDims must be 3 or 4, got {header.get('NDims')}")
+    ndims = int(header["NDims"])
     if "DimSize" not in header:
         raise FormatError(f"{path}: header is missing DimSize")
-    dim_size = [int(t) for t in header["DimSize"].split()]
+    dim_size = _numbers(path, header, "DimSize", int)
     if len(dim_size) != ndims:
         raise FormatError(f"{path}: DimSize has {len(dim_size)} entries for NDims={ndims}")
     if any(d < 1 for d in dim_size):
@@ -214,11 +228,8 @@ def _load_array(path: Path) -> tuple[np.ndarray, dict[str, str]]:
     return data.reshape(tuple(reversed(dim_size))), header
 
 
-def _parse_spacing(header: dict[str, str]) -> tuple[float, float, float] | None:
-    text = header.get("ElementSpacing")
-    if text is None:
-        return None
-    parts = [float(t) for t in text.split()]
+def _parse_spacing(path: Path, header: dict[str, str]) -> tuple[float, float, float] | None:
+    parts = _numbers(path, header, "ElementSpacing", float)
     return (parts[0], parts[1], parts[2]) if len(parts) >= 3 else None
 
 
@@ -232,7 +243,7 @@ def read_volume(path: str | Path) -> OctVolume:
     return OctVolume(
         voxels=data.astype(np.float32),
         vendor=vendor_of((w, h, d)),
-        spacing=_parse_spacing(header),
+        spacing=_parse_spacing(path, header),
         volume_id=path.stem,
     )
 

@@ -88,14 +88,14 @@ def test_criterion_02_pipeline_round_trip():
         grid = plan_grid((384, 384), (128, 128), 0.75, mode)
         pairs = []
         if mode.kind == "3d":
-            patches = extract(vol, grid)
-            preds = backend.predict(patches, mode, "px")
-            pairs = [(p.anchor, pr) for p, pr in zip(patches, preds)]
+            batch = extract(vol, grid)
+            preds = backend.predict(batch, mode, "px")
+            pairs = [(tuple(a), pr) for a, pr in zip(batch.anchors.tolist(), preds)]
         else:
             for z in range(16):
-                patches = extract(vol, grid, z)
-                preds = backend.predict(patches, mode, "px")
-                pairs.extend((p.anchor, pr) for p, pr in zip(patches, preds))
+                batch = extract(vol, grid, z)
+                preds = backend.predict(batch, mode, "px")
+                pairs.extend((tuple(a), pr) for a, pr in zip(batch.anchors.tolist(), preds))
         prob = stitch(pairs, grid, (384, 384, 16), volume_id="px")
         pred = labelize(prob)
         np.testing.assert_array_equal(pred.voxels, truth.voxels)
@@ -337,8 +337,8 @@ def test_criterion_09_throughput():
     flat[0] = 1.0
     pairs = []
     for z in range(128):
-        for patch in extract(vol, grid, z):
-            pairs.append((patch.anchor, flat))
+        for anchor in extract(vol, grid, z).anchors.tolist():
+            pairs.append((tuple(anchor), flat))
     prob = stitch(pairs, grid, (384, 384, 128), volume_id="big")
     assert prob.probs.shape == (4, 128, 384, 384)
     assert float(prob.probs[0].min()) == 1.0

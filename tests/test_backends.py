@@ -1,10 +1,12 @@
 """Prediction backends, class weighting, and the training loss."""
 
 import math
+from pathlib import Path
 
 import numpy as np
 import pytest
 
+from octpipe import backends
 from octpipe.backends import (
     DEFAULT_BANDS,
     Backend,
@@ -16,12 +18,11 @@ from octpipe.backends import (
     oracle_backend,
     parse_backend_descriptor,
     threshold_backend,
-    validate_probs,
     weighted_cross_entropy,
 )
 from octpipe.errors import ValidationError
-from octpipe.patch_engine import DepthMode, extract, plan_grid
-from octpipe.volume_io import LabelVolume, OctVolume, ProbVolume, write_volume
+from octpipe.patch_engine import DepthMode, PatchBatch, extract, plan_grid
+from octpipe.volume_io import LabelVolume, OctVolume, ProbVolume, read_prob, write_volume
 
 
 def test_classify_bands_boundaries_are_inclusive():
@@ -73,23 +74,23 @@ def band_volume(dims, seed):
 def test_threshold_backend_center_plane_semantics():
     vol = band_volume((32, 32, 5), seed=2)
     grid = plan_grid((32, 32), (16, 16), 0.5, DepthMode.d25(1))
-    patches = extract(vol, grid, z=2)
+    batch = extract(vol, grid, z=2)
     backend = threshold_backend()
-    preds = backend.predict(patches, DepthMode.d25(1), "bv")
-    assert len(preds) == len(patches)
-    for patch, pred in zip(patches, preds):
+    preds = backend.predict(batch, DepthMode.d25(1), "bv")
+    assert len(preds) == len(batch)
+    for data, pred in zip(batch.data, preds):
         assert pred.shape == (4, 16, 16)
         np.testing.assert_array_equal(
-            pred.argmax(axis=0), classify_bands(patch.data[1])
+            pred.argmax(axis=0), classify_bands(data[1])
         )
-        validate_probs(pred)
+        ProbVolume(probs=pred[:, None]).validate()
 
 
 def test_threshold_backend_3d_classifies_every_plane():
     vol = band_volume((16, 16, 3), seed=3)
     grid = plan_grid((16, 16), (16, 16), 0.0, DepthMode.d3())
-    patches = extract(vol, grid)
-    (pred,) = threshold_backend().predict(patches, DepthMode.d3(), "bv")
+    batch = extract(vol, grid)
+    (pred,) = threshold_backend().predict(batch, DepthMode.d3(), "bv")
     assert pred.shape == (4, 3, 16, 16)
     np.testing.assert_array_equal(pred.argmax(axis=0), classify_bands(vol.voxels))
 
@@ -107,22 +108,19 @@ def test_oracle_backend_reproduces_truth_windows():
     assert backend.needs_truth
 
     grid = plan_grid((24, 24), (8, 8), 0.5)
-    patches = extract(OctVolume(voxels=np.zeros((4, 24, 24), np.float32),
-                                vendor=None, spacing=None, volume_id="t"), grid, z=1)
-    preds = backend.predict(patches, DepthMode.d2(), "t")
-    for patch, pred in zip(patches, preds):
-        x, y, _ = patch.anchor
+    batch = extract(OctVolume(voxels=np.zeros((4, 24, 24), np.float32),
+                              vendor=None, spacing=None, volume_id="t"), grid, z=1)
+    preds = backend.predict(batch, DepthMode.d2(), "t")
+    for (x, y, _), pred in zip(batch.anchors, preds):
         np.testing.assert_array_equal(pred.argmax(axis=0), voxels[1, y : y + 8, x : x + 8])
 
 
 def test_oracle_backend_rejects_out_of_bounds_patch():
     truth = LabelVolume(voxels=np.zeros((2, 8, 8), dtype=np.uint8), volume_id="t")
     backend = oracle_backend(truth)
-    from octpipe.patch_engine import Patch
-
-    bad = Patch(anchor=(4, 4, 0), data=np.zeros((1, 8, 8), np.float32))
+    bad = PatchBatch(np.array([[4, 4, 0]]), np.zeros((1, 1, 8, 8), np.float32))
     with pytest.raises(IndexError):
-        backend.predict([bad], DepthMode.d2(), "t")
+        backend.predict(bad, DepthMode.d2(), "t")
 
 
 def test_external_backend_round_trip(tmp_path):
@@ -135,20 +133,35 @@ def test_external_backend_round_trip(tmp_path):
     grid = plan_grid((16, 16), (8, 8), 0.5)
     vol = OctVolume(voxels=np.zeros((3, 16, 16), np.float32), vendor=None,
                     spacing=None, volume_id="case")
-    patches = extract(vol, grid, z=2)
-    preds = backend.predict(patches, DepthMode.d2(), "case")
-    for patch, pred in zip(patches, preds):
-        x, y, _ = patch.anchor
+    batch = extract(vol, grid, z=2)
+    preds = backend.predict(batch, DepthMode.d2(), "case")
+    for (x, y, _), pred in zip(batch.anchors, preds):
         np.testing.assert_array_equal(pred, probs[:, 2, y : y + 8, x : x + 8])
+
+
+def test_external_backend_keeps_only_the_last_volume(tmp_path, monkeypatch):
+    probs = np.full((4, 1, 4, 4), 0.25, dtype=np.float32)
+    for vid in ("a", "b"):
+        write_volume(ProbVolume(probs=probs, volume_id=vid), tmp_path / f"{vid}_prob.mhd")
+    reads = []
+
+    def counted_read_prob(path):
+        reads.append(Path(path).name)
+        return read_prob(path)
+
+    monkeypatch.setattr(backends, "read_prob", counted_read_prob)
+    backend = external_backend(tmp_path)
+    batch = PatchBatch(np.zeros((1, 3), int), np.zeros((1, 1, 4, 4), np.float32))
+    for vid in ("a", "a", "b", "a"):
+        backend.predict(batch, DepthMode.d2(), vid)
+    assert reads == ["a_prob.mhd", "b_prob.mhd", "a_prob.mhd"]
 
 
 def test_external_backend_missing_file_names_volume(tmp_path):
     backend = external_backend(tmp_path)
-    from octpipe.patch_engine import Patch
-
-    patch = Patch(anchor=(0, 0, 0), data=np.zeros((1, 4, 4), np.float32))
+    batch = PatchBatch(np.zeros((1, 3), int), np.zeros((1, 1, 4, 4), np.float32))
     with pytest.raises(FileNotFoundError) as err:
-        backend.predict([patch], DepthMode.d2(), "ghost")
+        backend.predict(batch, DepthMode.d2(), "ghost")
     assert "ghost" in str(err.value)
 
 
@@ -157,26 +170,9 @@ def test_external_backend_rejects_invalid_probabilities(tmp_path):
     bad[0] = 0.2
     write_volume(ProbVolume(probs=bad, volume_id="bad"), tmp_path / "bad_prob.mhd")
     backend = external_backend(tmp_path)
-    from octpipe.patch_engine import Patch
-
-    patch = Patch(anchor=(0, 0, 0), data=np.zeros((1, 4, 4), np.float32))
+    batch = PatchBatch(np.zeros((1, 3), int), np.zeros((1, 1, 4, 4), np.float32))
     with pytest.raises(ValidationError):
-        backend.predict([patch], DepthMode.d2(), "bad")
-
-
-def test_validate_probs_cases():
-    good = np.full((4, 2, 2), 0.25, dtype=np.float32)
-    validate_probs(good)
-    with pytest.raises(ValidationError):
-        validate_probs(np.zeros((3, 2, 2)))
-    low = np.full((4, 2, 2), 0.2, dtype=np.float32)
-    with pytest.raises(ValidationError):
-        validate_probs(low)
-    signed = good.copy()
-    signed[1, 0, 0] = -0.25
-    signed[0, 0, 0] = 0.75
-    with pytest.raises(ValidationError):
-        validate_probs(signed)
+        backend.predict(batch, DepthMode.d2(), "bad")
 
 
 def labels_of(counts):

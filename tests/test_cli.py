@@ -154,10 +154,10 @@ def test_patchify_stitch_round_trip(make_dataset, tmp_path, capsys):
     bases = []
     for z in range(4):
         patch_base = out_dir / "patches" / f"{vid}_z{z:04d}"
-        patches, grid, loaded_id = patch_engine.load_patches(patch_base)
+        batch, grid, loaded_id = patch_engine.load_patches(patch_base)
         assert loaded_id == vid
-        probs = backend.predict(patches, grid.depth_mode, vid)
-        pairs = [(p.anchor, prob) for p, prob in zip(patches, probs)]
+        probs = backend.predict(batch, grid.depth_mode, vid)
+        pairs = [(tuple(a), prob) for a, prob in zip(batch.anchors.tolist(), probs)]
         pred_base = out_dir / "patches" / f"pred_{vid}_z{z:04d}"
         patch_engine.save_predictions(pred_base, pairs)
         bases.append(pred_base)
@@ -368,6 +368,19 @@ def test_env_var_supplies_data_root(make_dataset, tmp_path, capsys, monkeypatch)
     rc, _, _ = run(capsys, "folds", "--output-dir", out_dir, "--folds", "2")
     assert rc == 0
     assert (out_dir / "folds" / "folds.json").exists()
+
+
+def test_run_config_records_one_spelling_per_setting(make_dataset, tmp_path, capsys):
+    root, _, _ = make_dataset()
+    copies = set()
+    for depth_mode, backend in (("3D", "Oracle"), ("3d", "oracle"), ("3", "ORACLE")):
+        out_dir = tmp_path / depth_mode
+        rc, _, err = run(capsys, "folds", "--data-root", root, "--output-dir", out_dir,
+                         "--folds", "2", "--depth-mode", depth_mode, "--backend", backend)
+        assert rc == 0, err
+        copies.add((out_dir / "folds" / "run_config.txt").read_text().replace(str(out_dir), "OUT"))
+    (copy,) = copies
+    assert "depth_mode=3d\n" in copy and "backend=oracle\n" in copy
 
 
 def test_flag_overrides_config_file(make_dataset, tmp_path, capsys):

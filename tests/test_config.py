@@ -215,6 +215,18 @@ def test_render_config_is_a_fixed_point_in_any_order(mapping, data):
     assert apply_settings(RunConfig(), shuffled) == cfg
 
 
+def test_render_config_stores_canonical_spellings():
+    def rendered(**settings):
+        return render_config(apply_settings(RunConfig(), settings))
+
+    assert rendered(depth_mode="3D") == rendered(depth_mode="3d") == rendered(depth_mode="3")
+    assert "depth_mode=3d\n" in rendered(depth_mode="3D")
+    assert "depth_mode=2.5d\n" in rendered(depth_mode="25d")
+    assert rendered(backend="Oracle") == rendered(backend="oracle")
+    assert "backend=oracle\n" in rendered(backend=" ORACLE")
+    assert "backend=external:/Some/Probs\n" in rendered(backend="External:/Some/Probs")
+
+
 def test_readme_lists_exactly_the_config_keys():
     readme = (Path(__file__).resolve().parents[1] / "README.md").read_text()
     section = readme.split("## Configuration file", 1)[1]

@@ -5,10 +5,11 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from octpipe.backends import external_backend, oracle_backend, threshold_backend
 from octpipe.errors import CoverageError, FormatError, ValidationError
 from octpipe.patch_engine import (
     DepthMode,
-    Patch,
+    PatchBatch,
     close_all,
     close_mask,
     extract,
@@ -19,8 +20,9 @@ from octpipe.patch_engine import (
     save_patches,
     save_predictions,
     stitch,
+    windows,
 )
-from octpipe.volume_io import FluidClass, LabelVolume, OctVolume, ProbVolume
+from octpipe.volume_io import FluidClass, LabelVolume, OctVolume, ProbVolume, write_volume
 
 
 def one_hot_patch(labels_plane):
@@ -96,13 +98,12 @@ def test_interior_coverage_count_is_sixteen():
 def test_extract_d2_counts_and_content():
     vol = make_volume((384, 384, 4), seed=1)
     grid = plan_grid((384, 384), (128, 128), 0.75, DepthMode.d2())
-    patches = extract(vol, grid, z=2)
-    assert len(patches) == 81
-    for p in patches:
-        x, y, z = p.anchor
+    batch = extract(vol, grid, z=2)
+    assert len(batch) == 81
+    assert batch.data.shape == (81, 1, 128, 128)
+    for (x, y, z), data in zip(batch.anchors, batch.data):
         assert z == 2
-        assert p.data.shape == (1, 128, 128)
-        np.testing.assert_array_equal(p.data[0], vol.voxels[2, y : y + 128, x : x + 128])
+        np.testing.assert_array_equal(data[0], vol.voxels[2, y : y + 128, x : x + 128])
 
 
 def test_extract_d25_edge_replication_and_center_plane():
@@ -111,31 +112,29 @@ def test_extract_d25_edge_replication_and_center_plane():
     flat_grid = plan_grid((64, 64), (32, 32), 0.5, DepthMode.d2())
     at_edge = extract(vol, slab_grid, z=0)
     flat = extract(vol, flat_grid, z=0)
-    for slab, plane in zip(at_edge, flat):
-        assert slab.data.shape == (3, 32, 32)
+    assert at_edge.data.shape == (len(slab_grid.anchors), 3, 32, 32)
+    for (x, y, _), slab, plane in zip(at_edge.anchors, at_edge.data, flat.data):
         # z=0 slab replicates the boundary: planes (0, 0, 1)
-        np.testing.assert_array_equal(slab.data[0], slab.data[1])
-        np.testing.assert_array_equal(slab.data[1], plane.data[0])
-        x, y, _ = slab.anchor
-        np.testing.assert_array_equal(slab.data[2], vol.voxels[1, y : y + 32, x : x + 32])
+        np.testing.assert_array_equal(slab[0], slab[1])
+        np.testing.assert_array_equal(slab[1], plane[0])
+        np.testing.assert_array_equal(slab[2], vol.voxels[1, y : y + 32, x : x + 32])
 
 
 def test_extract_d25_interior_slab():
     vol = make_volume((32, 32, 8), seed=3)
     grid = plan_grid((32, 32), (32, 32), 0.0, DepthMode.d25(2))
-    (slab,) = extract(vol, grid, z=4)
-    assert slab.data.shape == (5, 32, 32)
-    np.testing.assert_array_equal(slab.data, vol.voxels[2:7])
+    (slab,) = extract(vol, grid, z=4).data
+    assert slab.shape == (5, 32, 32)
+    np.testing.assert_array_equal(slab, vol.voxels[2:7])
 
 
 def test_extract_d3_spans_full_depth():
     vol = make_volume((384, 384, 16), seed=4)
     grid = plan_grid((384, 384), (128, 128), 0.75, DepthMode.d3())
-    patches = extract(vol, grid)
-    assert len(patches) == 81
-    for p in patches:
-        assert p.data.shape == (16, 128, 128)
-        assert p.anchor[2] == 0
+    batch = extract(vol, grid)
+    assert len(batch) == 81
+    assert batch.data.shape == (81, 16, 128, 128)
+    assert (batch.anchors[:, 2] == 0).all()
 
 
 def test_extract_rejects_out_of_range_z():
@@ -143,6 +142,88 @@ def test_extract_rejects_out_of_range_z():
     grid = plan_grid((32, 32), (16, 16), 0.5)
     with pytest.raises(IndexError):
         extract(vol, grid, z=4)
+
+
+@st.composite
+def batch_cases(draw):
+    """A random volume, a grid on it in 2d, 2.5d or 3d, and the slices to cut."""
+    width, height = draw(st.integers(2, 40)), draw(st.integers(2, 40))
+    depth = draw(st.integers(1, 6))
+    kind = draw(st.sampled_from(["2d", "2.5d", "3d"]))
+    mode = DepthMode(kind, draw(st.integers(1, 3)))
+    patch = (draw(st.integers(1, width)), draw(st.integers(1, height)))
+    grid = plan_grid((width, height), patch, draw(st.floats(0.0, 0.9)), mode)
+    vol = make_volume((width, height, depth), seed=draw(st.integers(0, 2**16)))
+    return vol, grid, sorted({0, draw(st.integers(0, depth - 1)), depth - 1})
+
+
+def plain_patch(vol, grid, anchor, z):
+    """The patch at ``anchor`` by plain slicing, with the slab's edge replication."""
+    x, y = anchor
+    depth = vol.voxels.shape[0]
+    mode = grid.depth_mode
+    if mode.kind == "3d":
+        planes = range(depth)
+    else:
+        radius = mode.radius if mode.kind == "2.5d" else 0
+        planes = [min(max(p, 0), depth - 1) for p in range(z - radius, z + radius + 1)]
+    return np.stack([vol.voxels[p, y : y + grid.patch_h, x : x + grid.patch_w] for p in planes])
+
+
+@settings(max_examples=100, deadline=None)
+@given(batch_cases())
+def test_extract_rows_equal_plain_slices(case):
+    vol, grid, slices = case
+    width, height = grid.image_dims
+    assert (width - grid.patch_w, height - grid.patch_h) in grid.anchors  # edge-aligned anchor
+    for z in slices:
+        batch = extract(vol, grid, z)
+        assert len(batch) == len(grid.anchors)
+        z0 = 0 if grid.depth_mode.kind == "3d" else z
+        for i, (x, y) in enumerate(grid.anchors):
+            assert batch.anchors[i].tolist() == [x, y, z0]
+            expected = plain_patch(vol, grid, (x, y), z)
+            np.testing.assert_array_equal(batch.data[i], expected)
+            one = extract(vol, grid, z, which=slice(i, i + 1))
+            assert one.anchors.tolist() == [[x, y, z0]]
+            np.testing.assert_array_equal(one.data[0], expected)
+
+
+@settings(max_examples=60, deadline=None)
+@given(case=batch_cases())
+def test_backend_batch_rows_equal_single_patch_predictions(tmp_path_factory, case):
+    vol, grid, slices = case
+    mode = grid.depth_mode
+    rng = np.random.default_rng(len(grid.anchors))
+    truth = LabelVolume(rng.integers(0, 4, vol.voxels.shape, dtype=np.uint8), volume_id="v")
+    raw = rng.random((4, *vol.voxels.shape)).astype(np.float32)
+    prob_dir = tmp_path_factory.mktemp("probs")
+    write_volume(ProbVolume(raw / raw.sum(axis=0), volume_id="v"), prob_dir / "v_prob.mhd")
+    backends = (threshold_backend(), oracle_backend(truth), external_backend(prob_dir))
+    for z in slices:
+        batch = extract(vol, grid, z)
+        for backend in backends:
+            out = backend.predict(batch, mode, "v")
+            assert len(out) == len(batch)
+            for i in range(len(batch)):
+                single = PatchBatch(batch.anchors[i : i + 1], batch.data[i : i + 1])
+                (expected,) = backend.predict(single, mode, "v")
+                np.testing.assert_array_equal(out[i], expected)
+
+
+def test_windows_single_view_gather_copy_and_bounds():
+    volume = np.arange(2 * 6 * 8, dtype=np.float32).reshape(2, 6, 8)
+    anchors = np.array([[1, 2, 1], [4, 0, 0]])
+    one = windows(volume, anchors[:1], (3, 4))
+    assert one.shape == (1, 2, 3, 4) and np.shares_memory(one, volume)
+    both = windows(volume, anchors, (3, 4), at_z=True)
+    assert both.shape == (2, 3, 4) and not np.shares_memory(both, volume)
+    np.testing.assert_array_equal(both[0], volume[1, 2:5, 1:5])
+    np.testing.assert_array_equal(both[1], volume[0, 0:3, 4:8])
+    outside = (([5, 0, 0], False), ([0, 4, 0], False), ([-1, 0, 0], False), ([0, 0, 2], True))
+    for bad, at_z in outside:
+        with pytest.raises(IndexError, match=rf"window at \({bad[0]}, {bad[1]}, {bad[2]}\)"):
+            windows(volume, np.array([[0, 0, 0], bad]), (3, 4), at_z)
 
 
 def test_depth_mode_parse_and_labels():
@@ -460,16 +541,15 @@ def test_oracle_round_trip_all_depth_modes():
 def test_patch_spill_round_trip(tmp_path):
     vol = make_volume((64, 64, 4), seed=9)
     grid = plan_grid((64, 64), (32, 32), 0.5, DepthMode.d25(1))
-    patches = extract(vol, grid, z=1)
-    save_patches(tmp_path / "batch", patches, grid, volume_id="v")
-    loaded_patches, loaded_grid, volume_id = load_patches(tmp_path / "batch")
+    batch = extract(vol, grid, z=1)
+    save_patches(tmp_path / "batch", batch, grid, volume_id="v")
+    loaded, loaded_grid, volume_id = load_patches(tmp_path / "batch")
     assert loaded_grid.anchors == grid.anchors
     assert loaded_grid.depth_mode.kind == "2.5d"
     assert volume_id == "v"
-    assert len(loaded_patches) == len(patches)
-    for a, b in zip(patches, loaded_patches):
-        assert a.anchor == b.anchor
-        np.testing.assert_array_equal(a.data, b.data)
+    assert len(loaded) == len(batch)
+    np.testing.assert_array_equal(loaded.anchors, batch.anchors)
+    np.testing.assert_array_equal(loaded.data, batch.data)
 
 
 def test_prediction_spill_round_trip(tmp_path):
@@ -492,9 +572,9 @@ def test_prediction_spill_round_trip(tmp_path):
 def test_spill_loaders_reject_other_kind_and_truncated_payload(tmp_path):
     vol = make_volume((64, 64, 4), seed=9)
     grid = plan_grid((64, 64), (32, 32), 0.5, DepthMode.d2())
-    patches = extract(vol, grid, z=1)
-    save_patches(tmp_path / "batch", patches, grid, volume_id="v")
-    save_predictions(tmp_path / "pred", [(p.anchor, np.full((4, 32, 32), 0.25)) for p in patches])
+    batch = extract(vol, grid, z=1)
+    save_patches(tmp_path / "batch", batch, grid, volume_id="v")
+    save_predictions(tmp_path / "pred", [(a, np.full((4, 32, 32), 0.25)) for a in batch.anchors.tolist()])
     with pytest.raises(FormatError, match="'patches', expected 'predictions'"):
         load_predictions(tmp_path / "batch")
     with pytest.raises(FormatError, match="'predictions', expected 'patches'"):

@@ -203,6 +203,49 @@ def test_prob_validate_rejects_bad_fields():
         ProbVolume(probs=negative, volume_id="n").validate()
 
 
+def test_prob_volume_validate_cases():
+    good = np.full((4, 1, 2, 2), 0.25, dtype=np.float32)
+    ProbVolume(probs=good, volume_id="good").validate()
+    with pytest.raises(ValidationError):
+        ProbVolume(probs=np.zeros((3, 1, 2, 2)), volume_id="three")
+    low = np.full((4, 1, 2, 2), 0.2, dtype=np.float32)
+    with pytest.raises(ValidationError, match="'low'"):
+        ProbVolume(probs=low, volume_id="low").validate()
+    signed = good.copy()
+    signed[1, 0, 0, 0] = -0.25
+    signed[0, 0, 0, 0] = 0.75
+    with pytest.raises(ValidationError, match="'signed'"):
+        ProbVolume(probs=signed, volume_id="signed").validate()
+
+
+@pytest.mark.parametrize("bad", [np.nan, np.inf])
+def test_prob_validate_rejects_non_finite_values(bad):
+    everywhere = np.full((4, 1, 2, 2), bad, dtype=np.float32)
+    with pytest.raises(ValidationError, match="non-finite probability in volume 'all'"):
+        ProbVolume(probs=everywhere, volume_id="all").validate()
+    one_voxel = np.full((4, 1, 2, 2), 0.25, dtype=np.float32)
+    one_voxel[2, 0, 1, 1] = bad
+    with pytest.raises(ValidationError, match="non-finite probability in volume 'one'"):
+        ProbVolume(probs=one_voxel, volume_id="one").validate()
+
+
+@pytest.mark.parametrize(
+    "field, line",
+    [
+        ("NDims", "NDims = three"),
+        ("DimSize", "DimSize = 2 2 two"),
+        ("ElementSpacing", "ElementSpacing = 1.0 wide 1.0"),
+    ],
+)
+def test_non_numeric_header_field_is_a_format_error(tmp_path, field, line):
+    lines = [line if l.startswith(field) else l for l in header_for((2, 2, 2), "MET_UCHAR")]
+    path = tmp_path / "field.mhd"
+    write_mhd(path, lines, np.zeros(8, dtype=np.uint8).tobytes())
+    with pytest.raises(FormatError) as err:
+        read_volume(path)
+    assert str(path) in str(err.value) and field in str(err.value)
+
+
 def test_fluid_class_values():
     assert [int(c) for c in FluidClass] == [0, 1, 2, 3]
     assert FluidClass.BACKGROUND == 0 and FluidClass.PED == 3
