@@ -89,7 +89,7 @@ def one_hot(labels: np.ndarray, axis: int = 0) -> np.ndarray:
     labels = np.asarray(labels)
     out = np.zeros(labels.shape[:axis] + (N_CLASSES,) + labels.shape[axis:], dtype=np.float32)
     for cls, plane in enumerate(np.moveaxis(out, axis, 0)):
-        plane[...] = labels == cls
+        np.equal(labels, cls, out=plane)
     return out
 
 

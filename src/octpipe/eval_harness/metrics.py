@@ -8,6 +8,9 @@ import numpy as np
 
 from ..volume_io import FLUIDS, FluidClass, LabelVolume
 
+# voxel pairs per chunk in confusion, so its masks stay cache-sized
+CHUNK = 1 << 16
+
 
 @dataclass(frozen=True)
 class ConfusionCounts:
@@ -33,16 +36,22 @@ def _voxels(arr) -> np.ndarray:
 
 
 def confusion(pred, truth, cls: FluidClass) -> ConfusionCounts:
-    """Count tp/fp/fn/tn of ``cls`` between two label arrays of matching shape."""
+    """Count tp/fp/fn/tn of ``cls`` between two label arrays of matching
+    shape, at most ``CHUNK`` voxel pairs at a time, whatever their layouts."""
     p = _voxels(pred)
     t = _voxels(truth)
     if p.shape != t.shape:
         raise ValueError(f"shape mismatch: prediction {p.shape} vs truth {t.shape}")
-    pm = p == int(cls)
-    tm = t == int(cls)
-    tp = int(np.count_nonzero(pm & tm))
-    fp = int(np.count_nonzero(pm)) - tp
-    fn = int(np.count_nonzero(tm)) - tp
+    tp = n_pred = n_true = 0
+    chunks = np.nditer([p, t], flags=["external_loop", "buffered", "zerosize_ok"], buffersize=CHUNK)
+    for p_chunk, t_chunk in chunks:
+        pm = p_chunk == int(cls)
+        tm = t_chunk == int(cls)
+        n_pred += int(np.count_nonzero(pm))
+        n_true += int(np.count_nonzero(tm))
+        tp += int(np.count_nonzero(np.logical_and(pm, tm, out=pm)))
+    fp = n_pred - tp
+    fn = n_true - tp
     tn = p.size - tp - fp - fn
     return ConfusionCounts(tp=tp, fp=fp, fn=fn, tn=tn)
 

@@ -11,6 +11,8 @@ as every anchor before it in canonical row-major order has been summed (early
 arrivals wait in a small per-slice pending map), so the result is independent
 of the input ordering and of any parallel schedule upstream.  A slice range
 whose predictions are all in is divided in place by the grid's coverage plane.
+Per-voxel passes over a whole volume (the finiteness check, arg-max, closing)
+run one slice at a time, so none allocates a temporary the size of the volume.
 """
 
 from __future__ import annotations
@@ -270,11 +272,13 @@ def stitch(
     probs = np.zeros((N_CLASSES, depth, height, width), dtype=np.float32)
     owner, cursors, pending = _accumulate(patch_probs, grid, probs)
     _check_complete(grid, owner, cursors, pending)
-    if not np.isfinite(probs).all():
-        zz, yy, xx = (int(i) for i in np.argwhere(~np.isfinite(probs).all(axis=0))[0])
-        raise ValidationError(
-            f"stitched probability at voxel (x={xx}, y={yy}, z={zz}) is not finite"
-        )
+    for z in range(depth):
+        finite = np.isfinite(probs[:, z]).all(axis=0)
+        if not finite.all():
+            yy, xx = (int(i) for i in np.argwhere(~finite)[0])
+            raise ValidationError(
+                f"stitched probability at voxel (x={xx}, y={yy}, z={z}) is not finite"
+            )
     return ProbVolume(probs=probs, volume_id=volume_id)
 
 
@@ -367,8 +371,29 @@ def _check_complete(grid: PatchGrid, owner: np.ndarray, cursors: dict, pending: 
 
 
 def labelize(prob: ProbVolume) -> LabelVolume:
-    """Arg-max decision per voxel; ties resolve to the lowest class index."""
-    labels = np.argmax(prob.probs, axis=0).astype(np.uint8)
+    """Arg-max decision per voxel; ties resolve to the lowest class index.
+
+    Each slice keeps a running maximum over the classes in order and a class
+    replaces the label only where it is strictly greater, writing straight
+    into the uint8 result.  A NaN carries into the running maximum, so it is
+    caught there: ValidationError names the first voxel holding one.
+    """
+    probs = prob.probs
+    labels = np.zeros(probs.shape[1:], dtype=np.uint8)
+    best = np.empty(probs.shape[2:], dtype=probs.dtype)
+    wins = np.empty(probs.shape[2:], dtype=bool)
+    for z, out in enumerate(labels):
+        np.copyto(best, probs[0, z])
+        for cls in range(1, N_CLASSES):
+            np.greater(probs[cls, z], best, out=wins)
+            np.putmask(out, wins, cls)
+            np.maximum(best, probs[cls, z], out=best)
+        if np.isnan(best).any():
+            yy, xx = (int(i) for i in np.argwhere(np.isnan(best))[0])
+            raise ValidationError(
+                f"probability at voxel (x={xx}, y={yy}, z={z}) of volume "
+                f"'{prob.volume_id}' is NaN"
+            )
     return LabelVolume(voxels=labels, volume_id=prob.volume_id)
 
 
@@ -380,15 +405,21 @@ def close_mask(labels: LabelVolume, cls: FluidClass, radius: int) -> LabelVolume
     ``cls``; existing ``cls`` voxels are never removed (closing is extensive),
     and the operation is idempotent.
     """
+    out = labels.voxels.copy()
+    _close_in_place(out, cls, radius)
+    return LabelVolume(voxels=out, volume_id=labels.volume_id)
+
+
+def _close_in_place(voxels: np.ndarray, cls: FluidClass, radius: int) -> None:
+    """Close ``cls``'s mask in each slice of the (depth, h, w) ``voxels``."""
     cls = FluidClass(cls)
     if cls == FluidClass.BACKGROUND:
         raise ValueError("closing is defined for fluid classes, not background")
     if radius < 1:
         raise ValueError(f"radius must be >= 1, got {radius}")
     structure = np.ones((2 * radius + 1, 2 * radius + 1), dtype=bool)
-    out = labels.voxels.copy()
-    for z in range(out.shape[0]):
-        mask = out[z] == int(cls)
+    for plane in voxels:
+        mask = plane == int(cls)
         if not mask.any():
             continue
         # pad so the closing matches the infinite-plane definition at borders
@@ -396,15 +427,16 @@ def close_mask(labels: LabelVolume, cls: FluidClass, radius: int) -> LabelVolume
         closed = ndimage.binary_erosion(
             ndimage.binary_dilation(padded, structure=structure), structure=structure
         )[radius:-radius, radius:-radius]
-        out[z][closed & ~mask] = int(cls)
-    return LabelVolume(voxels=out, volume_id=labels.volume_id)
+        plane[closed & ~mask] = int(cls)
 
 
 def close_all(labels: LabelVolume, radius: int) -> LabelVolume:
-    """Close every fluid mask in class order IRF, SRF, PED."""
+    """Close every fluid mask in class order IRF, SRF, PED, on one copy of
+    the labels."""
+    out = labels.voxels.copy()
     for cls in (FluidClass.IRF, FluidClass.SRF, FluidClass.PED):
-        labels = close_mask(labels, cls, radius)
-    return labels
+        _close_in_place(out, cls, radius)
+    return LabelVolume(voxels=out, volume_id=labels.volume_id)
 
 
 _SHAPE_FIELDS = {"patches": "patch_shape", "predictions": "pred_shape"}

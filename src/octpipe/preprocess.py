@@ -5,11 +5,14 @@ axis of size ``dst`` samples source coordinate ``(i + 0.5) * src / dst - 0.5``.
 Bilinear interpolation is a convex combination of the four neighbours, so it
 can never overshoot the source value range; nearest-neighbour picks
 ``floor((i + 0.5) * src / dst)`` and therefore never leaves the source
-alphabet.
+alphabet.  Volume-wide stages work one B-scan at a time, and range and
+finiteness checks are reductions, so no stage holds a second volume-sized
+temporary besides its output.
 """
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass
 from typing import TYPE_CHECKING
 
@@ -101,7 +104,7 @@ def resize_slice(image: np.ndarray, target: tuple[int, int], mode: str = "biline
 
     y0, y1, fy = _linear_coords(src_h, th)
     x0, x1, fx = _linear_coords(src_w, tw)
-    data = image.astype(np.float64)
+    data = image.astype(np.float64, copy=False)
     rows = data[y0] * (1.0 - fy)[:, None] + data[y1] * fy[:, None]
     out = rows[:, x0] * (1.0 - fx)[None, :] + rows[:, x1] * fx[None, :]
     # convex weights cannot overshoot; clamp away float round-off at the edges
@@ -123,7 +126,9 @@ def resize_volume(vol: OctVolume | LabelVolume, target: tuple[int, int]):
     if isinstance(vol, LabelVolume):
         iy = _nearest_indices(src_h, th)
         ix = _nearest_indices(src_w, tw)
-        out = vol.voxels[:, iy[:, None], ix[None, :]]
+        out = np.empty((depth, th, tw), dtype=vol.voxels.dtype)
+        for z in range(depth):
+            np.take(vol.voxels[z].take(iy, axis=0), ix, axis=1, out=out[z])
         return LabelVolume(voxels=out, volume_id=vol.volume_id)
 
     out = np.empty((depth, th, tw), dtype=np.float32)
@@ -134,15 +139,22 @@ def resize_volume(vol: OctVolume | LabelVolume, target: tuple[int, int]):
     )
 
 
+def _finite_range(vol: OctVolume) -> tuple[float, float]:
+    """(min, max) of the intensities; either is NaN or infinite exactly when
+    some voxel is not finite, which raises ValidationError."""
+    lo, hi = float(vol.voxels.min()), float(vol.voxels.max())
+    if not (math.isfinite(lo) and math.isfinite(hi)):
+        raise ValidationError(f"volume '{vol.volume_id}' contains non-finite intensities")
+    return lo, hi
+
+
 def normalize(vol: OctVolume) -> OctVolume:
     """Min-max normalize intensities to [0, 1]; a constant volume maps to all zeros."""
     voxels = vol.voxels
-    if not np.isfinite(voxels).all():
-        raise ValidationError(f"volume '{vol.volume_id}' contains non-finite intensities")
-    lo = float(voxels.min())
-    hi = float(voxels.max())
+    lo, hi = _finite_range(vol)
     if hi > lo:
-        out = ((voxels - lo) / (hi - lo)).astype(np.float32)
+        out = voxels - lo
+        out /= hi - lo
     else:
         out = np.zeros_like(voxels, dtype=np.float32)
     return OctVolume(voxels=out, vendor=vol.vendor, spacing=vol.spacing, volume_id=vol.volume_id)
@@ -208,15 +220,15 @@ def preprocess_volume(
     if cfg.normalize == "always":
         vol = normalize(vol)
     elif cfg.normalize == "auto":
-        if not np.isfinite(vol.voxels).all():
-            raise ValidationError(f"volume '{vol.volume_id}' contains non-finite intensities")
-        lo, hi = float(vol.voxels.min()), float(vol.voxels.max())
+        lo, hi = _finite_range(vol)
         if lo < 0.0 or hi > 1.0:
             vol = normalize(vol)
     if vol.dims[:2] != tuple(target):
         vol = resize_volume(vol, target)
     if cfg.denoiser != "none":
-        voxels = np.stack([denoise(plane, cfg) for plane in vol.voxels])
+        voxels = np.empty_like(vol.voxels)
+        for z, plane in enumerate(vol.voxels):
+            voxels[z] = denoise(plane, cfg)
         vol = OctVolume(voxels=voxels, vendor=vol.vendor, spacing=vol.spacing,
                         volume_id=vol.volume_id)
     return vol

@@ -2,12 +2,15 @@
 
 Array convention: voxel arrays are indexed ``[z, y, x]`` (slice, row, column),
 which matches the x-fastest raw payload order of MetaImage directly.  All
-``dims`` tuples in the public API are ``(width, height, depth)``.
+``dims`` tuples in the public API are ``(width, height, depth)``.  A payload
+is read straight into the array that is returned, and per-voxel checks run
+one slice at a time, so neither allocates a second volume.
 """
 
 from __future__ import annotations
 
 import enum
+import os
 from dataclasses import dataclass
 from pathlib import Path
 
@@ -130,12 +133,22 @@ class ProbVolume:
 
     def validate(self, tol: float = 1e-5) -> None:
         """Reject a volume that is not a distribution over the classes at
-        every voxel: a negative or non-finite value, or a channel sum off 1."""
-        if np.any(self.probs < 0):
-            raise ValidationError(f"negative probability in volume '{self.volume_id}'")
-        sums = self.probs.sum(axis=0, dtype=np.float64)
-        err = float(np.abs(sums - 1.0).max()) if sums.size else 0.0
-        if not np.isfinite(err):
+        every voxel: a negative value anywhere, else a non-finite value
+        anywhere, else a channel sum off 1 (reporting the largest deviation).
+        Checks one slice at a time."""
+        err, finite = 0.0, True
+        dev = np.empty(self.probs.shape[2:], dtype=np.float64)
+        for z in range(self.probs.shape[1]):
+            plane = self.probs[:, z]
+            if (plane < 0).any():
+                raise ValidationError(f"negative probability in volume '{self.volume_id}'")
+            plane.sum(axis=0, dtype=np.float64, out=dev)
+            dev -= 1.0
+            np.abs(dev, out=dev)
+            dev_max = float(dev.max(initial=0.0))
+            finite = finite and np.isfinite(dev_max)
+            err = max(err, dev_max)
+        if not finite:
             raise ValidationError(f"non-finite probability in volume '{self.volume_id}'")
         if err > tol:
             raise ValidationError(
@@ -167,23 +180,28 @@ def _parse_header(path: Path) -> tuple[dict[str, str], int]:
                 return header, offset
 
 
-def _read_raw(path: Path, header: dict[str, str], header_end: int, expected_bytes: int) -> bytes:
+def _read_raw(
+    path: Path, header: dict[str, str], header_end: int, dtype: np.dtype, count: int
+) -> np.ndarray:
+    """Read the ``count`` values of the payload into one flat array."""
     data_file = header["ElementDataFile"]
     if data_file.upper() == "LOCAL":
-        with open(path, "rb") as f:
-            f.seek(header_end)
-            raw = f.read()
-        source = path
+        source, offset = path, header_end
     else:
-        source = path.parent / data_file
+        source, offset = path.parent / data_file, 0
         if not source.exists():
             raise FileNotFoundError(f"{path}: raw payload file {source} does not exist")
-        raw = source.read_bytes()
-    if len(raw) != expected_bytes:
+    data = np.empty(count, dtype=dtype)
+    with open(source, "rb") as f:
+        found = os.fstat(f.fileno()).st_size - offset
+        if found == data.nbytes:
+            f.seek(offset)
+            found = f.readinto(data)
+    if found != data.nbytes:
         raise IOError(
-            f"{source}: raw payload size mismatch, expected {expected_bytes} bytes, found {len(raw)}"
+            f"{source}: raw payload size mismatch, expected {data.nbytes} bytes, found {found}"
         )
-    return raw
+    return data
 
 
 def _numbers(path: Path, header: dict[str, str], key: str, kind: type) -> list:
@@ -222,8 +240,7 @@ def _load_array(path: Path) -> tuple[np.ndarray, dict[str, str]]:
     count = 1
     for d in dim_size:
         count *= d
-    raw = _read_raw(path, header, header_end, count * dtype.itemsize)
-    data = np.frombuffer(raw, dtype=dtype)
+    data = _read_raw(path, header, header_end, dtype, count)
     # DimSize is fastest-first (x, y, z[, c]); numpy C-order wants slowest-first.
     return data.reshape(tuple(reversed(dim_size))), header
 
@@ -241,7 +258,7 @@ def read_volume(path: str | Path) -> OctVolume:
         raise FormatError(f"{path}: expected a scalar 3-D volume, got NDims=4")
     d, h, w = data.shape
     return OctVolume(
-        voxels=data.astype(np.float32),
+        voxels=data,
         vendor=vendor_of((w, h, d)),
         spacing=_parse_spacing(path, header),
         volume_id=path.stem,
@@ -256,14 +273,13 @@ def read_labels(path: str | Path) -> LabelVolume:
         raise FormatError(f"{path}: expected a scalar 3-D label volume, got NDims=4")
     if not np.issubdtype(data.dtype, np.unsignedinteger):
         raise FormatError(f"{path}: label payload must be an unsigned integer type")
-    bad = data >= N_CLASSES
-    if bad.any():
-        z, y, x = (int(i) for i in np.argwhere(bad)[0])
+    if int(data.max()) >= N_CLASSES:
+        z, y, x = (int(i) for i in np.argwhere(data >= N_CLASSES)[0])
         raise ValidationError(
             f"{path}: label value {int(data[z, y, x])} at voxel (x={x}, y={y}, z={z}) "
             f"outside 0..{N_CLASSES - 1}"
         )
-    return LabelVolume(voxels=data.astype(np.uint8), volume_id=path.stem)
+    return LabelVolume(voxels=data, volume_id=path.stem)
 
 
 def read_prob(path: str | Path) -> ProbVolume:
@@ -277,7 +293,7 @@ def read_prob(path: str | Path) -> ProbVolume:
     volume_id = path.stem
     if volume_id.endswith("_prob"):
         volume_id = volume_id[: -len("_prob")]
-    return ProbVolume(probs=data.astype(np.float32), volume_id=volume_id)
+    return ProbVolume(probs=data, volume_id=volume_id)
 
 
 def write_volume(vol: OctVolume | LabelVolume | ProbVolume, path: str | Path) -> None:

@@ -31,6 +31,7 @@ from octpipe.eval_harness import (
     save_folds,
     synth_phantom,
 )
+from octpipe.eval_harness import metrics
 from octpipe.eval_harness.runner import label_path
 from octpipe.patch_engine import DepthMode, close_all, labelize
 from octpipe.preprocess import PreprocessConfig
@@ -81,6 +82,37 @@ def test_confusion_matches_exhaustive_tally():
         counts = confusion(pred, truth, cls)
         assert (counts.tp, counts.fp, counts.fn, counts.tn) == (tp, fp, fn, tn)
         assert counts.total == 4 * 16 * 16
+
+
+def tally_counts(pred, truth, cls) -> ConfusionCounts:
+    """Counts of ``cls`` from one bincount of (prediction, truth) pairs."""
+    pairs = pred.astype(np.intp).ravel() * 4 + truth.astype(np.intp).ravel()
+    tally = np.bincount(pairs, minlength=16).reshape(4, 4)
+    tp = int(tally[cls, cls])
+    fp = int(tally[cls].sum()) - tp
+    fn = int(tally[:, cls].sum()) - tp
+    return ConfusionCounts(tp, fp, fn, pairs.size - tp - fp - fn)
+
+
+@pytest.mark.parametrize(
+    "shape",
+    [
+        (metrics.CHUNK - 1,),
+        (metrics.CHUNK,),
+        (metrics.CHUNK + 1,),
+        (2, metrics.CHUNK // 2 - 1),
+        (2, metrics.CHUNK // 2),
+        (2, metrics.CHUNK // 2 + 1),
+        (3, metrics.CHUNK + 7),
+    ],
+)
+def test_confusion_matches_bincount_tally_around_chunk_size(shape):
+    rng = np.random.default_rng(int(np.prod(shape)))
+    pred = rng.integers(0, 4, size=shape, dtype=np.uint8)
+    truth = rng.integers(0, 4, size=shape, dtype=np.uint8)
+    for cls in FLUIDS:
+        for layout in (truth, np.asfortranarray(truth)):
+            assert confusion(pred, layout, cls) == tally_counts(pred, truth, cls)
 
 
 def test_confusion_rejects_dim_mismatch():
@@ -588,6 +620,40 @@ def test_predict_volume_peak_memory_stays_near_output_size(tmp_path, mode, jobs)
     finally:
         tracemalloc.stop()
     assert peak < 3 * prob.probs.nbytes
+
+
+@pytest.mark.parametrize("stage", ["labelize", "confusion", "validate", "read_prob"])
+def test_per_voxel_passes_peak_near_output_plus_one_slice(tmp_path, stage):
+    """These passes work one slice (confusion: one chunk) at a time, so none
+    holds a temporary the size of the volume: a (4, 16, 256, 256) float32
+    volume is 16 MB, one slice of it 1 MB, its labels 1 MB."""
+    import tracemalloc
+
+    from octpipe.volume_io import read_prob
+
+    rng = np.random.default_rng(73)
+    probs = rng.random((4, 16, 256, 256), dtype=np.float32) + 0.5
+    probs /= probs.sum(axis=0)
+    prob = ProbVolume(probs=probs, volume_id="mem")
+    labels = labelize(prob).voxels
+    truth = rng.integers(0, 4, size=labels.shape, dtype=np.uint8)
+    # a truth laid out unlike the prediction must not need a flat copy either
+    truths = (truth, np.asfortranarray(truth))
+    path = tmp_path / "mem_prob.mhd"
+    write_volume(prob, path)
+    run, output_bytes = {
+        "labelize": (lambda: labelize(prob), labels.nbytes),
+        "confusion": (lambda: [confusion(labels, t, FluidClass.SRF) for t in truths], 0),
+        "validate": (prob.validate, 0),
+        "read_prob": (lambda: read_prob(path), probs.nbytes),
+    }[stage]
+    tracemalloc.start()
+    try:
+        run()
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak < output_bytes + probs[:, 0].nbytes
 
 
 def test_predict_volume_3d_is_jobs_invariant(tmp_path):

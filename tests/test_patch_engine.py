@@ -4,6 +4,7 @@ import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
+from hypothesis.extra import numpy as hnp
 
 from octpipe.backends import external_backend, oracle_backend, threshold_backend
 from octpipe.errors import CoverageError, FormatError, ValidationError
@@ -423,6 +424,40 @@ def test_labelize_rules():
     labels = labelize(ProbVolume(probs=probs, volume_id="l"))
     assert labels.voxels.dtype == np.uint8
     assert labels.voxels[0, 0].tolist() == [0, 0, 2]
+
+
+# values from a small set, so ties between classes are common
+tie_prone_probs = hnp.arrays(
+    np.float32,
+    st.tuples(st.just(4), st.integers(1, 3), st.integers(1, 6), st.integers(1, 6)),
+    elements=st.sampled_from([0.0, -0.0, 0.25, 0.5, 1.0]),
+)
+
+
+@settings(max_examples=200, deadline=None)
+@given(tie_prone_probs)
+def test_labelize_equals_argmax(probs):
+    labels = labelize(ProbVolume(probs=probs, volume_id="p")).voxels
+    assert labels.dtype == np.uint8
+    np.testing.assert_array_equal(labels, np.argmax(probs, axis=0).astype(np.uint8))
+
+
+@pytest.mark.parametrize("cls", range(4))
+def test_labelize_rejects_nan_naming_first_voxel(cls):
+    probs = np.full((4, 3, 4, 5), 0.25, dtype=np.float32)
+    probs[cls, 1, 2, 1] = np.nan
+    probs[(cls + 1) % 4, 1, 3, 4] = np.nan
+    probs[cls, 2, 0, 0] = np.nan
+    with pytest.raises(ValidationError, match=r"voxel \(x=1, y=2, z=1\) of volume 'n' is NaN"):
+        labelize(ProbVolume(probs=probs, volume_id="n"))
+
+
+def test_labelize_infinity_picks_the_first_infinite_class():
+    probs = np.full((4, 1, 1, 2), 0.25, dtype=np.float32)
+    probs[[1, 3], 0, 0, 0] = np.inf
+    probs[2, 0, 0, 1] = np.inf
+    labels = labelize(ProbVolume(probs=probs, volume_id="i")).voxels
+    assert labels[0, 0].tolist() == [1, 2] == np.argmax(probs, axis=0)[0, 0].tolist()
 
 
 def brute_close(mask, radius):

@@ -131,6 +131,17 @@ def test_resize_volume_preserves_label_alphabet():
     assert set(np.unique(out.voxels)) <= {0, 2}
 
 
+def test_resize_volume_labels_equal_nearest_reference_slice_major():
+    rng = np.random.default_rng(12)
+    voxels = rng.integers(0, 4, size=(3, 30, 40), dtype=np.uint8)
+    out = resize_volume(LabelVolume(voxels=voxels, volume_id="n"), (17, 45)).voxels
+    iy = (2 * np.arange(45) + 1) * 30 // (2 * 45)
+    ix = (2 * np.arange(17) + 1) * 40 // (2 * 17)
+    np.testing.assert_array_equal(out, voxels[:, iy[:, None], ix[None, :]])
+    # slice-major, so passes over one slice or chunk read contiguous memory
+    assert out.flags.c_contiguous
+
+
 def test_resize_volume_identity_is_exact():
     rng = np.random.default_rng(13)
     voxels = rng.integers(0, 4, size=(4, 12, 10), dtype=np.uint8)

@@ -229,6 +229,33 @@ def test_prob_validate_rejects_non_finite_values(bad):
         ProbVolume(probs=one_voxel, volume_id="one").validate()
 
 
+def test_prob_validate_precedence_across_slices():
+    good = np.full((4, 3, 2, 2), 0.25, dtype=np.float32)
+
+    def message(probs):
+        with pytest.raises(ValidationError) as err:
+            ProbVolume(probs=probs, volume_id="v").validate()
+        return str(err.value)
+
+    # a negative value in a later slice beats an earlier sum deviation or NaN
+    probs = good.copy()
+    probs[0, 0, 0, 0] = 0.5
+    probs[2, 1, 1, 0] = np.nan
+    probs[1, 2, 1, 1], probs[0, 2, 1, 1] = -0.25, 0.75
+    assert message(probs) == "negative probability in volume 'v'"
+    # a non-finite value beats a sum deviation, and is caught in the last slice
+    probs = good.copy()
+    probs[0, 0, 0, 0] = 0.9
+    probs[3, 2, 1, 1] = np.nan
+    assert message(probs) == "non-finite probability in volume 'v'"
+    # the reported deviation is the largest in the volume, not the first one met
+    probs = good.copy()
+    probs[0, 0, 0, 0] = 0.3
+    probs[0, 1, 1, 0] = 0.5
+    probs[0, 2, 0, 1] = 0.375
+    assert message(probs) == "channel sums deviate from 1 by up to 0.25 in volume 'v'"
+
+
 @pytest.mark.parametrize(
     "field, line",
     [
