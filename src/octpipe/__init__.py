@@ -3,7 +3,6 @@ OCT scans: MetaImage I/O, preprocessing, overlapping-patch extraction and
 stitching at 2D/2.5D/3D, pluggable segmentation backends, Dice evaluation
 with cross-validation planning, and synthetic phantoms for verification."""
 
-from .augment import AugmentConfig, augment_set, rotate, translate
 from .backends import (
     Backend,
     TrainingConfig,
@@ -42,7 +41,6 @@ from .volume_io import (
 __version__ = "0.1.0"
 
 __all__ = [
-    "AugmentConfig",
     "Backend",
     "ConfigError",
     "CoverageError",
@@ -59,7 +57,6 @@ __all__ = [
     "TrainingConfig",
     "ValidationError",
     "Vendor",
-    "augment_set",
     "class_weights",
     "close_all",
     "close_mask",
@@ -76,10 +73,8 @@ __all__ = [
     "read_volume",
     "resize_slice",
     "resize_volume",
-    "rotate",
     "stitch",
     "threshold_backend",
-    "translate",
     "vendor_of",
     "weighted_cross_entropy",
     "write_volume",

@@ -22,6 +22,7 @@ from .config import (
     RunConfig,
     apply_settings,
     load_config,
+    parse_dims,
     render_config,
     resolve_data_root,
 )
@@ -172,10 +173,10 @@ def cmd_patchify(args: argparse.Namespace, cfg: RunConfig) -> int:
 
 def cmd_stitch(args: argparse.Namespace, cfg: RunConfig) -> int:
     _require(cfg, OUTPUT_DIR)
+    dims = parse_dims(args.dims, 3)
     pairs = []
     for base in args.predictions:
         pairs.extend(patch_engine.load_predictions(Path(base)))
-    dims = _parse_dims3(args.dims)
     mode = cfg.parsed_depth_mode()
     grid = patch_engine.plan_grid(dims[:2], (cfg.patch_size, cfg.patch_size), cfg.overlap, mode)
     prob = patch_engine.stitch(pairs, grid, dims, volume_id=args.volume)
@@ -226,12 +227,14 @@ def cmd_report(args: argparse.Namespace, cfg: RunConfig) -> int:
 
 def cmd_synth(args: argparse.Namespace, cfg: RunConfig) -> int:
     _require(cfg, DATA_ROOT)
-    dims = _parse_dims3(args.dims)
+    dims = parse_dims(args.dims, 3)
     vendors = [v.strip() for v in args.vendors.split(",") if v.strip()]
     if not vendors:
         raise ConfigError("--vendors must name at least one vendor")
     if args.n_per_vendor < 1:
         raise ConfigError("--n-per-vendor must be >= 1")
+    if args.n_blobs < 1:
+        raise ConfigError("--n-blobs must be >= 1")
     root = cfg.data_root
     (root / "images").mkdir(parents=True, exist_ok=True)
     (root / "labels").mkdir(parents=True, exist_ok=True)
@@ -258,13 +261,6 @@ def cmd_synth(args: argparse.Namespace, cfg: RunConfig) -> int:
     total = sum(len(v) for v in inventory.values())
     print(f"wrote {total} phantom volumes under {root}")
     return 0
-
-
-def _parse_dims3(text: str) -> tuple[int, int, int]:
-    parts = text.lower().split("x")
-    if len(parts) != 3:
-        raise ConfigError(f"expected WIDTHxHEIGHTxDEPTH, got {text!r}")
-    return int(parts[0]), int(parts[1]), int(parts[2])
 
 
 def build_parser() -> argparse.ArgumentParser:

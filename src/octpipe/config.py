@@ -13,10 +13,10 @@ from __future__ import annotations
 
 import os
 from dataclasses import dataclass, field, replace
+from functools import partial
 from pathlib import Path
 from typing import Any, Callable
 
-from .augment import AugmentConfig
 from .backends import TrainingConfig, parse_backend_descriptor
 from .errors import ConfigError
 from .eval_harness.report import VARIANT_ORDER
@@ -43,7 +43,6 @@ class RunConfig:
     seed: int = 0
     slice_policy: str = "auto"
     preprocess: PreprocessConfig = field(default_factory=PreprocessConfig)
-    augment: AugmentConfig = field(default_factory=AugmentConfig)
     training: TrainingConfig = field(default_factory=TrainingConfig)
 
     @property
@@ -79,7 +78,7 @@ class Key:
             raise ConfigError(f"{self.name} must be one of {self.choices}, got {text!r}")
         try:
             return self.parse(text)
-        except (ValueError, TypeError) as exc:
+        except (ValueError, TypeError, ConfigError) as exc:
             raise ConfigError(f"bad value for {self.name!r}: {exc}") from exc
 
     def get(self, cfg: RunConfig) -> Any:
@@ -114,15 +113,20 @@ def _backend(text: str) -> str:
     return f"{kind}:{arg}" if arg else kind
 
 
-def _parse_dims2(text: str) -> tuple[int, int]:
-    parts = text.lower().split("x")
-    if len(parts) != 2:
-        raise ValueError(f"expected WIDTHxHEIGHT, got {text!r}")
-    return int(parts[0]), int(parts[1])
+def parse_dims(text: str, parts: int) -> tuple[int, ...]:
+    """``WxH`` (two parts) or ``WxHxD`` (three) as positive integers."""
+    try:
+        dims = tuple(int(part) for part in text.lower().split("x"))
+    except ValueError:
+        dims = ()
+    if len(dims) != parts or min(dims) < 1:
+        form = "x".join(("WIDTH", "HEIGHT", "DEPTH")[:parts])
+        raise ConfigError(f"expected {form} as positive integers, got {text!r}")
+    return dims
 
 
-def _render_dims2(dims: tuple[int, int]) -> str:
-    return f"{dims[0]}x{dims[1]}"
+def _render_dims(dims: tuple[int, ...]) -> str:
+    return "x".join(map(str, dims))
 
 
 def _parse_bool(text: str) -> bool:
@@ -161,18 +165,14 @@ KEYS: tuple[Key, ...] = (
     ),
     Key("folds.seed", int, flag="--seed", path="seed"),
     Key("slice_policy", flag="--slice-policy", choices=("auto", *SLICE_POLICIES)),
-    Key("preprocess.target_2d", _parse_dims2, _render_dims2),
-    Key("preprocess.target_vol", _parse_dims2, _render_dims2),
+    Key("preprocess.target_2d", partial(parse_dims, parts=2), _render_dims),
+    Key("preprocess.target_vol", partial(parse_dims, parts=2), _render_dims),
     Key("preprocess.denoiser", flag="--denoiser", choices=DENOISERS),
     Key("preprocess.sigma", float, repr),
     Key("preprocess.search_radius", int),
     Key("preprocess.patch_radius", int),
     Key("preprocess.h", float, repr),
     Key("preprocess.normalize"),
-    Key("augment.rotation_deg", float, repr),
-    Key("augment.translate_px", int),
-    Key("augment.copies_per_sample", int),
-    Key("augment.seed", int),
     Key("training.optimizer"),
     Key("training.decay", float, repr),
     Key("training.lr_start", float, repr),

@@ -44,10 +44,6 @@ class Vendor(enum.Enum):
     SPECTRALIS = "Spectralis"
     TOPCON = "Topcon"
 
-    @property
-    def native_geometries(self) -> tuple[tuple[int, int, int], ...]:
-        return _NATIVE_GEOMETRIES[self]
-
 
 # (width, height, depth) of the raw scans each scanner produces.
 _NATIVE_GEOMETRIES = {
@@ -302,7 +298,8 @@ def write_volume(vol: OctVolume | LabelVolume | ProbVolume, path: str | Path) ->
     Intensity and probability volumes are stored as MET_FLOAT, labels as
     MET_UCHAR.  Probability volumes are stored channel-major as a 4-D
     MetaImage (DimSize = width height depth 4), so each class plane is a
-    contiguous x-fastest block.
+    contiguous x-fastest block.  The payload is written before its header,
+    so a failed payload write leaves no header pointing at it.
     """
     path = Path(path)
     if path.suffix != ".mhd":
@@ -334,5 +331,5 @@ def write_volume(vol: OctVolume | LabelVolume | ProbVolume, path: str | Path) ->
     if spacing is not None:
         lines.append("ElementSpacing = " + " ".join(repr(float(s)) for s in spacing))
     lines.append(f"ElementDataFile = {raw_name}")
-    path.write_text("\n".join(lines) + "\n", encoding="ascii")
     np.ascontiguousarray(data).tofile(path.parent / raw_name)
+    path.write_text("\n".join(lines) + "\n", encoding="ascii")

@@ -75,6 +75,37 @@ def test_synth_rejects_empty_vendor_list(tmp_path, capsys):
     assert err.startswith("error:")
 
 
+@pytest.mark.parametrize(
+    "flag, value",
+    [
+        ("--dims", "12xabcx3"),
+        ("--dims", "0x64x8"),
+        ("--dims", "64x64"),
+        ("--dims", "64x64x4x2"),
+        ("--n-blobs", "0"),
+    ],
+)
+def test_synth_bad_argument_is_usage_error(tmp_path, capsys, flag, value):
+    root = tmp_path / "d"
+    rc, _, err = run(capsys, "synth", "--data-root", root, flag, value)
+    assert rc == 2
+    assert err.startswith("error:")
+    assert not (root / "images").exists()
+
+
+def test_stitch_checks_dims_before_reading_predictions(tmp_path, capsys):
+    rc, _, err = run(
+        capsys,
+        "stitch",
+        "--output-dir", tmp_path / "o",
+        "--volume", "v",
+        "--dims", "64x0x4",
+        "--predictions", tmp_path / "absent",
+    )
+    assert rc == 2
+    assert "64x0x4" in err
+
+
 def test_info_prints_vendor_and_unknown(tmp_path, capsys):
     known = tmp_path / "scan_a.mhd"
     odd = tmp_path / "scan_b.mhd"
@@ -297,12 +328,13 @@ def test_missing_data_root_is_usage_error(tmp_path, capsys):
 def test_unknown_config_key_is_usage_error(make_dataset, tmp_path, capsys):
     root, _, _ = make_dataset()
     cfg = tmp_path / "bad.cfg"
-    cfg.write_text("grid.pitch = 3\n")
-    rc, _, err = run(
-        capsys, "folds", "--config", cfg, "--data-root", root, "--output-dir", tmp_path / "o"
-    )
-    assert rc == 2
-    assert "grid.pitch" in err
+    for key in ("grid.pitch", "augment.seed"):
+        cfg.write_text(f"{key} = 1\n")
+        rc, _, err = run(
+            capsys, "folds", "--config", cfg, "--data-root", root, "--output-dir", tmp_path / "o"
+        )
+        assert rc == 2
+        assert f"unknown configuration key {key!r}" in err
 
 
 def test_bad_config_value_is_usage_error(make_dataset, tmp_path, capsys):

@@ -41,7 +41,6 @@ def test_apply_settings_reaches_nested_configs():
         {
             "preprocess.target_vol": "64x64",
             "preprocess.denoiser": "gaussian",
-            "augment.copies_per_sample": "3",
             "training.epochs": "5",
             "grid.patch_size": "32",
             "depth_mode": "3d",
@@ -49,7 +48,6 @@ def test_apply_settings_reaches_nested_configs():
     )
     assert cfg.preprocess.target_vol == (64, 64)
     assert cfg.preprocess.denoiser == "gaussian"
-    assert cfg.augment.copies_per_sample == 3
     assert cfg.training.epochs == 5
     assert cfg.patch_size == 32
     assert cfg.parsed_depth_mode().kind == "3d"
@@ -130,6 +128,9 @@ def test_render_config_round_trips_lr_pair_below_defaults():
         ("grid.patch_size", "0"),
         ("grid.close_radius", "-1"),
         ("folds.k", "0"),
+        ("preprocess.target_2d", "0x64"),
+        ("preprocess.target_2d", "64xabc"),
+        ("preprocess.target_vol", "64x64x4"),
     ],
 )
 def test_apply_settings_rejects_out_of_range_values(key, value):
@@ -173,10 +174,6 @@ VALUE_STRATEGIES = {
     "preprocess.patch_radius": _ints(1, 5),
     "preprocess.h": _floats(1e-3, 10.0),
     "preprocess.normalize": st.sampled_from(["auto", "always", "never"]),
-    "augment.rotation_deg": _floats(0.0, 180.0),
-    "augment.translate_px": _ints(0, 64),
-    "augment.copies_per_sample": _ints(0, 8),
-    "augment.seed": _ints(0),
     "training.optimizer": _words,
     "training.decay": _floats(-1e6),
     "training.epochs": _ints(1, 1000),

@@ -46,6 +46,14 @@ def test_float_volume_round_trip(tmp_path):
     np.testing.assert_array_equal(back.voxels, voxels)
 
 
+def test_failed_payload_write_leaves_no_header(tmp_path):
+    (tmp_path / "v.raw").mkdir()
+    vol = OctVolume(voxels=np.zeros((2, 3, 4), dtype=np.float32), volume_id="v")
+    with pytest.raises(IsADirectoryError):
+        write_volume(vol, tmp_path / "v.mhd")
+    assert not (tmp_path / "v.mhd").exists()
+
+
 def test_label_round_trip_many_seeds(tmp_path):
     for seed in range(40, 60):
         rng = np.random.default_rng(seed)
