@@ -136,6 +136,8 @@ def cmd_patchify(args: argparse.Namespace, cfg: RunConfig) -> int:
     mode = cfg.parsed_depth_mode()
     native = read_volume(image_path(cfg.data_root, args.volume))
     native_dims = native.dims
+    if args.slice is not None and mode.kind != "3d" and not 0 <= args.slice < native_dims[2]:
+        raise ConfigError(f"--slice {args.slice} outside volume depth {native_dims[2]}")
     target = cfg.preprocess.target_for(mode)
     vol = preprocess_volume(native, cfg.preprocess, target)
     grid = patch_engine.plan_grid(vol.dims[:2], (cfg.patch_size, cfg.patch_size), cfg.overlap, mode)
@@ -192,6 +194,8 @@ def cmd_stitch(args: argparse.Namespace, cfg: RunConfig) -> int:
 
 def cmd_evaluate(args: argparse.Namespace, cfg: RunConfig) -> int:
     _require(cfg, DATA_ROOT, OUTPUT_DIR)
+    if args.fold is not None and not 0 <= args.fold < cfg.folds_k:
+        raise ConfigError(f"--fold {args.fold} outside plan with k={cfg.folds_k}")
     spec = _experiment_spec(cfg)
     inventory = load_inventory(cfg.data_root)
     plan = make_folds(inventory, cfg.folds_k, cfg.seed)

@@ -9,8 +9,13 @@ spanning the anchored slice range.  Stitching streams: it takes predictions
 from any iterable, in any order, and sums each into the output volume as soon
 as every anchor before it in canonical row-major order has been summed (early
 arrivals wait in a small per-slice pending map), so the result is independent
-of the input ordering and of any parallel schedule upstream.  A slice range
-whose predictions are all in is divided in place by the grid's coverage plane.
+of the input ordering and of any parallel schedule upstream.  A prediction
+that is a window of a larger array (a backend's cached volume, a batch row) is
+held until its grid row is complete, and the row is then summed plane by
+plane, so one plane of the row's overlapping windows stays in cache; a
+prediction that owns its memory is summed at once.  Either way each voxel
+receives its predictions in canonical anchor order.  A slice range whose
+predictions are all in is divided in place by the grid's coverage plane.
 Per-voxel passes over a whole volume (the finiteness check, arg-max, closing)
 run one slice at a time, so none allocates a temporary the size of the volume.
 """
@@ -249,13 +254,19 @@ def stitch(
 
     Predictions are summed as they arrive into the float32 array that becomes
     the result.  Each anchor z keeps a cursor into ``grid.anchors``: the pair
-    at the cursor is added at once, and a pair that arrives early waits until
-    the anchors before it have been added.  Every voxel therefore sums its
-    predictions in canonical row-major anchor order whatever the input order
-    (or upstream schedule), and input that is already in order is never held.
-    Once an anchor z has all its predictions, its slice range is divided in
-    place by :func:`coverage_plane`; that matches dividing by per-voxel counts
-    bit for bit, since both operands are exact in float32.
+    at the cursor is taken at once, and a pair that arrives early waits until
+    the anchors before it have been taken.  A taken prediction that owns its
+    memory is added at once, after any held part of its row.  One that is a
+    window of a larger array (its ``base`` is a bigger ndarray, so holding it
+    costs no memory) is held until the last anchor of its grid row (the
+    anchors sharing its y) is taken; the row is then added one plane at a
+    time, anchor by anchor, so each plane of the overlapping windows is summed
+    while it is in cache.  Every voxel therefore sums its predictions in
+    canonical row-major anchor order whatever the input order (or upstream
+    schedule), and the result is bit-identical however the predictions are
+    stored.  Once an anchor z has all its predictions, its slice range is
+    divided in place by :func:`coverage_plane`; that matches dividing by
+    per-voxel counts bit for bit, since both operands are exact in float32.
 
     Raises :class:`CoverageError` for an anchor outside ``grid`` and for a
     voxel no patch covers, naming it (or, where every voxel is covered, the
@@ -286,19 +297,38 @@ def _accumulate(patch_probs, grid: PatchGrid, probs: np.ndarray):
     """Sum ``patch_probs`` into the zeroed ``probs`` and divide each completed
     slice range by the coverage plane; returns (owner, cursors, pending): the
     anchor z whose predictions cover each slice (-1 for none), and per anchor
-    z the count of anchors summed and the early arrivals still waiting."""
+    z the count of anchors taken and the early arrivals still waiting."""
     depth = probs.shape[1]
-    index = {anchor: i for i, anchor in enumerate(grid.anchors)}
+    anchors = grid.anchors
+    index = {anchor: i for i, anchor in enumerate(anchors)}
+    # the last anchor of each grid row (the anchors sharing one y)
+    row_end = [i + 1 == len(anchors) or anchors[i + 1][1] != y for i, (_, y) in enumerate(anchors)]
     ph, pw = grid.patch_h, grid.patch_w
     plane = coverage_plane(grid)
     owner = np.full(depth, -1)
     shapes: dict[int, tuple[int, ...]] = {}
     cursors: dict[int, int] = {}
     pending: dict[int, dict[int, np.ndarray]] = {}
+    held: dict[int, list[tuple[int, np.ndarray]]] = {}  # taken, not yet added
 
-    def add(z: int, i: int, block: np.ndarray) -> None:
-        x, y = grid.anchors[i]
-        probs[:, z : z + block.shape[1], y : y + ph, x : x + pw] += block
+    def flush(z: int) -> None:
+        row, held[z] = held[z], []
+        if len(row) == 1:
+            (i, block), = row
+            x, y = anchors[i]
+            probs[:, z : z + block.shape[1], y : y + ph, x : x + pw] += block
+            return
+        for p in range(shapes[z][1]):
+            for i, block in row:
+                x, y = anchors[i]
+                probs[:, z + p, y : y + ph, x : x + pw] += block[:, p]
+
+    def take(z: int, i: int, block: np.ndarray) -> None:
+        # a window of a larger array waits for its row; anything else goes in now
+        held[z].append((i, block))
+        base = block.base
+        if row_end[i] or not (isinstance(base, np.ndarray) and base.size > block.size):
+            flush(z)
 
     for (x, y, z), pred in patch_probs:
         i = index.get((x, y))
@@ -326,7 +356,7 @@ def _accumulate(patch_probs, grid: PatchGrid, probs: np.ndarray):
                     f"predictions anchored at z={int(taken[taken >= 0][0])}"
                 )
             owner[z : z + planes] = z
-            shapes[z], cursors[z], pending[z] = block.shape, 0, {}
+            shapes[z], cursors[z], pending[z], held[z] = block.shape, 0, {}, []
         elif block.shape != shapes[z]:
             raise ValidationError(
                 f"prediction at ({x}, {y}, {z}) has shape {pred.shape}, "
@@ -338,10 +368,10 @@ def _accumulate(patch_probs, grid: PatchGrid, probs: np.ndarray):
         if i != cursors[z]:
             waiting[i] = block
             continue
-        add(z, i, block)
+        take(z, i, block)
         i += 1
         while i in waiting:
-            add(z, i, waiting.pop(i))
+            take(z, i, waiting.pop(i))
             i += 1
         cursors[z] = i
         if i == len(grid.anchors):

@@ -371,6 +371,36 @@ def test_bad_flag_value_is_usage_error(make_dataset, tmp_path, capsys):
     assert err.startswith("error:")
 
 
+@pytest.mark.parametrize(
+    "command, flag, value, message",
+    [
+        ("evaluate", "--fold", "3", "--fold 3 outside plan with k=3"),
+        ("evaluate", "--fold", "-1", "--fold -1 outside plan with k=3"),
+        ("patchify", "--slice", "4", "--slice 4 outside volume depth 4"),
+        ("patchify", "--slice", "-1", "--slice -1 outside volume depth 4"),
+    ],
+)
+def test_out_of_range_index_is_usage_error_before_writing(
+    make_dataset, tmp_path, capsys, command, flag, value, message
+):
+    root, _, _ = make_dataset(n_per_vendor=3)
+    out_dir = tmp_path / "out"
+    extra = ["--volume", "cirrus_00"] if command == "patchify" else []
+    rc, _, err = run(
+        capsys,
+        command,
+        *extra,
+        "--config", native_config(tmp_path),
+        "--data-root", root,
+        "--output-dir", out_dir,
+        "--folds", "3",
+        flag, value,
+    )
+    assert rc == 2
+    assert message in err
+    assert not out_dir.exists()
+
+
 def test_bad_backend_descriptor_is_usage_error(make_dataset, tmp_path, capsys):
     root, _, _ = make_dataset()
     rc, _, err = run(

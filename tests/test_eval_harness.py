@@ -622,6 +622,48 @@ def test_predict_volume_peak_memory_stays_near_output_size(tmp_path, mode, jobs)
     assert peak < 3 * prob.probs.nbytes
 
 
+@pytest.mark.parametrize("backend_kind", ["threshold", "external"])
+@pytest.mark.parametrize("jobs", [1, 2])
+def test_predict_volume_3d_peak_holds_no_block_past_its_row(tmp_path, backend_kind, jobs):
+    """3D P on a 48-cube, patch 16, overlap 0.75: rows of 9 blocks of
+    (4, 48, 16, 16), each a ninth of the output.  A threshold block owns its
+    memory and is summed as it arrives, so beyond the output only the
+    ``jobs + 1`` blocks in flight and the one being built are alive, plus
+    slack; holding a row of them would add up to 9 more.  An external block is a view of the
+    backend's cached volume, so holding its row costs nothing and the peak is
+    that volume plus the output."""
+    import tracemalloc
+
+    from octpipe.backends import external_backend
+    from octpipe.eval_harness.runner import predict_volume
+    from octpipe.volume_io import OctVolume
+
+    rng = np.random.default_rng(71)
+    vol = OctVolume(rng.random((48, 48, 48), dtype=np.float32), volume_id="mem")
+    spec = ExperimentSpec(
+        data_root=tmp_path, depth_mode=DepthMode.d3(), patch=(16, 16), overlap=0.75, jobs=jobs
+    )
+    if backend_kind == "external":
+        probs = rng.random((4, 48, 48, 48), dtype=np.float32) + 0.5
+        probs /= probs.sum(axis=0)
+        write_volume(ProbVolume(probs=probs, volume_id="mem"), tmp_path / "mem_prob.mhd")
+        del probs
+        backend = external_backend(tmp_path)
+    else:
+        backend = threshold_backend()
+    tracemalloc.start()
+    try:
+        output = predict_volume(vol, backend, spec).probs.nbytes
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    block = 4 * 48 * 16 * 16 * 4  # bytes of one (4, 48, 16, 16) float32 block
+    if backend_kind == "external":
+        assert peak < 2 * output + block
+    else:
+        assert peak < output + (jobs + 3) * block
+
+
 @pytest.mark.parametrize("stage", ["labelize", "confusion", "validate", "read_prob"])
 def test_per_voxel_passes_peak_near_output_plus_one_slice(tmp_path, stage):
     """These passes work one slice (confusion: one chunk) at a time, so none

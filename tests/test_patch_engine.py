@@ -1,5 +1,7 @@
 """Grid planning, patch extraction, stitching, closing, and disk spill."""
 
+import tempfile
+
 import numpy as np
 import pytest
 from hypothesis import given, settings
@@ -333,7 +335,23 @@ def stitch_inputs(draw):
     else:
         keys = [(x, y, z) for z in range(depth) for x, y in grid.anchors]
         shape = (4, ph, pw)
-    pairs = [(key, rng.random(shape, dtype=np.float32)) for key in keys]
+    storage = draw(st.sampled_from(["owned", "windows", "mixed", "memmap"]))
+    if storage == "owned":
+        preds = [rng.random(shape, dtype=np.float32) for _ in keys]
+    else:
+        # windows of one shared array, cut with a margin as the external
+        # backend cuts them out of its cached volume (the held path)
+        my, mx = draw(st.integers(0, 2)), draw(st.integers(0, 2))
+        source = rng.random((len(keys), *shape[:-2], ph + my, pw + mx), dtype=np.float32)
+        if storage == "memmap":  # slices of a file mapping, whose own base is an mmap
+            mapped = np.memmap(tempfile.TemporaryFile(), np.float32, "w+", shape=source.shape)
+            mapped[:] = source
+            source = mapped
+        preds = [source[i, ..., my : my + ph, mx : mx + pw] for i in range(len(keys))]
+        if storage == "mixed":
+            owned = draw(st.lists(st.booleans(), min_size=len(keys), max_size=len(keys)))
+            preds = [p.copy() if own else p for p, own in zip(preds, owned)]
+    pairs = list(zip(keys, preds))
     order = draw(st.permutations(range(len(pairs))))
     return grid, (width, height, depth), pairs, [pairs[i] for i in order]
 
