@@ -134,9 +134,11 @@ def cmd_folds(args: argparse.Namespace, cfg: RunConfig) -> int:
 def cmd_patchify(args: argparse.Namespace, cfg: RunConfig) -> int:
     _require(cfg, DATA_ROOT, OUTPUT_DIR)
     mode = cfg.parsed_depth_mode()
+    if args.slice is not None and mode.kind == "3d":
+        raise ConfigError("--slice picks one B-scan, which --depth-mode 3d does not patch by")
     native = read_volume(image_path(cfg.data_root, args.volume))
     native_dims = native.dims
-    if args.slice is not None and mode.kind != "3d" and not 0 <= args.slice < native_dims[2]:
+    if args.slice is not None and not 0 <= args.slice < native_dims[2]:
         raise ConfigError(f"--slice {args.slice} outside volume depth {native_dims[2]}")
     target = cfg.preprocess.target_for(mode)
     vol = preprocess_volume(native, cfg.preprocess, target)

@@ -29,7 +29,6 @@ from typing import Iterable
 
 import numpy as np
 from numpy.lib.stride_tricks import sliding_window_view
-from scipy import ndimage
 
 from .errors import CoverageError, FormatError, ValidationError
 from .volume_io import N_CLASSES, FluidClass, LabelVolume, ProbVolume
@@ -431,9 +430,12 @@ def close_mask(labels: LabelVolume, cls: FluidClass, radius: int) -> LabelVolume
     """Morphologically close one fluid's mask per B-scan.
 
     Dilation then erosion with a square structuring element of side
-    ``2*radius + 1``.  Cavities the element can bridge are filled with
-    ``cls``; existing ``cls`` voxels are never removed (closing is extensive),
-    and the operation is idempotent.
+    ``2*radius + 1``, on the infinite plane: voxels outside the B-scan count
+    as background, so a mask touching the border closes as if zero-padded.
+    The square is applied as a row sweep then a column sweep, which gives
+    exactly the 2-D square's result.  Cavities the element can bridge are
+    filled with ``cls``; existing ``cls`` voxels are never removed (closing
+    is extensive), and the operation is idempotent.
     """
     out = labels.voxels.copy()
     _close_in_place(out, cls, radius)
@@ -441,23 +443,32 @@ def close_mask(labels: LabelVolume, cls: FluidClass, radius: int) -> LabelVolume
 
 
 def _close_in_place(voxels: np.ndarray, cls: FluidClass, radius: int) -> None:
-    """Close ``cls``'s mask in each slice of the (depth, h, w) ``voxels``."""
+    """Close ``cls``'s mask in each slice of the (depth, h, w) ``voxels``.
+
+    A (2r+1)^2 square is the Minkowski sum of a row and a column segment, so
+    dilation (shifted ORs) and erosion (shifted ANDs) are each a row sweep
+    then a column sweep of r one-step shifts each way, in one buffer
+    zero-padded by r.  Only the r-wide ring's erosion is wrong, and the crop
+    drops it, so the infinite-plane border rule holds.
+    """
     cls = FluidClass(cls)
     if cls == FluidClass.BACKGROUND:
         raise ValueError("closing is defined for fluid classes, not background")
     if radius < 1:
         raise ValueError(f"radius must be >= 1, got {radius}")
-    structure = np.ones((2 * radius + 1, 2 * radius + 1), dtype=bool)
+    r = radius
+    buf = np.zeros((voxels.shape[1] + 2 * r, voxels.shape[2] + 2 * r), dtype=bool)
+    inner = buf[r:-r, r:-r]
     for plane in voxels:
-        mask = plane == int(cls)
-        if not mask.any():
+        if not np.equal(plane, int(cls), out=inner).any():
             continue
-        # pad so the closing matches the infinite-plane definition at borders
-        padded = np.pad(mask, radius, mode="constant", constant_values=False)
-        closed = ndimage.binary_erosion(
-            ndimage.binary_dilation(padded, structure=structure), structure=structure
-        )[radius:-radius, radius:-radius]
-        plane[closed & ~mask] = int(cls)
+        for op in (np.logical_or, np.logical_and):  # dilate, then erode
+            for lo, hi in ((buf[:, 1:], buf[:, :-1]), (buf[1:], buf[:-1])):
+                for _ in range(r):
+                    op(lo, hi, out=lo)
+                    op(hi, lo, out=hi)
+        np.copyto(plane, int(cls), where=inner)  # closing is extensive: adds closed & ~mask
+        buf[:] = False  # the sweeps set bits in the padding ring
 
 
 def close_all(labels: LabelVolume, radius: int) -> LabelVolume:

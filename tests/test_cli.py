@@ -401,6 +401,26 @@ def test_out_of_range_index_is_usage_error_before_writing(
     assert not out_dir.exists()
 
 
+def test_patchify_slice_with_3d_depth_mode_is_usage_error_before_writing(
+    make_dataset, tmp_path, capsys
+):
+    root, _, _ = make_dataset()
+    out_dir = tmp_path / "out"
+    rc, _, err = run(
+        capsys,
+        "patchify",
+        "--volume", "cirrus_00",
+        "--config", native_config(tmp_path),
+        "--data-root", root,
+        "--output-dir", out_dir,
+        "--depth-mode", "3d",
+        "--slice", "0",
+    )
+    assert rc == 2
+    assert "--slice" in err and "--depth-mode 3d" in err
+    assert not out_dir.exists()
+
+
 def test_bad_backend_descriptor_is_usage_error(make_dataset, tmp_path, capsys):
     root, _, _ = make_dataset()
     rc, _, err = run(

@@ -7,6 +7,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 from hypothesis.extra import numpy as hnp
+from scipy import ndimage
 
 from octpipe.backends import external_backend, oracle_backend, threshold_backend
 from octpipe.errors import CoverageError, FormatError, ValidationError
@@ -548,6 +549,77 @@ def test_close_mask_slices_are_independent():
     out = close_mask(labels, FluidClass.IRF, 1)
     assert out.voxels[0, 5, 5] == 1
     np.testing.assert_array_equal(out.voxels[1], 0)
+
+
+def scipy_close(mask, radius):
+    """scipy's binary_closing of the zero-padded mask, cropped back."""
+    r = radius
+    square = np.ones((2 * r + 1, 2 * r + 1), dtype=bool)
+    return ndimage.binary_closing(np.pad(mask, r), structure=square)[r:-r, r:-r]
+
+
+@st.composite
+def closing_cases(draw):
+    """Labels from 1x1 planes up, radius 1..3: all four classes mixed, one
+    fluid on background, no fluid, all fluid, or a fluid frame on the border."""
+    shape = (draw(st.integers(1, 3)), draw(st.integers(1, 14)), draw(st.integers(1, 14)))
+    kind = draw(st.sampled_from(["mixed", "sparse", "empty", "full", "border"]))
+    cls = draw(st.integers(1, 3))
+    if kind == "mixed":
+        voxels = draw(hnp.arrays(np.uint8, shape, elements=st.integers(0, 3)))
+    else:
+        mask = draw(hnp.arrays(np.bool_, shape)) if kind == "sparse" else np.full(shape, kind == "full")
+        if kind == "border":
+            mask[:, [0, -1]] = mask[:, :, [0, -1]] = True
+        voxels = np.where(mask, np.uint8(cls), np.uint8(0))
+    return voxels, draw(st.integers(1, 3))
+
+
+@settings(max_examples=200, deadline=None)
+@given(closing_cases(), st.sampled_from(list(FluidClass)[1:]))
+def test_close_mask_matches_scipy_binary_closing(case, cls):
+    voxels, radius = case
+    before = voxels.copy()
+    out = close_mask(LabelVolume(voxels=voxels, volume_id="p"), cls, radius).voxels
+    expected = voxels.copy()
+    for plane in expected:
+        plane[scipy_close(plane == cls, radius)] = cls
+    np.testing.assert_array_equal(out, expected)
+    np.testing.assert_array_equal(voxels, before)
+
+
+@settings(max_examples=200, deadline=None)
+@given(closing_cases())
+def test_close_all_matches_scipy_binary_closing_in_class_order(case):
+    voxels, radius = case
+    expected = voxels.copy()
+    for cls in (FluidClass.IRF, FluidClass.SRF, FluidClass.PED):
+        for plane in expected:
+            plane[scipy_close(plane == cls, radius)] = cls
+    out = close_all(LabelVolume(voxels=voxels, volume_id="p"), radius).voxels
+    np.testing.assert_array_equal(out, expected)
+
+
+def test_close_all_peak_is_one_label_copy_plus_plane_buffers():
+    """A 384x384x49 volume closes into one copy of its labels; every other
+    buffer is the size of a padded B-scan, so nothing the size of the volume
+    is allocated twice."""
+    import tracemalloc
+
+    rng = np.random.default_rng(81)
+    blocks = rng.integers(0, 4, size=(49, 48, 48), dtype=np.uint8)
+    voxels = blocks.repeat(8, axis=1).repeat(8, axis=2)
+    voxels[rng.random(voxels.shape) < 0.05] = 0  # holes for the closing to fill
+    labels = LabelVolume(voxels=voxels, volume_id="mem")
+    for radius in (1, 3):
+        tracemalloc.start()
+        try:
+            close_all(labels, radius)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        plane = (384 + 2 * radius) ** 2
+        assert peak < voxels.nbytes + 4 * plane
 
 
 def test_close_mask_rejects_background_and_bad_radius():

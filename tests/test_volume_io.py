@@ -1,7 +1,13 @@
 """MetaImage reading/writing and the label/probability volume contracts."""
 
+import tempfile
+from pathlib import Path
+
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
+from hypothesis.extra import numpy as hnp
 
 from octpipe.errors import FormatError, ValidationError
 from octpipe.volume_io import (
@@ -89,6 +95,49 @@ def test_prob_uniform_quarters_round_trip(tmp_path):
     write_volume(ProbVolume(probs=probs, volume_id="u"), tmp_path / "u_prob.mhd")
     back = read_prob(tmp_path / "u_prob.mhd")
     np.testing.assert_allclose(back.probs.sum(axis=0), 1.0, atol=1e-6)
+
+
+shapes = hnp.array_shapes(min_dims=3, max_dims=3, min_side=1, max_side=8)
+# every float32, -0.0, infinities and NaN included
+floats32 = st.floats(width=32) | st.just(-0.0)
+
+
+def round_trip(vol, name, read):
+    with tempfile.TemporaryDirectory() as tmp:
+        path = Path(tmp) / f"{name}.mhd"
+        write_volume(vol, path)
+        return read(path)
+
+
+@settings(max_examples=100, deadline=None)
+@given(
+    voxels=hnp.arrays(np.float32, shapes, elements=floats32),
+    spacing=st.none() | st.tuples(*[st.floats(1e-6, 1e6)] * 3),
+)
+def test_oct_volume_round_trip_is_bit_identical(voxels, spacing):
+    back = round_trip(OctVolume(voxels=voxels, spacing=spacing), "v", read_volume)
+    assert back.voxels.dtype == np.float32 and back.voxels.shape == voxels.shape
+    assert back.voxels.tobytes() == voxels.tobytes()
+    assert back.spacing == spacing
+    assert back.vendor == vendor_of(back.dims) and back.volume_id == "v"
+
+
+@settings(max_examples=100, deadline=None)
+@given(hnp.arrays(np.uint8, shapes, elements=st.integers(0, 3)))
+def test_label_volume_round_trip_is_bit_identical(voxels):
+    back = round_trip(LabelVolume(voxels=voxels), "l", read_labels)
+    assert back.voxels.dtype == np.uint8 and back.voxels.shape == voxels.shape
+    assert back.voxels.tobytes() == voxels.tobytes()
+    assert back.volume_id == "l"
+
+
+@settings(max_examples=100, deadline=None)
+@given(shapes.flatmap(lambda s: hnp.arrays(np.float32, (4,) + s, elements=floats32)))
+def test_prob_volume_round_trip_is_bit_identical(probs):
+    back = round_trip(ProbVolume(probs=probs), "p_prob", read_prob)
+    assert back.probs.dtype == np.float32 and back.probs.shape == probs.shape
+    assert back.probs.tobytes() == probs.tobytes()
+    assert back.volume_id == "p"
 
 
 def test_read_uchar_and_ushort_intensities(tmp_path):
