@@ -36,7 +36,6 @@ class Backend:
     """A named predictor. ``predict(batch, mode, volume_id)`` returns the
     batch's N class-first probability maps as one array, in batch order."""
 
-    kind: str
     descriptor: str
     predict: PredictFn
     needs_truth: bool = False
@@ -117,7 +116,7 @@ def threshold_backend(bands: tuple[float, float, float] = DEFAULT_BANDS) -> Back
         data = batch.data if mode.kind == "3d" else batch.data[:, batch.data.shape[1] // 2]
         return one_hot(classify_bands(data, bands), axis=1)
 
-    return Backend(kind="threshold", descriptor="threshold", predict=predict)
+    return Backend(descriptor="threshold", predict=predict)
 
 
 def oracle_backend(truth: LabelVolume) -> Backend:
@@ -127,7 +126,7 @@ def oracle_backend(truth: LabelVolume) -> Backend:
         labels = windows(truth.voxels, batch.anchors, batch.data.shape[-2:], mode.kind != "3d")
         return one_hot(labels, axis=1)
 
-    return Backend(kind="oracle", descriptor="oracle", predict=predict, needs_truth=True)
+    return Backend(descriptor="oracle", predict=predict, needs_truth=True)
 
 
 def external_backend(prob_dir: str | Path, descriptor: str | None = None) -> Backend:
@@ -159,11 +158,7 @@ def external_backend(prob_dir: str | Path, descriptor: str | None = None) -> Bac
         probs = load(volume_id).probs
         return windows(probs, batch.anchors, batch.data.shape[-2:], mode.kind != "3d")
 
-    return Backend(
-        kind="external",
-        descriptor=descriptor or f"external:{prob_dir}",
-        predict=predict,
-    )
+    return Backend(descriptor=descriptor or f"external:{prob_dir}", predict=predict)
 
 
 def class_weights(train_labels: Iterable[LabelVolume] | LabelVolume | np.ndarray) -> np.ndarray:

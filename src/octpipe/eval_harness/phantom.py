@@ -12,8 +12,8 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from ..patch_engine import FluidClass, close_mask
-from ..volume_io import LabelVolume, OctVolume
+from ..patch_engine import FluidClass, _close_in_place
+from ..volume_io import FLUIDS, LabelVolume, OctVolume
 
 # per-class intensity bands, strictly inside the 0.25/0.5/0.75 thresholds
 INTENSITY_BANDS = {
@@ -91,11 +91,12 @@ def synth_phantom(
 
 
 def closing_stable(labels: LabelVolume, radius: int) -> bool:
-    """True when per-class closing at ``radius`` leaves the labels untouched."""
-    for cls in (FluidClass.IRF, FluidClass.SRF, FluidClass.PED):
-        if not np.array_equal(close_mask(labels, cls, radius).voxels, labels.voxels):
-            return False
-    return True
+    """True when per-class closing at ``radius`` leaves the labels untouched.
+
+    The classes close in order on one copy, stopping at the first change:
+    until a class changes something the copy still equals ``labels``."""
+    voxels = labels.voxels.copy()
+    return not any(_close_in_place(voxels, cls, radius) for cls in FLUIDS)
 
 
 def random_phantom(
@@ -121,7 +122,7 @@ def random_phantom(
         tries = 0
         while len(blobs) < n_blobs and tries < 400:
             tries += 1
-            cls = (FluidClass.IRF, FluidClass.SRF, FluidClass.PED)[len(blobs) % 3]
+            cls = FLUIDS[len(blobs) % 3]
             rx = int(rng.integers(4, max(5, min(25, width // 8))))
             ry = int(rng.integers(4, max(5, min(25, height // 8))))
             rz = int(rng.integers(1, max(2, min(7, depth // 3 + 1))))

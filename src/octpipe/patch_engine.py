@@ -3,18 +3,18 @@
 Patch anchors are (x, y) top-left corners in image coordinates.  Patches travel
 as one :class:`PatchBatch`: (N, 3) anchors and (N, planes, h, w) data, cut by
 the single window rule in :func:`windows`.  Per-patch predictions are
-class-first: a 2-D map
-(4, h, w) placed at the anchor's slice, or a 3-D block (4, planes, h, w)
-spanning the anchored slice range.  Stitching streams: it takes predictions
+class-first, and the grid's depth mode fixes their shape: a 2-D map
+(4, h, w) at each slice in 2d and 2.5d, one 3-D block (4, depth, h, w)
+anchored at z = 0 in 3d.  Stitching streams: it takes predictions
 from any iterable, in any order, and sums each into the output volume as soon
 as every anchor before it in canonical row-major order has been summed (early
 arrivals wait in a small per-slice pending map), so the result is independent
 of the input ordering and of any parallel schedule upstream.  A prediction
 that is a window of a larger array (a backend's cached volume, a batch row) is
-held until its grid row is complete, and the row is then summed plane by
-plane, so one plane of the row's overlapping windows stays in cache; a
-prediction that owns its memory is summed at once.  Either way each voxel
-receives its predictions in canonical anchor order.  A slice range whose
+held until its grid row is complete; a prediction that owns its memory is
+summed at once.  Either way it is summed plane by plane, so one plane of the
+row's overlapping windows stays in cache, and each voxel receives its
+predictions in canonical anchor order.  A slice range whose
 predictions are all in is divided in place by the grid's coverage plane.
 Per-voxel passes over a whole volume (the finiteness check, arg-max, closing)
 run one slice at a time, so none allocates a temporary the size of the volume.
@@ -31,7 +31,7 @@ import numpy as np
 from numpy.lib.stride_tricks import sliding_window_view
 
 from .errors import CoverageError, FormatError, ValidationError
-from .volume_io import N_CLASSES, FluidClass, LabelVolume, ProbVolume
+from .volume_io import FLUIDS, N_CLASSES, FluidClass, LabelVolume, ProbVolume
 
 DEPTH_KINDS = ("2d", "2.5d", "3d")
 
@@ -75,13 +75,6 @@ class DepthMode:
     @property
     def label(self) -> str:
         return {"2d": "2D", "2.5d": "2.5D", "3d": "3D"}[self.kind]
-
-    def n_planes(self, depth: int) -> int:
-        if self.kind == "2d":
-            return 1
-        if self.kind == "2.5d":
-            return 2 * self.radius + 1
-        return depth
 
 
 @dataclass(frozen=True)
@@ -245,11 +238,11 @@ def stitch(
     """Average per-patch class probabilities into a full probability volume.
 
     ``patch_probs`` is any iterable of (anchor, prediction) pairs, in any
-    order, and is consumed once.  A prediction is (4, patch_h, patch_w) for
-    the anchor's slice z, or a block (4, planes, patch_h, patch_w) for slices
-    z .. z + planes - 1.  Every anchor z needs a prediction at every anchor
-    of ``grid``, with one shape, and the slice ranges of different anchor z
-    must not overlap.
+    order, and is consumed once.  ``grid.depth_mode`` fixes every
+    prediction's shape: in 2d and 2.5d a (4, patch_h, patch_w) map for the
+    anchor's slice z, at every z; in 3d one (4, depth, patch_h, patch_w)
+    block per anchor, anchored at z = 0.  Each anchor z needs a prediction
+    at every anchor of ``grid``.
 
     Predictions are summed as they arrive into the float32 array that becomes
     the result.  Each anchor z keeps a cursor into ``grid.anchors``: the pair
@@ -258,20 +251,21 @@ def stitch(
     memory is added at once, after any held part of its row.  One that is a
     window of a larger array (its ``base`` is a bigger ndarray, so holding it
     costs no memory) is held until the last anchor of its grid row (the
-    anchors sharing its y) is taken; the row is then added one plane at a
-    time, anchor by anchor, so each plane of the overlapping windows is summed
-    while it is in cache.  Every voxel therefore sums its predictions in
-    canonical row-major anchor order whatever the input order (or upstream
-    schedule), and the result is bit-identical however the predictions are
-    stored.  Once an anchor z has all its predictions, its slice range is
-    divided in place by :func:`coverage_plane`; that matches dividing by
-    per-voxel counts bit for bit, since both operands are exact in float32.
+    anchors sharing its y) is taken.  Either way a row is added one plane at
+    a time, anchor by anchor, so each plane of the overlapping windows is
+    summed while it is in cache.  Every voxel therefore sums its predictions
+    in canonical row-major anchor order whatever the input order (or
+    upstream schedule), and the result is bit-identical however the
+    predictions are stored.  Once an anchor z has all its predictions, its
+    slice range is divided in place by :func:`coverage_plane`; that matches
+    dividing by per-voxel counts bit for bit, since both operands are exact
+    in float32.
 
     Raises :class:`CoverageError` for an anchor outside ``grid`` and for a
     voxel no patch covers, naming it (or, where every voxel is covered, the
     first anchor that never arrived), and :class:`ValidationError` for
-    ``dims`` unlike the grid's image, an anchor z outside ``dims``, a
-    prediction of the wrong shape, overlapping slice ranges, a repeated
+    ``dims`` unlike the grid's image, an anchor z outside ``dims``, a 3d
+    anchor z other than 0, a prediction of the wrong shape, a repeated
     anchor, or a non-finite result, naming the first bad voxel.
     """
     width, height, depth = (int(v) for v in dims)
@@ -280,8 +274,9 @@ def stitch(
             f"grid was planned for image {grid.image_dims}, stitch dims are {(width, height)}"
         )
     probs = np.zeros((N_CLASSES, depth, height, width), dtype=np.float32)
-    owner, cursors, pending = _accumulate(patch_probs, grid, probs)
-    _check_complete(grid, owner, cursors, pending)
+    planes = depth if grid.depth_mode.kind == "3d" else 1
+    cursors, pending = _accumulate(patch_probs, grid, probs, planes)
+    _check_complete(grid, depth, planes, cursors, pending)
     for z in range(depth):
         finite = np.isfinite(probs[:, z]).all(axis=0)
         if not finite.all():
@@ -292,32 +287,26 @@ def stitch(
     return ProbVolume(probs=probs, volume_id=volume_id)
 
 
-def _accumulate(patch_probs, grid: PatchGrid, probs: np.ndarray):
-    """Sum ``patch_probs`` into the zeroed ``probs`` and divide each completed
-    slice range by the coverage plane; returns (owner, cursors, pending): the
-    anchor z whose predictions cover each slice (-1 for none), and per anchor
-    z the count of anchors taken and the early arrivals still waiting."""
+def _accumulate(patch_probs, grid: PatchGrid, probs: np.ndarray, planes: int):
+    """Sum ``patch_probs``, each ``planes`` deep, into the zeroed ``probs``
+    and divide each completed slice range by the coverage plane; returns
+    (cursors, pending): per anchor z the count of anchors taken and the
+    early arrivals still waiting."""
     depth = probs.shape[1]
     anchors = grid.anchors
     index = {anchor: i for i, anchor in enumerate(anchors)}
     # the last anchor of each grid row (the anchors sharing one y)
     row_end = [i + 1 == len(anchors) or anchors[i + 1][1] != y for i, (_, y) in enumerate(anchors)]
     ph, pw = grid.patch_h, grid.patch_w
+    shape = (N_CLASSES, planes, ph, pw)
     plane = coverage_plane(grid)
-    owner = np.full(depth, -1)
-    shapes: dict[int, tuple[int, ...]] = {}
     cursors: dict[int, int] = {}
     pending: dict[int, dict[int, np.ndarray]] = {}
     held: dict[int, list[tuple[int, np.ndarray]]] = {}  # taken, not yet added
 
     def flush(z: int) -> None:
         row, held[z] = held[z], []
-        if len(row) == 1:
-            (i, block), = row
-            x, y = anchors[i]
-            probs[:, z : z + block.shape[1], y : y + ph, x : x + pw] += block
-            return
-        for p in range(shapes[z][1]):
+        for p in range(planes):
             for i, block in row:
                 x, y = anchors[i]
                 probs[:, z + p, y : y + ph, x : x + pw] += block[:, p]
@@ -335,32 +324,17 @@ def _accumulate(patch_probs, grid: PatchGrid, probs: np.ndarray):
             raise CoverageError(f"anchor ({x}, {y}) is not part of the planned grid")
         if not 0 <= z < depth:
             raise ValidationError(f"anchor ({x}, {y}, {z}) lies outside depth {depth}")
+        if z % planes:
+            raise ValidationError(f"anchor ({x}, {y}, {z}): 3d predictions anchor at z = 0")
         pred = np.asarray(pred)
         block = pred[:, None] if pred.ndim == 3 else pred
-        if z not in shapes:
-            planes = block.shape[1] if block.ndim == 4 else 0
-            if block.shape != (N_CLASSES, planes, ph, pw) or planes < 1:
-                raise ValidationError(
-                    f"prediction at ({x}, {y}, {z}) has shape {pred.shape}, expected "
-                    f"({N_CLASSES}, {ph}, {pw}) or ({N_CLASSES}, planes, {ph}, {pw})"
-                )
-            if z + planes > depth:
-                raise ValidationError(
-                    f"prediction at ({x}, {y}, {z}) spans {planes} planes, past depth {depth}"
-                )
-            taken = owner[z : z + planes]
-            if (taken >= 0).any():
-                raise ValidationError(
-                    f"prediction at ({x}, {y}, {z}) overlaps slices already covered by "
-                    f"predictions anchored at z={int(taken[taken >= 0][0])}"
-                )
-            owner[z : z + planes] = z
-            shapes[z], cursors[z], pending[z], held[z] = block.shape, 0, {}, []
-        elif block.shape != shapes[z]:
+        if block.shape != shape:
             raise ValidationError(
-                f"prediction at ({x}, {y}, {z}) has shape {pred.shape}, "
-                f"other predictions at z={z} have {shapes[z]}"
+                f"prediction at ({x}, {y}, {z}) has shape {pred.shape}, expected "
+                f"{shape[:1] + shape[2:] if planes == 1 else shape} on a {grid.depth_mode.kind} grid"
             )
+        if z not in cursors:
+            cursors[z], pending[z], held[z] = 0, {}, []
         waiting = pending[z]
         if i < cursors[z] or i in waiting:
             raise ValidationError(f"prediction for anchor ({x}, {y}, {z}) arrived twice")
@@ -374,23 +348,23 @@ def _accumulate(patch_probs, grid: PatchGrid, probs: np.ndarray):
             i += 1
         cursors[z] = i
         if i == len(grid.anchors):
-            probs[:, z : z + shapes[z][1]] /= plane
-    return owner, cursors, pending
+            probs[:, z : z + planes] /= plane
+    return cursors, pending
 
 
-def _check_complete(grid: PatchGrid, owner: np.ndarray, cursors: dict, pending: dict) -> None:
+def _check_complete(grid: PatchGrid, depth: int, planes: int, cursors: dict, pending: dict) -> None:
     """Raise CoverageError naming the first uncovered voxel in (z, y, x) order,
     or else the first missing anchor of the first incomplete anchor z."""
     incomplete = [z for z in sorted(cursors) if cursors[z] < len(grid.anchors)]
-    if not incomplete and (owner >= 0).all():
+    if not incomplete and len(cursors) * planes == depth:
         return
     width, height = grid.image_dims
-    for z, az in enumerate(owner.tolist()):
+    for z in range(depth):
+        az = z - z % planes  # the anchor z whose predictions cover slice z
         covered = np.zeros((height, width), dtype=bool)
-        if az >= 0:
-            for i in [*range(cursors[az]), *pending[az]]:
-                x, y = grid.anchors[i]
-                covered[y : y + grid.patch_h, x : x + grid.patch_w] = True
+        for i in [*range(cursors.get(az, 0)), *pending.get(az, ())]:
+            x, y = grid.anchors[i]
+            covered[y : y + grid.patch_h, x : x + grid.patch_w] = True
         if not covered.all():
             yy, xx = (int(i) for i in np.argwhere(~covered)[0])
             raise CoverageError(f"voxel (x={xx}, y={yy}, z={z}) is covered by no patch")
@@ -442,8 +416,9 @@ def close_mask(labels: LabelVolume, cls: FluidClass, radius: int) -> LabelVolume
     return LabelVolume(voxels=out, volume_id=labels.volume_id)
 
 
-def _close_in_place(voxels: np.ndarray, cls: FluidClass, radius: int) -> None:
-    """Close ``cls``'s mask in each slice of the (depth, h, w) ``voxels``.
+def _close_in_place(voxels: np.ndarray, cls: FluidClass, radius: int) -> bool:
+    """Close ``cls``'s mask in each slice of the (depth, h, w) ``voxels``;
+    returns whether that added a ``cls`` voxel.
 
     A (2r+1)^2 square is the Minkowski sum of a row and a column segment, so
     dilation (shifted ORs) and erosion (shifted ANDs) are each a row sweep
@@ -459,23 +434,27 @@ def _close_in_place(voxels: np.ndarray, cls: FluidClass, radius: int) -> None:
     r = radius
     buf = np.zeros((voxels.shape[1] + 2 * r, voxels.shape[2] + 2 * r), dtype=bool)
     inner = buf[r:-r, r:-r]
+    changed = False
     for plane in voxels:
-        if not np.equal(plane, int(cls), out=inner).any():
+        before = np.count_nonzero(np.equal(plane, int(cls), out=inner))
+        if not before:
             continue
         for op in (np.logical_or, np.logical_and):  # dilate, then erode
             for lo, hi in ((buf[:, 1:], buf[:, :-1]), (buf[1:], buf[:-1])):
                 for _ in range(r):
                     op(lo, hi, out=lo)
                     op(hi, lo, out=hi)
-        np.copyto(plane, int(cls), where=inner)  # closing is extensive: adds closed & ~mask
+        changed |= np.count_nonzero(inner) > before  # closing is extensive
+        np.copyto(plane, int(cls), where=inner)  # so this adds closed & ~mask
         buf[:] = False  # the sweeps set bits in the padding ring
+    return changed
 
 
 def close_all(labels: LabelVolume, radius: int) -> LabelVolume:
     """Close every fluid mask in class order IRF, SRF, PED, on one copy of
     the labels."""
     out = labels.voxels.copy()
-    for cls in (FluidClass.IRF, FluidClass.SRF, FluidClass.PED):
+    for cls in FLUIDS:
         _close_in_place(out, cls, radius)
     return LabelVolume(voxels=out, volume_id=labels.volume_id)
 
@@ -501,18 +480,24 @@ def _save_spill(path_base, kind: str, stack, meta: dict) -> None:
     meta_path.write_text(json.dumps(meta, indent=2, sort_keys=True) + "\n")
 
 
-def _load_spill(path_base, kind: str) -> tuple[dict, np.ndarray]:
-    """Read a spill of ``kind``: its sidecar and an (n_anchors, *shape) stack."""
+def _load_spill(path_base, kind: str, build):
+    """Read a spill of ``kind`` and return ``build(meta, stack)``, given its
+    sidecar and an (n_anchors, *shape) stack.  A sidecar that is not JSON,
+    lacks a field or holds a value of the wrong type raises FormatError
+    naming it."""
     raw_path, meta_path = _sidecar_paths(path_base)
-    meta = json.loads(meta_path.read_text())
-    if meta.get("kind") != kind:
-        raise FormatError(f"{meta_path} describes {meta.get('kind')!r}, expected {kind!r}")
-    shape = (len(meta["anchors"]), *meta[_SHAPE_FIELDS[kind]])
-    stack = np.fromfile(raw_path, dtype=np.float32)
-    expected = int(np.prod(shape))
-    if stack.size != expected:
-        raise FormatError(f"{raw_path} holds {stack.size} values, sidecar promises {expected}")
-    return meta, stack.reshape(shape)
+    try:
+        meta = json.loads(meta_path.read_text())
+        if meta.get("kind") != kind:
+            raise FormatError(f"{meta_path} describes {meta.get('kind')!r}, expected {kind!r}")
+        shape = (len(meta["anchors"]), *meta[_SHAPE_FIELDS[kind]])
+        stack = np.fromfile(raw_path, dtype=np.float32)
+        expected = int(np.prod(shape))
+        if stack.size != expected:
+            raise FormatError(f"{raw_path} holds {stack.size} values, sidecar promises {expected}")
+        return build(meta, stack.reshape(shape))
+    except (AttributeError, KeyError, TypeError, ValueError) as exc:
+        raise FormatError(f"{meta_path} is not a valid {kind} sidecar: {type(exc).__name__}: {exc}") from exc
 
 
 def save_patches(path_base, batch: PatchBatch, grid: PatchGrid, volume_id: str = "") -> None:
@@ -533,16 +518,19 @@ def save_patches(path_base, batch: PatchBatch, grid: PatchGrid, volume_id: str =
 
 def load_patches(path_base) -> tuple[PatchBatch, PatchGrid, str]:
     """Read back a spilled patch batch; returns (batch, grid, volume_id)."""
-    meta, stack = _load_spill(path_base, "patches")
-    g = meta["grid"]
-    grid = plan_grid(
-        tuple(g["image_dims"]),
-        tuple(g["patch"]),
-        g["overlap"],
-        DepthMode(g["depth_mode"]["kind"], g["depth_mode"].get("radius", 1)),
-    )
-    anchors = np.array(meta["anchors"], dtype=np.intp).reshape(-1, 3)
-    return PatchBatch(anchors, stack), grid, meta.get("volume_id", "")
+
+    def build(meta, stack):
+        g = meta["grid"]
+        grid = plan_grid(
+            tuple(g["image_dims"]),
+            tuple(g["patch"]),
+            g["overlap"],
+            DepthMode(g["depth_mode"]["kind"], g["depth_mode"].get("radius", 1)),
+        )
+        anchors = np.array(meta["anchors"], dtype=np.intp).reshape(-1, 3)
+        return PatchBatch(anchors, stack), grid, meta.get("volume_id", "")
+
+    return _load_spill(path_base, "patches", build)
 
 
 def save_predictions(path_base, patch_probs: list[tuple[tuple[int, int, int], np.ndarray]]) -> None:
@@ -553,5 +541,7 @@ def save_predictions(path_base, patch_probs: list[tuple[tuple[int, int, int], np
 
 def load_predictions(path_base) -> list[tuple[tuple[int, int, int], np.ndarray]]:
     """Read back spilled predictions as (anchor, prediction) pairs."""
-    meta, stack = _load_spill(path_base, "predictions")
-    return [(tuple(a), stack[i]) for i, a in enumerate(meta["anchors"])]
+    return _load_spill(
+        path_base, "predictions",
+        lambda meta, stack: [(tuple(a), stack[i]) for i, a in enumerate(meta["anchors"])],
+    )

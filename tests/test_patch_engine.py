@@ -1,5 +1,7 @@
 """Grid planning, patch extraction, stitching, closing, and disk spill."""
 
+import json
+import re
 import tempfile
 
 import numpy as np
@@ -11,6 +13,7 @@ from scipy import ndimage
 
 from octpipe.backends import external_backend, oracle_backend, threshold_backend
 from octpipe.errors import CoverageError, FormatError, ValidationError
+from octpipe.eval_harness import closing_stable
 from octpipe.patch_engine import (
     DepthMode,
     PatchBatch,
@@ -26,7 +29,7 @@ from octpipe.patch_engine import (
     stitch,
     windows,
 )
-from octpipe.volume_io import FluidClass, LabelVolume, OctVolume, ProbVolume, write_volume
+from octpipe.volume_io import FLUIDS, FluidClass, LabelVolume, OctVolume, ProbVolume, write_volume
 
 
 def one_hot_patch(labels_plane):
@@ -74,20 +77,24 @@ def test_plan_grid_rejects_oversized_patch_and_bad_overlap():
         plan_grid((256, 256), (128, 128), -0.1)
 
 
-def test_plan_grid_full_coverage_random_geometries():
-    rng = np.random.default_rng(19)
-    for _ in range(30):
-        w, h = (int(v) for v in rng.integers(8, 90, size=2))
-        pw = int(rng.integers(1, w + 1))
-        ph = int(rng.integers(1, h + 1))
-        overlap = float(rng.uniform(0.0, 0.95))
-        grid = plan_grid((w, h), (pw, ph), overlap)
-        covered = np.zeros((h, w), dtype=bool)
-        for x, y in grid.anchors:
-            assert 0 <= x <= w - pw and 0 <= y <= h - ph
-            covered[y : y + ph, x : x + pw] = True
-        assert covered.all()
-        assert list(grid.anchors) == sorted(set(grid.anchors), key=lambda a: (a[1], a[0]))
+@settings(max_examples=200, deadline=None)
+@given(st.data())
+def test_plan_grid_full_coverage_random_geometries(data):
+    w, h = data.draw(st.integers(1, 90)), data.draw(st.integers(1, 90))
+    pw, ph = data.draw(st.integers(1, w)), data.draw(st.integers(1, h))
+    overlap = data.draw(st.floats(0.0, 0.99))
+    grid = plan_grid((w, h), (pw, ph), overlap)
+    covered = np.zeros((h, w), dtype=bool)
+    for x, y in grid.anchors:
+        assert 0 <= x <= w - pw and 0 <= y <= h - ph
+        covered[y : y + ph, x : x + pw] = True
+    assert covered.all()
+    assert list(grid.anchors) == sorted(set(grid.anchors), key=lambda a: (a[1], a[0]))
+    assert grid.stride_x == max(1, round(pw * (1 - overlap)))
+    assert grid.stride_y == max(1, round(ph * (1 - overlap)))
+    xs, ys = sorted({x for x, _ in grid.anchors}), sorted({y for _, y in grid.anchors})
+    assert len(grid.anchors) == len(xs) * len(ys)  # a lattice: every row ends at xs[-1]
+    assert xs[-1] == w - pw and ys[-1] == h - ph
 
 
 def test_interior_coverage_count_is_sixteen():
@@ -235,8 +242,6 @@ def test_depth_mode_parse_and_labels():
     assert DepthMode.parse("2.5d").kind == "2.5d"
     assert DepthMode.parse("3").kind == "3d"
     assert DepthMode.parse("2.5d").label == "2.5D"
-    assert DepthMode.d25(2).n_planes(100) == 5
-    assert DepthMode.d3().n_planes(100) == 100
     with pytest.raises(ValueError):
         DepthMode.parse("4d")
     with pytest.raises(ValueError):
@@ -389,20 +394,24 @@ def test_stitch_rejects_prediction_of_wrong_shape():
         stitch([((0, 0, 0), np.full((4, 8, 8), 0.25, dtype=np.float32))], grid, (16, 16, 1))
     with pytest.raises(ValidationError, match="shape"):
         stitch([((0, 0, 0), np.full((3, 16, 16), 0.25, dtype=np.float32))], grid, (16, 16, 1))
+
+
+def test_stitch_takes_the_prediction_shape_from_the_depth_mode():
+    """2d/2.5d grids take one (4, h, w) map per slice, 3d grids one
+    (4, depth, h, w) block at z = 0; anything else names its anchor."""
+    d2, d3 = (plan_grid((16, 16), (16, 16), 0.0, mode) for mode in (DepthMode.d2(), DepthMode.d3()))
     block = np.full((4, 3, 16, 16), 0.25, dtype=np.float32)
-    with pytest.raises(ValidationError, match="past depth 3"):
-        stitch([((0, 0, 1), block)], grid, (16, 16, 3))
-    grid = plan_grid((32, 16), (16, 16), 0.0)
-    mixed = [((0, 0, 0), block[:, 0]), ((16, 0, 0), block)]
-    with pytest.raises(ValidationError, match="other predictions at z=0"):
-        stitch(mixed, grid, (32, 16, 3))
-
-
-def test_stitch_rejects_overlapping_slice_ranges():
-    grid = plan_grid((16, 16), (16, 16), 0.0)
-    block = np.full((4, 2, 16, 16), 0.25, dtype=np.float32)
-    with pytest.raises(ValidationError, match="anchored at z=0"):
-        stitch([((0, 0, 0), block), ((0, 0, 1), block)], grid, (16, 16, 3))
+    rejected = (
+        (d2, (0, 0, 0), block, r"prediction at \(0, 0, 0\) has shape \(4, 3, 16, 16\)"),
+        (d3, (0, 0, 0), block[:, :2], r"prediction at \(0, 0, 0\) has shape \(4, 2, 16, 16\)"),
+        (d3, (0, 0, 1), block, r"anchor \(0, 0, 1\): 3d predictions anchor at z = 0"),
+        (d3, (0, 0, 0), block[:, 0], r"prediction at \(0, 0, 0\) has shape \(4, 16, 16\)"),
+    )
+    for grid, anchor, pred, message in rejected:
+        with pytest.raises(ValidationError, match=message):
+            stitch([(anchor, pred)], grid, (16, 16, 3))
+    expected = stitch([((0, 0, z), block[:, z]) for z in range(3)], d2, (16, 16, 3)).probs
+    np.testing.assert_array_equal(stitch([((0, 0, 0), block)], d3, (16, 16, 3)).probs, expected)
 
 
 def test_stitch_rejects_repeated_anchor():
@@ -622,6 +631,35 @@ def test_close_all_peak_is_one_label_copy_plus_plane_buffers():
         assert peak < voxels.nbytes + 4 * plane
 
 
+@settings(max_examples=200, deadline=None)
+@given(closing_cases())
+def test_closing_stable_means_no_fluid_closing_changes_the_labels(case):
+    voxels, radius = case
+    labels = LabelVolume(voxels=voxels, volume_id="p")
+    reference = all(np.array_equal(close_mask(labels, c, radius).voxels, voxels) for c in FLUIDS)
+    assert closing_stable(labels, radius) == reference
+
+
+def test_closing_stable_peak_is_one_label_copy_plus_plane_buffers():
+    """Checking a closing-stable 384x384x49 volume (so every fluid is closed)
+    copies its labels once; every other buffer is the size of a padded B-scan."""
+    import tracemalloc
+
+    voxels = np.zeros((49, 384, 384), dtype=np.uint8)
+    for cls, x in zip(FLUIDS, (20, 150, 280)):
+        voxels[:, 100:300, x : x + 80] = cls
+    labels = LabelVolume(voxels=voxels, volume_id="mem")
+    for radius in (1, 3):
+        tracemalloc.start()
+        try:
+            assert closing_stable(labels, radius)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        plane = (384 + 2 * radius) ** 2
+        assert peak < voxels.nbytes + 4 * plane
+
+
 def test_close_mask_rejects_background_and_bad_radius():
     labels = LabelVolume(voxels=np.zeros((1, 4, 4), dtype=np.uint8), volume_id="b")
     with pytest.raises(ValueError):
@@ -645,8 +683,8 @@ def test_oracle_round_trip_all_depth_modes():
     rng = np.random.default_rng(21)
     voxels = rng.integers(0, 4, size=(4, 48, 48), dtype=np.uint8)
     labels = LabelVolume(voxels=voxels, volume_id="rt")
-    grid = plan_grid((48, 48), (16, 16), 0.5)
     for mode in (DepthMode.d2(), DepthMode.d25(1), DepthMode.d3()):
+        grid = plan_grid((48, 48), (16, 16), 0.5, mode)
         preds = []
         if mode.kind == "3d":
             for x, y in grid.anchors:
@@ -709,3 +747,31 @@ def test_spill_loaders_reject_other_kind_and_truncated_payload(tmp_path):
         raw.write_bytes(raw.read_bytes()[:-4])
         with pytest.raises(FormatError, match="sidecar promises"):
             load(base)
+
+
+def _drop(field):
+    return lambda meta: {k: v for k, v in meta.items() if k != field}
+
+
+@pytest.mark.parametrize(
+    "spill, corrupt",
+    [
+        ("pred", lambda meta: "{not json"),
+        ("pred", _drop("anchors")),
+        ("pred", _drop("pred_shape")),
+        ("pred", lambda meta: {**meta, "anchors": 5}),
+        ("batch", _drop("grid")),
+    ],
+    ids=["bad-json", "no-anchors", "no-pred-shape", "anchors-not-a-list", "no-grid"],
+)
+def test_spill_loaders_name_a_malformed_sidecar(tmp_path, spill, corrupt):
+    grid = plan_grid((32, 32), (16, 16), 0.5)
+    batch = extract(make_volume((32, 32, 1)), grid)
+    save_patches(tmp_path / "batch", batch, grid)
+    save_predictions(tmp_path / "pred", [(a, np.full((4, 16, 16), 0.25)) for a in batch.anchors.tolist()])
+    sidecar = tmp_path / f"{spill}.json"
+    meta = corrupt(json.loads(sidecar.read_text()))
+    sidecar.write_text(meta if isinstance(meta, str) else json.dumps(meta))
+    load = load_predictions if spill == "pred" else load_patches
+    with pytest.raises(FormatError, match=re.escape(str(sidecar))):
+        load(tmp_path / spill)
