@@ -30,13 +30,7 @@ from .errors import ConfigError
 from .eval_harness.folds import make_folds, save_folds
 from .eval_harness.phantom import random_phantom
 from .eval_harness.report import load_report_csv, render_report
-from .eval_harness.runner import (
-    ExperimentSpec,
-    image_path,
-    label_path,
-    load_inventory,
-    run_experiment,
-)
+from .eval_harness.runner import image_path, label_path, load_inventory, run_experiment
 from .preprocess import default_slice_policy, filter_slices, preprocess_volume, resize_volume
 from .volume_io import read_labels, read_volume, vendor_of, write_volume
 
@@ -67,22 +61,6 @@ def _write_config_copy(cfg: RunConfig, directory: Path) -> None:
     (directory / "run_config.txt").write_text(render_config(cfg))
 
 
-def _experiment_spec(cfg: RunConfig) -> ExperimentSpec:
-    return ExperimentSpec(
-        data_root=cfg.data_root,
-        preprocess=cfg.preprocess,
-        depth_mode=cfg.parsed_depth_mode(),
-        variant=cfg.variant,
-        patch=(cfg.patch_size, cfg.patch_size),
-        overlap=cfg.overlap,
-        close_radius=cfg.close_radius,
-        aggregate=cfg.aggregate,
-        folds_k=cfg.folds_k,
-        seed=cfg.seed,
-        jobs=cfg.resolved_jobs,
-    )
-
-
 def cmd_info(args: argparse.Namespace, cfg: RunConfig) -> int:
     for path in args.paths:
         vol = read_volume(path)
@@ -95,22 +73,22 @@ def cmd_info(args: argparse.Namespace, cfg: RunConfig) -> int:
 
 def cmd_preprocess(args: argparse.Namespace, cfg: RunConfig) -> int:
     _require(cfg, DATA_ROOT, OUTPUT_DIR)
-    spec_target = cfg.preprocess.target_for(cfg.parsed_depth_mode())
+    target = cfg.preprocess.target_for(cfg.depth_mode)
     out_dir = cfg.output_dir / "volumes"
     inventory = load_inventory(cfg.data_root)
     for vendor in sorted(inventory):
         for volume_id in sorted(inventory[vendor]):
             vol = read_volume(image_path(cfg.data_root, volume_id))
-            processed = preprocess_volume(vol, cfg.preprocess, spec_target)
+            processed = preprocess_volume(vol, cfg.preprocess, target)
             out_dir.mkdir(parents=True, exist_ok=True)
             write_volume(processed, out_dir / f"{volume_id}.mhd")
             lpath = label_path(cfg.data_root, volume_id)
             if lpath.exists():
                 labels = read_labels(lpath)
-                if labels.dims[:2] != spec_target:
-                    labels = resize_volume(labels, spec_target)
+                if labels.dims[:2] != target:
+                    labels = resize_volume(labels, target)
                 write_volume(labels, out_dir / f"{volume_id}_labels.mhd")
-            print(f"preprocessed {volume_id} -> {spec_target[0]}x{spec_target[1]}")
+            print(f"preprocessed {volume_id} -> {target[0]}x{target[1]}")
     _write_config_copy(cfg, out_dir)
     return 0
 
@@ -133,7 +111,7 @@ def cmd_folds(args: argparse.Namespace, cfg: RunConfig) -> int:
 
 def cmd_patchify(args: argparse.Namespace, cfg: RunConfig) -> int:
     _require(cfg, DATA_ROOT, OUTPUT_DIR)
-    mode = cfg.parsed_depth_mode()
+    mode = cfg.depth_mode
     if args.slice is not None and mode.kind == "3d":
         raise ConfigError("--slice picks one B-scan, which --depth-mode 3d does not patch by")
     native = read_volume(image_path(cfg.data_root, args.volume))
@@ -142,7 +120,7 @@ def cmd_patchify(args: argparse.Namespace, cfg: RunConfig) -> int:
         raise ConfigError(f"--slice {args.slice} outside volume depth {native_dims[2]}")
     target = cfg.preprocess.target_for(mode)
     vol = preprocess_volume(native, cfg.preprocess, target)
-    grid = patch_engine.plan_grid(vol.dims[:2], (cfg.patch_size, cfg.patch_size), cfg.overlap, mode)
+    grid = patch_engine.plan_grid(vol.dims[:2], cfg.patch_size, cfg.overlap, mode)
     out_dir = cfg.output_dir / "patches"
     out_dir.mkdir(parents=True, exist_ok=True)
 
@@ -181,8 +159,7 @@ def cmd_stitch(args: argparse.Namespace, cfg: RunConfig) -> int:
     pairs = []
     for base in args.predictions:
         pairs.extend(patch_engine.load_predictions(Path(base)))
-    mode = cfg.parsed_depth_mode()
-    grid = patch_engine.plan_grid(dims[:2], (cfg.patch_size, cfg.patch_size), cfg.overlap, mode)
+    grid = patch_engine.plan_grid(dims[:2], cfg.patch_size, cfg.overlap, cfg.depth_mode)
     prob = patch_engine.stitch(pairs, grid, dims, volume_id=args.volume)
     prob.validate()
     out_dir = cfg.output_dir / "predictions"
@@ -198,17 +175,16 @@ def cmd_evaluate(args: argparse.Namespace, cfg: RunConfig) -> int:
     _require(cfg, DATA_ROOT, OUTPUT_DIR)
     if args.fold is not None and not 0 <= args.fold < cfg.folds_k:
         raise ConfigError(f"--fold {args.fold} outside plan with k={cfg.folds_k}")
-    spec = _experiment_spec(cfg)
     inventory = load_inventory(cfg.data_root)
     plan = make_folds(inventory, cfg.folds_k, cfg.seed)
     folds = [args.fold] if args.fold is not None else list(range(plan.k))
     entries = []
     for fold in folds:
-        entries.extend(run_experiment(spec, cfg.backend, fold, plan=plan))
+        entries.extend(run_experiment(cfg, cfg.backend, fold, plan=plan))
     table, csv_text = render_report(entries, training=cfg.training)
     out_dir = cfg.output_dir / "reports"
     out_dir.mkdir(parents=True, exist_ok=True)
-    tag = f"{spec.depth_mode.kind}_{cfg.variant}"
+    tag = f"{cfg.depth_mode.kind}_{cfg.variant}"
     (out_dir / f"evaluate_{tag}.csv").write_text(csv_text)
     (out_dir / f"evaluate_{tag}.md").write_text(table)
     _write_config_copy(cfg, out_dir)

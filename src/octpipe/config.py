@@ -4,8 +4,10 @@ The file format is one ``section.key=value`` pair per line (``#`` comments,
 blank lines ignored), flat on purpose so resolved configs diff cleanly.
 Every setting is declared once, as a row of ``KEYS``: its file key, where it
 lives in ``RunConfig``, how it is parsed and rendered, and its command-line
-flag.  Values are checked when read, so a bad one fails as ``ConfigError``
-naming its key.  ``render_config(cfg)`` emits every resolved setting in
+flag.  Keys only convert text; values are range-checked when the dataclass
+holding them is built, so a flag, a file and library code meet the same
+checks.  ``apply_settings`` turns a bad value into ``ConfigError`` naming its
+key.  ``render_config(cfg)`` emits every resolved setting in
 sorted order; parsing that text back yields an identical configuration.
 """
 
@@ -14,25 +16,31 @@ from __future__ import annotations
 import os
 from dataclasses import dataclass, field, replace
 from functools import partial
+from operator import attrgetter
 from pathlib import Path
 from typing import Any, Callable
 
 from .backends import TrainingConfig, parse_backend_descriptor
-from .errors import ConfigError
+from .errors import ConfigError, ValidationError
 from .eval_harness.report import VARIANT_ORDER
 from .eval_harness.runner import AGGREGATES
 from .patch_engine import DepthMode
 from .preprocess import DENOISERS, SLICE_POLICIES, PreprocessConfig
 
 DATA_ROOT_ENV = "OCTPIPE_DATA_ROOT"
+_SLICE_CHOICES = ("auto", *SLICE_POLICIES)
 
 
 @dataclass(frozen=True)
 class RunConfig:
+    """One run: every setting ``run_experiment`` and the commands read.
+
+    Each range check names the setting by its file key."""
+
     data_root: Path | None = None
     output_dir: Path | None = None
     variant: str = "P"
-    depth_mode: str = "2.5d"
+    depth_mode: DepthMode = field(default_factory=DepthMode.d25)
     backend: str = "threshold"
     jobs: int = 0  # 0 means "use logical core count"
     patch_size: int = 128
@@ -45,20 +53,36 @@ class RunConfig:
     preprocess: PreprocessConfig = field(default_factory=PreprocessConfig)
     training: TrainingConfig = field(default_factory=TrainingConfig)
 
+    def __post_init__(self):
+        for name, value, choices in (
+            ("variant", self.variant, VARIANT_ORDER),
+            ("eval.aggregate", self.aggregate, AGGREGATES),
+            ("slice_policy", self.slice_policy, _SLICE_CHOICES),
+        ):
+            if value not in choices:
+                raise ValidationError(f"{name} must be one of {choices}, got {value!r}")
+        for name, value, low in (
+            ("jobs", self.jobs, 0),
+            ("grid.patch_size", self.patch_size, 1),
+            ("grid.close_radius", self.close_radius, 0),
+            ("folds.k", self.folds_k, 2),
+        ):
+            if value < low:
+                raise ValidationError(f"{name} must be >= {low}, got {value}")
+        if not 0.0 <= self.overlap < 1.0:
+            raise ValidationError(f"grid.overlap must lie in [0, 1), got {self.overlap}")
+
     @property
     def resolved_jobs(self) -> int:
         return self.jobs if self.jobs > 0 else (os.cpu_count() or 1)
-
-    def parsed_depth_mode(self) -> DepthMode:
-        return DepthMode.parse(self.depth_mode)
 
 
 @dataclass(frozen=True)
 class Key:
     """One setting: file key ``name``, ``RunConfig`` attribute ``path``
     (``section.attr`` for nested configs; defaults to ``name``), text parser
-    and renderer, the allowed ``choices`` if any, and the command-line
-    ``flag`` (None for file-only keys)."""
+    and renderer, the ``choices`` the command line offers if any, and the
+    command-line ``flag`` (None for file-only keys)."""
 
     name: str
     parse: Callable[[str], Any] = str
@@ -73,9 +97,7 @@ class Key:
             object.__setattr__(self, "path", self.name)
 
     def read(self, text: str) -> Any:
-        """Parse one value; a bad value raises ConfigError naming this key."""
-        if self.choices is not None and text not in self.choices:
-            raise ConfigError(f"{self.name} must be one of {self.choices}, got {text!r}")
+        """Parse one value; unparseable text raises ConfigError naming this key."""
         try:
             return self.parse(text)
         except (ValueError, TypeError, ConfigError) as exc:
@@ -84,27 +106,6 @@ class Key:
     def get(self, cfg: RunConfig) -> Any:
         section, _, attr = self.path.rpartition(".")
         return getattr(getattr(cfg, section) if section else cfg, attr)
-
-
-def _at_least(low: int) -> Callable[[str], int]:
-    def parse(text: str) -> int:
-        value = int(text)
-        if value < low:
-            raise ValueError(f"must be >= {low}, got {value}")
-        return value
-
-    return parse
-
-
-def _fraction(text: str) -> float:
-    value = float(text)
-    if not 0.0 <= value < 1.0:
-        raise ValueError(f"must lie in [0, 1), got {value}")
-    return value
-
-
-def _depth_kind(text: str) -> str:
-    return DepthMode.parse(text).kind
 
 
 def _backend(text: str) -> str:
@@ -149,22 +150,28 @@ KEYS: tuple[Key, ...] = (
     DATA_ROOT,
     OUTPUT_DIR,
     Key("variant", flag="--variant", choices=VARIANT_ORDER),
-    Key("depth_mode", _depth_kind, flag="--depth-mode", help="2d | 2.5d | 3d"),
+    Key(
+        "depth_mode",
+        DepthMode.parse,
+        attrgetter("kind"),
+        flag="--depth-mode",
+        help="2d | 2.5d | 3d",
+    ),
     Key("backend", _backend, flag="--backend", help="threshold | oracle | external:DIR"),
-    Key("jobs", _at_least(0), flag="--jobs", help="0 = all cores"),
-    Key("grid.patch_size", _at_least(1), flag="--patch-size", path="patch_size"),
-    Key("grid.overlap", _fraction, repr, flag="--overlap", path="overlap"),
-    Key("grid.close_radius", _at_least(0), flag="--close-radius", path="close_radius"),
+    Key("jobs", int, flag="--jobs", help="0 = all cores"),
+    Key("grid.patch_size", int, flag="--patch-size", path="patch_size"),
+    Key("grid.overlap", float, repr, flag="--overlap", path="overlap"),
+    Key("grid.close_radius", int, flag="--close-radius", path="close_radius"),
     Key("eval.aggregate", flag="--aggregate", choices=AGGREGATES, path="aggregate"),
     Key(
         "folds.k",
-        _at_least(2),
+        int,
         flag="--folds",
         help="number of cross-validation folds",
         path="folds_k",
     ),
     Key("folds.seed", int, flag="--seed", path="seed"),
-    Key("slice_policy", flag="--slice-policy", choices=("auto", *SLICE_POLICIES)),
+    Key("slice_policy", flag="--slice-policy", choices=_SLICE_CHOICES),
     Key("preprocess.target_2d", partial(parse_dims, parts=2), _render_dims),
     Key("preprocess.target_vol", partial(parse_dims, parts=2), _render_dims),
     Key("preprocess.denoiser", flag="--denoiser", choices=DENOISERS),
@@ -225,7 +232,10 @@ def apply_settings(cfg: RunConfig, mapping: dict[str, str]) -> RunConfig:
             top[section] = replace(getattr(cfg, section), **values)
         except (ValueError, TypeError) as exc:
             raise ConfigError(f"bad {section} settings: {exc}") from exc
-    return replace(cfg, **top)
+    try:
+        return replace(cfg, **top)
+    except (ValueError, TypeError) as exc:
+        raise ConfigError(f"bad settings: {exc}") from exc
 
 
 def load_config(path: str | Path) -> RunConfig:

@@ -15,7 +15,6 @@ from .report import (
     render_table,
 )
 from .runner import (
-    ExperimentSpec,
     evaluate_volume,
     load_inventory,
     predict_volume,
@@ -27,7 +26,6 @@ from .runner import (
 __all__ = [
     "BlobSpec",
     "ConfusionCounts",
-    "ExperimentSpec",
     "FoldPlan",
     "ReportEntry",
     "closing_stable",

@@ -86,7 +86,7 @@ def synth_phantom(
         n = int(np.count_nonzero(mask))
         if n:
             voxels[mask] = rng.uniform(lo, hi, size=n).astype(np.float32)
-    vol = OctVolume(voxels=voxels, vendor=None, spacing=(1.0, 1.0, 1.0), volume_id=volume_id)
+    vol = OctVolume(voxels=voxels, spacing=(1.0, 1.0, 1.0), volume_id=volume_id)
     return vol, LabelVolume(voxels=labels, volume_id=volume_id)
 
 

@@ -15,9 +15,8 @@ import json
 from collections import deque
 from concurrent.futures import ThreadPoolExecutor
 from contextlib import closing
-from dataclasses import dataclass, field
 from pathlib import Path
-from typing import Iterator
+from typing import TYPE_CHECKING, Iterator
 
 import numpy as np
 
@@ -30,7 +29,6 @@ from ..backends import (
 )
 from ..errors import StageError, ValidationError
 from ..patch_engine import (
-    DepthMode,
     PatchBatch,
     PatchGrid,
     close_all,
@@ -43,40 +41,12 @@ from ..preprocess import PreprocessConfig, preprocess_volume, resize_volume
 from ..volume_io import FLUIDS, LabelVolume, OctVolume, ProbVolume, read_labels, read_volume
 from .folds import FoldPlan, make_folds
 from .metrics import ConfusionCounts, confusion, dice, dice_volume
-from .report import VARIANT_ORDER, ReportEntry
+from .report import ReportEntry
+
+if TYPE_CHECKING:
+    from ..config import RunConfig
 
 AGGREGATES = ("macro", "micro")
-
-
-@dataclass(frozen=True)
-class ExperimentSpec:
-    """Everything run_experiment needs besides the backend and fold index."""
-
-    data_root: Path
-    preprocess: PreprocessConfig = field(default_factory=PreprocessConfig)
-    depth_mode: DepthMode = field(default_factory=DepthMode.d25)
-    variant: str = "P"
-    patch: tuple[int, int] = (128, 128)
-    overlap: float = 0.75
-    close_radius: int = 1
-    aggregate: str = "macro"
-    folds_k: int = 3
-    seed: int = 0
-    jobs: int = 1
-
-    def __post_init__(self):
-        if self.variant not in VARIANT_ORDER:
-            raise ValidationError(f"variant must be one of {VARIANT_ORDER}, got {self.variant!r}")
-        if self.aggregate not in AGGREGATES:
-            raise ValidationError(f"aggregate must be one of {AGGREGATES}, got {self.aggregate!r}")
-        if self.jobs < 1:
-            raise ValidationError(f"jobs must be >= 1, got {self.jobs}")
-        if self.close_radius < 0:
-            raise ValidationError(f"close_radius must be >= 0, got {self.close_radius}")
-
-    @property
-    def working_target(self) -> tuple[int, int]:
-        return self.preprocess.target_for(self.depth_mode)
 
 
 def load_inventory(data_root: str | Path) -> dict[str, list[str]]:
@@ -147,34 +117,34 @@ def _predictions(
             yield from in_flight.popleft().result()
 
 
-def predict_volume(vol: OctVolume, backend: Backend, spec: ExperimentSpec) -> ProbVolume:
+def predict_volume(vol: OctVolume, backend: Backend, cfg: RunConfig) -> ProbVolume:
     """Predict a whole volume through the patch pipeline and stitch.
 
     Variant P tiles each plane with the configured overlapping grid; variant F
     degenerates to a single image-sized patch.  ``stitch`` drives the
     prediction stream directly, summing each batch into the output volume as
     it arrives, so no list of a volume's predictions is ever built; at most
-    ``spec.jobs + 1`` batches (slices, or single patches in 3d) are in flight.
-    The result is bit-identical for every ``spec.jobs``.
+    ``cfg.resolved_jobs + 1`` batches (slices, or single patches in 3d) are in
+    flight.  The result is bit-identical for every ``cfg.jobs``.
     """
     width, height, depth = vol.dims
-    mode = spec.depth_mode
-    if spec.variant == "F":
+    mode = cfg.depth_mode
+    if cfg.variant == "F":
         grid = plan_grid((width, height), (width, height), 0.0, mode)
     else:
-        grid = plan_grid((width, height), spec.patch, spec.overlap, mode)
-    with closing(_predictions(vol, grid, backend, spec.jobs)) as pairs:
+        grid = plan_grid((width, height), cfg.patch_size, cfg.overlap, mode)
+    with closing(_predictions(vol, grid, backend, cfg.resolved_jobs)) as pairs:
         return stitch(pairs, grid, (width, height, depth), volume_id=vol.volume_id)
 
 
 def segment_volume(
-    vol: OctVolume, backend: Backend, spec: ExperimentSpec
+    vol: OctVolume, backend: Backend, cfg: RunConfig
 ) -> tuple[ProbVolume, LabelVolume]:
     """predict -> stitch -> argmax -> per-fluid closing."""
-    prob = _stage("predict", vol.volume_id, predict_volume, vol, backend, spec)
+    prob = _stage("predict", vol.volume_id, predict_volume, vol, backend, cfg)
     pred = _stage("labelize", vol.volume_id, labelize, prob)
-    if spec.close_radius > 0:
-        pred = _stage("close", vol.volume_id, close_all, pred, spec.close_radius)
+    if cfg.close_radius > 0:
+        pred = _stage("close", vol.volume_id, close_all, pred, cfg.close_radius)
     return prob, pred
 
 
@@ -196,22 +166,21 @@ def _resolve_backend(backend: Backend | str) -> tuple[Backend | None, str]:
 def evaluate_volume(
     volume_id: str,
     backend: Backend | None,
-    spec: ExperimentSpec,
+    cfg: RunConfig,
 ) -> tuple[dict, dict]:
     """Score one volume; returns (per-fluid dice, per-fluid confusion counts)."""
-    vol = _stage("read_volume", volume_id, read_volume, image_path(spec.data_root, volume_id))
-    truth = _stage("read_labels", volume_id, read_labels, label_path(spec.data_root, volume_id))
-    vol, truth = _stage(
-        "preprocess", volume_id, preprocess_pair, vol, truth, spec.preprocess, spec.working_target
-    )
+    vol = _stage("read_volume", volume_id, read_volume, image_path(cfg.data_root, volume_id))
+    truth = _stage("read_labels", volume_id, read_labels, label_path(cfg.data_root, volume_id))
+    target = cfg.preprocess.target_for(cfg.depth_mode)
+    vol, truth = _stage("preprocess", volume_id, preprocess_pair, vol, truth, cfg.preprocess, target)
     bound = backend if backend is not None else oracle_backend(truth)
-    _prob, pred = segment_volume(vol, bound, spec)
+    _prob, pred = segment_volume(vol, bound, cfg)
     counts = _stage("score", volume_id, lambda: {cls: confusion(pred, truth, cls) for cls in FLUIDS})
     return {cls: dice(c) for cls, c in counts.items()}, counts
 
 
 def run_experiment(
-    spec: ExperimentSpec,
+    cfg: RunConfig,
     backend: Backend | str,
     fold: int,
     plan: FoldPlan | None = None,
@@ -220,11 +189,12 @@ def run_experiment(
 
     Per-vendor scores aggregate across the fold's test volumes by macro
     average (mean of per-volume Dice) or micro pooling (Dice of summed
-    confusion counts) per ``spec.aggregate``.
+    confusion counts) per ``cfg.aggregate``.  ``cfg.backend`` is not read:
+    the caller passes the backend, or its descriptor.
     """
     if plan is None:
-        inventory = load_inventory(spec.data_root)
-        plan = make_folds(inventory, spec.folds_k, spec.seed)
+        inventory = load_inventory(cfg.data_root)
+        plan = make_folds(inventory, cfg.folds_k, cfg.seed)
     if not 0 <= fold < plan.k:
         raise ValidationError(f"fold {fold} outside plan with k={plan.k}")
     resolved, descriptor = _resolve_backend(backend)
@@ -236,20 +206,20 @@ def run_experiment(
         per_volume: list[dict] = []
         pooled: dict = {cls: ConfusionCounts(0, 0, 0, 0) for cls in FLUIDS}
         for volume_id in ids:
-            scores, counts = evaluate_volume(volume_id, resolved, spec)
+            scores, counts = evaluate_volume(volume_id, resolved, cfg)
             per_volume.append(scores)
             for cls in FLUIDS:
                 pooled[cls] = pooled[cls] + counts[cls]
         for cls in FLUIDS:
-            if spec.aggregate == "macro":
+            if cfg.aggregate == "macro":
                 value = float(np.mean([scores[cls] for scores in per_volume]))
             else:
                 value = dice(pooled[cls])
             entries.append(
                 ReportEntry(
-                    dimension=spec.depth_mode.label,
+                    dimension=cfg.depth_mode.label,
                     model=descriptor,
-                    variant=spec.variant,
+                    variant=cfg.variant,
                     vendor=vendor,
                     fluid=cls.name,
                     dice=value,

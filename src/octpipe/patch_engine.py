@@ -261,9 +261,10 @@ def stitch(
     dividing by per-voxel counts bit for bit, since both operands are exact
     in float32.
 
-    Raises :class:`CoverageError` for an anchor outside ``grid`` and for a
-    voxel no patch covers, naming it (or, where every voxel is covered, the
-    first anchor that never arrived), and :class:`ValidationError` for
+    Raises :class:`CoverageError` for an anchor outside ``grid``, naming the
+    grid's image size, patch size and stride, and for a voxel no patch
+    covers, naming it (or, where every voxel is covered, the first anchor
+    that never arrived), and :class:`ValidationError` for
     ``dims`` unlike the grid's image, an anchor z outside ``dims``, a 3d
     anchor z other than 0, a prediction of the wrong shape, a repeated
     anchor, or a non-finite result, naming the first bad voxel.
@@ -321,7 +322,11 @@ def _accumulate(patch_probs, grid: PatchGrid, probs: np.ndarray, planes: int):
     for (x, y, z), pred in patch_probs:
         i = index.get((x, y))
         if i is None:
-            raise CoverageError(f"anchor ({x}, {y}) is not part of the planned grid")
+            w, h = grid.image_dims
+            raise CoverageError(
+                f"anchor ({x}, {y}) is not part of the grid planned for image {w}x{h}, "
+                f"patch {pw}x{ph}, stride {grid.stride_x}x{grid.stride_y}"
+            )
         if not 0 <= z < depth:
             raise ValidationError(f"anchor ({x}, {y}, {z}) lies outside depth {depth}")
         if z % planes:

@@ -116,7 +116,9 @@ def resize_volume(vol: OctVolume | LabelVolume, target: tuple[int, int]):
     """Resize every B-scan to ``target`` = (width, height); depth is preserved.
 
     Intensity volumes are interpolated bilinearly, label volumes with
-    nearest-neighbour so no new class can appear.
+    nearest-neighbour so no new class can appear.  An intensity volume's x
+    and y spacing scale with the resize, so each axis keeps its physical
+    extent; z spacing is unchanged.
     """
     tw, th = (int(t) for t in target)
     if tw < 1 or th < 1:
@@ -134,9 +136,12 @@ def resize_volume(vol: OctVolume | LabelVolume, target: tuple[int, int]):
     out = np.empty((depth, th, tw), dtype=np.float32)
     for z in range(depth):
         out[z] = resize_slice(vol.voxels[z].astype(np.float64), (tw, th), "bilinear")
-    return OctVolume(
-        voxels=out, vendor=vol.vendor, spacing=vol.spacing, volume_id=vol.volume_id
-    )
+    if vol.spacing is None:
+        spacing = None
+    else:
+        sx, sy, sz = vol.spacing
+        spacing = (sx * src_w / tw, sy * src_h / th, sz)
+    return OctVolume(voxels=out, spacing=spacing, volume_id=vol.volume_id)
 
 
 def _finite_range(vol: OctVolume) -> tuple[float, float]:
@@ -157,7 +162,7 @@ def normalize(vol: OctVolume) -> OctVolume:
         out /= hi - lo
     else:
         out = np.zeros_like(voxels, dtype=np.float32)
-    return OctVolume(voxels=out, vendor=vol.vendor, spacing=vol.spacing, volume_id=vol.volume_id)
+    return OctVolume(voxels=out, spacing=vol.spacing, volume_id=vol.volume_id)
 
 
 def _nlm(image: np.ndarray, search_radius: int, patch_radius: int, h: float) -> np.ndarray:
@@ -229,6 +234,5 @@ def preprocess_volume(
         voxels = np.empty_like(vol.voxels)
         for z, plane in enumerate(vol.voxels):
             voxels[z] = denoise(plane, cfg)
-        vol = OctVolume(voxels=voxels, vendor=vol.vendor, spacing=vol.spacing,
-                        volume_id=vol.volume_id)
+        vol = OctVolume(voxels=voxels, spacing=vol.spacing, volume_id=vol.volume_id)
     return vol

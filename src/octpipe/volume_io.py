@@ -67,7 +67,6 @@ class OctVolume:
     """Intensity volume, float32, indexed [z, y, x]."""
 
     voxels: np.ndarray
-    vendor: Vendor | None = None
     spacing: tuple[float, float, float] | None = None
     volume_id: str = ""
 
@@ -252,13 +251,7 @@ def read_volume(path: str | Path) -> OctVolume:
     data, header = _load_array(path)
     if data.ndim != 3:
         raise FormatError(f"{path}: expected a scalar 3-D volume, got NDims=4")
-    d, h, w = data.shape
-    return OctVolume(
-        voxels=data,
-        vendor=vendor_of((w, h, d)),
-        spacing=_parse_spacing(path, header),
-        volume_id=path.stem,
-    )
+    return OctVolume(voxels=data, spacing=_parse_spacing(path, header), volume_id=path.stem)
 
 
 def read_labels(path: str | Path) -> LabelVolume:

@@ -22,7 +22,8 @@ from octpipe.eval_harness.folds import make_folds
 from octpipe.eval_harness.metrics import dice_volume
 from octpipe.eval_harness.phantom import random_phantom
 from octpipe.eval_harness.report import format_cell, load_report_csv, render_report
-from octpipe.eval_harness.runner import ExperimentSpec, predict_volume, run_experiment
+from octpipe.config import RunConfig
+from octpipe.eval_harness.runner import predict_volume, run_experiment
 from octpipe.patch_engine import (
     DepthMode,
     close_all,
@@ -170,7 +171,7 @@ def test_criterion_04_fold_plan():
     print(f"PASS fold plan: (8,8,6) test / 16-per-vendor train, 100 seeds, {elapsed:.2f}s")
 
 
-def test_criterion_05_stitch_determinism(tmp_path):
+def test_criterion_05_stitch_determinism():
     start = time.perf_counter()
     rng = np.random.default_rng(55)
 
@@ -190,14 +191,8 @@ def test_criterion_05_stitch_determinism(tmp_path):
     backend = threshold_backend()
     outputs = []
     for jobs in (1, 2, 8):
-        spec = ExperimentSpec(
-            data_root=tmp_path,
-            depth_mode=DepthMode.d25(1),
-            patch=(32, 32),
-            overlap=0.5,
-            jobs=jobs,
-        )
-        outputs.append(predict_volume(vol, backend, spec).probs.tobytes())
+        cfg = RunConfig(depth_mode=DepthMode.d25(1), patch_size=32, overlap=0.5, jobs=jobs)
+        outputs.append(predict_volume(vol, backend, cfg).probs.tobytes())
     assert outputs[0] == outputs[1] == outputs[2]
 
     elapsed = time.perf_counter() - start
@@ -277,11 +272,11 @@ def test_criterion_08_report_fidelity(make_dataset, tmp_path):
         write_volume(ProbVolume(probs=probs, volume_id=vid), pred_dir / f"{vid}_prob.mhd")
         expected_labels[vid] = np.argmax(probs, axis=0).astype(np.uint8)
 
-    spec = ExperimentSpec(
+    cfg = RunConfig(
         data_root=root,
         preprocess=PreprocessConfig(target_2d=(96, 96), target_vol=(96, 96)),
         depth_mode=DepthMode.d25(1),
-        patch=(32, 32),
+        patch_size=32,
         overlap=0.5,
         close_radius=0,  # keep the argmax comparable to the file contents
         folds_k=2,
@@ -289,7 +284,7 @@ def test_criterion_08_report_fidelity(make_dataset, tmp_path):
     )
     plan = make_folds(inventory, 2, 0)
     backend = external_backend(pred_dir, descriptor="external")
-    entries = run_experiment(spec, backend, 0, plan=plan)
+    entries = run_experiment(cfg, backend, 0, plan=plan)
 
     expected = {}
     for vendor, ids in plan.test_sets[0].items():

@@ -68,7 +68,7 @@ def band_volume(dims, seed):
     w, h, d = dims
     rng = np.random.default_rng(seed)
     return OctVolume(voxels=rng.random((d, h, w), dtype=np.float32),
-                     vendor=None, spacing=None, volume_id="bv")
+                     spacing=None, volume_id="bv")
 
 
 def test_threshold_backend_center_plane_semantics():
@@ -109,7 +109,7 @@ def test_oracle_backend_reproduces_truth_windows():
 
     grid = plan_grid((24, 24), (8, 8), 0.5)
     batch = extract(OctVolume(voxels=np.zeros((4, 24, 24), np.float32),
-                              vendor=None, spacing=None, volume_id="t"), grid, z=1)
+                              spacing=None, volume_id="t"), grid, z=1)
     preds = backend.predict(batch, DepthMode.d2(), "t")
     for (x, y, _), pred in zip(batch.anchors, preds):
         np.testing.assert_array_equal(pred.argmax(axis=0), voxels[1, y : y + 8, x : x + 8])
@@ -131,8 +131,7 @@ def test_external_backend_round_trip(tmp_path):
 
     backend = external_backend(tmp_path)
     grid = plan_grid((16, 16), (8, 8), 0.5)
-    vol = OctVolume(voxels=np.zeros((3, 16, 16), np.float32), vendor=None,
-                    spacing=None, volume_id="case")
+    vol = OctVolume(voxels=np.zeros((3, 16, 16), np.float32), spacing=None, volume_id="case")
     batch = extract(vol, grid, z=2)
     preds = backend.predict(batch, DepthMode.d2(), "case")
     for (x, y, _), pred in zip(batch.anchors, preds):

@@ -6,7 +6,7 @@ import pytest
 from octpipe import patch_engine
 from octpipe.backends import threshold_backend
 from octpipe.cli import main
-from octpipe.config import DATA_ROOT_ENV
+from octpipe.config import DATA_ROOT_ENV, KEYS
 from octpipe.eval_harness.folds import load_folds
 from octpipe.eval_harness.report import load_report_csv
 from octpipe.preprocess import filter_slices
@@ -163,6 +163,21 @@ def test_preprocess_resizes_images_and_labels(make_dataset, tmp_path, capsys):
     assert (out_dir / "volumes" / "run_config.txt").exists()
 
 
+def test_preprocess_header_spacing_follows_the_resize(make_dataset, tmp_path, capsys):
+    root, inventory, _ = make_dataset()
+    cfg = tmp_path / "half.cfg"
+    cfg.write_text("preprocess.target_vol = 48x24\n")
+    out_dir = tmp_path / "out"
+    rc, _, err = run(
+        capsys, "preprocess", "--config", cfg, "--data-root", root, "--output-dir", out_dir
+    )
+    assert rc == 0, err
+    # the 96x96x4 phantoms are written with unit spacing
+    header = (out_dir / "volumes" / "cirrus_00.mhd").read_text()
+    assert "DimSize = 48 24 4\n" in header
+    assert "ElementSpacing = 2.0 4.0 1.0\n" in header
+
+
 def test_patchify_stitch_round_trip(make_dataset, tmp_path, capsys):
     root, _, truths = make_dataset()
     out_dir = tmp_path / "out"
@@ -208,6 +223,27 @@ def test_patchify_stitch_round_trip(make_dataset, tmp_path, capsys):
     prob.validate()
     labels = patch_engine.labelize(prob)
     np.testing.assert_array_equal(labels.voxels, truths[vid].voxels)
+
+
+def test_stitch_onto_a_mismatched_grid_names_the_grid(make_dataset, tmp_path, capsys):
+    root, _, _ = make_dataset()
+    out_dir = tmp_path / "out"
+    common = ["--config", native_config(tmp_path), "--data-root", root, "--output-dir", out_dir]
+    rc, _, err = run(capsys, "patchify", "--volume", "cirrus_00", "--slice", "0", *common)
+    assert rc == 0, err
+    batch, grid, _ = patch_engine.load_patches(out_dir / "patches" / "cirrus_00_z0000")
+    probs = threshold_backend().predict(batch, grid.depth_mode, "cirrus_00")
+    pred_base = out_dir / "patches" / "pred_cirrus_00_z0000"
+    patch_engine.save_predictions(pred_base, list(zip(map(tuple, batch.anchors.tolist()), probs)))
+
+    # cut at 96x96 with patch 32 and stride 16, stitched as if the slice were 64x64
+    rc, _, err = run(
+        capsys, "stitch", "--volume", "cirrus_00", "--dims", "64x64x1",
+        "--predictions", pred_base, *common,
+    )
+    assert rc == 1
+    assert "anchor (48, 0)" in err
+    assert "image 64x64, patch 32x32, stride 16x16" in err
 
 
 def test_patchify_policy_selects_diseased_slices(make_dataset, tmp_path, capsys):
@@ -356,6 +392,37 @@ def test_out_of_range_flag_is_usage_error(make_dataset, tmp_path, capsys, flag, 
     )
     assert rc == 2
     assert err.startswith("error:")
+
+
+@pytest.mark.parametrize(
+    "key, value",
+    [
+        ("jobs", "-4"),
+        ("grid.patch_size", "0"),
+        ("grid.overlap", "1.0"),
+        ("grid.close_radius", "-1"),
+        ("folds.k", "1"),
+        ("eval.aggregate", "median"),
+        ("slice_policy", "never"),
+    ],
+)
+def test_out_of_range_setting_names_its_key_before_writing(
+    make_dataset, tmp_path, capsys, key, value
+):
+    root, _, _ = make_dataset()
+    cfg = tmp_path / "bad.cfg"
+    cfg.write_text(f"{key} = {value}\n")
+    flag = next(k.flag for k in KEYS if k.name == key)
+    out_dir = tmp_path / "out"
+    common = ["--data-root", root, "--output-dir", out_dir]
+    given = [["--config", cfg]]
+    if key not in ("eval.aggregate", "slice_policy"):  # argparse offers only the choices
+        given.append([flag, value])
+    for setting in given:
+        rc, _, err = run(capsys, "evaluate", *common, *setting)
+        assert rc == 2
+        assert f"{key} must" in err and value in err
+        assert not out_dir.exists()
 
 
 def test_bad_flag_value_is_usage_error(make_dataset, tmp_path, capsys):

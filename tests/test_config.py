@@ -18,7 +18,8 @@ from octpipe.config import (
     render_config,
     resolve_data_root,
 )
-from octpipe.errors import ConfigError
+from octpipe.errors import ConfigError, ValidationError
+from octpipe.patch_engine import DepthMode
 
 
 def test_parse_config_text_skips_comments_and_blanks():
@@ -50,7 +51,7 @@ def test_apply_settings_reaches_nested_configs():
     assert cfg.preprocess.denoiser == "gaussian"
     assert cfg.training.epochs == 5
     assert cfg.patch_size == 32
-    assert cfg.parsed_depth_mode().kind == "3d"
+    assert cfg.depth_mode == DepthMode.d3()
 
 
 def test_apply_settings_rejects_unknown_and_bad_values():
@@ -110,6 +111,52 @@ def test_resolve_data_root_env_fallback(monkeypatch, tmp_path):
 def test_resolved_jobs_zero_means_cpu_count():
     assert RunConfig(jobs=0).resolved_jobs >= 1
     assert RunConfig(jobs=3).resolved_jobs == 3
+
+
+def test_run_config_validation_and_targets():
+    lowest = RunConfig(jobs=0, patch_size=1, overlap=0.0, close_radius=0, folds_k=2)
+    assert (lowest.jobs, lowest.patch_size, lowest.folds_k) == (0, 1, 2)
+    for bad in (
+        {"variant": "Q"},
+        {"aggregate": "median"},
+        {"slice_policy": "never"},
+        {"jobs": -1},
+        {"patch_size": 0},
+        {"overlap": 1.0},
+        {"overlap": -0.25},
+        {"close_radius": -1},
+        {"folds_k": 1},
+    ):
+        with pytest.raises(ValidationError):
+            RunConfig(**bad)
+    cfg_2d = RunConfig(depth_mode=DepthMode.d2())
+    assert cfg_2d.preprocess.target_for(cfg_2d.depth_mode) == (572, 572)
+    cfg_3d = RunConfig(depth_mode=DepthMode.d3())
+    assert cfg_3d.preprocess.target_for(cfg_3d.depth_mode) == (384, 384)
+
+
+@pytest.mark.parametrize(
+    "attr, key, value",
+    [
+        ("variant", "variant", "Q"),
+        ("aggregate", "eval.aggregate", "median"),
+        ("slice_policy", "slice_policy", "never"),
+        ("jobs", "jobs", -4),
+        ("patch_size", "grid.patch_size", 0),
+        ("overlap", "grid.overlap", 1.0),
+        ("overlap", "grid.overlap", -0.5),
+        ("overlap", "grid.overlap", float("nan")),
+        ("close_radius", "grid.close_radius", -1),
+        ("folds_k", "folds.k", 1),
+    ],
+)
+def test_bad_value_fails_alike_in_code_and_in_settings(attr, key, value):
+    with pytest.raises(ValidationError, match=re.escape(key)) as in_code:
+        RunConfig(**{attr: value})
+    text = value if isinstance(value, str) else repr(value)
+    with pytest.raises(ConfigError, match=re.escape(key)) as in_settings:
+        apply_settings(RunConfig(), {key: text})
+    assert str(in_code.value) in str(in_settings.value)
 
 
 def test_render_config_round_trips_lr_pair_below_defaults():

@@ -4,11 +4,11 @@ import numpy as np
 import pytest
 
 from octpipe.backends import TrainingConfig, one_hot, threshold_backend
+from octpipe.config import RunConfig
 from octpipe.errors import StageError, ValidationError
 from octpipe.eval_harness import (
     BlobSpec,
     ConfusionCounts,
-    ExperimentSpec,
     FoldPlan,
     ReportEntry,
     closing_stable,
@@ -391,26 +391,26 @@ def test_render_report_returns_both_views():
 # ---------------------------------------------------------------- runner
 
 
-def nat_spec(root, **kw):
-    """Spec pinned to the phantom's native resolution so scores stay exact."""
+def nat_config(root, **kw):
+    """Run configuration pinned to the phantom's native resolution so scores stay exact."""
     base = dict(
         data_root=root,
         preprocess=PreprocessConfig(target_2d=(96, 96), target_vol=(96, 96)),
         depth_mode=DepthMode.d25(),
-        patch=(32, 32),
+        patch_size=32,
         overlap=0.5,
         close_radius=1,
         folds_k=2,
         seed=0,
     )
     base.update(kw)
-    return ExperimentSpec(**base)
+    return RunConfig(**base)
 
 
 def test_run_experiment_oracle_all_ones(make_dataset):
     root, inventory, _ = make_dataset()
-    spec = nat_spec(root)
-    entries = run_experiment(spec, "oracle", fold=0)
+    cfg = nat_config(root)
+    entries = run_experiment(cfg, "oracle", fold=0)
     assert len(entries) == len(inventory) * 3
     assert all(e.dice == 1.0 for e in entries)
     assert {e.vendor for e in entries} == set(inventory)
@@ -422,7 +422,7 @@ def test_run_experiment_threshold_variants_complete(make_dataset):
     root, inventory, _ = make_dataset()
     rows = {}
     for variant in ("F", "P"):
-        entries = run_experiment(nat_spec(root, variant=variant), "threshold", fold=1)
+        entries = run_experiment(nat_config(root, variant=variant), "threshold", fold=1)
         assert {(e.vendor, e.fluid) for e in entries} == {
             (v, f) for v in inventory for f in ("IRF", "SRF", "PED")
         }
@@ -435,15 +435,15 @@ def test_run_experiment_threshold_variants_complete(make_dataset):
 def test_run_experiment_depth_modes_agree_on_oracle(make_dataset):
     root, _, _ = make_dataset(vendors=("Cirrus",), n_per_vendor=2)
     for mode in (DepthMode.d2(), DepthMode.d25(1), DepthMode.d3()):
-        entries = run_experiment(nat_spec(root, depth_mode=mode), "oracle", fold=0)
+        entries = run_experiment(nat_config(root, depth_mode=mode), "oracle", fold=0)
         assert all(e.dice == 1.0 for e in entries)
         assert all(e.dimension == mode.label for e in entries)
 
 
 def test_run_experiment_external_matches_standalone_scoring(make_dataset, tmp_path):
     root, inventory, truths = make_dataset(vendors=("Cirrus",), n_per_vendor=2)
-    spec = nat_spec(root, close_radius=0)
-    plan = make_folds(inventory, 2, spec.seed)
+    cfg = nat_config(root, close_radius=0)
+    plan = make_folds(inventory, 2, cfg.seed)
 
     prob_dir = tmp_path / "probs"
     prob_dir.mkdir()
@@ -455,7 +455,7 @@ def test_run_experiment_external_matches_standalone_scoring(make_dataset, tmp_pa
         probs = raw / raw.sum(axis=0, keepdims=True)
         write_volume(ProbVolume(probs=probs, volume_id=vid), prob_dir / f"{vid}_prob.mhd")
 
-    entries = run_experiment(spec, f"external:{prob_dir}", fold=0, plan=plan)
+    entries = run_experiment(cfg, f"external:{prob_dir}", fold=0, plan=plan)
 
     from octpipe.volume_io import read_prob
 
@@ -491,10 +491,10 @@ def test_run_experiment_micro_vs_macro(make_dataset, tmp_path):
         predictions[vid] = labelize(ProbVolume(probs=probs, volume_id=vid))
         write_volume(ProbVolume(probs=probs, volume_id=vid), prob_dir / f"{vid}_prob.mhd")
 
-    spec_macro = nat_spec(root, close_radius=0, aggregate="macro")
-    spec_micro = nat_spec(root, close_radius=0, aggregate="micro")
-    macro = run_experiment(spec_macro, f"external:{prob_dir}", fold, plan=plan)
-    micro = run_experiment(spec_micro, f"external:{prob_dir}", fold, plan=plan)
+    cfg_macro = nat_config(root, close_radius=0, aggregate="macro")
+    cfg_micro = nat_config(root, close_radius=0, aggregate="micro")
+    macro = run_experiment(cfg_macro, f"external:{prob_dir}", fold, plan=plan)
+    micro = run_experiment(cfg_micro, f"external:{prob_dir}", fold, plan=plan)
 
     for cls in FLUIDS:
         pooled = confusion(predictions[first], truths[first], cls) + confusion(
@@ -514,9 +514,9 @@ def test_evaluate_volume_tags_stage_failures(make_dataset):
     root, _, truths = make_dataset(vendors=("Cirrus",), n_per_vendor=2)
     vid = sorted(truths)[0]
     label_path(root, vid).unlink()
-    spec = nat_spec(root)
+    cfg = nat_config(root)
     with pytest.raises(StageError) as err:
-        evaluate_volume(vid, None, spec)
+        evaluate_volume(vid, None, cfg)
     assert err.value.stage == "read_labels"
     assert err.value.volume_id == vid
 
@@ -524,7 +524,7 @@ def test_evaluate_volume_tags_stage_failures(make_dataset):
 def test_run_experiment_rejects_bad_fold(make_dataset):
     root, _, _ = make_dataset()
     with pytest.raises(ValidationError):
-        run_experiment(nat_spec(root), "oracle", fold=5)
+        run_experiment(nat_config(root), "oracle", fold=5)
 
 
 def test_load_inventory_errors(tmp_path):
@@ -535,23 +535,10 @@ def test_load_inventory_errors(tmp_path):
         load_inventory(tmp_path)
 
 
-def test_experiment_spec_validation_and_targets(tmp_path):
-    with pytest.raises(ValidationError):
-        ExperimentSpec(data_root=tmp_path, variant="Q")
-    with pytest.raises(ValidationError):
-        ExperimentSpec(data_root=tmp_path, aggregate="median")
-    with pytest.raises(ValidationError):
-        ExperimentSpec(data_root=tmp_path, jobs=0)
-    spec_2d = ExperimentSpec(data_root=tmp_path, depth_mode=DepthMode.d2())
-    assert spec_2d.working_target == (572, 572)
-    spec_3d = ExperimentSpec(data_root=tmp_path, depth_mode=DepthMode.d3())
-    assert spec_3d.working_target == (384, 384)
-
-
 def test_run_experiment_jobs_invariant(make_dataset):
     root, _, _ = make_dataset(vendors=("Cirrus",), n_per_vendor=2)
-    base = run_experiment(nat_spec(root, jobs=1), "threshold", fold=0)
-    threaded = run_experiment(nat_spec(root, jobs=4), "threshold", fold=0)
+    base = run_experiment(nat_config(root, jobs=1), "threshold", fold=0)
+    threaded = run_experiment(nat_config(root, jobs=4), "threshold", fold=0)
     assert [(e.vendor, e.fluid, e.dice) for e in base] == [
         (e.vendor, e.fluid, e.dice) for e in threaded
     ]
@@ -585,11 +572,11 @@ def test_evaluate_volume_counts_each_fluid_once(make_dataset, tmp_path, monkeypa
         runner, "segment_volume",
         lambda vol, *a: seen.setdefault("pred", segment(vol, *a)),
     )
-    spec = nat_spec(root, close_radius=0)
+    cfg = nat_config(root, close_radius=0)
     for vid, truth in truths.items():
         calls.clear()
         seen.clear()
-        scores, counts = evaluate_volume(vid, backend, spec)
+        scores, counts = evaluate_volume(vid, backend, cfg)
         assert sorted(calls) == sorted(FLUIDS)
         pred = seen["pred"][1]
         assert scores == dice_volume(pred, truth)
@@ -599,7 +586,7 @@ def test_evaluate_volume_counts_each_fluid_once(make_dataset, tmp_path, monkeypa
 
 @pytest.mark.parametrize("mode", [DepthMode.d25(1), DepthMode.d3()], ids=["2.5d", "3d"])
 @pytest.mark.parametrize("jobs", [1, 2])
-def test_predict_volume_peak_memory_stays_near_output_size(tmp_path, mode, jobs):
+def test_predict_volume_peak_memory_stays_near_output_size(mode, jobs):
     """Overlap 0.75 covers each voxel 9 times on average, so holding every
     patch prediction would cost about 9 output volumes."""
     import tracemalloc
@@ -609,13 +596,11 @@ def test_predict_volume_peak_memory_stays_near_output_size(tmp_path, mode, jobs)
 
     rng = np.random.default_rng(71)
     vol = OctVolume(rng.random((48, 48, 48), dtype=np.float32), volume_id="mem")
-    spec = ExperimentSpec(
-        data_root=tmp_path, depth_mode=mode, patch=(16, 16), overlap=0.75, jobs=jobs
-    )
+    cfg = RunConfig(depth_mode=mode, patch_size=16, overlap=0.75, jobs=jobs)
     backend = threshold_backend()
     tracemalloc.start()
     try:
-        prob = predict_volume(vol, backend, spec)
+        prob = predict_volume(vol, backend, cfg)
         peak = tracemalloc.get_traced_memory()[1]
     finally:
         tracemalloc.stop()
@@ -640,9 +625,7 @@ def test_predict_volume_3d_peak_holds_no_block_past_its_row(tmp_path, backend_ki
 
     rng = np.random.default_rng(71)
     vol = OctVolume(rng.random((48, 48, 48), dtype=np.float32), volume_id="mem")
-    spec = ExperimentSpec(
-        data_root=tmp_path, depth_mode=DepthMode.d3(), patch=(16, 16), overlap=0.75, jobs=jobs
-    )
+    cfg = RunConfig(depth_mode=DepthMode.d3(), patch_size=16, overlap=0.75, jobs=jobs)
     if backend_kind == "external":
         probs = rng.random((4, 48, 48, 48), dtype=np.float32) + 0.5
         probs /= probs.sum(axis=0)
@@ -653,7 +636,7 @@ def test_predict_volume_3d_peak_holds_no_block_past_its_row(tmp_path, backend_ki
         backend = threshold_backend()
     tracemalloc.start()
     try:
-        output = predict_volume(vol, backend, spec).probs.nbytes
+        output = predict_volume(vol, backend, cfg).probs.nbytes
         peak = tracemalloc.get_traced_memory()[1]
     finally:
         tracemalloc.stop()
@@ -698,15 +681,13 @@ def test_per_voxel_passes_peak_near_output_plus_one_slice(tmp_path, stage):
     assert peak < output_bytes + probs[:, 0].nbytes
 
 
-def test_predict_volume_3d_is_jobs_invariant(tmp_path):
+def test_predict_volume_3d_is_jobs_invariant():
     from octpipe.eval_harness.runner import predict_volume
     from octpipe.volume_io import OctVolume
 
     vol = OctVolume(np.random.default_rng(72).random((6, 40, 40), dtype=np.float32), volume_id="j")
     outputs = set()
     for jobs in (1, 2, 8):
-        spec = ExperimentSpec(
-            data_root=tmp_path, depth_mode=DepthMode.d3(), patch=(16, 16), overlap=0.5, jobs=jobs
-        )
-        outputs.add(predict_volume(vol, threshold_backend(), spec).probs.tobytes())
+        cfg = RunConfig(depth_mode=DepthMode.d3(), patch_size=16, overlap=0.5, jobs=jobs)
+        outputs.add(predict_volume(vol, threshold_backend(), cfg).probs.tobytes())
     assert len(outputs) == 1

@@ -43,7 +43,7 @@ def make_volume(dims, seed=0):
     w, h, d = dims
     rng = np.random.default_rng(seed)
     return OctVolume(voxels=rng.random((d, h, w), dtype=np.float32),
-                     vendor=None, spacing=None, volume_id="v")
+                     spacing=None, volume_id="v")
 
 
 def test_plan_grid_exact_fit_384():

@@ -4,6 +4,8 @@ import math
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from octpipe.errors import ValidationError
 from octpipe.preprocess import (
@@ -111,14 +113,27 @@ def test_resize_slice_rejects_bad_arguments():
 def test_resize_volume_spectralis_geometry():
     vol = OctVolume(
         voxels=np.random.default_rng(1).random((49, 496, 512), dtype=np.float32),
-        vendor=Vendor.SPECTRALIS,
         spacing=None,
         volume_id="s",
     )
     out = resize_volume(vol, (384, 384))
     assert out.dims == (384, 384, 49)
-    assert out.vendor is Vendor.SPECTRALIS
     assert out.volume_id == "s"
+
+
+@settings(max_examples=100, deadline=None)
+@given(
+    src=st.tuples(st.integers(1, 40), st.integers(1, 40), st.integers(1, 3)),
+    target=st.tuples(st.integers(1, 40), st.integers(1, 40)),
+    spacing=st.tuples(*[st.floats(1e-4, 1e3)] * 3),
+)
+def test_resize_volume_keeps_each_axis_extent(src, target, spacing):
+    w, h, d = src
+    vol = OctVolume(voxels=np.zeros((d, h, w), np.float32), spacing=spacing, volume_id="sp")
+    out = resize_volume(vol, target)
+    for axis, (before, after) in enumerate(zip((w, h, d), out.dims)):
+        assert math.isclose(out.spacing[axis] * after, spacing[axis] * before, rel_tol=1e-12)
+    assert out.spacing[2] == spacing[2]
 
 
 def test_resize_volume_preserves_label_alphabet():
@@ -153,19 +168,19 @@ def test_resize_volume_identity_is_exact():
 def test_normalize_affine_and_degenerate():
     vol = OctVolume(
         voxels=np.array([[[10.0, 20.0, 30.0]]], dtype=np.float32),
-        vendor=None, spacing=None, volume_id="n",
+        spacing=None, volume_id="n",
     )
     np.testing.assert_allclose(normalize(vol).voxels, [[[0.0, 0.5, 1.0]]])
 
     flat = OctVolume(voxels=np.full((2, 2, 2), 7.0, np.float32),
-                     vendor=None, spacing=None, volume_id="f")
+                     spacing=None, volume_id="f")
     np.testing.assert_array_equal(normalize(flat).voxels, np.zeros((2, 2, 2)))
 
 
 def test_normalize_idempotent():
     rng = np.random.default_rng(29)
     vol = OctVolume(voxels=rng.random((3, 8, 8), dtype=np.float32) * 40 - 5,
-                    vendor=None, spacing=None, volume_id="r")
+                    spacing=None, volume_id="r")
     once = normalize(vol)
     twice = normalize(once)
     np.testing.assert_array_equal(once.voxels, twice.voxels)
@@ -174,7 +189,7 @@ def test_normalize_idempotent():
 def test_normalize_rejects_non_finite():
     voxels = np.zeros((1, 2, 2), dtype=np.float32)
     voxels[0, 0, 0] = np.nan
-    vol = OctVolume(voxels=voxels, vendor=None, spacing=None, volume_id="nan")
+    vol = OctVolume(voxels=voxels, spacing=None, volume_id="nan")
     with pytest.raises(ValidationError):
         normalize(vol)
 
@@ -244,14 +259,14 @@ def test_default_slice_policy_per_vendor():
 def test_preprocess_volume_auto_passthrough_is_bit_true():
     rng = np.random.default_rng(41)
     voxels = rng.random((4, 32, 32), dtype=np.float32)
-    vol = OctVolume(voxels=voxels, vendor=None, spacing=None, volume_id="p")
+    vol = OctVolume(voxels=voxels, spacing=None, volume_id="p")
     out = preprocess_volume(vol, PreprocessConfig(), (32, 32))
     np.testing.assert_array_equal(out.voxels, voxels)
 
 
 def test_preprocess_volume_rescales_when_out_of_range():
     voxels = np.array([[[0.0, 128.0], [64.0, 255.0]]], dtype=np.float32)
-    vol = OctVolume(voxels=voxels, vendor=None, spacing=None, volume_id="w")
+    vol = OctVolume(voxels=voxels, spacing=None, volume_id="w")
     out = preprocess_volume(vol, PreprocessConfig(), (2, 2))
     assert out.voxels.min() == 0.0 and out.voxels.max() == 1.0
 
@@ -259,6 +274,6 @@ def test_preprocess_volume_rescales_when_out_of_range():
 def test_preprocess_volume_resizes_and_denoises():
     rng = np.random.default_rng(43)
     vol = OctVolume(voxels=rng.random((3, 20, 24), dtype=np.float32),
-                    vendor=None, spacing=None, volume_id="rd")
+                    spacing=None, volume_id="rd")
     out = preprocess_volume(vol, PreprocessConfig(denoiser="gaussian", sigma=1.0), (16, 16))
     assert out.dims == (16, 16, 3)

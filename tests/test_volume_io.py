@@ -44,7 +44,7 @@ def header_for(dims, element_type):
 def test_float_volume_round_trip(tmp_path):
     rng = np.random.default_rng(5)
     voxels = rng.random((6, 5, 4), dtype=np.float32)
-    vol = OctVolume(voxels=voxels, vendor=None, spacing=(0.5, 0.25, 2.0), volume_id="v")
+    vol = OctVolume(voxels=voxels, spacing=(0.5, 0.25, 2.0), volume_id="v")
     write_volume(vol, tmp_path / "v.mhd")
     back = read_volume(tmp_path / "v.mhd")
     assert back.dims == (4, 5, 6)
@@ -119,7 +119,7 @@ def test_oct_volume_round_trip_is_bit_identical(voxels, spacing):
     assert back.voxels.dtype == np.float32 and back.voxels.shape == voxels.shape
     assert back.voxels.tobytes() == voxels.tobytes()
     assert back.spacing == spacing
-    assert back.vendor == vendor_of(back.dims) and back.volume_id == "v"
+    assert back.volume_id == "v"
 
 
 @settings(max_examples=100, deadline=None)
@@ -166,7 +166,7 @@ def test_vendor_of_table_geometries():
 def test_volume_id_from_stem_and_prob_suffix(tmp_path):
     voxels = np.zeros((2, 2, 2), dtype=np.float32)
     write_volume(
-        OctVolume(voxels=voxels, vendor=None, spacing=None, volume_id="ignored"),
+        OctVolume(voxels=voxels, spacing=None, volume_id="ignored"),
         tmp_path / "case07.mhd",
     )
     assert read_volume(tmp_path / "case07.mhd").volume_id == "case07"
