@@ -33,12 +33,10 @@ PROB_CLAMP = 1e-7
 
 @dataclass(frozen=True)
 class Backend:
-    """A named predictor. ``predict(batch, mode, volume_id)`` returns the
-    batch's N class-first probability maps as one array, in batch order."""
+    """A predictor. ``predict(batch, mode, volume_id)`` returns the batch's N
+    class-first probability maps as one array, in batch order."""
 
-    descriptor: str
     predict: PredictFn
-    needs_truth: bool = False
 
 
 @dataclass(frozen=True)
@@ -116,7 +114,7 @@ def threshold_backend(bands: tuple[float, float, float] = DEFAULT_BANDS) -> Back
         data = batch.data if mode.kind == "3d" else batch.data[:, batch.data.shape[1] // 2]
         return one_hot(classify_bands(data, bands), axis=1)
 
-    return Backend(descriptor="threshold", predict=predict)
+    return Backend(predict)
 
 
 def oracle_backend(truth: LabelVolume) -> Backend:
@@ -126,10 +124,10 @@ def oracle_backend(truth: LabelVolume) -> Backend:
         labels = windows(truth.voxels, batch.anchors, batch.data.shape[-2:], mode.kind != "3d")
         return one_hot(labels, axis=1)
 
-    return Backend(descriptor="oracle", predict=predict, needs_truth=True)
+    return Backend(predict)
 
 
-def external_backend(prob_dir: str | Path, descriptor: str | None = None) -> Backend:
+def external_backend(prob_dir: str | Path) -> Backend:
     """Crop windows out of precomputed ``<volume_id>_prob.mhd`` files.
 
     Only the volume last asked for is kept, validated once; the previous one
@@ -158,7 +156,7 @@ def external_backend(prob_dir: str | Path, descriptor: str | None = None) -> Bac
         probs = load(volume_id).probs
         return windows(probs, batch.anchors, batch.data.shape[-2:], mode.kind != "3d")
 
-    return Backend(descriptor=descriptor or f"external:{prob_dir}", predict=predict)
+    return Backend(predict)
 
 
 def class_weights(train_labels: Iterable[LabelVolume] | LabelVolume | np.ndarray) -> np.ndarray:

@@ -180,7 +180,7 @@ def cmd_evaluate(args: argparse.Namespace, cfg: RunConfig) -> int:
     folds = [args.fold] if args.fold is not None else list(range(plan.k))
     entries = []
     for fold in folds:
-        entries.extend(run_experiment(cfg, cfg.backend, fold, plan=plan))
+        entries.extend(run_experiment(cfg, fold, plan=plan))
     table, csv_text = render_report(entries, training=cfg.training)
     out_dir = cfg.output_dir / "reports"
     out_dir.mkdir(parents=True, exist_ok=True)

@@ -23,12 +23,12 @@ from typing import Any, Callable
 from .backends import TrainingConfig, parse_backend_descriptor
 from .errors import ConfigError, ValidationError
 from .eval_harness.report import VARIANT_ORDER
-from .eval_harness.runner import AGGREGATES
 from .patch_engine import DepthMode
 from .preprocess import DENOISERS, SLICE_POLICIES, PreprocessConfig
 
 DATA_ROOT_ENV = "OCTPIPE_DATA_ROOT"
 _SLICE_CHOICES = ("auto", *SLICE_POLICIES)
+AGGREGATES = ("macro", "micro")
 
 
 @dataclass(frozen=True)
@@ -71,6 +71,9 @@ class RunConfig:
                 raise ValidationError(f"{name} must be >= {low}, got {value}")
         if not 0.0 <= self.overlap < 1.0:
             raise ValidationError(f"grid.overlap must lie in [0, 1), got {self.overlap}")
+        # the model column of every report: kind lower-cased, a path as Path spells it
+        kind, arg = parse_backend_descriptor(self.backend)
+        object.__setattr__(self, "backend", f"{kind}:{Path(arg)}" if arg else kind)
 
     @property
     def resolved_jobs(self) -> int:
@@ -106,12 +109,6 @@ class Key:
     def get(self, cfg: RunConfig) -> Any:
         section, _, attr = self.path.rpartition(".")
         return getattr(getattr(cfg, section) if section else cfg, attr)
-
-
-def _backend(text: str) -> str:
-    """The descriptor with its kind lower-cased; an external path stays as typed."""
-    kind, arg = parse_backend_descriptor(text)
-    return f"{kind}:{arg}" if arg else kind
 
 
 def parse_dims(text: str, parts: int) -> tuple[int, ...]:
@@ -157,7 +154,7 @@ KEYS: tuple[Key, ...] = (
         flag="--depth-mode",
         help="2d | 2.5d | 3d",
     ),
-    Key("backend", _backend, flag="--backend", help="threshold | oracle | external:DIR"),
+    Key("backend", flag="--backend", help="threshold | oracle | external:DIR"),
     Key("jobs", int, flag="--jobs", help="0 = all cores"),
     Key("grid.patch_size", int, flag="--patch-size", path="patch_size"),
     Key("grid.overlap", float, repr, flag="--overlap", path="overlap"),

@@ -87,7 +87,7 @@ def synth_phantom(
         if n:
             voxels[mask] = rng.uniform(lo, hi, size=n).astype(np.float32)
     vol = OctVolume(voxels=voxels, spacing=(1.0, 1.0, 1.0), volume_id=volume_id)
-    return vol, LabelVolume(voxels=labels, volume_id=volume_id)
+    return vol, LabelVolume(voxels=labels, volume_id=volume_id, spacing=vol.spacing)
 
 
 def closing_stable(labels: LabelVolume, radius: int) -> bool:

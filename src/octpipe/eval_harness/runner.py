@@ -46,8 +46,6 @@ from .report import ReportEntry
 if TYPE_CHECKING:
     from ..config import RunConfig
 
-AGGREGATES = ("macro", "micro")
-
 
 def load_inventory(data_root: str | Path) -> dict[str, list[str]]:
     """Read ``inventory.json``: a mapping of vendor name to volume id list."""
@@ -148,56 +146,41 @@ def segment_volume(
     return prob, pred
 
 
-def _resolve_backend(backend: Backend | str) -> tuple[Backend | None, str]:
-    """Returns (backend or None when truth-bound per volume, descriptor)."""
-    if isinstance(backend, Backend):
-        if backend.needs_truth:
-            return None, backend.descriptor
-        return backend, backend.descriptor
-    kind, arg = parse_backend_descriptor(backend)
+def _backend_for(descriptor: str, truth: LabelVolume) -> Backend:
+    """The backend ``descriptor`` names; only the oracle reads the truth."""
+    kind, arg = parse_backend_descriptor(descriptor)
     if kind == "threshold":
-        return threshold_backend(), "threshold"
+        return threshold_backend()
     if kind == "external":
-        bk = external_backend(arg)
-        return bk, bk.descriptor
-    return None, "oracle"
+        return external_backend(arg)
+    return oracle_backend(truth)
 
 
-def evaluate_volume(
-    volume_id: str,
-    backend: Backend | None,
-    cfg: RunConfig,
-) -> tuple[dict, dict]:
-    """Score one volume; returns (per-fluid dice, per-fluid confusion counts)."""
+def evaluate_volume(volume_id: str, cfg: RunConfig) -> tuple[dict, dict]:
+    """Score one volume with the backend ``cfg.backend`` names; returns
+    (per-fluid dice, per-fluid confusion counts)."""
     vol = _stage("read_volume", volume_id, read_volume, image_path(cfg.data_root, volume_id))
     truth = _stage("read_labels", volume_id, read_labels, label_path(cfg.data_root, volume_id))
     target = cfg.preprocess.target_for(cfg.depth_mode)
     vol, truth = _stage("preprocess", volume_id, preprocess_pair, vol, truth, cfg.preprocess, target)
-    bound = backend if backend is not None else oracle_backend(truth)
-    _prob, pred = segment_volume(vol, bound, cfg)
+    _prob, pred = segment_volume(vol, _backend_for(cfg.backend, truth), cfg)
     counts = _stage("score", volume_id, lambda: {cls: confusion(pred, truth, cls) for cls in FLUIDS})
     return {cls: dice(c) for cls, c in counts.items()}, counts
 
 
-def run_experiment(
-    cfg: RunConfig,
-    backend: Backend | str,
-    fold: int,
-    plan: FoldPlan | None = None,
-) -> list[ReportEntry]:
+def run_experiment(cfg: RunConfig, fold: int, plan: FoldPlan | None = None) -> list[ReportEntry]:
     """Evaluate one fold's test volumes; one report row per (vendor, fluid).
 
     Per-vendor scores aggregate across the fold's test volumes by macro
     average (mean of per-volume Dice) or micro pooling (Dice of summed
-    confusion counts) per ``cfg.aggregate``.  ``cfg.backend`` is not read:
-    the caller passes the backend, or its descriptor.
+    confusion counts) per ``cfg.aggregate``.  The model column is
+    ``cfg.backend``, the backend every volume ran.
     """
     if plan is None:
         inventory = load_inventory(cfg.data_root)
         plan = make_folds(inventory, cfg.folds_k, cfg.seed)
     if not 0 <= fold < plan.k:
         raise ValidationError(f"fold {fold} outside plan with k={plan.k}")
-    resolved, descriptor = _resolve_backend(backend)
 
     entries: list[ReportEntry] = []
     fold_sets = plan.test_sets[fold]
@@ -206,7 +189,7 @@ def run_experiment(
         per_volume: list[dict] = []
         pooled: dict = {cls: ConfusionCounts(0, 0, 0, 0) for cls in FLUIDS}
         for volume_id in ids:
-            scores, counts = evaluate_volume(volume_id, resolved, cfg)
+            scores, counts = evaluate_volume(volume_id, cfg)
             per_volume.append(scores)
             for cls in FLUIDS:
                 pooled[cls] = pooled[cls] + counts[cls]
@@ -218,7 +201,7 @@ def run_experiment(
             entries.append(
                 ReportEntry(
                     dimension=cfg.depth_mode.label,
-                    model=descriptor,
+                    model=cfg.backend,
                     variant=cfg.variant,
                     vendor=vendor,
                     fluid=cls.name,

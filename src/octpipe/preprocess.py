@@ -116,14 +116,19 @@ def resize_volume(vol: OctVolume | LabelVolume, target: tuple[int, int]):
     """Resize every B-scan to ``target`` = (width, height); depth is preserved.
 
     Intensity volumes are interpolated bilinearly, label volumes with
-    nearest-neighbour so no new class can appear.  An intensity volume's x
-    and y spacing scale with the resize, so each axis keeps its physical
-    extent; z spacing is unchanged.
+    nearest-neighbour so no new class can appear.  The x and y spacing scale
+    with the resize, so each axis keeps its physical extent; z spacing is
+    unchanged.
     """
     tw, th = (int(t) for t in target)
     if tw < 1 or th < 1:
         raise ValueError(f"target dimensions must be positive, got {target}")
     depth, src_h, src_w = vol.voxels.shape
+    if vol.spacing is None:
+        spacing = None
+    else:
+        sx, sy, sz = vol.spacing
+        spacing = (sx * src_w / tw, sy * src_h / th, sz)
 
     if isinstance(vol, LabelVolume):
         iy = _nearest_indices(src_h, th)
@@ -131,16 +136,11 @@ def resize_volume(vol: OctVolume | LabelVolume, target: tuple[int, int]):
         out = np.empty((depth, th, tw), dtype=vol.voxels.dtype)
         for z in range(depth):
             np.take(vol.voxels[z].take(iy, axis=0), ix, axis=1, out=out[z])
-        return LabelVolume(voxels=out, volume_id=vol.volume_id)
+        return LabelVolume(voxels=out, volume_id=vol.volume_id, spacing=spacing)
 
     out = np.empty((depth, th, tw), dtype=np.float32)
     for z in range(depth):
         out[z] = resize_slice(vol.voxels[z].astype(np.float64), (tw, th), "bilinear")
-    if vol.spacing is None:
-        spacing = None
-    else:
-        sx, sy, sz = vol.spacing
-        spacing = (sx * src_w / tw, sy * src_h / th, sz)
     return OctVolume(voxels=out, spacing=spacing, volume_id=vol.volume_id)
 
 

@@ -87,6 +87,7 @@ class LabelVolume:
 
     voxels: np.ndarray
     volume_id: str = ""
+    spacing: tuple[float, float, float] | None = None
 
     def __post_init__(self):
         self.voxels = np.asarray(self.voxels, dtype=np.uint8)
@@ -268,7 +269,7 @@ def read_labels(path: str | Path) -> LabelVolume:
             f"{path}: label value {int(data[z, y, x])} at voxel (x={x}, y={y}, z={z}) "
             f"outside 0..{N_CLASSES - 1}"
         )
-    return LabelVolume(voxels=data, volume_id=path.stem)
+    return LabelVolume(voxels=data, volume_id=path.stem, spacing=_parse_spacing(path, header))
 
 
 def read_prob(path: str | Path) -> ProbVolume:

@@ -11,7 +11,6 @@ import numpy as np
 import pytest
 
 from octpipe.backends import (
-    external_backend,
     one_hot,
     oracle_backend,
     threshold_backend,
@@ -274,6 +273,7 @@ def test_criterion_08_report_fidelity(make_dataset, tmp_path):
 
     cfg = RunConfig(
         data_root=root,
+        backend=f"external:{pred_dir}",
         preprocess=PreprocessConfig(target_2d=(96, 96), target_vol=(96, 96)),
         depth_mode=DepthMode.d25(1),
         patch_size=32,
@@ -283,8 +283,7 @@ def test_criterion_08_report_fidelity(make_dataset, tmp_path):
         seed=0,
     )
     plan = make_folds(inventory, 2, 0)
-    backend = external_backend(pred_dir, descriptor="external")
-    entries = run_experiment(cfg, backend, 0, plan=plan)
+    entries = run_experiment(cfg, 0, plan=plan)
 
     expected = {}
     for vendor, ids in plan.test_sets[0].items():
@@ -301,7 +300,8 @@ def test_criterion_08_report_fidelity(make_dataset, tmp_path):
 
     table, csv_text = render_report(entries)
     assert "Human grader baseline: Dice 0.71." in table
-    row = next(line for line in table.splitlines() if line.startswith("| 2.5D | external_P |"))
+    prefix = f"| 2.5D | {cfg.backend}_P |"
+    row = next(line for line in table.splitlines() if line.startswith(prefix))
     cells = [c.strip() for c in row.split("|")[3:-1]]
     want = [
         format_cell(expected[(vendor, cls.name)])

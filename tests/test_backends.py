@@ -105,7 +105,6 @@ def test_oracle_backend_reproduces_truth_windows():
     voxels = rng.integers(0, 4, size=(4, 24, 24), dtype=np.uint8)
     truth = LabelVolume(voxels=voxels, volume_id="t")
     backend = oracle_backend(truth)
-    assert backend.needs_truth
 
     grid = plan_grid((24, 24), (8, 8), 0.5)
     batch = extract(OctVolume(voxels=np.zeros((4, 24, 24), np.float32),

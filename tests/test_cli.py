@@ -4,13 +4,13 @@ import numpy as np
 import pytest
 
 from octpipe import patch_engine
-from octpipe.backends import threshold_backend
+from octpipe.backends import one_hot, threshold_backend
 from octpipe.cli import main
 from octpipe.config import DATA_ROOT_ENV, KEYS
 from octpipe.eval_harness.folds import load_folds
 from octpipe.eval_harness.report import load_report_csv
 from octpipe.preprocess import filter_slices
-from octpipe.volume_io import read_labels, read_prob, read_volume
+from octpipe.volume_io import ProbVolume, read_labels, read_prob, read_volume, write_volume
 
 
 def run(capsys, *argv):
@@ -172,10 +172,11 @@ def test_preprocess_header_spacing_follows_the_resize(make_dataset, tmp_path, ca
         capsys, "preprocess", "--config", cfg, "--data-root", root, "--output-dir", out_dir
     )
     assert rc == 0, err
-    # the 96x96x4 phantoms are written with unit spacing
-    header = (out_dir / "volumes" / "cirrus_00.mhd").read_text()
-    assert "DimSize = 48 24 4\n" in header
-    assert "ElementSpacing = 2.0 4.0 1.0\n" in header
+    # the 96x96x4 phantoms and their labels are written with unit spacing
+    for name in ("cirrus_00.mhd", "cirrus_00_labels.mhd"):
+        header = (out_dir / "volumes" / name).read_text()
+        assert "DimSize = 48 24 4\n" in header
+        assert "ElementSpacing = 2.0 4.0 1.0\n" in header
 
 
 def test_patchify_stitch_round_trip(make_dataset, tmp_path, capsys):
@@ -298,6 +299,38 @@ def test_evaluate_oracle_writes_reports(make_dataset, tmp_path, capsys):
         if line.startswith("| 2.5D"):
             cells = [c.strip() for c in line.split("|")[3:-1]]
             assert cells and all(c == "1.00" for c in cells)
+
+
+@pytest.mark.parametrize(
+    "backend", ["threshold", "oracle", "external:{probs}/", "external:./probs/"]
+)
+def test_evaluate_model_column_is_the_recorded_backend(
+    make_dataset, tmp_path, capsys, monkeypatch, backend
+):
+    root, _, truths = make_dataset()
+    probs = tmp_path / "probs"
+    probs.mkdir()
+    for vid, truth in truths.items():
+        prob = ProbVolume(probs=one_hot(truth.voxels), volume_id=vid)
+        write_volume(prob, probs / f"{vid}_prob.mhd")
+    monkeypatch.chdir(tmp_path)
+    out_dir = tmp_path / "out"
+    rc, _, err = run(
+        capsys,
+        "evaluate",
+        "--config", native_config(tmp_path),
+        "--data-root", root,
+        "--output-dir", out_dir,
+        "--backend", backend.format(probs=probs),
+        "--folds", "2",
+        "--jobs", "1",
+    )
+    assert rc == 0, err
+    reports = out_dir / "reports"
+    recorded = (reports / "run_config.txt").read_text()
+    (line,) = [line for line in recorded.splitlines() if line.startswith("backend=")]
+    models = {e.model for e in load_report_csv(reports / "evaluate_2.5d_P.csv")}
+    assert models == {line.removeprefix("backend=")}
 
 
 def test_evaluate_repeat_runs_byte_identical(make_dataset, tmp_path, capsys):

@@ -148,6 +148,7 @@ def test_run_config_validation_and_targets():
         ("overlap", "grid.overlap", float("nan")),
         ("close_radius", "grid.close_radius", -1),
         ("folds_k", "folds.k", 1),
+        ("backend", "backend", "unet"),
     ],
 )
 def test_bad_value_fails_alike_in_code_and_in_settings(attr, key, value):
@@ -269,6 +270,13 @@ def test_render_config_stores_canonical_spellings():
     assert rendered(backend="Oracle") == rendered(backend="oracle")
     assert "backend=oracle\n" in rendered(backend=" ORACLE")
     assert "backend=external:/Some/Probs\n" in rendered(backend="External:/Some/Probs")
+
+
+def test_run_config_stores_the_canonical_backend():
+    assert RunConfig(backend="Oracle").backend == "oracle"
+    assert RunConfig(backend=" THRESHOLD").backend == "threshold"
+    assert RunConfig(backend="External:./probs/").backend == "external:probs"
+    assert RunConfig(backend="external:/abs/probs").backend == "external:/abs/probs"
 
 
 def test_readme_lists_exactly_the_config_keys():

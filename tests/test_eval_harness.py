@@ -409,8 +409,8 @@ def nat_config(root, **kw):
 
 def test_run_experiment_oracle_all_ones(make_dataset):
     root, inventory, _ = make_dataset()
-    cfg = nat_config(root)
-    entries = run_experiment(cfg, "oracle", fold=0)
+    cfg = nat_config(root, backend="oracle")
+    entries = run_experiment(cfg, fold=0)
     assert len(entries) == len(inventory) * 3
     assert all(e.dice == 1.0 for e in entries)
     assert {e.vendor for e in entries} == set(inventory)
@@ -422,7 +422,7 @@ def test_run_experiment_threshold_variants_complete(make_dataset):
     root, inventory, _ = make_dataset()
     rows = {}
     for variant in ("F", "P"):
-        entries = run_experiment(nat_config(root, variant=variant), "threshold", fold=1)
+        entries = run_experiment(nat_config(root, variant=variant), fold=1)
         assert {(e.vendor, e.fluid) for e in entries} == {
             (v, f) for v in inventory for f in ("IRF", "SRF", "PED")
         }
@@ -435,17 +435,18 @@ def test_run_experiment_threshold_variants_complete(make_dataset):
 def test_run_experiment_depth_modes_agree_on_oracle(make_dataset):
     root, _, _ = make_dataset(vendors=("Cirrus",), n_per_vendor=2)
     for mode in (DepthMode.d2(), DepthMode.d25(1), DepthMode.d3()):
-        entries = run_experiment(nat_config(root, depth_mode=mode), "oracle", fold=0)
+        cfg = nat_config(root, depth_mode=mode, backend="oracle")
+        entries = run_experiment(cfg, fold=0)
         assert all(e.dice == 1.0 for e in entries)
         assert all(e.dimension == mode.label for e in entries)
 
 
 def test_run_experiment_external_matches_standalone_scoring(make_dataset, tmp_path):
     root, inventory, truths = make_dataset(vendors=("Cirrus",), n_per_vendor=2)
-    cfg = nat_config(root, close_radius=0)
+    prob_dir = tmp_path / "probs"
+    cfg = nat_config(root, close_radius=0, backend=f"external:{prob_dir}")
     plan = make_folds(inventory, 2, cfg.seed)
 
-    prob_dir = tmp_path / "probs"
     prob_dir.mkdir()
     rng = np.random.default_rng(61)
     for vid, truth in truths.items():
@@ -455,7 +456,8 @@ def test_run_experiment_external_matches_standalone_scoring(make_dataset, tmp_pa
         probs = raw / raw.sum(axis=0, keepdims=True)
         write_volume(ProbVolume(probs=probs, volume_id=vid), prob_dir / f"{vid}_prob.mhd")
 
-    entries = run_experiment(cfg, f"external:{prob_dir}", fold=0, plan=plan)
+    entries = run_experiment(cfg, fold=0, plan=plan)
+    assert all(e.model == f"external:{prob_dir}" for e in entries)
 
     from octpipe.volume_io import read_prob
 
@@ -491,10 +493,11 @@ def test_run_experiment_micro_vs_macro(make_dataset, tmp_path):
         predictions[vid] = labelize(ProbVolume(probs=probs, volume_id=vid))
         write_volume(ProbVolume(probs=probs, volume_id=vid), prob_dir / f"{vid}_prob.mhd")
 
-    cfg_macro = nat_config(root, close_radius=0, aggregate="macro")
-    cfg_micro = nat_config(root, close_radius=0, aggregate="micro")
-    macro = run_experiment(cfg_macro, f"external:{prob_dir}", fold, plan=plan)
-    micro = run_experiment(cfg_micro, f"external:{prob_dir}", fold, plan=plan)
+    external = f"external:{prob_dir}"
+    cfg_macro = nat_config(root, close_radius=0, aggregate="macro", backend=external)
+    cfg_micro = nat_config(root, close_radius=0, aggregate="micro", backend=external)
+    macro = run_experiment(cfg_macro, fold, plan=plan)
+    micro = run_experiment(cfg_micro, fold, plan=plan)
 
     for cls in FLUIDS:
         pooled = confusion(predictions[first], truths[first], cls) + confusion(
@@ -514,9 +517,9 @@ def test_evaluate_volume_tags_stage_failures(make_dataset):
     root, _, truths = make_dataset(vendors=("Cirrus",), n_per_vendor=2)
     vid = sorted(truths)[0]
     label_path(root, vid).unlink()
-    cfg = nat_config(root)
+    cfg = nat_config(root, backend="oracle")
     with pytest.raises(StageError) as err:
-        evaluate_volume(vid, None, cfg)
+        evaluate_volume(vid, cfg)
     assert err.value.stage == "read_labels"
     assert err.value.volume_id == vid
 
@@ -524,7 +527,7 @@ def test_evaluate_volume_tags_stage_failures(make_dataset):
 def test_run_experiment_rejects_bad_fold(make_dataset):
     root, _, _ = make_dataset()
     with pytest.raises(ValidationError):
-        run_experiment(nat_config(root), "oracle", fold=5)
+        run_experiment(nat_config(root, backend="oracle"), fold=5)
 
 
 def test_load_inventory_errors(tmp_path):
@@ -537,8 +540,8 @@ def test_load_inventory_errors(tmp_path):
 
 def test_run_experiment_jobs_invariant(make_dataset):
     root, _, _ = make_dataset(vendors=("Cirrus",), n_per_vendor=2)
-    base = run_experiment(nat_config(root, jobs=1), "threshold", fold=0)
-    threaded = run_experiment(nat_config(root, jobs=4), "threshold", fold=0)
+    base = run_experiment(nat_config(root, jobs=1), fold=0)
+    threaded = run_experiment(nat_config(root, jobs=4), fold=0)
     assert [(e.vendor, e.fluid, e.dice) for e in base] == [
         (e.vendor, e.fluid, e.dice) for e in threaded
     ]
@@ -555,7 +558,6 @@ def test_evaluate_volume_counts_each_fluid_once(make_dataset, tmp_path, monkeypa
         raw = one_hot(truth.voxels) * 0.5 + rng.random((4,) + truth.voxels.shape, dtype=np.float32)
         probs = raw / raw.sum(axis=0, keepdims=True)
         write_volume(ProbVolume(probs=probs, volume_id=vid), prob_dir / f"{vid}_prob.mhd")
-    backend = runner.external_backend(prob_dir)
 
     calls = []
 
@@ -572,11 +574,11 @@ def test_evaluate_volume_counts_each_fluid_once(make_dataset, tmp_path, monkeypa
         runner, "segment_volume",
         lambda vol, *a: seen.setdefault("pred", segment(vol, *a)),
     )
-    cfg = nat_config(root, close_radius=0)
+    cfg = nat_config(root, close_radius=0, backend=f"external:{prob_dir}")
     for vid, truth in truths.items():
         calls.clear()
         seen.clear()
-        scores, counts = evaluate_volume(vid, backend, cfg)
+        scores, counts = evaluate_volume(vid, cfg)
         assert sorted(calls) == sorted(FLUIDS)
         pred = seen["pred"][1]
         assert scores == dice_volume(pred, truth)

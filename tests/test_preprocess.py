@@ -126,11 +126,13 @@ def test_resize_volume_spectralis_geometry():
     src=st.tuples(st.integers(1, 40), st.integers(1, 40), st.integers(1, 3)),
     target=st.tuples(st.integers(1, 40), st.integers(1, 40)),
     spacing=st.tuples(*[st.floats(1e-4, 1e3)] * 3),
+    kind=st.sampled_from([OctVolume, LabelVolume]),
 )
-def test_resize_volume_keeps_each_axis_extent(src, target, spacing):
+def test_resize_volume_keeps_each_axis_extent(src, target, spacing, kind):
     w, h, d = src
-    vol = OctVolume(voxels=np.zeros((d, h, w), np.float32), spacing=spacing, volume_id="sp")
+    vol = kind(voxels=np.zeros((d, h, w), np.float32), spacing=spacing, volume_id="sp")
     out = resize_volume(vol, target)
+    assert type(out) is kind
     for axis, (before, after) in enumerate(zip((w, h, d), out.dims)):
         assert math.isclose(out.spacing[axis] * after, spacing[axis] * before, rel_tol=1e-12)
     assert out.spacing[2] == spacing[2]

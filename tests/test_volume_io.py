@@ -123,11 +123,15 @@ def test_oct_volume_round_trip_is_bit_identical(voxels, spacing):
 
 
 @settings(max_examples=100, deadline=None)
-@given(hnp.arrays(np.uint8, shapes, elements=st.integers(0, 3)))
-def test_label_volume_round_trip_is_bit_identical(voxels):
-    back = round_trip(LabelVolume(voxels=voxels), "l", read_labels)
+@given(
+    voxels=hnp.arrays(np.uint8, shapes, elements=st.integers(0, 3)),
+    spacing=st.none() | st.tuples(*[st.floats(1e-6, 1e6)] * 3),
+)
+def test_label_volume_round_trip_is_bit_identical(voxels, spacing):
+    back = round_trip(LabelVolume(voxels=voxels, spacing=spacing), "l", read_labels)
     assert back.voxels.dtype == np.uint8 and back.voxels.shape == voxels.shape
     assert back.voxels.tobytes() == voxels.tobytes()
+    assert back.spacing == spacing
     assert back.volume_id == "l"
 
 
