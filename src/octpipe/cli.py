@@ -61,6 +61,19 @@ def _write_config_copy(cfg: RunConfig, directory: Path) -> None:
     (directory / "run_config.txt").write_text(render_config(cfg))
 
 
+def _write_report(cfg: RunConfig, entries: list, name: str) -> int:
+    """Write ``entries`` as ``reports/<name>.csv`` and ``.md`` with the
+    run's config beside them, and print the table."""
+    table, csv_text = render_report(entries, training=cfg.training)
+    out_dir = cfg.output_dir / "reports"
+    out_dir.mkdir(parents=True, exist_ok=True)
+    (out_dir / f"{name}.csv").write_text(csv_text)
+    (out_dir / f"{name}.md").write_text(table)
+    _write_config_copy(cfg, out_dir)
+    print(table)
+    return 0
+
+
 def cmd_info(args: argparse.Namespace, cfg: RunConfig) -> int:
     for path in args.paths:
         vol = read_volume(path)
@@ -84,9 +97,7 @@ def cmd_preprocess(args: argparse.Namespace, cfg: RunConfig) -> int:
             write_volume(processed, out_dir / f"{volume_id}.mhd")
             lpath = label_path(cfg.data_root, volume_id)
             if lpath.exists():
-                labels = read_labels(lpath)
-                if labels.dims[:2] != target:
-                    labels = resize_volume(labels, target)
+                labels = resize_volume(read_labels(lpath), target)
                 write_volume(labels, out_dir / f"{volume_id}_labels.mhd")
             print(f"preprocessed {volume_id} -> {target[0]}x{target[1]}")
     _write_config_copy(cfg, out_dir)
@@ -120,7 +131,7 @@ def cmd_patchify(args: argparse.Namespace, cfg: RunConfig) -> int:
         raise ConfigError(f"--slice {args.slice} outside volume depth {native_dims[2]}")
     target = cfg.preprocess.target_for(mode)
     vol = preprocess_volume(native, cfg.preprocess, target)
-    grid = patch_engine.plan_grid(vol.dims[:2], cfg.patch_size, cfg.overlap, mode)
+    grid = cfg.grid(vol.dims[:2])
     out_dir = cfg.output_dir / "patches"
     out_dir.mkdir(parents=True, exist_ok=True)
 
@@ -138,9 +149,7 @@ def cmd_patchify(args: argparse.Namespace, cfg: RunConfig) -> int:
             if policy == "auto":
                 policy = default_slice_policy(vendor_of(native_dims))
             if policy == "diseased_only" and lpath.exists():
-                labels = read_labels(lpath)
-                if labels.dims[:2] != target:
-                    labels = resize_volume(labels, target)
+                labels = resize_volume(read_labels(lpath), target)
                 slices = filter_slices(labels, "diseased_only")
             else:
                 slices = list(range(vol.dims[2]))
@@ -159,7 +168,7 @@ def cmd_stitch(args: argparse.Namespace, cfg: RunConfig) -> int:
     pairs = []
     for base in args.predictions:
         pairs.extend(patch_engine.load_predictions(Path(base)))
-    grid = patch_engine.plan_grid(dims[:2], cfg.patch_size, cfg.overlap, cfg.depth_mode)
+    grid = cfg.grid(dims[:2])
     prob = patch_engine.stitch(pairs, grid, dims, volume_id=args.volume)
     prob.validate()
     out_dir = cfg.output_dir / "predictions"
@@ -181,15 +190,7 @@ def cmd_evaluate(args: argparse.Namespace, cfg: RunConfig) -> int:
     entries = []
     for fold in folds:
         entries.extend(run_experiment(cfg, fold, plan=plan))
-    table, csv_text = render_report(entries, training=cfg.training)
-    out_dir = cfg.output_dir / "reports"
-    out_dir.mkdir(parents=True, exist_ok=True)
-    tag = f"{cfg.depth_mode.kind}_{cfg.variant}"
-    (out_dir / f"evaluate_{tag}.csv").write_text(csv_text)
-    (out_dir / f"evaluate_{tag}.md").write_text(table)
-    _write_config_copy(cfg, out_dir)
-    print(table)
-    return 0
+    return _write_report(cfg, entries, f"evaluate_{cfg.depth_mode.kind}_{cfg.variant}")
 
 
 def cmd_report(args: argparse.Namespace, cfg: RunConfig) -> int:
@@ -197,14 +198,7 @@ def cmd_report(args: argparse.Namespace, cfg: RunConfig) -> int:
     entries = []
     for path in args.csvs:
         entries.extend(load_report_csv(path))
-    table, csv_text = render_report(entries, training=cfg.training)
-    out_dir = cfg.output_dir / "reports"
-    out_dir.mkdir(parents=True, exist_ok=True)
-    (out_dir / "report.csv").write_text(csv_text)
-    (out_dir / "report.md").write_text(table)
-    _write_config_copy(cfg, out_dir)
-    print(table)
-    return 0
+    return _write_report(cfg, entries, "report")
 
 
 def cmd_synth(args: argparse.Namespace, cfg: RunConfig) -> int:

@@ -22,13 +22,13 @@ from typing import Any, Callable
 
 from .backends import TrainingConfig, parse_backend_descriptor
 from .errors import ConfigError, ValidationError
-from .eval_harness.report import VARIANT_ORDER
-from .patch_engine import DepthMode
+from .patch_engine import DepthMode, PatchGrid, plan_grid
 from .preprocess import DENOISERS, SLICE_POLICIES, PreprocessConfig
 
 DATA_ROOT_ENV = "OCTPIPE_DATA_ROOT"
 _SLICE_CHOICES = ("auto", *SLICE_POLICIES)
 AGGREGATES = ("macro", "micro")
+VARIANTS = ("F", "P")  # full image, overlapping patches; reports list them in this order
 
 
 @dataclass(frozen=True)
@@ -55,7 +55,7 @@ class RunConfig:
 
     def __post_init__(self):
         for name, value, choices in (
-            ("variant", self.variant, VARIANT_ORDER),
+            ("variant", self.variant, VARIANTS),
             ("eval.aggregate", self.aggregate, AGGREGATES),
             ("slice_policy", self.slice_policy, _SLICE_CHOICES),
         ):
@@ -78,6 +78,14 @@ class RunConfig:
     @property
     def resolved_jobs(self) -> int:
         return self.jobs if self.jobs > 0 else (os.cpu_count() or 1)
+
+    def grid(self, image_dims: tuple[int, int]) -> PatchGrid:
+        """The grid this run tiles each (width, height) plane with: one
+        image-sized patch for variant F, overlapping ``patch_size`` patches
+        at ``overlap`` for variant P."""
+        if self.variant == "F":
+            return plan_grid(image_dims, tuple(image_dims), 0.0, self.depth_mode)
+        return plan_grid(image_dims, self.patch_size, self.overlap, self.depth_mode)
 
 
 @dataclass(frozen=True)
@@ -146,7 +154,7 @@ OUTPUT_DIR = Key("output_dir", Path, flag="--output-dir")
 KEYS: tuple[Key, ...] = (
     DATA_ROOT,
     OUTPUT_DIR,
-    Key("variant", flag="--variant", choices=VARIANT_ORDER),
+    Key("variant", flag="--variant", choices=VARIANTS),
     Key(
         "depth_mode",
         DepthMode.parse,

@@ -103,13 +103,15 @@ def save_folds(plan: FoldPlan, path: str | Path) -> None:
 
 
 def load_folds(path: str | Path) -> FoldPlan:
-    payload = json.loads(Path(path).read_text())
+    """Read a plan ``save_folds`` wrote; a file that is not JSON or does not
+    hold a plan raises ValidationError naming it."""
     try:
+        payload = json.loads(Path(path).read_text())
         test_sets = tuple(
             {vendor: tuple(ids) for vendor, ids in fold.items()} for fold in payload["folds"]
         )
         plan = FoldPlan(k=int(payload["k"]), seed=int(payload["seed"]), test_sets=test_sets)
-    except (KeyError, TypeError) as exc:
+    except (AttributeError, KeyError, TypeError, ValueError) as exc:
         raise ValidationError(f"malformed fold plan at {path}: {exc}") from exc
     if len(plan.test_sets) != plan.k:
         raise ValidationError(

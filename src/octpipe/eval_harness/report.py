@@ -15,7 +15,10 @@ from decimal import ROUND_HALF_UP, Decimal
 from pathlib import Path
 
 from ..backends import TrainingConfig
+from ..config import VARIANTS
 from ..errors import ValidationError
+from ..patch_engine import DEPTH_KINDS
+from ..volume_io import FLUIDS, Vendor
 
 HUMAN_BASELINE = 0.71
 HUMAN_BASELINE_NOTE = f"Human grader baseline: Dice {HUMAN_BASELINE:.2f}."
@@ -24,10 +27,9 @@ MISSING_CELL = "—"
 
 CSV_FIELDS = ("dimension", "model", "variant", "vendor", "fluid", "dice", "fold", "n_volumes")
 
-DIMENSION_ORDER = ("2D", "2.5D", "3D")
-VARIANT_ORDER = ("F", "P")
-FLUID_ORDER = ("IRF", "SRF", "PED")
-VENDOR_ORDER = ("Cirrus", "Spectralis", "Topcon")
+DIMENSION_ORDER = tuple(kind.upper() for kind in DEPTH_KINDS)  # as DepthMode.label spells them
+FLUID_ORDER = tuple(cls.name for cls in FLUIDS)
+VENDOR_ORDER = tuple(vendor.value for vendor in Vendor)
 
 
 @dataclass(frozen=True)
@@ -47,8 +49,8 @@ class ReportEntry:
     def __post_init__(self):
         if not 0.0 <= self.dice <= 1.0:
             raise ValidationError(f"dice must lie in [0, 1], got {self.dice}")
-        if self.variant not in VARIANT_ORDER:
-            raise ValidationError(f"variant must be F or P, got {self.variant!r}")
+        if self.variant not in VARIANTS:
+            raise ValidationError(f"variant must be one of {VARIANTS}, got {self.variant!r}")
         if self.fluid not in FLUID_ORDER:
             raise ValidationError(f"fluid must be one of {FLUID_ORDER}, got {self.fluid!r}")
 
@@ -63,7 +65,7 @@ def entry_sort_key(entry: ReportEntry):
     return (
         _order(entry.dimension, DIMENSION_ORDER),
         entry.model,
-        _order(entry.variant, VARIANT_ORDER),
+        _order(entry.variant, VARIANTS),
         _order(entry.vendor, VENDOR_ORDER),
         _order(entry.fluid, FLUID_ORDER),
         entry.fold,

@@ -34,7 +34,6 @@ from ..patch_engine import (
     close_all,
     extract,
     labelize,
-    plan_grid,
     stitch,
 )
 from ..preprocess import PreprocessConfig, preprocess_volume, resize_volume
@@ -52,7 +51,10 @@ def load_inventory(data_root: str | Path) -> dict[str, list[str]]:
     path = Path(data_root) / "inventory.json"
     if not path.exists():
         raise FileNotFoundError(f"no inventory.json under {data_root}")
-    raw = json.loads(path.read_text())
+    try:
+        raw = json.loads(path.read_text())
+    except ValueError as exc:
+        raise ValidationError(f"{path} is not valid JSON: {exc}") from exc
     if not isinstance(raw, dict) or not all(
         isinstance(k, str) and isinstance(v, list) for k, v in raw.items()
     ):
@@ -81,9 +83,7 @@ def preprocess_pair(
     vol: OctVolume, labels: LabelVolume, cfg: PreprocessConfig, target: tuple[int, int]
 ) -> tuple[OctVolume, LabelVolume]:
     """Bring an image and its labels to the working resolution together."""
-    out_vol = preprocess_volume(vol, cfg, target)
-    out_labels = labels if labels.dims[:2] == tuple(target) else resize_volume(labels, target)
-    return out_vol, out_labels
+    return preprocess_volume(vol, cfg, target), resize_volume(labels, target)
 
 
 def _predictions(
@@ -118,21 +118,16 @@ def _predictions(
 def predict_volume(vol: OctVolume, backend: Backend, cfg: RunConfig) -> ProbVolume:
     """Predict a whole volume through the patch pipeline and stitch.
 
-    Variant P tiles each plane with the configured overlapping grid; variant F
-    degenerates to a single image-sized patch.  ``stitch`` drives the
+    Each plane is tiled with ``cfg.grid``: overlapping patches for variant P,
+    one image-sized patch for variant F.  ``stitch`` drives the
     prediction stream directly, summing each batch into the output volume as
     it arrives, so no list of a volume's predictions is ever built; at most
     ``cfg.resolved_jobs + 1`` batches (slices, or single patches in 3d) are in
     flight.  The result is bit-identical for every ``cfg.jobs``.
     """
-    width, height, depth = vol.dims
-    mode = cfg.depth_mode
-    if cfg.variant == "F":
-        grid = plan_grid((width, height), (width, height), 0.0, mode)
-    else:
-        grid = plan_grid((width, height), cfg.patch_size, cfg.overlap, mode)
+    grid = cfg.grid(vol.dims[:2])
     with closing(_predictions(vol, grid, backend, cfg.resolved_jobs)) as pairs:
-        return stitch(pairs, grid, (width, height, depth), volume_id=vol.volume_id)
+        return stitch(pairs, grid, vol.dims, volume_id=vol.volume_id)
 
 
 def segment_volume(

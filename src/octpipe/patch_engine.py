@@ -31,7 +31,7 @@ import numpy as np
 from numpy.lib.stride_tricks import sliding_window_view
 
 from .errors import CoverageError, FormatError, ValidationError
-from .volume_io import FLUIDS, N_CLASSES, FluidClass, LabelVolume, ProbVolume
+from .volume_io import FLUIDS, N_CLASSES, FluidClass, LabelVolume, OctVolume, ProbVolume
 
 DEPTH_KINDS = ("2d", "2.5d", "3d")
 
@@ -74,7 +74,7 @@ class DepthMode:
 
     @property
     def label(self) -> str:
-        return {"2d": "2D", "2.5d": "2.5D", "3d": "3D"}[self.kind]
+        return self.kind.upper()
 
 
 @dataclass(frozen=True)
@@ -191,7 +191,7 @@ def windows(array: np.ndarray, anchors, size: tuple[int, int], at_z: bool = Fals
     return view[y, x]
 
 
-def extract(vol, grid: PatchGrid, z: int = 0, which: slice = slice(None)) -> PatchBatch:
+def extract(vol: OctVolume, grid: PatchGrid, z: int = 0, which: slice = slice(None)) -> PatchBatch:
     """Extract the patches at ``grid.anchors[which]`` (all by default) at
     slice ``z`` (ignored for 3d grids) as one batch.
 
@@ -199,7 +199,7 @@ def extract(vol, grid: PatchGrid, z: int = 0, which: slice = slice(None)) -> Pat
     ``z-radius .. z+radius`` with edge replication, so the centre plane always
     equals the 2d patch at the same anchor; 3d patches span every plane.
     """
-    voxels = vol.voxels if hasattr(vol, "voxels") else np.asarray(vol)
+    voxels = vol.voxels
     depth, height, width = voxels.shape
     if (width, height) != grid.image_dims:
         raise ValueError(

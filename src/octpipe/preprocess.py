@@ -7,7 +7,8 @@ can never overshoot the source value range; nearest-neighbour picks
 ``floor((i + 0.5) * src / dst)`` and therefore never leaves the source
 alphabet.  Volume-wide stages work one B-scan at a time, and range and
 finiteness checks are reductions, so no stage holds a second volume-sized
-temporary besides its output.
+temporary besides its output.  Only the denoisers use scipy, and they import
+it when they run.
 """
 
 from __future__ import annotations
@@ -17,7 +18,6 @@ from dataclasses import dataclass
 from typing import TYPE_CHECKING
 
 import numpy as np
-from scipy import ndimage
 
 from .errors import ValidationError
 from .volume_io import LabelVolume, OctVolume, Vendor
@@ -81,12 +81,9 @@ def _linear_coords(src: int, dst: int) -> tuple[np.ndarray, np.ndarray, np.ndarr
     return np.clip(lo, 0, src - 1), np.clip(lo + 1, 0, src - 1), frac
 
 
-def resize_slice(image: np.ndarray, target: tuple[int, int], mode: str = "bilinear") -> np.ndarray:
-    """Resize one 2-D image to ``target`` = (width, height).
-
-    ``bilinear`` output is clamped to the source value range; ``nearest``
-    copies source pixels and is used for label images.
-    """
+def resize_slice(image: np.ndarray, target: tuple[int, int]) -> np.ndarray:
+    """Resize one 2-D image to ``target`` = (width, height) bilinearly; the
+    output is clamped to the source value range."""
     image = np.asarray(image)
     if image.ndim != 2:
         raise ValueError(f"expected a 2-D image, got shape {image.shape}")
@@ -94,14 +91,6 @@ def resize_slice(image: np.ndarray, target: tuple[int, int], mode: str = "biline
     if tw < 1 or th < 1:
         raise ValueError(f"target dimensions must be positive, got {target}")
     src_h, src_w = image.shape
-
-    if mode == "nearest":
-        iy = _nearest_indices(src_h, th)
-        ix = _nearest_indices(src_w, tw)
-        return image[np.ix_(iy, ix)]
-    if mode != "bilinear":
-        raise ValueError(f"mode must be 'bilinear' or 'nearest', got {mode!r}")
-
     y0, y1, fy = _linear_coords(src_h, th)
     x0, x1, fx = _linear_coords(src_w, tw)
     data = image.astype(np.float64, copy=False)
@@ -118,12 +107,14 @@ def resize_volume(vol: OctVolume | LabelVolume, target: tuple[int, int]):
     Intensity volumes are interpolated bilinearly, label volumes with
     nearest-neighbour so no new class can appear.  The x and y spacing scale
     with the resize, so each axis keeps its physical extent; z spacing is
-    unchanged.
+    unchanged.  A volume already at ``target`` is returned as it is.
     """
     tw, th = (int(t) for t in target)
     if tw < 1 or th < 1:
         raise ValueError(f"target dimensions must be positive, got {target}")
     depth, src_h, src_w = vol.voxels.shape
+    if (src_w, src_h) == (tw, th):
+        return vol
     if vol.spacing is None:
         spacing = None
     else:
@@ -140,7 +131,7 @@ def resize_volume(vol: OctVolume | LabelVolume, target: tuple[int, int]):
 
     out = np.empty((depth, th, tw), dtype=np.float32)
     for z in range(depth):
-        out[z] = resize_slice(vol.voxels[z].astype(np.float64), (tw, th), "bilinear")
+        out[z] = resize_slice(vol.voxels[z].astype(np.float64), (tw, th))
     return OctVolume(voxels=out, spacing=spacing, volume_id=vol.volume_id)
 
 
@@ -171,6 +162,8 @@ def _nlm(image: np.ndarray, search_radius: int, patch_radius: int, h: float) -> 
     Patch distances are mean squared differences computed with a box filter;
     weights are exp(-d2 / h^2).  Borders use edge replication.
     """
+    from scipy import ndimage
+
     img = image.astype(np.float64)
     height, width = img.shape
     pad = search_radius
@@ -197,6 +190,8 @@ def denoise(image: np.ndarray, cfg: PreprocessConfig) -> np.ndarray:
     if image.ndim != 2:
         raise ValueError(f"expected a 2-D image, got shape {image.shape}")
     if cfg.denoiser == "gaussian":
+        from scipy import ndimage
+
         out = ndimage.gaussian_filter(image.astype(np.float64), sigma=cfg.sigma, mode="nearest")
     else:
         out = _nlm(image, cfg.search_radius, cfg.patch_radius, cfg.h)
@@ -228,8 +223,7 @@ def preprocess_volume(
         lo, hi = _finite_range(vol)
         if lo < 0.0 or hi > 1.0:
             vol = normalize(vol)
-    if vol.dims[:2] != tuple(target):
-        vol = resize_volume(vol, target)
+    vol = resize_volume(vol, target)
     if cfg.denoiser != "none":
         voxels = np.empty_like(vol.voxels)
         for z, plane in enumerate(vol.voxels):

@@ -1,15 +1,18 @@
 """End-to-end command-line workflows on temporary phantom datasets."""
 
+from dataclasses import replace
+
 import numpy as np
 import pytest
 
 from octpipe import patch_engine
 from octpipe.backends import one_hot, threshold_backend
 from octpipe.cli import main
-from octpipe.config import DATA_ROOT_ENV, KEYS
+from octpipe.config import DATA_ROOT_ENV, KEYS, load_config
 from octpipe.eval_harness.folds import load_folds
 from octpipe.eval_harness.report import load_report_csv
-from octpipe.preprocess import filter_slices
+from octpipe.eval_harness.runner import predict_volume
+from octpipe.preprocess import filter_slices, preprocess_volume
 from octpipe.volume_io import ProbVolume, read_labels, read_prob, read_volume, write_volume
 
 
@@ -245,6 +248,57 @@ def test_stitch_onto_a_mismatched_grid_names_the_grid(make_dataset, tmp_path, ca
     assert rc == 1
     assert "anchor (48, 0)" in err
     assert "image 64x64, patch 32x32, stride 16x16" in err
+
+
+def _patchify_full_image(root, out_dir, cfg_path, capsys, vid="cirrus_00"):
+    """Patchify every slice of ``vid`` as variant F; returns the common flags."""
+    common = ["--config", cfg_path, "--data-root", root, "--output-dir", out_dir, "--variant", "F"]
+    rc, out, err = run(capsys, "patchify", "--volume", vid, "--slice-policy", "all", *common)
+    assert rc == 0, err
+    assert "wrote 1 patches for each of 4 slices" in out
+    return common
+
+
+def test_patchify_full_image_variant_writes_one_image_sized_patch_per_slice(
+    make_dataset, tmp_path, capsys
+):
+    root, _, _ = make_dataset()
+    out_dir = tmp_path / "out"
+    _patchify_full_image(root, out_dir, native_config(tmp_path), capsys)
+    for z in range(4):
+        batch, grid, _ = patch_engine.load_patches(out_dir / "patches" / f"cirrus_00_z{z:04d}")
+        assert (grid.patch_w, grid.patch_h, grid.overlap) == (96, 96, 0.0)
+        assert grid.anchors == ((0, 0),)
+        assert batch.anchors.tolist() == [[0, 0, z]]
+        assert batch.data.shape == (1, 3, 96, 96)  # the 2.5d slab around z
+
+
+def test_stitch_full_image_variant_matches_predict_volume(make_dataset, tmp_path, capsys):
+    root, _, _ = make_dataset()
+    out_dir = tmp_path / "out"
+    cfg_path = native_config(tmp_path)
+    vid = "cirrus_00"
+    common = _patchify_full_image(root, out_dir, cfg_path, capsys, vid)
+    backend = threshold_backend()
+    bases = []
+    for z in range(4):
+        batch, grid, _ = patch_engine.load_patches(out_dir / "patches" / f"{vid}_z{z:04d}")
+        probs = backend.predict(batch, grid.depth_mode, vid)
+        base = out_dir / "patches" / f"pred_{vid}_z{z:04d}"
+        patch_engine.save_predictions(base, list(zip(map(tuple, batch.anchors.tolist()), probs)))
+        bases.append(base)
+
+    rc, out, err = run(
+        capsys, "stitch", "--volume", vid, "--dims", "96x96x4", "--predictions", *bases, *common
+    )
+    assert rc == 0, err
+    assert "stitched 4 patch predictions" in out
+    cfg = replace(load_config(cfg_path), variant="F")
+    target = cfg.preprocess.target_for(cfg.depth_mode)
+    vol = preprocess_volume(read_volume(root / "images" / f"{vid}.mhd"), cfg.preprocess, target)
+    expected = predict_volume(vol, backend, cfg)
+    got = read_prob(out_dir / "predictions" / f"{vid}_prob.mhd")
+    assert got.probs.tobytes() == expected.probs.tobytes()
 
 
 def test_patchify_policy_selects_diseased_slices(make_dataset, tmp_path, capsys):

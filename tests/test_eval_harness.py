@@ -1,5 +1,7 @@
 """Scoring, fold planning, phantoms, report rendering, and the runner."""
 
+import re
+
 import numpy as np
 import pytest
 
@@ -225,9 +227,24 @@ def test_fold_plan_save_load_round_trip(tmp_path):
 
 
 def test_load_folds_rejects_malformed(tmp_path):
-    (tmp_path / "bad.json").write_text('{"k": 3, "seed": 0}')
-    with pytest.raises(ValidationError):
-        load_folds(tmp_path / "bad.json")
+    for text in ('{"k": 3, "seed": 0}', '{"k": 1, "seed": 0, "folds": [1]}'):
+        (tmp_path / "bad.json").write_text(text)
+        with pytest.raises(ValidationError):
+            load_folds(tmp_path / "bad.json")
+
+
+def test_load_folds_names_a_file_that_is_not_json(tmp_path):
+    path = tmp_path / "folds.json"
+    path.write_text('{"k": 3\n"seed": 0}')
+    with pytest.raises(ValidationError, match=re.escape(str(path))):
+        load_folds(path)
+
+
+def test_load_folds_names_a_file_with_a_non_integer_k(tmp_path):
+    path = tmp_path / "folds.json"
+    path.write_text('{"k": "x", "seed": 0, "folds": [{}, {}]}')
+    with pytest.raises(ValidationError, match=re.escape(str(path))):
+        load_folds(path)
 
 
 # ---------------------------------------------------------------- phantom
@@ -535,6 +552,12 @@ def test_load_inventory_errors(tmp_path):
         load_inventory(tmp_path)
     (tmp_path / "inventory.json").write_text('["not", "a", "mapping"]')
     with pytest.raises(ValidationError):
+        load_inventory(tmp_path)
+
+
+def test_load_inventory_names_a_file_that_is_not_json(tmp_path):
+    (tmp_path / "inventory.json").write_text('{"Cirrus": ["a"]\n"Topcon": ["b"]}')
+    with pytest.raises(ValidationError, match=re.escape(str(tmp_path / "inventory.json"))):
         load_inventory(tmp_path)
 
 

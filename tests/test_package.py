@@ -1,6 +1,10 @@
-"""The package export lists name only real, distinct attributes."""
+"""The package export lists name only real, distinct attributes, and importing
+a module loads only what it needs."""
 
 import importlib
+import os
+import subprocess
+import sys
 
 
 def test_all_names_resolve_without_duplicates():
@@ -9,3 +13,23 @@ def test_all_names_resolve_without_duplicates():
         assert len(module.__all__) == len(set(module.__all__)), module_name
         missing = [name for name in module.__all__ if not hasattr(module, name)]
         assert missing == [], module_name
+
+
+def _modules_after_import(module_name):
+    """The module names a fresh interpreter holds after importing ``module_name``."""
+    code = f"import sys, {module_name}; print('\\n'.join(sys.modules))"
+    env = {**os.environ, "PYTHONPATH": os.pathsep.join(sys.path)}
+    out = subprocess.run([sys.executable, "-c", code], env=env, capture_output=True, text=True, check=True)
+    return set(out.stdout.split())
+
+
+def test_cli_import_leaves_scipy_unloaded():
+    loaded = _modules_after_import("octpipe.cli")
+    assert "octpipe.cli" in loaded
+    assert not any(name == "scipy" or name.startswith("scipy.") for name in loaded)
+
+
+def test_config_import_leaves_eval_harness_unloaded():
+    loaded = _modules_after_import("octpipe.config")
+    assert "octpipe.config" in loaded
+    assert not any(name.startswith("octpipe.eval_harness") for name in loaded)

@@ -58,11 +58,13 @@ def bilinear_oracle(image, tw, th):
 
 
 def test_resize_constant_slice():
-    image = np.full((7, 9), 0.5)
-    for mode in ("bilinear", "nearest"):
-        out = resize_slice(image, (572, 572), mode)
-        assert out.shape == (572, 572)
-        np.testing.assert_allclose(out, 0.5)
+    out = resize_slice(np.full((7, 9), 0.5), (572, 572))
+    assert out.shape == (572, 572)
+    np.testing.assert_allclose(out, 0.5)
+    labels = LabelVolume(voxels=np.full((1, 7, 9), 2, dtype=np.uint8))
+    out = resize_volume(labels, (572, 572)).voxels
+    assert out.shape == (1, 572, 572)
+    np.testing.assert_array_equal(out, 2)
 
 
 def test_resize_cirrus_slice_to_square():
@@ -75,7 +77,7 @@ def test_resize_cirrus_slice_to_square():
 
 def test_resize_checkerboard_nearest_upscale():
     cells = (np.indices((4, 4)).sum(axis=0) % 2).astype(np.uint8)
-    out = resize_slice(cells, (8, 8), "nearest")
+    (out,) = resize_volume(LabelVolume(voxels=cells[None]), (8, 8)).voxels
     assert set(np.unique(out)) <= {0, 1}
     np.testing.assert_array_equal(out, nearest_oracle(cells, 8, 8))
 
@@ -86,7 +88,7 @@ def test_resize_nearest_matches_oracle_random_shapes():
         sh, sw = rng.integers(1, 20, size=2)
         th, tw = rng.integers(1, 20, size=2)
         image = rng.integers(0, 4, size=(sh, sw)).astype(np.uint8)
-        out = resize_slice(image, (int(tw), int(th)), "nearest")
+        (out,) = resize_volume(LabelVolume(voxels=image[None]), (int(tw), int(th))).voxels
         np.testing.assert_array_equal(out, nearest_oracle(image, int(tw), int(th)))
 
 
@@ -104,8 +106,6 @@ def test_resize_slice_rejects_bad_arguments():
     image = np.zeros((4, 4))
     with pytest.raises(ValueError):
         resize_slice(image, (0, 4))
-    with pytest.raises(ValueError):
-        resize_slice(image, (4, 4), "cubic")
     with pytest.raises(ValueError):
         resize_slice(np.zeros((4, 4, 2)), (4, 4))
 
@@ -165,6 +165,10 @@ def test_resize_volume_identity_is_exact():
     labels = LabelVolume(voxels=voxels, volume_id="same")
     out = resize_volume(labels, (10, 12))
     np.testing.assert_array_equal(out.voxels, voxels)
+    # a volume already at the target comes back as it is, images too
+    assert out is labels
+    image = OctVolume(voxels=rng.random((4, 12, 10)), spacing=(0.3, 0.7, 1.1), volume_id="same")
+    assert resize_volume(image, (10, 12)) is image
 
 
 def test_normalize_affine_and_degenerate():
