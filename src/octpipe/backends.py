@@ -20,13 +20,13 @@ import numpy as np
 
 from .errors import ValidationError
 from .patch_engine import DepthMode, PatchBatch, windows
-from .volume_io import N_CLASSES, LabelVolume, ProbVolume, read_prob
+from .volume_io import N_CLASSES, LabelVolume, ProbVolume, prob_path, read_prob
 
 PredictFn = Callable[[PatchBatch, DepthMode, str], np.ndarray]
 
 BACKEND_KINDS = ("threshold", "oracle", "external")
 
-DEFAULT_BANDS = (0.25, 0.5, 0.75)
+BANDS = (0.25, 0.5, 0.75)  # the threshold backend's intensity cut points
 
 PROB_CLAMP = 1e-7
 
@@ -90,13 +90,10 @@ def one_hot(labels: np.ndarray, axis: int = 0) -> np.ndarray:
     return out
 
 
-def classify_bands(
-    intensity: np.ndarray, bands: tuple[float, float, float] = DEFAULT_BANDS
-) -> np.ndarray:
-    """Label voxels by intensity band: <=b1 -> 0, <=b2 -> 1, <=b3 -> 2, else 3."""
-    b1, b2, b3 = bands
-    if not 0.0 <= b1 < b2 < b3 <= 1.0:
-        raise ValidationError(f"band cut points must ascend within [0, 1], got {bands}")
+def classify_bands(intensity: np.ndarray) -> np.ndarray:
+    """Label voxels by intensity band of ``BANDS`` = (b1, b2, b3):
+    <=b1 -> 0, <=b2 -> 1, <=b3 -> 2, else 3."""
+    b1, b2, b3 = BANDS
     intensity = np.asarray(intensity)
     out = np.full(intensity.shape, 3, dtype=np.uint8)
     out[intensity <= b3] = 2
@@ -105,14 +102,13 @@ def classify_bands(
     return out
 
 
-def threshold_backend(bands: tuple[float, float, float] = DEFAULT_BANDS) -> Backend:
+def threshold_backend() -> Backend:
     """Classify each voxel of the patch itself by intensity band; single-slice
     modes classify the centre plane of each patch."""
-    classify_bands(np.zeros(1), bands)  # validate the cut points up front
 
     def predict(batch: PatchBatch, mode: DepthMode, volume_id: str) -> np.ndarray:
         data = batch.data if mode.kind == "3d" else batch.data[:, batch.data.shape[1] // 2]
-        return one_hot(classify_bands(data, bands), axis=1)
+        return one_hot(classify_bands(data), axis=1)
 
     return Backend(predict)
 
@@ -134,7 +130,6 @@ def external_backend(prob_dir: str | Path) -> Backend:
     is dropped before the next is read.  The lock makes threaded prediction
     load each volume once.
     """
-    prob_dir = Path(prob_dir)
     cache: dict[str, ProbVolume] = {}
     lock = threading.Lock()
 
@@ -142,7 +137,7 @@ def external_backend(prob_dir: str | Path) -> Backend:
         with lock:
             if volume_id not in cache:
                 cache.clear()
-                path = prob_dir / f"{volume_id}_prob.mhd"
+                path = prob_path(prob_dir, volume_id)
                 if not path.exists():
                     raise FileNotFoundError(
                         f"no probability volume for '{volume_id}' at {path}"

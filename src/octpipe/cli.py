@@ -32,14 +32,14 @@ from .eval_harness.phantom import random_phantom
 from .eval_harness.report import load_report_csv, render_report
 from .eval_harness.runner import image_path, label_path, load_inventory, run_experiment
 from .preprocess import default_slice_policy, filter_slices, preprocess_volume, resize_volume
-from .volume_io import read_labels, read_volume, vendor_of, write_volume
+from .volume_io import prob_path, read_labels, read_volume, vendor_of, write_volume
 
 
 def _add_common(sub: argparse.ArgumentParser) -> None:
     sub.add_argument("--config", type=Path, help="flat key=value configuration file")
     for key in KEYS:
         if key.flag is not None:
-            sub.add_argument(key.flag, dest=key.name, choices=key.choices, help=key.help)
+            sub.add_argument(key.flag, dest=key.name, help=key.help)
 
 
 def _config_from_args(args: argparse.Namespace) -> RunConfig:
@@ -165,18 +165,22 @@ def cmd_patchify(args: argparse.Namespace, cfg: RunConfig) -> int:
 def cmd_stitch(args: argparse.Namespace, cfg: RunConfig) -> int:
     _require(cfg, OUTPUT_DIR)
     dims = parse_dims(args.dims, 3)
-    pairs = []
-    for base in args.predictions:
-        pairs.extend(patch_engine.load_predictions(Path(base)))
-    grid = cfg.grid(dims[:2])
-    prob = patch_engine.stitch(pairs, grid, dims, volume_id=args.volume)
+    sizes = []
+
+    def spilled():  # read each spill only when stitch reaches it
+        for base in args.predictions:
+            pairs = patch_engine.load_predictions(Path(base))
+            sizes.append(len(pairs))
+            yield from pairs
+
+    prob = patch_engine.stitch(spilled(), cfg.grid(dims[:2]), dims, volume_id=args.volume)
     prob.validate()
     out_dir = cfg.output_dir / "predictions"
     out_dir.mkdir(parents=True, exist_ok=True)
-    out_path = out_dir / f"{args.volume}_prob.mhd"
+    out_path = prob_path(out_dir, args.volume)
     write_volume(prob, out_path)
     _write_config_copy(cfg, out_dir)
-    print(f"stitched {len(pairs)} patch predictions into {out_path}")
+    print(f"stitched {sum(sizes)} patch predictions into {out_path}")
     return 0
 
 
@@ -184,12 +188,10 @@ def cmd_evaluate(args: argparse.Namespace, cfg: RunConfig) -> int:
     _require(cfg, DATA_ROOT, OUTPUT_DIR)
     if args.fold is not None and not 0 <= args.fold < cfg.folds_k:
         raise ConfigError(f"--fold {args.fold} outside plan with k={cfg.folds_k}")
-    inventory = load_inventory(cfg.data_root)
-    plan = make_folds(inventory, cfg.folds_k, cfg.seed)
-    folds = [args.fold] if args.fold is not None else list(range(plan.k))
+    folds = [args.fold] if args.fold is not None else range(cfg.folds_k)
     entries = []
     for fold in folds:
-        entries.extend(run_experiment(cfg, fold, plan=plan))
+        entries.extend(run_experiment(cfg, fold))
     return _write_report(cfg, entries, f"evaluate_{cfg.depth_mode.kind}_{cfg.variant}")
 
 
@@ -212,8 +214,6 @@ def cmd_synth(args: argparse.Namespace, cfg: RunConfig) -> int:
     if args.n_blobs < 1:
         raise ConfigError("--n-blobs must be >= 1")
     root = cfg.data_root
-    (root / "images").mkdir(parents=True, exist_ok=True)
-    (root / "labels").mkdir(parents=True, exist_ok=True)
     inventory: dict[str, list[str]] = {}
     counter = 0
     for vendor in vendors:
@@ -227,8 +227,10 @@ def cmd_synth(args: argparse.Namespace, cfg: RunConfig) -> int:
                 close_radius=max(1, cfg.close_radius),
                 volume_id=volume_id,
             )
-            write_volume(vol, root / "images" / f"{volume_id}.mhd")
-            write_volume(labels, root / "labels" / f"{volume_id}.mhd")
+            for volume, where in ((vol, image_path), (labels, label_path)):
+                path = where(root, volume_id)
+                path.parent.mkdir(parents=True, exist_ok=True)
+                write_volume(volume, path)
             ids.append(volume_id)
             counter += 1
         inventory[vendor] = ids

@@ -22,7 +22,7 @@ from typing import Any, Callable
 
 from .backends import TrainingConfig, parse_backend_descriptor
 from .errors import ConfigError, ValidationError
-from .patch_engine import DepthMode, PatchGrid, plan_grid
+from .patch_engine import DEPTH_KINDS, DepthMode, PatchGrid, plan_grid
 from .preprocess import DENOISERS, SLICE_POLICIES, PreprocessConfig
 
 DATA_ROOT_ENV = "OCTPIPE_DATA_ROOT"
@@ -92,14 +92,13 @@ class RunConfig:
 class Key:
     """One setting: file key ``name``, ``RunConfig`` attribute ``path``
     (``section.attr`` for nested configs; defaults to ``name``), text parser
-    and renderer, the ``choices`` the command line offers if any, and the
-    command-line ``flag`` (None for file-only keys)."""
+    and renderer, and the command-line ``flag`` (None for file-only keys)
+    with its ``help``."""
 
     name: str
     parse: Callable[[str], Any] = str
     render: Callable[[Any], str] = str
     flag: str | None = None
-    choices: tuple[str, ...] | None = None
     help: str | None = None
     path: str | None = None
 
@@ -148,26 +147,30 @@ def _render_bool(value: bool) -> str:
     return "true" if value else "false"
 
 
+def _one_of(choices: tuple[str, ...]) -> str:
+    return " | ".join(choices)
+
+
 DATA_ROOT = Key("data_root", Path, flag="--data-root")
 OUTPUT_DIR = Key("output_dir", Path, flag="--output-dir")
 
 KEYS: tuple[Key, ...] = (
     DATA_ROOT,
     OUTPUT_DIR,
-    Key("variant", flag="--variant", choices=VARIANTS),
+    Key("variant", flag="--variant", help=_one_of(VARIANTS)),
     Key(
         "depth_mode",
         DepthMode.parse,
         attrgetter("kind"),
         flag="--depth-mode",
-        help="2d | 2.5d | 3d",
+        help=_one_of(DEPTH_KINDS),
     ),
     Key("backend", flag="--backend", help="threshold | oracle | external:DIR"),
     Key("jobs", int, flag="--jobs", help="0 = all cores"),
     Key("grid.patch_size", int, flag="--patch-size", path="patch_size"),
     Key("grid.overlap", float, repr, flag="--overlap", path="overlap"),
     Key("grid.close_radius", int, flag="--close-radius", path="close_radius"),
-    Key("eval.aggregate", flag="--aggregate", choices=AGGREGATES, path="aggregate"),
+    Key("eval.aggregate", flag="--aggregate", help=_one_of(AGGREGATES), path="aggregate"),
     Key(
         "folds.k",
         int,
@@ -176,10 +179,10 @@ KEYS: tuple[Key, ...] = (
         path="folds_k",
     ),
     Key("folds.seed", int, flag="--seed", path="seed"),
-    Key("slice_policy", flag="--slice-policy", choices=_SLICE_CHOICES),
+    Key("slice_policy", flag="--slice-policy", help=_one_of(_SLICE_CHOICES)),
     Key("preprocess.target_2d", partial(parse_dims, parts=2), _render_dims),
     Key("preprocess.target_vol", partial(parse_dims, parts=2), _render_dims),
-    Key("preprocess.denoiser", flag="--denoiser", choices=DENOISERS),
+    Key("preprocess.denoiser", flag="--denoiser", help=_one_of(DENOISERS)),
     Key("preprocess.sigma", float, repr),
     Key("preprocess.search_radius", int),
     Key("preprocess.patch_radius", int),

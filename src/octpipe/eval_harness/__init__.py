@@ -1,7 +1,7 @@
 """Evaluation side of the toolkit: metrics, fold planning, experiment runner,
 report rendering and synthetic phantom volumes."""
 
-from .folds import FoldPlan, load_folds, make_folds, save_folds
+from .folds import FoldPlan, make_folds, save_folds
 from .metrics import ConfusionCounts, confusion, dice, dice_volume
 from .phantom import BlobSpec, closing_stable, random_phantom, synth_phantom
 from .report import (
@@ -35,7 +35,6 @@ __all__ = [
     "entry_sort_key",
     "evaluate_volume",
     "format_cell",
-    "load_folds",
     "load_inventory",
     "load_report_csv",
     "make_folds",

@@ -91,6 +91,7 @@ def make_folds(inventory: dict[str, list[str]], k: int, seed: int) -> FoldPlan:
 
 
 def save_folds(plan: FoldPlan, path: str | Path) -> None:
+    """Record ``plan`` as JSON; a run re-plans its folds rather than read this."""
     payload = {
         "k": plan.k,
         "seed": plan.seed,
@@ -101,20 +102,3 @@ def save_folds(plan: FoldPlan, path: str | Path) -> None:
     }
     Path(path).write_text(json.dumps(payload, indent=2, sort_keys=True) + "\n")
 
-
-def load_folds(path: str | Path) -> FoldPlan:
-    """Read a plan ``save_folds`` wrote; a file that is not JSON or does not
-    hold a plan raises ValidationError naming it."""
-    try:
-        payload = json.loads(Path(path).read_text())
-        test_sets = tuple(
-            {vendor: tuple(ids) for vendor, ids in fold.items()} for fold in payload["folds"]
-        )
-        plan = FoldPlan(k=int(payload["k"]), seed=int(payload["seed"]), test_sets=test_sets)
-    except (AttributeError, KeyError, TypeError, ValueError) as exc:
-        raise ValidationError(f"malformed fold plan at {path}: {exc}") from exc
-    if len(plan.test_sets) != plan.k:
-        raise ValidationError(
-            f"fold plan at {path} declares k={plan.k} but lists {len(plan.test_sets)} folds"
-        )
-    return plan

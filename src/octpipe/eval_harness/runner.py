@@ -38,7 +38,7 @@ from ..patch_engine import (
 )
 from ..preprocess import PreprocessConfig, preprocess_volume, resize_volume
 from ..volume_io import FLUIDS, LabelVolume, OctVolume, ProbVolume, read_labels, read_volume
-from .folds import FoldPlan, make_folds
+from .folds import make_folds
 from .metrics import ConfusionCounts, confusion, dice, dice_volume
 from .report import ReportEntry
 
@@ -130,15 +130,13 @@ def predict_volume(vol: OctVolume, backend: Backend, cfg: RunConfig) -> ProbVolu
         return stitch(pairs, grid, vol.dims, volume_id=vol.volume_id)
 
 
-def segment_volume(
-    vol: OctVolume, backend: Backend, cfg: RunConfig
-) -> tuple[ProbVolume, LabelVolume]:
-    """predict -> stitch -> argmax -> per-fluid closing."""
+def segment_volume(vol: OctVolume, backend: Backend, cfg: RunConfig) -> LabelVolume:
+    """predict -> stitch -> argmax -> per-fluid closing; returns the labels."""
     prob = _stage("predict", vol.volume_id, predict_volume, vol, backend, cfg)
     pred = _stage("labelize", vol.volume_id, labelize, prob)
     if cfg.close_radius > 0:
         pred = _stage("close", vol.volume_id, close_all, pred, cfg.close_radius)
-    return prob, pred
+    return pred
 
 
 def _backend_for(descriptor: str, truth: LabelVolume) -> Backend:
@@ -158,22 +156,22 @@ def evaluate_volume(volume_id: str, cfg: RunConfig) -> tuple[dict, dict]:
     truth = _stage("read_labels", volume_id, read_labels, label_path(cfg.data_root, volume_id))
     target = cfg.preprocess.target_for(cfg.depth_mode)
     vol, truth = _stage("preprocess", volume_id, preprocess_pair, vol, truth, cfg.preprocess, target)
-    _prob, pred = segment_volume(vol, _backend_for(cfg.backend, truth), cfg)
+    pred = segment_volume(vol, _backend_for(cfg.backend, truth), cfg)
     counts = _stage("score", volume_id, lambda: {cls: confusion(pred, truth, cls) for cls in FLUIDS})
     return {cls: dice(c) for cls, c in counts.items()}, counts
 
 
-def run_experiment(cfg: RunConfig, fold: int, plan: FoldPlan | None = None) -> list[ReportEntry]:
+def run_experiment(cfg: RunConfig, fold: int) -> list[ReportEntry]:
     """Evaluate one fold's test volumes; one report row per (vendor, fluid).
 
-    Per-vendor scores aggregate across the fold's test volumes by macro
-    average (mean of per-volume Dice) or micro pooling (Dice of summed
-    confusion counts) per ``cfg.aggregate``.  The model column is
-    ``cfg.backend``, the backend every volume ran.
+    The folds are planned from ``inventory.json`` under ``cfg.data_root``
+    with ``cfg.folds_k`` and ``cfg.seed``.  Per-vendor scores aggregate
+    across the fold's test volumes by macro average (mean of per-volume
+    Dice) or micro pooling (Dice of summed confusion counts) per
+    ``cfg.aggregate``.  The model column is ``cfg.backend``, the backend
+    every volume ran.
     """
-    if plan is None:
-        inventory = load_inventory(cfg.data_root)
-        plan = make_folds(inventory, cfg.folds_k, cfg.seed)
+    plan = make_folds(load_inventory(cfg.data_root), cfg.folds_k, cfg.seed)
     if not 0 <= fold < plan.k:
         raise ValidationError(f"fold {fold} outside plan with k={plan.k}")
 

@@ -7,15 +7,15 @@ class-first, and the grid's depth mode fixes their shape: a 2-D map
 (4, h, w) at each slice in 2d and 2.5d, one 3-D block (4, depth, h, w)
 anchored at z = 0 in 3d.  Stitching streams: it takes predictions
 from any iterable, in any order, and sums each into the output volume as soon
-as every anchor before it in canonical row-major order has been summed (early
-arrivals wait in a small per-slice pending map), so the result is independent
-of the input ordering and of any parallel schedule upstream.  A prediction
-that is a window of a larger array (a backend's cached volume, a batch row) is
-held until its grid row is complete; a prediction that owns its memory is
-summed at once.  Either way it is summed plane by plane, so one plane of the
-row's overlapping windows stays in cache, and each voxel receives its
-predictions in canonical anchor order.  A slice range whose
-predictions are all in is divided in place by the grid's coverage plane.
+as every anchor before it in canonical row-major order has been summed (until
+then it waits in one per-slice map), so the result is independent of the
+input ordering and of any parallel schedule upstream.  A prediction that is a
+window of a larger array (a backend's cached volume, a batch row) is held
+until its grid row is complete; a prediction that owns its memory is summed
+at once.  Either way it is summed plane by plane, so one plane of the row's
+overlapping windows stays in cache, and each voxel receives its predictions
+in canonical anchor order.  A slice range whose predictions are all in is
+divided in place by the grid's coverage plane.
 Per-voxel passes over a whole volume (the finiteness check, arg-max, closing)
 run one slice at a time, so none allocates a temporary the size of the volume.
 """
@@ -245,21 +245,21 @@ def stitch(
     at every anchor of ``grid``.
 
     Predictions are summed as they arrive into the float32 array that becomes
-    the result.  Each anchor z keeps a cursor into ``grid.anchors``: the pair
-    at the cursor is taken at once, and a pair that arrives early waits until
-    the anchors before it have been taken.  A taken prediction that owns its
-    memory is added at once, after any held part of its row.  One that is a
-    window of a larger array (its ``base`` is a bigger ndarray, so holding it
-    costs no memory) is held until the last anchor of its grid row (the
-    anchors sharing its y) is taken.  Either way a row is added one plane at
-    a time, anchor by anchor, so each plane of the overlapping windows is
-    summed while it is in cache.  Every voxel therefore sums its predictions
-    in canonical row-major anchor order whatever the input order (or
-    upstream schedule), and the result is bit-identical however the
-    predictions are stored.  Once an anchor z has all its predictions, its
-    slice range is divided in place by :func:`coverage_plane`; that matches
-    dividing by per-voxel counts bit for bit, since both operands are exact
-    in float32.
+    the result.  Each anchor z keeps a count of the ``grid.anchors`` summed
+    so far and a map of the predictions that arrived but are not yet summed.
+    The run of arrived anchors that starts at the count is summed up to its
+    last prediction that owns its memory or ends a grid row (the anchors
+    sharing one y).  So a prediction that arrives early waits for the anchors
+    before it, and one that is a window of a larger array (its ``base`` is a
+    bigger ndarray, so holding it costs no memory) waits for the rest of its
+    row.  A run is added one plane at a time, anchor by anchor, so each plane
+    of the overlapping windows is summed while it is in cache.  Every voxel
+    therefore sums its predictions in canonical row-major anchor order
+    whatever the input order (or upstream schedule), and the result is
+    bit-identical however the predictions are stored.  Once an anchor z has
+    all its predictions, its slice range is divided in place by
+    :func:`coverage_plane`; that matches dividing by per-voxel counts bit for
+    bit, since both operands are exact in float32.
 
     Raises :class:`CoverageError` for an anchor outside ``grid``, naming the
     grid's image size, patch size and stride, and for a voxel no patch
@@ -276,8 +276,8 @@ def stitch(
         )
     probs = np.zeros((N_CLASSES, depth, height, width), dtype=np.float32)
     planes = depth if grid.depth_mode.kind == "3d" else 1
-    cursors, pending = _accumulate(patch_probs, grid, probs, planes)
-    _check_complete(grid, depth, planes, cursors, pending)
+    summed, waiting = _accumulate(patch_probs, grid, probs, planes)
+    _check_complete(grid, depth, planes, summed, waiting)
     for z in range(depth):
         finite = np.isfinite(probs[:, z]).all(axis=0)
         if not finite.all():
@@ -291,8 +291,8 @@ def stitch(
 def _accumulate(patch_probs, grid: PatchGrid, probs: np.ndarray, planes: int):
     """Sum ``patch_probs``, each ``planes`` deep, into the zeroed ``probs``
     and divide each completed slice range by the coverage plane; returns
-    (cursors, pending): per anchor z the count of anchors taken and the
-    early arrivals still waiting."""
+    (summed, waiting): per anchor z the count of anchors summed and the
+    predictions that arrived but are not yet summed, by anchor index."""
     depth = probs.shape[1]
     anchors = grid.anchors
     index = {anchor: i for i, anchor in enumerate(anchors)}
@@ -301,23 +301,13 @@ def _accumulate(patch_probs, grid: PatchGrid, probs: np.ndarray, planes: int):
     ph, pw = grid.patch_h, grid.patch_w
     shape = (N_CLASSES, planes, ph, pw)
     plane = coverage_plane(grid)
-    cursors: dict[int, int] = {}
-    pending: dict[int, dict[int, np.ndarray]] = {}
-    held: dict[int, list[tuple[int, np.ndarray]]] = {}  # taken, not yet added
+    summed: dict[int, int] = {}
+    waiting: dict[int, dict[int, np.ndarray]] = {}
 
-    def flush(z: int) -> None:
-        row, held[z] = held[z], []
-        for p in range(planes):
-            for i, block in row:
-                x, y = anchors[i]
-                probs[:, z + p, y : y + ph, x : x + pw] += block[:, p]
-
-    def take(z: int, i: int, block: np.ndarray) -> None:
-        # a window of a larger array waits for its row; anything else goes in now
-        held[z].append((i, block))
+    def closes_run(i: int, block: np.ndarray) -> bool:
+        # a window of a larger array costs nothing to hold, so it waits for its row
         base = block.base
-        if row_end[i] or not (isinstance(base, np.ndarray) and base.size > block.size):
-            flush(z)
+        return row_end[i] or not (isinstance(base, np.ndarray) and base.size > block.size)
 
     for (x, y, z), pred in patch_probs:
         i = index.get((x, y))
@@ -338,43 +328,49 @@ def _accumulate(patch_probs, grid: PatchGrid, probs: np.ndarray, planes: int):
                 f"prediction at ({x}, {y}, {z}) has shape {pred.shape}, expected "
                 f"{shape[:1] + shape[2:] if planes == 1 else shape} on a {grid.depth_mode.kind} grid"
             )
-        if z not in cursors:
-            cursors[z], pending[z], held[z] = 0, {}, []
-        waiting = pending[z]
-        if i < cursors[z] or i in waiting:
+        arrived, done = waiting.setdefault(z, {}), summed.setdefault(z, 0)
+        if i < done or i in arrived:
             raise ValidationError(f"prediction for anchor ({x}, {y}, {z}) arrived twice")
-        if i != cursors[z]:
-            waiting[i] = block
-            continue
-        take(z, i, block)
-        i += 1
-        while i in waiting:
-            take(z, i, waiting.pop(i))
-            i += 1
-        cursors[z] = i
-        if i == len(grid.anchors):
+        arrived[i] = block
+        if not (closes_run(i, block) or i + 1 in arrived):
+            continue  # the arrived run from ``done`` gained no block that closes it
+        end = j = done
+        while j in arrived:
+            if closes_run(j, arrived[j]):
+                end = j + 1
+            j += 1
+        run = [(anchors[k], arrived.pop(k)) for k in range(done, end)]
+        for p in range(planes):
+            for (ax, ay), block in run:
+                probs[:, z + p, ay : ay + ph, ax : ax + pw] += block[:, p]
+        del run  # hold no summed block while the next one arrives
+        summed[z] = end
+        if end == len(anchors):
             probs[:, z : z + planes] /= plane
-    return cursors, pending
+    return summed, waiting
 
 
-def _check_complete(grid: PatchGrid, depth: int, planes: int, cursors: dict, pending: dict) -> None:
+def _check_complete(grid: PatchGrid, depth: int, planes: int, summed: dict, waiting: dict) -> None:
     """Raise CoverageError naming the first uncovered voxel in (z, y, x) order,
     or else the first missing anchor of the first incomplete anchor z."""
-    incomplete = [z for z in sorted(cursors) if cursors[z] < len(grid.anchors)]
-    if not incomplete and len(cursors) * planes == depth:
+    incomplete = [z for z in sorted(summed) if summed[z] < len(grid.anchors)]
+    if not incomplete and len(summed) * planes == depth:
         return
     width, height = grid.image_dims
     for z in range(depth):
         az = z - z % planes  # the anchor z whose predictions cover slice z
         covered = np.zeros((height, width), dtype=bool)
-        for i in [*range(cursors.get(az, 0)), *pending.get(az, ())]:
+        for i in [*range(summed.get(az, 0)), *waiting.get(az, ())]:
             x, y = grid.anchors[i]
             covered[y : y + grid.patch_h, x : x + grid.patch_w] = True
         if not covered.all():
             yy, xx = (int(i) for i in np.argwhere(~covered)[0])
             raise CoverageError(f"voxel (x={xx}, y={yy}, z={z}) is covered by no patch")
     z = incomplete[0]
-    x, y = grid.anchors[cursors[z]]
+    i = summed[z]
+    while i in waiting[z]:  # windows held for their row have arrived
+        i += 1
+    x, y = grid.anchors[i]
     raise CoverageError(f"no prediction arrived for anchor ({x}, {y}, {z})")
 
 

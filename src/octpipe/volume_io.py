@@ -20,6 +20,8 @@ from .errors import FormatError, ValidationError
 
 N_CLASSES = 4
 
+PROB_SUM_TOL = 1e-5  # how far a probability volume's channel sums may stray from 1
+
 ELEMENT_DTYPES = {
     "MET_UCHAR": np.dtype("<u1"),
     "MET_USHORT": np.dtype("<u2"),
@@ -109,7 +111,7 @@ class ProbVolume:
     """Per-class probability field, float32, shape (4, depth, height, width).
 
     Channel order is Background, IRF, SRF, PED.  Channel sums are expected to
-    lie within 1e-5 of 1 at every voxel; ``validate()`` enforces that.
+    lie within ``PROB_SUM_TOL`` of 1 at every voxel; ``validate()`` enforces that.
     """
 
     probs: np.ndarray
@@ -127,7 +129,7 @@ class ProbVolume:
         _, d, h, w = self.probs.shape
         return (w, h, d)
 
-    def validate(self, tol: float = 1e-5) -> None:
+    def validate(self) -> None:
         """Reject a volume that is not a distribution over the classes at
         every voxel: a negative value anywhere, else a non-finite value
         anywhere, else a channel sum off 1 (reporting the largest deviation).
@@ -146,7 +148,7 @@ class ProbVolume:
             err = max(err, dev_max)
         if not finite:
             raise ValidationError(f"non-finite probability in volume '{self.volume_id}'")
-        if err > tol:
+        if err > PROB_SUM_TOL:
             raise ValidationError(
                 f"channel sums deviate from 1 by up to {err:.3g} in volume '{self.volume_id}'"
             )
@@ -272,18 +274,24 @@ def read_labels(path: str | Path) -> LabelVolume:
     return LabelVolume(voxels=data, volume_id=path.stem, spacing=_parse_spacing(path, header))
 
 
+_PROB_SUFFIX = "_prob"
+
+
+def prob_path(directory: str | Path, volume_id: str) -> Path:
+    """Where ``volume_id``'s probability volume lives in ``directory``."""
+    return Path(directory) / f"{volume_id}{_PROB_SUFFIX}.mhd"
+
+
 def read_prob(path: str | Path) -> ProbVolume:
-    """Read a 4-channel probability volume written by :func:`write_volume`."""
+    """Read a 4-channel probability volume written by :func:`write_volume`;
+    its id is the file stem less any ``_prob`` suffix :func:`prob_path` adds."""
     path = Path(path)
     data, header = _load_array(path)
     if data.ndim != 4:
         raise FormatError(f"{path}: expected a 4-channel volume (NDims=4)")
     if data.shape[0] != N_CLASSES:
         raise FormatError(f"{path}: expected {N_CLASSES} channels, got {data.shape[0]}")
-    volume_id = path.stem
-    if volume_id.endswith("_prob"):
-        volume_id = volume_id[: -len("_prob")]
-    return ProbVolume(probs=data, volume_id=volume_id)
+    return ProbVolume(probs=data, volume_id=path.stem.removesuffix(_PROB_SUFFIX))
 
 
 def write_volume(vol: OctVolume | LabelVolume | ProbVolume, path: str | Path) -> None:

@@ -283,7 +283,7 @@ def test_criterion_08_report_fidelity(make_dataset, tmp_path):
         seed=0,
     )
     plan = make_folds(inventory, 2, 0)
-    entries = run_experiment(cfg, 0, plan=plan)
+    entries = run_experiment(cfg, 0)
 
     expected = {}
     for vendor, ids in plan.test_sets[0].items():

@@ -8,7 +8,6 @@ import pytest
 
 from octpipe import backends
 from octpipe.backends import (
-    DEFAULT_BANDS,
     Backend,
     TrainingConfig,
     class_weights,
@@ -29,17 +28,6 @@ def test_classify_bands_boundaries_are_inclusive():
     values = np.array([0.0, 0.25, 0.2500001, 0.5, 0.5000001, 0.75, 0.7500001, 1.0])
     out = classify_bands(values)
     assert out.tolist() == [0, 0, 1, 1, 2, 2, 3, 3]
-
-
-def test_classify_bands_custom_cuts_and_errors():
-    out = classify_bands(np.array([0.05, 0.15, 0.55, 0.95]), (0.1, 0.2, 0.9))
-    assert out.tolist() == [0, 1, 2, 3]
-    with pytest.raises(ValidationError):
-        classify_bands(np.zeros(2), (0.5, 0.5, 0.75))
-    with pytest.raises(ValidationError):
-        classify_bands(np.zeros(2), (0.25, 0.75, 0.5))
-    with pytest.raises(ValidationError):
-        classify_bands(np.zeros(2), (-0.1, 0.5, 0.75))
 
 
 def test_one_hot_round_trip():
@@ -93,11 +81,6 @@ def test_threshold_backend_3d_classifies_every_plane():
     (pred,) = threshold_backend().predict(batch, DepthMode.d3(), "bv")
     assert pred.shape == (4, 3, 16, 16)
     np.testing.assert_array_equal(pred.argmax(axis=0), classify_bands(vol.voxels))
-
-
-def test_threshold_backend_rejects_bad_bands_eagerly():
-    with pytest.raises(ValidationError):
-        threshold_backend((0.9, 0.5, 0.95))
 
 
 def test_oracle_backend_reproduces_truth_windows():

@@ -1,5 +1,6 @@
 """End-to-end command-line workflows on temporary phantom datasets."""
 
+import json
 from dataclasses import replace
 
 import numpy as np
@@ -9,9 +10,10 @@ from octpipe import patch_engine
 from octpipe.backends import one_hot, threshold_backend
 from octpipe.cli import main
 from octpipe.config import DATA_ROOT_ENV, KEYS, load_config
-from octpipe.eval_harness.folds import load_folds
+from octpipe.eval_harness import runner
 from octpipe.eval_harness.report import load_report_csv
 from octpipe.eval_harness.runner import predict_volume
+from octpipe.patch_engine import DepthMode, plan_grid
 from octpipe.preprocess import filter_slices, preprocess_volume
 from octpipe.volume_io import ProbVolume, read_labels, read_prob, read_volume, write_volume
 
@@ -133,13 +135,38 @@ def test_folds_writes_plan_and_prints_sizes(make_dataset, tmp_path, capsys):
         "--seed", "0",
     )
     assert rc == 0
-    plan = load_folds(out_dir / "folds" / "folds.json")
-    assert plan.k == 2 and plan.seed == 0
-    assert list(plan.all_ids()) == sorted(i for ids in inventory.values() for i in ids)
+    plan = json.loads((out_dir / "folds" / "folds.json").read_text())
+    assert plan["k"] == 2 and plan["seed"] == 0
+    tested = sorted(vid for fold in plan["folds"] for ids in fold.values() for vid in ids)
+    assert tested == sorted(i for ids in inventory.values() for i in ids)
     assert "fold 0 test volumes:" in out
     assert "fold 1 test volumes:" in out
     config_copy = (out_dir / "folds" / "run_config.txt").read_text()
     assert "folds.k=2" in config_copy
+
+
+def test_folds_json_lists_the_volumes_evaluate_scores(
+    make_dataset, tmp_path, capsys, monkeypatch
+):
+    root, _, _ = make_dataset(n_per_vendor=3)
+    out_dir = tmp_path / "out"
+    common = [
+        "--config", native_config(tmp_path), "--data-root", root, "--output-dir", out_dir,
+        "--folds", "3", "--seed", "5", "--variant", "F",
+    ]
+    rc, _, err = run(capsys, "folds", *common)
+    assert rc == 0, err
+    plan = json.loads((out_dir / "folds" / "folds.json").read_text())
+    scored = []
+    evaluate_volume = runner.evaluate_volume
+    monkeypatch.setattr(
+        runner, "evaluate_volume", lambda vid, cfg: scored.append(vid) or evaluate_volume(vid, cfg)
+    )
+    for fold, test_sets in enumerate(plan["folds"]):
+        scored.clear()
+        rc, _, err = run(capsys, "evaluate", "--fold", fold, *common)
+        assert rc == 0, err
+        assert sorted(scored) == sorted(vid for ids in test_sets.values() for vid in ids)
 
 
 def test_preprocess_resizes_images_and_labels(make_dataset, tmp_path, capsys):
@@ -227,6 +254,43 @@ def test_patchify_stitch_round_trip(make_dataset, tmp_path, capsys):
     prob.validate()
     labels = patch_engine.labelize(prob)
     np.testing.assert_array_equal(labels.voxels, truths[vid].voxels)
+
+
+def test_stitch_holds_at_most_two_spills(tmp_path, capsys):
+    """Stitching reads spills one by one, so at most two are in memory (the
+    one being read, and the one whose last prediction stitch still holds),
+    not all of them; 512 KiB (under half a spill) covers the command's own
+    bookkeeping: coverage plane, parser, JSON."""
+    import tracemalloc
+
+    width = height = 96
+    depth = 16
+    grid = plan_grid((width, height), 32, 0.75, DepthMode.d25())
+    rng = np.random.default_rng(12)
+    bases = []
+    for z in range(depth):
+        raw = rng.random((len(grid.anchors), 4, 32, 32), dtype=np.float32) + 0.1
+        probs = raw / raw.sum(axis=1, keepdims=True)
+        base = tmp_path / f"pred_z{z:04d}"
+        pairs = [((x, y, z), p) for (x, y), p in zip(grid.anchors, probs)]
+        patch_engine.save_predictions(base, pairs)
+        bases.append(base)
+    spill = probs.nbytes
+    output = 4 * depth * height * width * 4
+    argv = [
+        "stitch", "--volume", "v", "--dims", f"{width}x{height}x{depth}",
+        "--patch-size", "32", "--overlap", "0.75", "--output-dir", tmp_path / "out",
+        "--predictions", *bases,
+    ]
+    tracemalloc.start()
+    try:
+        rc, out, err = run(capsys, *argv)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert rc == 0, err
+    assert f"stitched {depth * len(grid.anchors)} patch predictions" in out
+    assert peak <= output + 2 * spill + 512 * 1024, (peak, output, spill)
 
 
 def test_stitch_onto_a_mismatched_grid_names_the_grid(make_dataset, tmp_path, capsys):
@@ -502,10 +566,7 @@ def test_out_of_range_setting_names_its_key_before_writing(
     flag = next(k.flag for k in KEYS if k.name == key)
     out_dir = tmp_path / "out"
     common = ["--data-root", root, "--output-dir", out_dir]
-    given = [["--config", cfg]]
-    if key not in ("eval.aggregate", "slice_policy"):  # argparse offers only the choices
-        given.append([flag, value])
-    for setting in given:
+    for setting in (["--config", cfg], [flag, value]):
         rc, _, err = run(capsys, "evaluate", *common, *setting)
         assert rc == 2
         assert f"{key} must" in err and value in err
@@ -635,4 +696,4 @@ def test_flag_overrides_config_file(make_dataset, tmp_path, capsys):
     assert rc == 0
     copy = (out_dir / "folds" / "run_config.txt").read_text()
     assert "folds.seed=2" in copy
-    assert load_folds(out_dir / "folds" / "folds.json").seed == 2
+    assert json.loads((out_dir / "folds" / "folds.json").read_text())["seed"] == 2

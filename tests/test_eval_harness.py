@@ -1,5 +1,6 @@
 """Scoring, fold planning, phantoms, report rendering, and the runner."""
 
+import json
 import re
 
 import numpy as np
@@ -20,7 +21,6 @@ from octpipe.eval_harness import (
     entry_sort_key,
     evaluate_volume,
     format_cell,
-    load_folds,
     load_inventory,
     load_report_csv,
     make_folds,
@@ -223,28 +223,15 @@ def test_make_folds_errors():
 def test_fold_plan_save_load_round_trip(tmp_path):
     plan = make_folds(table_inventory(), 3, seed=9)
     save_folds(plan, tmp_path / "folds.json")
-    assert load_folds(tmp_path / "folds.json") == plan
-
-
-def test_load_folds_rejects_malformed(tmp_path):
-    for text in ('{"k": 3, "seed": 0}', '{"k": 1, "seed": 0, "folds": [1]}'):
-        (tmp_path / "bad.json").write_text(text)
-        with pytest.raises(ValidationError):
-            load_folds(tmp_path / "bad.json")
-
-
-def test_load_folds_names_a_file_that_is_not_json(tmp_path):
-    path = tmp_path / "folds.json"
-    path.write_text('{"k": 3\n"seed": 0}')
-    with pytest.raises(ValidationError, match=re.escape(str(path))):
-        load_folds(path)
-
-
-def test_load_folds_names_a_file_with_a_non_integer_k(tmp_path):
-    path = tmp_path / "folds.json"
-    path.write_text('{"k": "x", "seed": 0, "folds": [{}, {}]}')
-    with pytest.raises(ValidationError, match=re.escape(str(path))):
-        load_folds(path)
+    payload = json.loads((tmp_path / "folds.json").read_text())
+    back = FoldPlan(
+        k=payload["k"],
+        seed=payload["seed"],
+        test_sets=tuple(
+            {vendor: tuple(ids) for vendor, ids in fold.items()} for fold in payload["folds"]
+        ),
+    )
+    assert back == plan
 
 
 # ---------------------------------------------------------------- phantom
@@ -473,7 +460,7 @@ def test_run_experiment_external_matches_standalone_scoring(make_dataset, tmp_pa
         probs = raw / raw.sum(axis=0, keepdims=True)
         write_volume(ProbVolume(probs=probs, volume_id=vid), prob_dir / f"{vid}_prob.mhd")
 
-    entries = run_experiment(cfg, fold=0, plan=plan)
+    entries = run_experiment(cfg, fold=0)
     assert all(e.model == f"external:{prob_dir}" for e in entries)
 
     from octpipe.volume_io import read_prob
@@ -513,8 +500,8 @@ def test_run_experiment_micro_vs_macro(make_dataset, tmp_path):
     external = f"external:{prob_dir}"
     cfg_macro = nat_config(root, close_radius=0, aggregate="macro", backend=external)
     cfg_micro = nat_config(root, close_radius=0, aggregate="micro", backend=external)
-    macro = run_experiment(cfg_macro, fold, plan=plan)
-    micro = run_experiment(cfg_micro, fold, plan=plan)
+    macro = run_experiment(cfg_macro, fold)
+    micro = run_experiment(cfg_micro, fold)
 
     for cls in FLUIDS:
         pooled = confusion(predictions[first], truths[first], cls) + confusion(
@@ -603,7 +590,7 @@ def test_evaluate_volume_counts_each_fluid_once(make_dataset, tmp_path, monkeypa
         seen.clear()
         scores, counts = evaluate_volume(vid, cfg)
         assert sorted(calls) == sorted(FLUIDS)
-        pred = seen["pred"][1]
+        pred = seen["pred"]
         assert scores == dice_volume(pred, truth)
         assert counts == {cls: confusion(pred, truth, cls) for cls in FLUIDS}
         assert any(score < 1.0 for score in scores.values())

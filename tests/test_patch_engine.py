@@ -444,6 +444,19 @@ def test_stitch_names_missing_anchor_when_every_voxel_is_covered():
         stitch(pairs, grid, (48, 48, 1))
 
 
+def test_stitch_names_missing_anchor_after_windows_held_for_its_row():
+    """Windows of one array wait for their row's end; the error still names
+    the first anchor that never arrived, not the first one held."""
+    grid = plan_grid((48, 48), (16, 16), 0.5)
+    source = np.full((len(grid.anchors), 4, 16, 16), 0.25, dtype=np.float32)
+    pairs = [((x, y, 0), source[i]) for i, (x, y) in enumerate(grid.anchors)]
+    missing = pairs.pop(grid.anchors.index((16, 16)))
+    assert grid.anchors.index((16, 16)) > grid.anchors.index((0, 16))  # (0, 16) is held
+    with pytest.raises(CoverageError, match="anchor \\(16, 16, 0\\)"):
+        stitch(pairs, grid, (48, 48, 1))
+    assert stitch(pairs + [missing], grid, (48, 48, 1)).probs.min() == 0.25
+
+
 def test_labelize_rules():
     probs = np.zeros((4, 1, 1, 3), dtype=np.float32)
     probs[:, 0, 0, 0] = (0.7, 0.1, 0.1, 0.1)
