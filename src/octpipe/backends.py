@@ -11,7 +11,6 @@ strings on externally produced predictions.
 
 from __future__ import annotations
 
-import threading
 from dataclasses import dataclass
 from pathlib import Path
 from typing import Callable, Iterable
@@ -20,7 +19,7 @@ import numpy as np
 
 from .errors import ValidationError
 from .patch_engine import DepthMode, PatchBatch, windows
-from .volume_io import N_CLASSES, LabelVolume, ProbVolume, prob_path, read_prob
+from .volume_io import N_CLASSES, LabelVolume, prob_path, read_prob
 
 PredictFn = Callable[[PatchBatch, DepthMode, str], np.ndarray]
 
@@ -107,7 +106,7 @@ def threshold_backend() -> Backend:
     modes classify the centre plane of each patch."""
 
     def predict(batch: PatchBatch, mode: DepthMode, volume_id: str) -> np.ndarray:
-        data = batch.data if mode.kind == "3d" else batch.data[:, batch.data.shape[1] // 2]
+        data = batch.data if mode is DepthMode.D3 else batch.data[:, batch.data.shape[1] // 2]
         return one_hot(classify_bands(data), axis=1)
 
     return Backend(predict)
@@ -117,39 +116,26 @@ def oracle_backend(truth: LabelVolume) -> Backend:
     """Emit the true labels, one-hot, for the requested windows."""
 
     def predict(batch: PatchBatch, mode: DepthMode, volume_id: str) -> np.ndarray:
-        labels = windows(truth.voxels, batch.anchors, batch.data.shape[-2:], mode.kind != "3d")
-        return one_hot(labels, axis=1)
+        at_z = mode is not DepthMode.D3
+        return one_hot(windows(truth.voxels, batch.anchors, batch.data.shape[-2:], at_z), axis=1)
 
     return Backend(predict)
 
 
-def external_backend(prob_dir: str | Path) -> Backend:
-    """Crop windows out of precomputed ``<volume_id>_prob.mhd`` files.
+def external_backend(prob_dir: str | Path, volume_id: str) -> Backend:
+    """Crop windows out of ``volume_id``'s precomputed ``<volume_id>_prob.mhd``
+    in ``prob_dir``, read and validated here, once.  The backend serves that
+    one volume; asking it for another raises ValidationError."""
+    path = prob_path(prob_dir, volume_id)
+    if not path.exists():
+        raise FileNotFoundError(f"no probability volume for '{volume_id}' at {path}")
+    prob = read_prob(path)
+    prob.validate()
 
-    Only the volume last asked for is kept, validated once; the previous one
-    is dropped before the next is read.  The lock makes threaded prediction
-    load each volume once.
-    """
-    cache: dict[str, ProbVolume] = {}
-    lock = threading.Lock()
-
-    def load(volume_id: str) -> ProbVolume:
-        with lock:
-            if volume_id not in cache:
-                cache.clear()
-                path = prob_path(prob_dir, volume_id)
-                if not path.exists():
-                    raise FileNotFoundError(
-                        f"no probability volume for '{volume_id}' at {path}"
-                    )
-                prob = read_prob(path)
-                prob.validate()
-                cache[volume_id] = prob
-            return cache[volume_id]
-
-    def predict(batch: PatchBatch, mode: DepthMode, volume_id: str) -> np.ndarray:
-        probs = load(volume_id).probs
-        return windows(probs, batch.anchors, batch.data.shape[-2:], mode.kind != "3d")
+    def predict(batch: PatchBatch, mode: DepthMode, asked: str) -> np.ndarray:
+        if asked != volume_id:
+            raise ValidationError(f"backend for volume '{volume_id}' asked for '{asked}'")
+        return windows(prob.probs, batch.anchors, batch.data.shape[-2:], mode is not DepthMode.D3)
 
     return Backend(predict)
 

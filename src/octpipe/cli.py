@@ -123,7 +123,7 @@ def cmd_folds(args: argparse.Namespace, cfg: RunConfig) -> int:
 def cmd_patchify(args: argparse.Namespace, cfg: RunConfig) -> int:
     _require(cfg, DATA_ROOT, OUTPUT_DIR)
     mode = cfg.depth_mode
-    if args.slice is not None and mode.kind == "3d":
+    if args.slice is not None and mode is patch_engine.DepthMode.D3:
         raise ConfigError("--slice picks one B-scan, which --depth-mode 3d does not patch by")
     native = read_volume(image_path(cfg.data_root, args.volume))
     native_dims = native.dims
@@ -135,7 +135,7 @@ def cmd_patchify(args: argparse.Namespace, cfg: RunConfig) -> int:
     out_dir = cfg.output_dir / "patches"
     out_dir.mkdir(parents=True, exist_ok=True)
 
-    if mode.kind == "3d":
+    if mode is patch_engine.DepthMode.D3:
         patches = patch_engine.extract(vol, grid)
         base = out_dir / f"{args.volume}_3d"
         patch_engine.save_patches(base, patches, grid, volume_id=args.volume)
@@ -192,7 +192,7 @@ def cmd_evaluate(args: argparse.Namespace, cfg: RunConfig) -> int:
     entries = []
     for fold in folds:
         entries.extend(run_experiment(cfg, fold))
-    return _write_report(cfg, entries, f"evaluate_{cfg.depth_mode.kind}_{cfg.variant}")
+    return _write_report(cfg, entries, f"evaluate_{cfg.depth_mode.value}_{cfg.variant}")
 
 
 def cmd_report(args: argparse.Namespace, cfg: RunConfig) -> int:

@@ -22,7 +22,7 @@ from typing import Any, Callable
 
 from .backends import TrainingConfig, parse_backend_descriptor
 from .errors import ConfigError, ValidationError
-from .patch_engine import DEPTH_KINDS, DepthMode, PatchGrid, plan_grid
+from .patch_engine import DepthMode, PatchGrid, plan_grid
 from .preprocess import DENOISERS, SLICE_POLICIES, PreprocessConfig
 
 DATA_ROOT_ENV = "OCTPIPE_DATA_ROOT"
@@ -40,7 +40,7 @@ class RunConfig:
     data_root: Path | None = None
     output_dir: Path | None = None
     variant: str = "P"
-    depth_mode: DepthMode = field(default_factory=DepthMode.d25)
+    depth_mode: DepthMode = DepthMode.D25
     backend: str = "threshold"
     jobs: int = 0  # 0 means "use logical core count"
     patch_size: int = 128
@@ -71,6 +71,8 @@ class RunConfig:
                 raise ValidationError(f"{name} must be >= {low}, got {value}")
         if not 0.0 <= self.overlap < 1.0:
             raise ValidationError(f"grid.overlap must lie in [0, 1), got {self.overlap}")
+        if not isinstance(self.depth_mode, DepthMode):
+            raise ValidationError(f"depth_mode must be a DepthMode, got {self.depth_mode!r}")
         # the model column of every report: kind lower-cased, a path as Path spells it
         kind, arg = parse_backend_descriptor(self.backend)
         object.__setattr__(self, "backend", f"{kind}:{Path(arg)}" if arg else kind)
@@ -161,9 +163,9 @@ KEYS: tuple[Key, ...] = (
     Key(
         "depth_mode",
         DepthMode.parse,
-        attrgetter("kind"),
+        attrgetter("value"),
         flag="--depth-mode",
-        help=_one_of(DEPTH_KINDS),
+        help=_one_of(tuple(mode.value for mode in DepthMode)),
     ),
     Key("backend", flag="--backend", help="threshold | oracle | external:DIR"),
     Key("jobs", int, flag="--jobs", help="0 = all cores"),

@@ -17,7 +17,7 @@ from pathlib import Path
 from ..backends import TrainingConfig
 from ..config import VARIANTS
 from ..errors import ValidationError
-from ..patch_engine import DEPTH_KINDS
+from ..patch_engine import DepthMode
 from ..volume_io import FLUIDS, Vendor
 
 HUMAN_BASELINE = 0.71
@@ -27,7 +27,7 @@ MISSING_CELL = "—"
 
 CSV_FIELDS = ("dimension", "model", "variant", "vendor", "fluid", "dice", "fold", "n_volumes")
 
-DIMENSION_ORDER = tuple(kind.upper() for kind in DEPTH_KINDS)  # as DepthMode.label spells them
+DIMENSION_ORDER = tuple(mode.label for mode in DepthMode)
 FLUID_ORDER = tuple(cls.name for cls in FLUIDS)
 VENDOR_ORDER = tuple(vendor.value for vendor in Vendor)
 

@@ -29,6 +29,7 @@ from ..backends import (
 )
 from ..errors import StageError, ValidationError
 from ..patch_engine import (
+    DepthMode,
     PatchBatch,
     PatchGrid,
     close_all,
@@ -97,7 +98,7 @@ def _predictions(
     flight, so memory does not grow with the depth or the anchor count.
     """
     mode = grid.depth_mode
-    if mode.kind == "3d":
+    if mode is DepthMode.D3:
         batches = (extract(vol, grid, which=slice(i, i + 1)) for i in range(len(grid.anchors)))
     else:
         batches = (extract(vol, grid, z) for z in range(vol.dims[2]))
@@ -139,13 +140,14 @@ def segment_volume(vol: OctVolume, backend: Backend, cfg: RunConfig) -> LabelVol
     return pred
 
 
-def _backend_for(descriptor: str, truth: LabelVolume) -> Backend:
-    """The backend ``descriptor`` names; only the oracle reads the truth."""
+def _backend_for(descriptor: str, volume_id: str, truth: LabelVolume) -> Backend:
+    """The backend ``descriptor`` names, built for ``volume_id``; only the
+    oracle reads the truth, only the external backend reads a file."""
     kind, arg = parse_backend_descriptor(descriptor)
     if kind == "threshold":
         return threshold_backend()
     if kind == "external":
-        return external_backend(arg)
+        return external_backend(arg, volume_id)
     return oracle_backend(truth)
 
 
@@ -156,7 +158,10 @@ def evaluate_volume(volume_id: str, cfg: RunConfig) -> tuple[dict, dict]:
     truth = _stage("read_labels", volume_id, read_labels, label_path(cfg.data_root, volume_id))
     target = cfg.preprocess.target_for(cfg.depth_mode)
     vol, truth = _stage("preprocess", volume_id, preprocess_pair, vol, truth, cfg.preprocess, target)
-    pred = segment_volume(vol, _backend_for(cfg.backend, truth), cfg)
+    # no name holds the backend, so an external one's volume is freed before scoring
+    pred = segment_volume(
+        vol, _stage("predict", volume_id, _backend_for, cfg.backend, volume_id, truth), cfg
+    )
     counts = _stage("score", volume_id, lambda: {cls: confusion(pred, truth, cls) for cls in FLUIDS})
     return {cls: dice(c) for cls, c in counts.items()}, counts
 

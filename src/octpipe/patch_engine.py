@@ -22,8 +22,9 @@ run one slice at a time, so none allocates a temporary the size of the volume.
 
 from __future__ import annotations
 
+import enum
 import json
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from pathlib import Path
 from typing import Iterable
 
@@ -33,48 +34,30 @@ from numpy.lib.stride_tricks import sliding_window_view
 from .errors import CoverageError, FormatError, ValidationError
 from .volume_io import FLUIDS, N_CLASSES, FluidClass, LabelVolume, OctVolume, ProbVolume
 
-DEPTH_KINDS = ("2d", "2.5d", "3d")
+SLAB_RADIUS = 1  # a 2.5d patch carries its B-scan and this many neighbours on each side
 
 
-@dataclass(frozen=True)
-class DepthMode:
-    """How much depth context a patch carries: one plane, a thin slab, or all planes."""
+class DepthMode(enum.Enum):
+    """How much depth context a patch carries: one plane, a slab of
+    ``2 * SLAB_RADIUS + 1`` planes, or all planes.  Each value is the mode's
+    name in configs, file names and spills."""
 
-    kind: str
-    radius: int = 1
-
-    def __post_init__(self):
-        if self.kind not in DEPTH_KINDS:
-            raise ValueError(f"depth mode must be one of {DEPTH_KINDS}, got {self.kind!r}")
-        if self.kind == "2.5d" and self.radius < 1:
-            raise ValueError(f"2.5d slab radius must be >= 1, got {self.radius}")
-
-    @classmethod
-    def d2(cls) -> "DepthMode":
-        return cls("2d")
-
-    @classmethod
-    def d25(cls, radius: int = 1) -> "DepthMode":
-        return cls("2.5d", radius)
-
-    @classmethod
-    def d3(cls) -> "DepthMode":
-        return cls("3d")
+    D2 = "2d"
+    D25 = "2.5d"
+    D3 = "3d"
 
     @classmethod
     def parse(cls, text: str) -> "DepthMode":
         t = text.strip().lower()
-        if t in ("2d", "2"):
-            return cls.d2()
-        if t in ("2.5d", "2.5", "25d"):
-            return cls.d25()
-        if t in ("3d", "3"):
-            return cls.d3()
-        raise ValueError(f"cannot parse depth mode {text!r}")
+        t = {"2": "2d", "2.5": "2.5d", "25d": "2.5d", "3": "3d"}.get(t, t)
+        try:
+            return cls(t)
+        except ValueError:
+            raise ValueError(f"cannot parse depth mode {text!r}") from None
 
     @property
     def label(self) -> str:
-        return self.kind.upper()
+        return self.value.upper()
 
 
 @dataclass(frozen=True)
@@ -88,7 +71,7 @@ class PatchGrid:
     stride_y: int
     anchors: tuple[tuple[int, int], ...]
     image_dims: tuple[int, int]
-    depth_mode: DepthMode = field(default_factory=DepthMode.d2)
+    depth_mode: DepthMode = DepthMode.D2
 
 
 def _axis_anchors(length: int, patch: int, stride: int) -> list[int]:
@@ -103,7 +86,7 @@ def plan_grid(
     image_dims: tuple[int, int],
     patch: tuple[int, int] | int,
     overlap: float,
-    depth_mode: DepthMode | None = None,
+    depth_mode: DepthMode = DepthMode.D2,
 ) -> PatchGrid:
     """Plan a full-coverage anchor lattice.
 
@@ -124,6 +107,8 @@ def plan_grid(
         )
     if patch_w < 1 or patch_h < 1:
         raise ValueError(f"patch dimensions must be positive, got {patch}")
+    if not isinstance(depth_mode, DepthMode):  # text such as "3d" would otherwise run as 2d
+        raise TypeError(f"depth_mode must be a DepthMode, got {depth_mode!r}")
     stride_x = max(1, int(round(patch_w * (1.0 - overlap))))
     stride_y = max(1, int(round(patch_h * (1.0 - overlap))))
     xs = _axis_anchors(width, patch_w, stride_x)
@@ -137,7 +122,7 @@ def plan_grid(
         stride_y=stride_y,
         anchors=anchors,
         image_dims=(width, height),
-        depth_mode=depth_mode or DepthMode.d2(),
+        depth_mode=depth_mode,
     )
 
 
@@ -196,7 +181,7 @@ def extract(vol: OctVolume, grid: PatchGrid, z: int = 0, which: slice = slice(No
     slice ``z`` (ignored for 3d grids) as one batch.
 
     2d patches carry the single plane ``z``; 2.5d patches carry the slab
-    ``z-radius .. z+radius`` with edge replication, so the centre plane always
+    ``z-SLAB_RADIUS .. z+SLAB_RADIUS`` with edge replication, so the centre plane always
     equals the 2d patch at the same anchor; 3d patches span every plane.
     """
     voxels = vol.voxels
@@ -206,12 +191,12 @@ def extract(vol: OctVolume, grid: PatchGrid, z: int = 0, which: slice = slice(No
             f"grid was planned for image {grid.image_dims}, volume planes are {(width, height)}"
         )
     mode = grid.depth_mode
-    if mode.kind == "3d":
+    if mode is DepthMode.D3:
         stack, z = voxels, 0
     else:
         if not 0 <= z < depth:
             raise IndexError(f"slice index {z} outside volume depth {depth}")
-        radius = mode.radius if mode.kind == "2.5d" else 0
+        radius = SLAB_RADIUS if mode is DepthMode.D25 else 0
         # edge replication: plane indices are clipped at the volume boundary
         stack = voxels[np.clip(np.arange(z - radius, z + radius + 1), 0, depth - 1)]
     xy = np.array(grid.anchors[which], dtype=np.intp).reshape(-1, 2)
@@ -275,7 +260,7 @@ def stitch(
             f"grid was planned for image {grid.image_dims}, stitch dims are {(width, height)}"
         )
     probs = np.zeros((N_CLASSES, depth, height, width), dtype=np.float32)
-    planes = depth if grid.depth_mode.kind == "3d" else 1
+    planes = depth if grid.depth_mode is DepthMode.D3 else 1
     summed, waiting = _accumulate(patch_probs, grid, probs, planes)
     _check_complete(grid, depth, planes, summed, waiting)
     for z in range(depth):
@@ -326,7 +311,7 @@ def _accumulate(patch_probs, grid: PatchGrid, probs: np.ndarray, planes: int):
         if block.shape != shape:
             raise ValidationError(
                 f"prediction at ({x}, {y}, {z}) has shape {pred.shape}, expected "
-                f"{shape[:1] + shape[2:] if planes == 1 else shape} on a {grid.depth_mode.kind} grid"
+                f"{shape[:1] + shape[2:] if planes == 1 else shape} on a {grid.depth_mode.value} grid"
             )
         arrived, done = waiting.setdefault(z, {}), summed.setdefault(z, 0)
         if i < done or i in arrived:
@@ -511,7 +496,7 @@ def save_patches(path_base, batch: PatchBatch, grid: PatchGrid, volume_id: str =
             "image_dims": list(grid.image_dims),
             "patch": [grid.patch_w, grid.patch_h],
             "overlap": grid.overlap,
-            "depth_mode": {"kind": grid.depth_mode.kind, "radius": grid.depth_mode.radius},
+            "depth_mode": {"kind": grid.depth_mode.value, "radius": SLAB_RADIUS},
         },
     }
     _save_spill(path_base, "patches", batch.data, meta)
@@ -522,11 +507,14 @@ def load_patches(path_base) -> tuple[PatchBatch, PatchGrid, str]:
 
     def build(meta, stack):
         g = meta["grid"]
+        radius = g["depth_mode"].get("radius", SLAB_RADIUS)
+        if radius != SLAB_RADIUS:
+            raise ValueError(f"slab radius must be {SLAB_RADIUS}, got {radius!r}")
         grid = plan_grid(
             tuple(g["image_dims"]),
             tuple(g["patch"]),
             g["overlap"],
-            DepthMode(g["depth_mode"]["kind"], g["depth_mode"].get("radius", 1)),
+            DepthMode(g["depth_mode"]["kind"]),
         )
         anchors = np.array(meta["anchors"], dtype=np.intp).reshape(-1, 3)
         return PatchBatch(anchors, stack), grid, meta.get("volume_id", "")

@@ -15,23 +15,23 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass
-from typing import TYPE_CHECKING
 
 import numpy as np
 
 from .errors import ValidationError
+from .patch_engine import DepthMode
 from .volume_io import LabelVolume, OctVolume, Vendor
 
-if TYPE_CHECKING:
-    from .patch_engine import DepthMode
-
 DENOISERS = ("none", "gaussian", "nlm")
+NORMALIZE_MODES = ("auto", "always", "never")
 SLICE_POLICIES = ("diseased_only", "all")
 
 
 @dataclass(frozen=True)
 class PreprocessConfig:
-    """Working resolutions plus the denoiser and normalization stage settings."""
+    """Working resolutions plus the denoiser and normalization stage settings.
+
+    Each range check names the setting by its file key."""
 
     target_2d: tuple[int, int] = (572, 572)
     target_vol: tuple[int, int] = (384, 384)
@@ -40,27 +40,31 @@ class PreprocessConfig:
     search_radius: int = 5      # nlm search window half-width
     patch_radius: int = 2       # nlm comparison patch half-width
     h: float = 0.1              # nlm weight bandwidth
-    normalize: str = "auto"     # auto | always | never
+    normalize: str = "auto"     # one of NORMALIZE_MODES
 
     def __post_init__(self):
         for name, target in (("target_2d", self.target_2d), ("target_vol", self.target_vol)):
             if len(target) != 2 or any(int(t) < 1 for t in target):
-                raise ValueError(f"{name} must be two positive integers, got {target}")
-        if self.denoiser not in DENOISERS:
-            raise ValueError(f"denoiser must be one of {DENOISERS}, got {self.denoiser!r}")
-        if self.denoiser == "gaussian" and not self.sigma > 0:
-            raise ValueError(f"gaussian sigma must be > 0, got {self.sigma}")
-        if self.denoiser == "nlm":
-            if not self.h > 0:
-                raise ValueError(f"nlm h must be > 0, got {self.h}")
-            if self.search_radius < 1 or self.patch_radius < 1:
-                raise ValueError("nlm radii must be >= 1")
-        if self.normalize not in ("auto", "always", "never"):
-            raise ValueError(f"normalize must be auto|always|never, got {self.normalize!r}")
+                raise ValidationError(
+                    f"preprocess.{name} must be two positive integers, got {target}"
+                )
+        for name, value, choices in (
+            ("denoiser", self.denoiser, DENOISERS),
+            ("normalize", self.normalize, NORMALIZE_MODES),
+        ):
+            if value not in choices:
+                raise ValidationError(f"preprocess.{name} must be one of {choices}, got {value!r}")
+        positive = {"gaussian": ("sigma",), "nlm": ("h", "search_radius", "patch_radius")}
+        for name in positive.get(self.denoiser, ()):
+            if not getattr(self, name) > 0:
+                raise ValidationError(
+                    f"preprocess.{name} must be > 0 with the {self.denoiser} denoiser, "
+                    f"got {getattr(self, name)}"
+                )
 
     def target_for(self, mode: DepthMode) -> tuple[int, int]:
         """Working (width, height) for a DepthMode: target_2d in 2d, else target_vol."""
-        return self.target_2d if mode.kind == "2d" else self.target_vol
+        return self.target_2d if mode is DepthMode.D2 else self.target_vol
 
 
 def default_slice_policy(vendor: Vendor | None) -> str:

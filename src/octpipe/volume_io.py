@@ -181,7 +181,8 @@ def _parse_header(path: Path) -> tuple[dict[str, str], int]:
 def _read_raw(
     path: Path, header: dict[str, str], header_end: int, dtype: np.dtype, count: int
 ) -> np.ndarray:
-    """Read the ``count`` values of the payload into one flat array."""
+    """Read the ``count`` values of the payload into one flat array, which is
+    allocated only once the payload is known to hold exactly that many bytes."""
     data_file = header["ElementDataFile"]
     if data_file.upper() == "LOCAL":
         source, offset = path, header_end
@@ -189,15 +190,18 @@ def _read_raw(
         source, offset = path.parent / data_file, 0
         if not source.exists():
             raise FileNotFoundError(f"{path}: raw payload file {source} does not exist")
-    data = np.empty(count, dtype=dtype)
+        if not source.is_file():
+            raise FormatError(f"{path}: raw payload {source} is not a regular file")
+    expected = count * dtype.itemsize
     with open(source, "rb") as f:
         found = os.fstat(f.fileno()).st_size - offset
-        if found == data.nbytes:
+        if found == expected:
+            data = np.empty(count, dtype=dtype)
             f.seek(offset)
             found = f.readinto(data)
-    if found != data.nbytes:
+    if found != expected:
         raise IOError(
-            f"{source}: raw payload size mismatch, expected {data.nbytes} bytes, found {found}"
+            f"{source}: raw payload size mismatch, expected {expected} bytes, found {found}"
         )
     return data
 
@@ -244,8 +248,16 @@ def _load_array(path: Path) -> tuple[np.ndarray, dict[str, str]]:
 
 
 def _parse_spacing(path: Path, header: dict[str, str]) -> tuple[float, float, float] | None:
+    """The (x, y, z) ElementSpacing, or None when the header has none; the
+    first three values must be finite and > 0 (any further ones are ignored)."""
+    if "ElementSpacing" not in header:
+        return None
     parts = _numbers(path, header, "ElementSpacing", float)
-    return (parts[0], parts[1], parts[2]) if len(parts) >= 3 else None
+    if len(parts) < 3 or not (np.isfinite(parts[:3]).all() and min(parts[:3]) > 0):
+        raise FormatError(
+            f"{path}: ElementSpacing needs three finite values > 0, got {header['ElementSpacing']!r}"
+        )
+    return (parts[0], parts[1], parts[2])
 
 
 def read_volume(path: str | Path) -> OctVolume:

@@ -84,10 +84,10 @@ def test_criterion_02_pipeline_round_trip():
     )
     assert set(np.unique(truth.voxels)) == {0, 1, 2, 3}
     backend = oracle_backend(truth)
-    for mode in (DepthMode.d2(), DepthMode.d25(1), DepthMode.d3()):
+    for mode in DepthMode:
         grid = plan_grid((384, 384), (128, 128), 0.75, mode)
         pairs = []
-        if mode.kind == "3d":
+        if mode is DepthMode.D3:
             batch = extract(vol, grid)
             preds = backend.predict(batch, mode, "px")
             pairs = [(tuple(a), pr) for a, pr in zip(batch.anchors.tolist(), preds)]
@@ -190,7 +190,7 @@ def test_criterion_05_stitch_determinism():
     backend = threshold_backend()
     outputs = []
     for jobs in (1, 2, 8):
-        cfg = RunConfig(depth_mode=DepthMode.d25(1), patch_size=32, overlap=0.5, jobs=jobs)
+        cfg = RunConfig(depth_mode=DepthMode.D25, patch_size=32, overlap=0.5, jobs=jobs)
         outputs.append(predict_volume(vol, backend, cfg).probs.tobytes())
     assert outputs[0] == outputs[1] == outputs[2]
 
@@ -275,7 +275,7 @@ def test_criterion_08_report_fidelity(make_dataset, tmp_path):
         data_root=root,
         backend=f"external:{pred_dir}",
         preprocess=PreprocessConfig(target_2d=(96, 96), target_vol=(96, 96)),
-        depth_mode=DepthMode.d25(1),
+        depth_mode=DepthMode.D25,
         patch_size=32,
         overlap=0.5,
         close_radius=0,  # keep the argmax comparable to the file contents
@@ -323,7 +323,7 @@ def test_criterion_09_throughput():
     start = time.perf_counter()
     rng = np.random.default_rng(99)
     vol = OctVolume(rng.random((128, 384, 384), dtype=np.float32), volume_id="big")
-    grid = plan_grid((384, 384), (128, 128), 0.75, DepthMode.d2())
+    grid = plan_grid((384, 384), (128, 128), 0.75, DepthMode.D2)
     assert len(grid.anchors) == 81
 
     # constant prediction stands in for a model; the cost under test is

@@ -61,10 +61,10 @@ def band_volume(dims, seed):
 
 def test_threshold_backend_center_plane_semantics():
     vol = band_volume((32, 32, 5), seed=2)
-    grid = plan_grid((32, 32), (16, 16), 0.5, DepthMode.d25(1))
+    grid = plan_grid((32, 32), (16, 16), 0.5, DepthMode.D25)
     batch = extract(vol, grid, z=2)
     backend = threshold_backend()
-    preds = backend.predict(batch, DepthMode.d25(1), "bv")
+    preds = backend.predict(batch, DepthMode.D25, "bv")
     assert len(preds) == len(batch)
     for data, pred in zip(batch.data, preds):
         assert pred.shape == (4, 16, 16)
@@ -76,9 +76,9 @@ def test_threshold_backend_center_plane_semantics():
 
 def test_threshold_backend_3d_classifies_every_plane():
     vol = band_volume((16, 16, 3), seed=3)
-    grid = plan_grid((16, 16), (16, 16), 0.0, DepthMode.d3())
+    grid = plan_grid((16, 16), (16, 16), 0.0, DepthMode.D3)
     batch = extract(vol, grid)
-    (pred,) = threshold_backend().predict(batch, DepthMode.d3(), "bv")
+    (pred,) = threshold_backend().predict(batch, DepthMode.D3, "bv")
     assert pred.shape == (4, 3, 16, 16)
     np.testing.assert_array_equal(pred.argmax(axis=0), classify_bands(vol.voxels))
 
@@ -92,7 +92,7 @@ def test_oracle_backend_reproduces_truth_windows():
     grid = plan_grid((24, 24), (8, 8), 0.5)
     batch = extract(OctVolume(voxels=np.zeros((4, 24, 24), np.float32),
                               spacing=None, volume_id="t"), grid, z=1)
-    preds = backend.predict(batch, DepthMode.d2(), "t")
+    preds = backend.predict(batch, DepthMode.D2, "t")
     for (x, y, _), pred in zip(batch.anchors, preds):
         np.testing.assert_array_equal(pred.argmax(axis=0), voxels[1, y : y + 8, x : x + 8])
 
@@ -102,7 +102,7 @@ def test_oracle_backend_rejects_out_of_bounds_patch():
     backend = oracle_backend(truth)
     bad = PatchBatch(np.array([[4, 4, 0]]), np.zeros((1, 1, 8, 8), np.float32))
     with pytest.raises(IndexError):
-        backend.predict(bad, DepthMode.d2(), "t")
+        backend.predict(bad, DepthMode.D2, "t")
 
 
 def test_external_backend_round_trip(tmp_path):
@@ -111,16 +111,16 @@ def test_external_backend_round_trip(tmp_path):
     probs = raw / raw.sum(axis=0, keepdims=True)
     write_volume(ProbVolume(probs=probs, volume_id="case"), tmp_path / "case_prob.mhd")
 
-    backend = external_backend(tmp_path)
+    backend = external_backend(tmp_path, "case")
     grid = plan_grid((16, 16), (8, 8), 0.5)
     vol = OctVolume(voxels=np.zeros((3, 16, 16), np.float32), spacing=None, volume_id="case")
     batch = extract(vol, grid, z=2)
-    preds = backend.predict(batch, DepthMode.d2(), "case")
+    preds = backend.predict(batch, DepthMode.D2, "case")
     for (x, y, _), pred in zip(batch.anchors, preds):
         np.testing.assert_array_equal(pred, probs[:, 2, y : y + 8, x : x + 8])
 
 
-def test_external_backend_keeps_only_the_last_volume(tmp_path, monkeypatch):
+def test_external_backend_reads_its_volume_once_and_refuses_another_id(tmp_path, monkeypatch):
     probs = np.full((4, 1, 4, 4), 0.25, dtype=np.float32)
     for vid in ("a", "b"):
         write_volume(ProbVolume(probs=probs, volume_id=vid), tmp_path / f"{vid}_prob.mhd")
@@ -131,18 +131,19 @@ def test_external_backend_keeps_only_the_last_volume(tmp_path, monkeypatch):
         return read_prob(path)
 
     monkeypatch.setattr(backends, "read_prob", counted_read_prob)
-    backend = external_backend(tmp_path)
+    backend = external_backend(tmp_path, "a")
+    assert reads == ["a_prob.mhd"]
     batch = PatchBatch(np.zeros((1, 3), int), np.zeros((1, 1, 4, 4), np.float32))
-    for vid in ("a", "a", "b", "a"):
-        backend.predict(batch, DepthMode.d2(), vid)
-    assert reads == ["a_prob.mhd", "b_prob.mhd", "a_prob.mhd"]
+    for _ in range(3):
+        backend.predict(batch, DepthMode.D2, "a")
+    with pytest.raises(ValidationError, match="backend for volume 'a' asked for 'b'"):
+        backend.predict(batch, DepthMode.D2, "b")
+    assert reads == ["a_prob.mhd"]
 
 
 def test_external_backend_missing_file_names_volume(tmp_path):
-    backend = external_backend(tmp_path)
-    batch = PatchBatch(np.zeros((1, 3), int), np.zeros((1, 1, 4, 4), np.float32))
     with pytest.raises(FileNotFoundError) as err:
-        backend.predict(batch, DepthMode.d2(), "ghost")
+        external_backend(tmp_path, "ghost")
     assert "ghost" in str(err.value)
 
 
@@ -150,10 +151,8 @@ def test_external_backend_rejects_invalid_probabilities(tmp_path):
     bad = np.zeros((4, 1, 4, 4), dtype=np.float32)
     bad[0] = 0.2
     write_volume(ProbVolume(probs=bad, volume_id="bad"), tmp_path / "bad_prob.mhd")
-    backend = external_backend(tmp_path)
-    batch = PatchBatch(np.zeros((1, 3), int), np.zeros((1, 1, 4, 4), np.float32))
     with pytest.raises(ValidationError):
-        backend.predict(batch, DepthMode.d2(), "bad")
+        external_backend(tmp_path, "bad")
 
 
 def labels_of(counts):

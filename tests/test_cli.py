@@ -265,7 +265,7 @@ def test_stitch_holds_at_most_two_spills(tmp_path, capsys):
 
     width = height = 96
     depth = 16
-    grid = plan_grid((width, height), 32, 0.75, DepthMode.d25())
+    grid = plan_grid((width, height), 32, 0.75, DepthMode.D25)
     rng = np.random.default_rng(12)
     bases = []
     for z in range(depth):
@@ -555,6 +555,7 @@ def test_out_of_range_flag_is_usage_error(make_dataset, tmp_path, capsys, flag, 
         ("folds.k", "1"),
         ("eval.aggregate", "median"),
         ("slice_policy", "never"),
+        ("preprocess.denoiser", "bogus"),
     ],
 )
 def test_out_of_range_setting_names_its_key_before_writing(
@@ -571,6 +572,30 @@ def test_out_of_range_setting_names_its_key_before_writing(
         assert rc == 2
         assert f"{key} must" in err and value in err
         assert not out_dir.exists()
+
+
+@pytest.mark.parametrize(
+    "key, value, denoiser",
+    [
+        ("preprocess.sigma", "-1.0", "gaussian"),
+        ("preprocess.h", "0.0", "nlm"),
+        ("preprocess.search_radius", "0", "nlm"),
+        ("preprocess.patch_radius", "0", "nlm"),
+        ("preprocess.normalize", "sometimes", "none"),
+    ],
+)
+def test_out_of_range_preprocess_line_names_its_key_before_writing(
+    make_dataset, tmp_path, capsys, key, value, denoiser
+):
+    """Settings with no flag, checked only with the denoiser that reads them."""
+    root, _, _ = make_dataset()
+    cfg = tmp_path / "bad.cfg"
+    cfg.write_text(f"preprocess.denoiser = {denoiser}\n{key} = {value}\n")
+    out_dir = tmp_path / "out"
+    rc, _, err = run(capsys, "evaluate", "--data-root", root, "--output-dir", out_dir, "--config", cfg)
+    assert rc == 2
+    assert f"{key} must" in err and value in err
+    assert not out_dir.exists()
 
 
 def test_bad_flag_value_is_usage_error(make_dataset, tmp_path, capsys):

@@ -19,7 +19,7 @@ from octpipe.config import (
     resolve_data_root,
 )
 from octpipe.errors import ConfigError, ValidationError
-from octpipe.patch_engine import DepthMode
+from octpipe.patch_engine import DepthMode, plan_grid
 
 
 def test_parse_config_text_skips_comments_and_blanks():
@@ -51,7 +51,7 @@ def test_apply_settings_reaches_nested_configs():
     assert cfg.preprocess.denoiser == "gaussian"
     assert cfg.training.epochs == 5
     assert cfg.patch_size == 32
-    assert cfg.depth_mode == DepthMode.d3()
+    assert cfg.depth_mode == DepthMode.D3
 
 
 def test_apply_settings_rejects_unknown_and_bad_values():
@@ -129,10 +129,17 @@ def test_run_config_validation_and_targets():
     ):
         with pytest.raises(ValidationError):
             RunConfig(**bad)
-    cfg_2d = RunConfig(depth_mode=DepthMode.d2())
+    cfg_2d = RunConfig(depth_mode=DepthMode.D2)
     assert cfg_2d.preprocess.target_for(cfg_2d.depth_mode) == (572, 572)
-    cfg_3d = RunConfig(depth_mode=DepthMode.d3())
+    cfg_3d = RunConfig(depth_mode=DepthMode.D3)
     assert cfg_3d.preprocess.target_for(cfg_3d.depth_mode) == (384, 384)
+
+
+def test_depth_mode_text_is_rejected_not_run_as_2d():
+    with pytest.raises(ValidationError, match="depth_mode must be a DepthMode, got '3d'"):
+        RunConfig(depth_mode="3d")
+    with pytest.raises(TypeError, match="depth_mode must be a DepthMode, got '3d'"):
+        plan_grid((32, 32), 16, 0.5, "3d")
 
 
 @pytest.mark.parametrize(

@@ -400,7 +400,7 @@ def nat_config(root, **kw):
     base = dict(
         data_root=root,
         preprocess=PreprocessConfig(target_2d=(96, 96), target_vol=(96, 96)),
-        depth_mode=DepthMode.d25(),
+        depth_mode=DepthMode.D25,
         patch_size=32,
         overlap=0.5,
         close_radius=1,
@@ -438,7 +438,7 @@ def test_run_experiment_threshold_variants_complete(make_dataset):
 
 def test_run_experiment_depth_modes_agree_on_oracle(make_dataset):
     root, _, _ = make_dataset(vendors=("Cirrus",), n_per_vendor=2)
-    for mode in (DepthMode.d2(), DepthMode.d25(1), DepthMode.d3()):
+    for mode in DepthMode:
         cfg = nat_config(root, depth_mode=mode, backend="oracle")
         entries = run_experiment(cfg, fold=0)
         assert all(e.dice == 1.0 for e in entries)
@@ -528,6 +528,18 @@ def test_evaluate_volume_tags_stage_failures(make_dataset):
     assert err.value.volume_id == vid
 
 
+@pytest.mark.parametrize("fault", ["missing", "invalid"])
+def test_evaluate_volume_tags_a_bad_external_file_as_predict(make_dataset, tmp_path, fault):
+    root, _, truths = make_dataset(vendors=("Cirrus",), n_per_vendor=2)
+    vid = sorted(truths)[0]
+    if fault == "invalid":  # channel sums of 0.8
+        probs = np.full((4, *truths[vid].voxels.shape), 0.2, np.float32)
+        write_volume(ProbVolume(probs, volume_id=vid), tmp_path / f"{vid}_prob.mhd")
+    cfg = nat_config(root, backend=f"external:{tmp_path}")
+    with pytest.raises(StageError, match=f"stage 'predict' failed for volume '{vid}'"):
+        evaluate_volume(vid, cfg)
+
+
 def test_run_experiment_rejects_bad_fold(make_dataset):
     root, _, _ = make_dataset()
     with pytest.raises(ValidationError):
@@ -596,7 +608,7 @@ def test_evaluate_volume_counts_each_fluid_once(make_dataset, tmp_path, monkeypa
         assert any(score < 1.0 for score in scores.values())
 
 
-@pytest.mark.parametrize("mode", [DepthMode.d25(1), DepthMode.d3()], ids=["2.5d", "3d"])
+@pytest.mark.parametrize("mode", [DepthMode.D25, DepthMode.D3], ids=["2.5d", "3d"])
 @pytest.mark.parametrize("jobs", [1, 2])
 def test_predict_volume_peak_memory_stays_near_output_size(mode, jobs):
     """Overlap 0.75 covers each voxel 9 times on average, so holding every
@@ -627,8 +639,8 @@ def test_predict_volume_3d_peak_holds_no_block_past_its_row(tmp_path, backend_ki
     memory and is summed as it arrives, so beyond the output only the
     ``jobs + 1`` blocks in flight and the one being built are alive, plus
     slack; holding a row of them would add up to 9 more.  An external block is a view of the
-    backend's cached volume, so holding its row costs nothing and the peak is
-    that volume plus the output."""
+    volume the backend read when it was built (inside the traced region), so
+    holding its row costs nothing and the peak is that volume plus the output."""
     import tracemalloc
 
     from octpipe.backends import external_backend
@@ -637,17 +649,18 @@ def test_predict_volume_3d_peak_holds_no_block_past_its_row(tmp_path, backend_ki
 
     rng = np.random.default_rng(71)
     vol = OctVolume(rng.random((48, 48, 48), dtype=np.float32), volume_id="mem")
-    cfg = RunConfig(depth_mode=DepthMode.d3(), patch_size=16, overlap=0.75, jobs=jobs)
+    cfg = RunConfig(depth_mode=DepthMode.D3, patch_size=16, overlap=0.75, jobs=jobs)
     if backend_kind == "external":
         probs = rng.random((4, 48, 48, 48), dtype=np.float32) + 0.5
         probs /= probs.sum(axis=0)
         write_volume(ProbVolume(probs=probs, volume_id="mem"), tmp_path / "mem_prob.mhd")
         del probs
-        backend = external_backend(tmp_path)
-    else:
-        backend = threshold_backend()
     tracemalloc.start()
     try:
+        if backend_kind == "external":
+            backend = external_backend(tmp_path, "mem")
+        else:
+            backend = threshold_backend()
         output = predict_volume(vol, backend, cfg).probs.nbytes
         peak = tracemalloc.get_traced_memory()[1]
     finally:
@@ -700,6 +713,6 @@ def test_predict_volume_3d_is_jobs_invariant():
     vol = OctVolume(np.random.default_rng(72).random((6, 40, 40), dtype=np.float32), volume_id="j")
     outputs = set()
     for jobs in (1, 2, 8):
-        cfg = RunConfig(depth_mode=DepthMode.d3(), patch_size=16, overlap=0.5, jobs=jobs)
+        cfg = RunConfig(depth_mode=DepthMode.D3, patch_size=16, overlap=0.5, jobs=jobs)
         outputs.add(predict_volume(vol, threshold_backend(), cfg).probs.tobytes())
     assert len(outputs) == 1

@@ -108,7 +108,7 @@ def test_interior_coverage_count_is_sixteen():
 
 def test_extract_d2_counts_and_content():
     vol = make_volume((384, 384, 4), seed=1)
-    grid = plan_grid((384, 384), (128, 128), 0.75, DepthMode.d2())
+    grid = plan_grid((384, 384), (128, 128), 0.75, DepthMode.D2)
     batch = extract(vol, grid, z=2)
     assert len(batch) == 81
     assert batch.data.shape == (81, 1, 128, 128)
@@ -119,8 +119,8 @@ def test_extract_d2_counts_and_content():
 
 def test_extract_d25_edge_replication_and_center_plane():
     vol = make_volume((64, 64, 6), seed=2)
-    slab_grid = plan_grid((64, 64), (32, 32), 0.5, DepthMode.d25(1))
-    flat_grid = plan_grid((64, 64), (32, 32), 0.5, DepthMode.d2())
+    slab_grid = plan_grid((64, 64), (32, 32), 0.5, DepthMode.D25)
+    flat_grid = plan_grid((64, 64), (32, 32), 0.5, DepthMode.D2)
     at_edge = extract(vol, slab_grid, z=0)
     flat = extract(vol, flat_grid, z=0)
     assert at_edge.data.shape == (len(slab_grid.anchors), 3, 32, 32)
@@ -133,15 +133,15 @@ def test_extract_d25_edge_replication_and_center_plane():
 
 def test_extract_d25_interior_slab():
     vol = make_volume((32, 32, 8), seed=3)
-    grid = plan_grid((32, 32), (32, 32), 0.0, DepthMode.d25(2))
+    grid = plan_grid((32, 32), (32, 32), 0.0, DepthMode.D25)
     (slab,) = extract(vol, grid, z=4).data
-    assert slab.shape == (5, 32, 32)
-    np.testing.assert_array_equal(slab, vol.voxels[2:7])
+    assert slab.shape == (3, 32, 32)
+    np.testing.assert_array_equal(slab, vol.voxels[3:6])
 
 
 def test_extract_d3_spans_full_depth():
     vol = make_volume((384, 384, 16), seed=4)
-    grid = plan_grid((384, 384), (128, 128), 0.75, DepthMode.d3())
+    grid = plan_grid((384, 384), (128, 128), 0.75, DepthMode.D3)
     batch = extract(vol, grid)
     assert len(batch) == 81
     assert batch.data.shape == (81, 16, 128, 128)
@@ -160,8 +160,7 @@ def batch_cases(draw):
     """A random volume, a grid on it in 2d, 2.5d or 3d, and the slices to cut."""
     width, height = draw(st.integers(2, 40)), draw(st.integers(2, 40))
     depth = draw(st.integers(1, 6))
-    kind = draw(st.sampled_from(["2d", "2.5d", "3d"]))
-    mode = DepthMode(kind, draw(st.integers(1, 3)))
+    mode = draw(st.sampled_from(list(DepthMode)))
     patch = (draw(st.integers(1, width)), draw(st.integers(1, height)))
     grid = plan_grid((width, height), patch, draw(st.floats(0.0, 0.9)), mode)
     vol = make_volume((width, height, depth), seed=draw(st.integers(0, 2**16)))
@@ -173,10 +172,10 @@ def plain_patch(vol, grid, anchor, z):
     x, y = anchor
     depth = vol.voxels.shape[0]
     mode = grid.depth_mode
-    if mode.kind == "3d":
+    if mode is DepthMode.D3:
         planes = range(depth)
     else:
-        radius = mode.radius if mode.kind == "2.5d" else 0
+        radius = 1 if mode is DepthMode.D25 else 0
         planes = [min(max(p, 0), depth - 1) for p in range(z - radius, z + radius + 1)]
     return np.stack([vol.voxels[p, y : y + grid.patch_h, x : x + grid.patch_w] for p in planes])
 
@@ -190,7 +189,7 @@ def test_extract_rows_equal_plain_slices(case):
     for z in slices:
         batch = extract(vol, grid, z)
         assert len(batch) == len(grid.anchors)
-        z0 = 0 if grid.depth_mode.kind == "3d" else z
+        z0 = 0 if grid.depth_mode is DepthMode.D3 else z
         for i, (x, y) in enumerate(grid.anchors):
             assert batch.anchors[i].tolist() == [x, y, z0]
             expected = plain_patch(vol, grid, (x, y), z)
@@ -210,7 +209,7 @@ def test_backend_batch_rows_equal_single_patch_predictions(tmp_path_factory, cas
     raw = rng.random((4, *vol.voxels.shape)).astype(np.float32)
     prob_dir = tmp_path_factory.mktemp("probs")
     write_volume(ProbVolume(raw / raw.sum(axis=0), volume_id="v"), prob_dir / "v_prob.mhd")
-    backends = (threshold_backend(), oracle_backend(truth), external_backend(prob_dir))
+    backends = (threshold_backend(), oracle_backend(truth), external_backend(prob_dir, "v"))
     for z in slices:
         batch = extract(vol, grid, z)
         for backend in backends:
@@ -238,14 +237,15 @@ def test_windows_single_view_gather_copy_and_bounds():
 
 
 def test_depth_mode_parse_and_labels():
-    assert DepthMode.parse("2d").kind == "2d"
-    assert DepthMode.parse("2.5d").kind == "2.5d"
-    assert DepthMode.parse("3").kind == "3d"
-    assert DepthMode.parse("2.5d").label == "2.5D"
-    with pytest.raises(ValueError):
+    for mode, spellings in (
+        (DepthMode.D2, ("2d", "2", " 2D ")),
+        (DepthMode.D25, ("2.5d", "2.5", "25d", "2.5D")),
+        (DepthMode.D3, ("3d", "3", "3D")),
+    ):
+        assert all(DepthMode.parse(text) is mode for text in spellings)
+    assert [mode.label for mode in DepthMode] == ["2D", "2.5D", "3D"]
+    with pytest.raises(ValueError, match="cannot parse depth mode '4d'"):
         DepthMode.parse("4d")
-    with pytest.raises(ValueError):
-        DepthMode.d25(0)
 
 
 def test_stitch_constant_consensus():
@@ -332,7 +332,7 @@ def stitch_inputs(draw):
     overlap = draw(st.floats(0.0, 0.95))
     depth = draw(st.integers(1, 4))
     full_depth = draw(st.booleans())
-    grid = plan_grid((width, height), patch, overlap, DepthMode.d3() if full_depth else None)
+    grid = plan_grid((width, height), patch, overlap, DepthMode.D3 if full_depth else DepthMode.D2)
     rng = np.random.default_rng(draw(st.integers(0, 2**32 - 1)))
     pw, ph = patch
     if full_depth:
@@ -399,7 +399,7 @@ def test_stitch_rejects_prediction_of_wrong_shape():
 def test_stitch_takes_the_prediction_shape_from_the_depth_mode():
     """2d/2.5d grids take one (4, h, w) map per slice, 3d grids one
     (4, depth, h, w) block at z = 0; anything else names its anchor."""
-    d2, d3 = (plan_grid((16, 16), (16, 16), 0.0, mode) for mode in (DepthMode.d2(), DepthMode.d3()))
+    d2, d3 = (plan_grid((16, 16), (16, 16), 0.0, mode) for mode in (DepthMode.D2, DepthMode.D3))
     block = np.full((4, 3, 16, 16), 0.25, dtype=np.float32)
     rejected = (
         (d2, (0, 0, 0), block, r"prediction at \(0, 0, 0\) has shape \(4, 3, 16, 16\)"),
@@ -696,10 +696,10 @@ def test_oracle_round_trip_all_depth_modes():
     rng = np.random.default_rng(21)
     voxels = rng.integers(0, 4, size=(4, 48, 48), dtype=np.uint8)
     labels = LabelVolume(voxels=voxels, volume_id="rt")
-    for mode in (DepthMode.d2(), DepthMode.d25(1), DepthMode.d3()):
+    for mode in DepthMode:
         grid = plan_grid((48, 48), (16, 16), 0.5, mode)
         preds = []
-        if mode.kind == "3d":
+        if mode is DepthMode.D3:
             for x, y in grid.anchors:
                 stack = np.stack(
                     [one_hot_patch(voxels[z, y : y + 16, x : x + 16]) for z in range(4)],
@@ -716,16 +716,30 @@ def test_oracle_round_trip_all_depth_modes():
 
 def test_patch_spill_round_trip(tmp_path):
     vol = make_volume((64, 64, 4), seed=9)
-    grid = plan_grid((64, 64), (32, 32), 0.5, DepthMode.d25(1))
+    grid = plan_grid((64, 64), (32, 32), 0.5, DepthMode.D25)
     batch = extract(vol, grid, z=1)
     save_patches(tmp_path / "batch", batch, grid, volume_id="v")
     loaded, loaded_grid, volume_id = load_patches(tmp_path / "batch")
     assert loaded_grid.anchors == grid.anchors
-    assert loaded_grid.depth_mode.kind == "2.5d"
+    assert loaded_grid.depth_mode is DepthMode.D25
     assert volume_id == "v"
     assert len(loaded) == len(batch)
     np.testing.assert_array_equal(loaded.anchors, batch.anchors)
     np.testing.assert_array_equal(loaded.data, batch.data)
+
+
+def test_patch_sidecar_with_another_slab_radius_is_rejected(tmp_path):
+    vol = make_volume((64, 64, 4), seed=9)
+    grid = plan_grid((64, 64), (32, 32), 0.5, DepthMode.D25)
+    save_patches(tmp_path / "batch", extract(vol, grid, z=1), grid, volume_id="v")
+    sidecar = tmp_path / "batch.json"
+    meta = json.loads(sidecar.read_text())
+    assert meta["grid"]["depth_mode"] == {"kind": "2.5d", "radius": 1}
+    meta["grid"]["depth_mode"]["radius"] = 2
+    sidecar.write_text(json.dumps(meta))
+    with pytest.raises(FormatError, match=re.escape(f"{sidecar} is not a valid patches sidecar")) as err:
+        load_patches(tmp_path / "batch")
+    assert "slab radius must be 1, got 2" in str(err.value)
 
 
 def test_prediction_spill_round_trip(tmp_path):
@@ -747,7 +761,7 @@ def test_prediction_spill_round_trip(tmp_path):
 
 def test_spill_loaders_reject_other_kind_and_truncated_payload(tmp_path):
     vol = make_volume((64, 64, 4), seed=9)
-    grid = plan_grid((64, 64), (32, 32), 0.5, DepthMode.d2())
+    grid = plan_grid((64, 64), (32, 32), 0.5, DepthMode.D2)
     batch = extract(vol, grid, z=1)
     save_patches(tmp_path / "batch", batch, grid, volume_id="v")
     save_predictions(tmp_path / "pred", [(a, np.full((4, 32, 32), 0.25)) for a in batch.anchors.tolist()])

@@ -1,6 +1,7 @@
 """Resizing, normalization, denoising, and slice filtering."""
 
 import math
+import re
 
 import numpy as np
 import pytest
@@ -226,18 +227,18 @@ def test_denoise_reduces_noise():
 
 
 def test_preprocess_config_validation():
-    with pytest.raises(ValueError):
-        PreprocessConfig(denoiser="bm3d")
-    with pytest.raises(ValueError):
-        PreprocessConfig(denoiser="gaussian", sigma=0.0)
-    with pytest.raises(ValueError):
-        PreprocessConfig(denoiser="nlm", h=0.0)
-    with pytest.raises(ValueError):
-        PreprocessConfig(denoiser="nlm", search_radius=0)
-    with pytest.raises(ValueError):
-        PreprocessConfig(target_vol=(0, 384))
-    with pytest.raises(ValueError):
-        PreprocessConfig(normalize="sometimes")
+    for key, kwargs in (
+        ("preprocess.target_vol", dict(target_vol=(0, 384))),
+        ("preprocess.target_2d", dict(target_2d=(572,))),
+        ("preprocess.denoiser", dict(denoiser="bm3d")),
+        ("preprocess.sigma", dict(denoiser="gaussian", sigma=0.0)),
+        ("preprocess.h", dict(denoiser="nlm", h=0.0)),
+        ("preprocess.search_radius", dict(denoiser="nlm", search_radius=0)),
+        ("preprocess.patch_radius", dict(denoiser="nlm", patch_radius=0)),
+        ("preprocess.normalize", dict(normalize="sometimes")),
+    ):
+        with pytest.raises(ValidationError, match=rf"^{re.escape(key)} must"):
+            PreprocessConfig(**kwargs)
 
 
 def test_filter_slices_policies():

@@ -1,11 +1,12 @@
 """MetaImage reading/writing and the label/probability volume contracts."""
 
+import re
 import tempfile
 from pathlib import Path
 
 import numpy as np
 import pytest
-from hypothesis import given, settings
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 from hypothesis.extra import numpy as hnp
 
@@ -226,12 +227,39 @@ def test_malformed_headers_rejected(tmp_path):
     with pytest.raises(FormatError):
         read_volume(tmp_path / "etype.mhd")
 
+    # fewer than three spacings, or one that is not finite and > 0
+    for i, spacing in enumerate(["1 1", "", "nan 1 1", "1 inf 1", "1 1 0", "-1 1 1"]):
+        lines = [l for l in header_for((2, 2, 2), "MET_UCHAR") if not l.startswith("ElementSpacing")]
+        path = tmp_path / f"spacing{i}.mhd"
+        write_mhd(path, lines + [f"ElementSpacing = {spacing}"], payload)
+        for read in (read_volume, read_labels):
+            with pytest.raises(FormatError, match=re.escape(f"{path}: ElementSpacing")):
+                read(path)
+
 
 def test_payload_size_mismatch_reported(tmp_path):
     write_mhd(tmp_path / "short.mhd", header_for((4, 4, 4), "MET_UCHAR"), b"\x00" * 10)
     with pytest.raises(IOError) as err:
         read_volume(tmp_path / "short.mhd")
     assert "64" in str(err.value) and "10" in str(err.value)
+
+
+def test_payload_size_is_checked_before_allocating(tmp_path):
+    # 10^15 float32 values would need 3.55 PiB; the 32-byte payload is reported instead
+    path = tmp_path / "huge.mhd"
+    write_mhd(path, header_for((100000, 100000, 100000), "MET_FLOAT"), b"\x00" * 32)
+    with pytest.raises(IOError, match="size mismatch, expected 4000000000000000 bytes, found 32"):
+        read_volume(path)
+
+
+@pytest.mark.parametrize("data_file", ["", ".", ".."])
+def test_payload_that_is_not_a_regular_file_names_the_header(tmp_path, data_file):
+    path = tmp_path / "dir.mhd"
+    lines = header_for((2, 2, 2), "MET_UCHAR") + [f"ElementDataFile = {data_file}"]
+    path.write_text("\n".join(lines) + "\n")
+    with pytest.raises(FormatError, match=re.escape(f"{path}: raw payload")) as err:
+        read_volume(path)
+    assert "not a regular file" in str(err.value)
 
 
 def test_missing_raw_companion(tmp_path):
@@ -337,3 +365,84 @@ def test_non_numeric_header_field_is_a_format_error(tmp_path, field, line):
 def test_fluid_class_values():
     assert [int(c) for c in FluidClass] == [0, 1, 2, 3]
     assert FluidClass.BACKGROUND == 0 and FluidClass.PED == 3
+
+
+# values a fuzzed header field may take: junk text, empty, signed and huge
+# numbers, non-finite floats, valid tokens of other fields, and number lists
+_junk = st.text(st.characters(min_codepoint=32, max_codepoint=126, exclude_characters="/\\"),
+                max_size=12)
+_number_lists = st.lists(
+    st.sampled_from(["-1", "0", "1", "2", "3", "4", "100000", "99999999999", "nan", "inf", "1e3"]),
+    max_size=5,
+).map(" ".join)
+_tokens = st.sampled_from(
+    ["", "LOCAL", ".", "..", "True", "False", "MET_UCHAR", "MET_USHORT", "MET_FLOAT", "MET_DOUBLE"]
+)
+_values = _junk | _number_lists | _tokens
+
+
+@st.composite
+def mutated_headers(draw):
+    """The header lines of a valid labels or probability volume, mutated by
+    dropping, duplicating or replacing lines and by replacing values."""
+    lines = list(draw(st.sampled_from([_LABEL_HEADER, _PROB_HEADER])))
+    for _ in range(draw(st.integers(1, 4))):  # a header has 8 or 9 lines, so some stay
+        i = draw(st.sampled_from(range(len(lines))))
+        op = draw(st.sampled_from(["drop", "duplicate", "junk line", "value"]))
+        if op == "drop":
+            del lines[i]
+        elif op == "duplicate":
+            lines.insert(draw(st.integers(0, len(lines))), lines[i])
+        elif op == "junk line":
+            lines[i] = draw(_junk)
+        else:
+            lines[i] = f"{lines[i].partition('=')[0].strip()} = {draw(_values)}"
+    return lines
+
+
+def _header_lines(vol, name):
+    with tempfile.TemporaryDirectory() as tmp:
+        path = Path(tmp) / name
+        write_volume(vol, path)
+        return tuple(path.read_text().splitlines())
+
+
+_LABELS = LabelVolume(np.arange(12, dtype=np.uint8).reshape(2, 2, 3) % 4, spacing=(0.5, 1.0, 2.0))
+_PROBS = ProbVolume(np.full((4, 2, 2, 3), 0.25, np.float32))
+_LABEL_HEADER = _header_lines(_LABELS, "case.mhd")
+_PROB_HEADER = _header_lines(_PROBS, "case_prob.mhd")
+
+
+def _with(header, line):
+    """``header`` with the line of ``line``'s key replaced by ``line``."""
+    key = line.partition("=")[0]
+    return [line if old.startswith(key) else old for old in header]
+
+
+@settings(max_examples=300, deadline=None)
+@given(lines=mutated_headers(), read=st.sampled_from([read_volume, read_labels, read_prob]))
+# pinned: a DimSize whose array would need 3.55 PiB, and a directory as the payload
+@example(lines=_with(_LABEL_HEADER, "DimSize = 100000 100000 100000"), read=read_labels)
+@example(lines=_with(_LABEL_HEADER, "ElementDataFile = ."), read=read_volume)
+def test_fuzzed_header_reads_or_fails_naming_its_file(lines, read):
+    """Both base volumes sit beside the fuzzed header, so every payload a
+    valid header names exists."""
+    with tempfile.TemporaryDirectory() as tmp:
+        tmp = Path(tmp)
+        write_volume(_LABELS, tmp / "case.mhd")
+        write_volume(_PROBS, tmp / "case_prob.mhd")
+        path = tmp / "fuzzed.mhd"
+        path.write_text("\n".join(lines) + "\n")
+        payloads = [
+            str(tmp / value.strip())
+            for key, _, value in (line.partition("=") for line in lines)
+            if key.strip() == "ElementDataFile"
+        ]
+        try:
+            read(path)
+        except (FormatError, ValidationError, FileNotFoundError) as exc:
+            assert str(exc).startswith(f"{path}: "), exc
+        except OSError as exc:  # the payload read was the header or a file beside it
+            source, _, rest = str(exc).partition(": ")
+            assert rest.startswith("raw payload size mismatch"), exc
+            assert source in (str(path), *payloads), exc
