@@ -125,12 +125,14 @@ def oracle_backend(truth: LabelVolume) -> Backend:
 def external_backend(prob_dir: str | Path, volume_id: str) -> Backend:
     """Crop windows out of ``volume_id``'s precomputed ``<volume_id>_prob.mhd``
     in ``prob_dir``, read and validated here, once.  The backend serves that
-    one volume; asking it for another raises ValidationError."""
+    one volume; asking it for another raises ValidationError.  The volume is
+    read-only, so its windows are copied, never taken over, by ``stitch``."""
     path = prob_path(prob_dir, volume_id)
     if not path.exists():
         raise FileNotFoundError(f"no probability volume for '{volume_id}' at {path}")
     prob = read_prob(path)
     prob.validate()
+    prob.probs.flags.writeable = False
 
     def predict(batch: PatchBatch, mode: DepthMode, asked: str) -> np.ndarray:
         if asked != volume_id:

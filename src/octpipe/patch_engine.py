@@ -15,7 +15,9 @@ until its grid row is complete; a prediction that owns its memory is summed
 at once.  Either way it is summed plane by plane, so one plane of the row's
 overlapping windows stays in cache, and each voxel receives its predictions
 in canonical anchor order.  A slice range whose predictions are all in is
-divided in place by the grid's coverage plane.
+divided in place by the grid's coverage plane.  A 3d grid of one image-sized
+patch (variant F) has one prediction, the whole volume, and stitch takes it
+over as the result instead of summing it into a second volume.
 Per-voxel passes over a whole volume (the finiteness check, arg-max, closing)
 run one slice at a time, so none allocates a temporary the size of the volume.
 """
@@ -246,6 +248,14 @@ def stitch(
     :func:`coverage_plane`; that matches dividing by per-voxel counts bit for
     bit, since both operands are exact in float32.
 
+    A 3d grid whose one anchor's patch is the whole image has one block, the
+    whole volume, covering each voxel once.  Stitch takes that prediction
+    over: a writeable, C-contiguous float32 block becomes the result and is
+    changed in place, any other is first copied to float32.  Its -0.0 values
+    become +0.0 and nothing is divided, which is bit for bit what summing
+    into zeros and dividing by a coverage of 1 gives.  A caller that needs
+    its array unchanged passes it read-only.
+
     Raises :class:`CoverageError` for an anchor outside ``grid``, naming the
     grid's image size, patch size and stride, and for a voxel no patch
     covers, naming it (or, where every voxel is covered, the first anchor
@@ -259,9 +269,8 @@ def stitch(
         raise ValidationError(
             f"grid was planned for image {grid.image_dims}, stitch dims are {(width, height)}"
         )
-    probs = np.zeros((N_CLASSES, depth, height, width), dtype=np.float32)
     planes = depth if grid.depth_mode is DepthMode.D3 else 1
-    summed, waiting = _accumulate(patch_probs, grid, probs, planes)
+    probs, summed, waiting = _accumulate(patch_probs, grid, depth, planes)
     _check_complete(grid, depth, planes, summed, waiting)
     for z in range(depth):
         finite = np.isfinite(probs[:, z]).all(axis=0)
@@ -273,18 +282,24 @@ def stitch(
     return ProbVolume(probs=probs, volume_id=volume_id)
 
 
-def _accumulate(patch_probs, grid: PatchGrid, probs: np.ndarray, planes: int):
-    """Sum ``patch_probs``, each ``planes`` deep, into the zeroed ``probs``
-    and divide each completed slice range by the coverage plane; returns
-    (summed, waiting): per anchor z the count of anchors summed and the
-    predictions that arrived but are not yet summed, by anchor index."""
-    depth = probs.shape[1]
+def _accumulate(patch_probs, grid: PatchGrid, depth: int, planes: int):
+    """Sum ``patch_probs``, each ``planes`` deep, into a zeroed float32
+    (4, ``depth``, height, width) array and divide each completed slice
+    range by the coverage plane, or take over the one block of a
+    whole-volume 3d grid; returns (probs, summed, waiting): the result, and
+    per anchor z the count of anchors summed and the predictions that
+    arrived but are not yet summed, by anchor index."""
     anchors = grid.anchors
     index = {anchor: i for i, anchor in enumerate(anchors)}
     # the last anchor of each grid row (the anchors sharing one y)
     row_end = [i + 1 == len(anchors) or anchors[i + 1][1] != y for i, (_, y) in enumerate(anchors)]
     ph, pw = grid.patch_h, grid.patch_w
     shape = (N_CLASSES, planes, ph, pw)
+    # one block covers every voxel once, so it becomes the result (the
+    # empty placeholder is the result only for a volume with no slices)
+    whole = grid.depth_mode is DepthMode.D3 and anchors == ((0, 0),) and (pw, ph) == grid.image_dims
+    width, height = grid.image_dims
+    probs = np.zeros((N_CLASSES, 0 if whole else depth, height, width), dtype=np.float32)
     plane = coverage_plane(grid)
     summed: dict[int, int] = {}
     waiting: dict[int, dict[int, np.ndarray]] = {}
@@ -325,14 +340,19 @@ def _accumulate(patch_probs, grid: PatchGrid, probs: np.ndarray, planes: int):
                 end = j + 1
             j += 1
         run = [(anchors[k], arrived.pop(k)) for k in range(done, end)]
-        for p in range(planes):
-            for (ax, ay), block in run:
-                probs[:, z + p, ay : ay + ph, ax : ax + pw] += block[:, p]
+        if whole:  # coverage is 1 and x / 1 == x, so no division
+            owned = block.dtype == np.float32 and block.flags.writeable and block.flags.c_contiguous
+            probs = block if owned else block.astype(np.float32, order="C")
+            np.add(probs, 0.0, out=probs)  # -0.0 reads +0.0, as after a sum into zeros
+        else:
+            for p in range(planes):
+                for (ax, ay), block in run:
+                    probs[:, z + p, ay : ay + ph, ax : ax + pw] += block[:, p]
+            if end == len(anchors):
+                probs[:, z : z + planes] /= plane
         del run  # hold no summed block while the next one arrives
         summed[z] = end
-        if end == len(anchors):
-            probs[:, z : z + planes] /= plane
-    return summed, waiting
+    return probs, summed, waiting
 
 
 def _check_complete(grid: PatchGrid, depth: int, planes: int, summed: dict, waiting: dict) -> None:

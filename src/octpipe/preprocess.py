@@ -85,24 +85,54 @@ def _linear_coords(src: int, dst: int) -> tuple[np.ndarray, np.ndarray, np.ndarr
     return np.clip(lo, 0, src - 1), np.clip(lo + 1, 0, src - 1), frac
 
 
+def _bilinear(shape: tuple[int, int], dtype, target: tuple[int, int]):
+    """Return ``resize(image, out)``, which writes the bilinear resize of one
+    ``shape`` image of ``dtype`` to ``target`` = (width, height) into the
+    (height, width) array ``out``, clamped to the image's value range.
+
+    The row and column buffers are allocated here, once, and reused by every
+    call.  Each needed row is gathered from the image in its own dtype and
+    weighted into float64, which promotes it exactly as converting the whole
+    image first would.
+    """
+    src_h, src_w = shape
+    tw, th = target
+    y0, y1, fy = _linear_coords(src_h, th)
+    x0, x1, fx = _linear_coords(src_w, tw)
+    wy0, wy1, wx0 = (1.0 - fy)[:, None], fy[:, None], 1.0 - fx
+    gathered = np.empty((th, src_w), dtype=dtype)
+    rows, row_term = np.empty((th, src_w)), np.empty((th, src_w))
+    cols, col_term = np.empty((th, tw)), np.empty((th, tw))
+
+    def resize(image: np.ndarray, out: np.ndarray) -> None:
+        # the indices are already in range, and mode="clip" lets take write to out unbuffered
+        np.multiply(np.take(image, y0, axis=0, out=gathered, mode="clip"), wy0, out=rows)
+        np.multiply(np.take(image, y1, axis=0, out=gathered, mode="clip"), wy1, out=row_term)
+        np.add(rows, row_term, out=rows)
+        np.multiply(np.take(rows, x0, axis=1, out=cols, mode="clip"), wx0, out=cols)
+        np.multiply(np.take(rows, x1, axis=1, out=col_term, mode="clip"), fx, out=col_term)
+        np.add(cols, col_term, out=cols)
+        # convex weights cannot overshoot; clamp away float round-off at the edges
+        np.clip(cols, image.min(), image.max(), out=cols)
+        out[...] = cols
+
+    return resize
+
+
 def resize_slice(image: np.ndarray, target: tuple[int, int]) -> np.ndarray:
     """Resize one 2-D image to ``target`` = (width, height) bilinearly; the
-    output is clamped to the source value range."""
+    output is clamped to the source value range.  A floating image keeps its
+    dtype, any other comes back as float64."""
     image = np.asarray(image)
     if image.ndim != 2:
         raise ValueError(f"expected a 2-D image, got shape {image.shape}")
     tw, th = (int(t) for t in target)
     if tw < 1 or th < 1:
         raise ValueError(f"target dimensions must be positive, got {target}")
-    src_h, src_w = image.shape
-    y0, y1, fy = _linear_coords(src_h, th)
-    x0, x1, fx = _linear_coords(src_w, tw)
-    data = image.astype(np.float64, copy=False)
-    rows = data[y0] * (1.0 - fy)[:, None] + data[y1] * fy[:, None]
-    out = rows[:, x0] * (1.0 - fx)[None, :] + rows[:, x1] * fx[None, :]
-    # convex weights cannot overshoot; clamp away float round-off at the edges
-    np.clip(out, data.min(), data.max(), out=out)
-    return out.astype(image.dtype) if np.issubdtype(image.dtype, np.floating) else out
+    floating = np.issubdtype(image.dtype, np.floating)
+    out = np.empty((th, tw), dtype=image.dtype if floating else np.float64)
+    _bilinear(image.shape, image.dtype, (tw, th))(image, out)
+    return out
 
 
 def resize_volume(vol: OctVolume | LabelVolume, target: tuple[int, int]):
@@ -134,8 +164,9 @@ def resize_volume(vol: OctVolume | LabelVolume, target: tuple[int, int]):
         return LabelVolume(voxels=out, volume_id=vol.volume_id, spacing=spacing)
 
     out = np.empty((depth, th, tw), dtype=np.float32)
+    resize = _bilinear((src_h, src_w), vol.voxels.dtype, (tw, th))
     for z in range(depth):
-        out[z] = resize_slice(vol.voxels[z].astype(np.float64), (tw, th))
+        resize(vol.voxels[z], out[z])
     return OctVolume(voxels=out, spacing=spacing, volume_id=vol.volume_id)
 
 

@@ -155,7 +155,8 @@ class ProbVolume:
 
 
 def _parse_header(path: Path) -> tuple[dict[str, str], int]:
-    """Read MetaImage header keys; return them plus the byte offset past the header."""
+    """Read MetaImage header keys; return them plus the byte offset past the header.
+    A key given twice raises FormatError naming it, so no value silently wins."""
     header: dict[str, str] = {}
     offset = 0
     with open(path, "rb") as f:
@@ -173,6 +174,8 @@ def _parse_header(path: Path) -> tuple[dict[str, str], int]:
             if "=" not in text:
                 raise FormatError(f"{path}: malformed header line {text!r}")
             key, value = (part.strip() for part in text.split("=", 1))
+            if key in header:
+                raise FormatError(f"{path}: header key {key!r} is given twice")
             header[key] = value
             if key == "ElementDataFile":
                 return header, offset

@@ -608,11 +608,17 @@ def test_evaluate_volume_counts_each_fluid_once(make_dataset, tmp_path, monkeypa
         assert any(score < 1.0 for score in scores.values())
 
 
-@pytest.mark.parametrize("mode", [DepthMode.D25, DepthMode.D3], ids=["2.5d", "3d"])
+@pytest.mark.parametrize(
+    "mode, variant",
+    [(DepthMode.D25, "P"), (DepthMode.D3, "P"), (DepthMode.D3, "F")],
+    ids=["2.5d", "3d", "3d-F"],
+)
 @pytest.mark.parametrize("jobs", [1, 2])
-def test_predict_volume_peak_memory_stays_near_output_size(mode, jobs):
-    """Overlap 0.75 covers each voxel 9 times on average, so holding every
-    patch prediction would cost about 9 output volumes."""
+def test_predict_volume_peak_memory_stays_near_output_size(mode, variant, jobs):
+    """Variant P at overlap 0.75 covers each voxel 9 times on average, so
+    holding every patch prediction would cost about 9 output volumes.  In
+    3D F the one prediction is the whole volume and becomes the output, so
+    a second volume-sized array would double the peak."""
     import tracemalloc
 
     from octpipe.eval_harness.runner import predict_volume
@@ -620,7 +626,7 @@ def test_predict_volume_peak_memory_stays_near_output_size(mode, jobs):
 
     rng = np.random.default_rng(71)
     vol = OctVolume(rng.random((48, 48, 48), dtype=np.float32), volume_id="mem")
-    cfg = RunConfig(depth_mode=mode, patch_size=16, overlap=0.75, jobs=jobs)
+    cfg = RunConfig(depth_mode=mode, variant=variant, patch_size=16, overlap=0.75, jobs=jobs)
     backend = threshold_backend()
     tracemalloc.start()
     try:
@@ -628,7 +634,34 @@ def test_predict_volume_peak_memory_stays_near_output_size(mode, jobs):
         peak = tracemalloc.get_traced_memory()[1]
     finally:
         tracemalloc.stop()
-    assert peak < 3 * prob.probs.nbytes
+    assert peak < (3 if variant == "P" else 1.25) * prob.probs.nbytes
+
+
+@pytest.mark.parametrize("jobs", [1, 2])
+def test_external_3d_full_prediction_reads_negative_zero_as_zero(tmp_path, jobs):
+    """3D F stitches the one window of the external backend's volume.  The
+    result holds +0.0 where the file holds -0.0, as a sum into zeros gives,
+    and the backend's read-only volume keeps its -0.0."""
+    from octpipe.backends import external_backend
+    from octpipe.eval_harness.runner import predict_volume
+    from octpipe.patch_engine import extract
+    from octpipe.volume_io import OctVolume
+
+    rng = np.random.default_rng(29)
+    probs = rng.random((4, 5, 12, 10), dtype=np.float32) + 0.5
+    probs /= probs.sum(axis=0)
+    probs[1:, 2, 3:7] = -0.0
+    probs[0, 2, 3:7] = 1.0
+    write_volume(ProbVolume(probs=probs, volume_id="z"), tmp_path / "z_prob.mhd")
+    vol = OctVolume(np.zeros((5, 12, 10), dtype=np.float32), volume_id="z")
+    cfg = RunConfig(depth_mode=DepthMode.D3, variant="F", jobs=jobs)
+    backend = external_backend(tmp_path, "z")
+    result = predict_volume(vol, backend, cfg).probs
+    assert result.tobytes() == (np.zeros_like(probs) + probs).tobytes()
+    assert not np.signbit(result).any()
+    (window,) = backend.predict(extract(vol, cfg.grid(vol.dims[:2])), DepthMode.D3, "z")
+    assert window.tobytes() == probs.tobytes()
+    assert not window.flags.writeable and not np.shares_memory(window, result)
 
 
 @pytest.mark.parametrize("backend_kind", ["threshold", "external"])

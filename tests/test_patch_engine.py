@@ -457,6 +457,55 @@ def test_stitch_names_missing_anchor_after_windows_held_for_its_row():
     assert stitch(pairs + [missing], grid, (48, 48, 1)).probs.min() == 0.25
 
 
+def test_stitch_takes_over_a_whole_volume_3d_prediction():
+    """A 3d grid of one image-sized patch has one block, the whole volume,
+    covering each voxel once.  A writeable C-contiguous float32 block becomes
+    the result, with -0.0 read as +0.0 as a sum into zeros gives; any other
+    block is copied and left as it is."""
+    grid = plan_grid((16, 16), (16, 16), 0.0, DepthMode.D3)
+    block = np.random.default_rng(5).random((4, 3, 16, 16), dtype=np.float32)
+    block[:, 1, 2] = -0.0
+    expected = np.zeros_like(block) + block
+    assert np.signbit(block).any() and not np.signbit(expected).any()
+    owned = block.copy()
+    prob = stitch([((0, 0, 0), owned)], grid, (16, 16, 3))
+    assert prob.probs is owned
+    assert prob.probs.tobytes() == expected.tobytes()
+    read_only = block.copy()
+    read_only.flags.writeable = False
+    strided = np.repeat(block, 2, axis=-1)[..., ::2]
+    for pred in (read_only, block.astype(np.float64), strided):
+        before = pred.tobytes()
+        prob = stitch([((0, 0, 0), pred)], grid, (16, 16, 3))
+        assert not np.shares_memory(prob.probs, pred)
+        assert prob.probs.tobytes() == expected.tobytes()
+        assert pred.tobytes() == before
+
+
+def test_stitch_whole_volume_3d_errors_keep_their_messages():
+    grid = plan_grid((16, 16), (16, 16), 0.0, DepthMode.D3)
+
+    def block():
+        return np.full((4, 3, 16, 16), 0.25, dtype=np.float32)
+
+    nan = block()
+    nan[2, 1, 3, 5] = np.nan
+    cases = (
+        ([((0, 0, 0), block()[:, :2])], ValidationError,
+         "prediction at (0, 0, 0) has shape (4, 2, 16, 16), expected (4, 3, 16, 16) on a 3d grid"),
+        ([((0, 0, 0), block()), ((0, 0, 0), block())], ValidationError,
+         "prediction for anchor (0, 0, 0) arrived twice"),
+        ([((4, 0, 0), block())], CoverageError,
+         "anchor (4, 0) is not part of the grid planned for image 16x16, patch 16x16, stride 16x16"),
+        ([], CoverageError, "voxel (x=0, y=0, z=0) is covered by no patch"),
+        ([((0, 0, 0), nan)], ValidationError,
+         "stitched probability at voxel (x=5, y=3, z=1) is not finite"),
+    )
+    for pairs, error, message in cases:
+        with pytest.raises(error, match=f"^{re.escape(message)}$"):
+            stitch(pairs, grid, (16, 16, 3))
+
+
 def test_labelize_rules():
     probs = np.zeros((4, 1, 1, 3), dtype=np.float32)
     probs[:, 0, 0, 0] = (0.7, 0.1, 0.1, 0.1)

@@ -7,6 +7,7 @@ import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
+from hypothesis.extra import numpy as hnp
 
 from octpipe.errors import ValidationError
 from octpipe.preprocess import (
@@ -101,6 +102,60 @@ def test_resize_bilinear_matches_oracle_random_shapes():
         image = rng.random((sh, sw))
         out = resize_slice(image, (int(tw), int(th)))
         np.testing.assert_allclose(out, bilinear_oracle(image, int(tw), int(th)), atol=1e-12)
+
+
+def bilinear_reference(image, tw, th):
+    """The whole-slice bilinear formula: convert the image to float64, weight
+    two gathered rows and add them, weight two gathered columns and add them,
+    then clamp to the image's range."""
+
+    def coords(src, dst):
+        centers = (np.arange(dst, dtype=np.float64) + 0.5) * (src / dst) - 0.5
+        lo = np.floor(centers).astype(np.int64)
+        return np.clip(lo, 0, src - 1), np.clip(lo + 1, 0, src - 1), centers - lo
+
+    y0, y1, fy = coords(image.shape[0], th)
+    x0, x1, fx = coords(image.shape[1], tw)
+    data = image.astype(np.float64)
+    rows = data[y0] * (1.0 - fy)[:, None] + data[y1] * fy[:, None]
+    out = rows[:, x0] * (1.0 - fx)[None, :] + rows[:, x1] * fx[None, :]
+    np.clip(out, data.min(), data.max(), out=out)
+    return out
+
+
+@st.composite
+def float32_volumes(draw):
+    """(depth, h, w) float32 volumes with axes down to 1 pixel; some slices
+    are constant."""
+    shape = draw(st.tuples(st.integers(1, 3), st.integers(1, 12), st.integers(1, 12)))
+    vol = draw(hnp.arrays(np.float32, shape, elements=st.floats(width=32, allow_nan=False,
+                                                                allow_infinity=False)))
+    for z in draw(st.sets(st.integers(0, shape[0] - 1))):
+        vol[z] = vol[z, 0, 0]
+    return vol
+
+
+@settings(max_examples=200, deadline=None)
+@given(voxels=float32_volumes(), target=st.tuples(st.integers(1, 16), st.integers(1, 16)))
+def test_resize_is_bit_identical_to_the_whole_slice_formula(voxels, target):
+    tw, th = target
+    ref = np.stack([bilinear_reference(plane, tw, th) for plane in voxels]).astype(np.float32)
+    for plane, expected in zip(voxels, ref):
+        got = resize_slice(plane, target)
+        assert got.dtype == np.float32
+        np.testing.assert_array_equal(got.view(np.uint32), expected.view(np.uint32))
+        wide = resize_slice(plane.astype(np.float64), target)
+        np.testing.assert_array_equal(wide.astype(np.float32).view(np.uint32), expected.view(np.uint32))
+    if voxels.shape[1:] != (th, tw):  # a volume at the target comes back as it is
+        out = resize_volume(OctVolume(voxels=voxels, volume_id="r"), target).voxels
+        np.testing.assert_array_equal(out.view(np.uint32), ref.view(np.uint32))
+
+
+def test_resize_slice_of_an_integer_image_is_float64():
+    image = np.arange(20, dtype=np.int16).reshape(4, 5) * 7
+    out = resize_slice(image, (9, 3))
+    assert out.dtype == np.float64
+    np.testing.assert_array_equal(out.view(np.uint64), bilinear_reference(image, 9, 3).view(np.uint64))
 
 
 def test_resize_slice_rejects_bad_arguments():

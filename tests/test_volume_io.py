@@ -362,6 +362,17 @@ def test_non_numeric_header_field_is_a_format_error(tmp_path, field, line):
     assert str(path) in str(err.value) and field in str(err.value)
 
 
+def test_header_key_given_twice_is_a_format_error(tmp_path):
+    """Were the last DimSize to win, this header would read as (2, 3, 2)."""
+    lines = header_for((3, 2, 2), "MET_UCHAR")
+    lines.insert(lines.index("DimSize = 3 2 2") + 1, "DimSize = 2 3 2")
+    path = tmp_path / "twice.mhd"
+    write_mhd(path, lines, np.zeros(12, dtype=np.uint8).tobytes())
+    for read in (read_volume, read_labels):
+        with pytest.raises(FormatError, match=re.escape(f"{path}: header key 'DimSize' is given twice")):
+            read(path)
+
+
 def test_fluid_class_values():
     assert [int(c) for c in FluidClass] == [0, 1, 2, 3]
     assert FluidClass.BACKGROUND == 0 and FluidClass.PED == 3
