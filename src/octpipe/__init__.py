@@ -24,7 +24,7 @@ from .patch_engine import (
     plan_grid,
     stitch,
 )
-from .preprocess import PreprocessConfig, denoise, filter_slices, normalize, resize_slice, resize_volume
+from .preprocess import PreprocessConfig, denoise, filter_slices, normalize, resize_volume
 from .volume_io import (
     FluidClass,
     LabelVolume,
@@ -71,7 +71,6 @@ __all__ = [
     "read_labels",
     "read_prob",
     "read_volume",
-    "resize_slice",
     "resize_volume",
     "stitch",
     "threshold_backend",

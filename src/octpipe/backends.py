@@ -89,25 +89,22 @@ def one_hot(labels: np.ndarray, axis: int = 0) -> np.ndarray:
     return out
 
 
-def classify_bands(intensity: np.ndarray) -> np.ndarray:
-    """Label voxels by intensity band of ``BANDS`` = (b1, b2, b3):
-    <=b1 -> 0, <=b2 -> 1, <=b3 -> 2, else 3."""
-    b1, b2, b3 = BANDS
-    intensity = np.asarray(intensity)
-    out = np.full(intensity.shape, 3, dtype=np.uint8)
-    out[intensity <= b3] = 2
-    out[intensity <= b2] = 1
-    out[intensity <= b1] = 0
-    return out
-
-
 def threshold_backend() -> Backend:
-    """Classify each voxel of the patch itself by intensity band; single-slice
-    modes classify the centre plane of each patch."""
+    """Classify each voxel of the patch itself by intensity band of ``BANDS``
+    = (b1, b2, b3): <=b1 -> 0, <=b2 -> 1, <=b3 -> 2, else 3 (NaN and +inf
+    included).  Single-slice modes classify the centre plane of each patch."""
 
     def predict(batch: PatchBatch, mode: DepthMode, volume_id: str) -> np.ndarray:
         data = batch.data if mode is DepthMode.D3 else batch.data[:, batch.data.shape[1] // 2]
-        return one_hot(classify_bands(data), axis=1)
+        out = np.empty((len(data), N_CLASSES, *data.shape[1:]), dtype=np.float32)
+        for cls, cut in enumerate(BANDS):  # 1.0 where x <= cut, never for NaN
+            np.less_equal(data, cut, out=out[:, cls])
+        # x <= b1 implies x <= b2 implies x <= b3, so each difference is 0.0 or 1.0;
+        # taken top down, each plane still holds its comparison when it is read
+        np.subtract(1.0, out[:, 2], out=out[:, 3])
+        out[:, 2] -= out[:, 1]
+        out[:, 1] -= out[:, 0]
+        return out
 
     return Backend(predict)
 

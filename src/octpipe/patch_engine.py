@@ -31,7 +31,6 @@ from pathlib import Path
 from typing import Iterable
 
 import numpy as np
-from numpy.lib.stride_tricks import sliding_window_view
 
 from .errors import CoverageError, FormatError, ValidationError
 from .volume_io import FLUIDS, N_CLASSES, FluidClass, LabelVolume, OctVolume, ProbVolume
@@ -153,8 +152,9 @@ def windows(array: np.ndarray, anchors, size: tuple[int, int], at_z: bool = Fals
 
     With ``at_z`` the axis before them is indexed by each anchor's z and
     dropped; otherwise z is ignored and every leading axis is kept.  Returns
-    (N, *leading, h, w): a view of ``array`` for one window, one gathered copy
-    for more.  Raises IndexError naming the first window that leaves ``array``.
+    (N, *leading, h, w): a view of ``array`` for one window, the windows
+    stacked into one copy for more.  Raises IndexError naming the first
+    window that leaves ``array``.
     """
     anchors = np.asarray(anchors)
     h, w = size
@@ -167,15 +167,11 @@ def windows(array: np.ndarray, anchors, size: tuple[int, int], at_z: bool = Fals
             f"{w}x{h} window at {tuple(anchors[np.argmax(bad)].tolist())} "
             f"falls outside array of shape {array.shape}"
         )
-    if len(anchors) == 1:
-        x, y, z = anchors[0].tolist()
-        return (array[..., z, :, :] if at_z else array)[None, ..., y : y + h, x : x + w]
-    lead = array.ndim - 2
-    # (*leading, H', W', h, w) -> (H', W', *leading, h, w), indexed by (y, x)
-    view = np.moveaxis(sliding_window_view(array, size, axis=(-2, -1)), (lead, lead + 1), (0, 1))
-    if at_z:  # z is the last leading axis; bring it next to (y, x)
-        return np.moveaxis(view, lead + 1, 2)[y, x, z]
-    return view[y, x]
+    cut = [
+        (array[..., z, :, :] if at_z else array)[..., y : y + h, x : x + w]
+        for x, y, z in anchors.tolist()
+    ]
+    return cut[0][None] if len(cut) == 1 else np.stack(cut)
 
 
 def extract(vol: OctVolume, grid: PatchGrid, z: int = 0, which: slice = slice(None)) -> PatchBatch:
@@ -489,19 +485,23 @@ def _save_spill(path_base, kind: str, stack, meta: dict) -> None:
 def _load_spill(path_base, kind: str, build):
     """Read a spill of ``kind`` and return ``build(meta, stack)``, given its
     sidecar and an (n_anchors, *shape) stack.  A sidecar that is not JSON,
-    lacks a field or holds a value of the wrong type raises FormatError
-    naming it."""
+    lacks a field, holds a value of the wrong type or an anchor that is not
+    three integers raises FormatError naming it, as does a raw file whose
+    size differs from the sidecar's promise, before it is read."""
     raw_path, meta_path = _sidecar_paths(path_base)
     try:
         meta = json.loads(meta_path.read_text())
         if meta.get("kind") != kind:
             raise FormatError(f"{meta_path} describes {meta.get('kind')!r}, expected {kind!r}")
+        for anchor in meta["anchors"]:
+            if not (type(anchor) is list and len(anchor) == 3 and all(type(v) is int for v in anchor)):
+                raise FormatError(f"{meta_path}: anchor {anchor!r} is not three integers")
         shape = (len(meta["anchors"]), *meta[_SHAPE_FIELDS[kind]])
-        stack = np.fromfile(raw_path, dtype=np.float32)
-        expected = int(np.prod(shape))
-        if stack.size != expected:
-            raise FormatError(f"{raw_path} holds {stack.size} values, sidecar promises {expected}")
-        return build(meta, stack.reshape(shape))
+        expected = int(np.prod(shape)) * 4
+        found = raw_path.stat().st_size
+        if found != expected:
+            raise FormatError(f"{raw_path} holds {found} bytes, sidecar promises {expected}")
+        return build(meta, np.fromfile(raw_path, dtype=np.float32).reshape(shape))
     except (AttributeError, KeyError, TypeError, ValueError) as exc:
         raise FormatError(f"{meta_path} is not a valid {kind} sidecar: {type(exc).__name__}: {exc}") from exc
 

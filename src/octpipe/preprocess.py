@@ -3,7 +3,9 @@
 Resampling uses half-pixel-center coordinates: output pixel ``i`` along an
 axis of size ``dst`` samples source coordinate ``(i + 0.5) * src / dst - 0.5``.
 Bilinear interpolation is a convex combination of the four neighbours, so it
-can never overshoot the source value range; nearest-neighbour picks
+can never overshoot the source value range: it is computed in float64, whose
+round-off is far below half a float32 ulp, so the float32 output stays inside
+the range without a clamp.  Nearest-neighbour picks
 ``floor((i + 0.5) * src / dst)`` and therefore never leaves the source
 alphabet.  Volume-wide stages work one B-scan at a time, and range and
 finiteness checks are reductions, so no stage holds a second volume-sized
@@ -85,22 +87,26 @@ def _linear_coords(src: int, dst: int) -> tuple[np.ndarray, np.ndarray, np.ndarr
     return np.clip(lo, 0, src - 1), np.clip(lo + 1, 0, src - 1), frac
 
 
-def _bilinear(shape: tuple[int, int], dtype, target: tuple[int, int]):
+def _bilinear(shape: tuple[int, int], target: tuple[int, int]):
     """Return ``resize(image, out)``, which writes the bilinear resize of one
-    ``shape`` image of ``dtype`` to ``target`` = (width, height) into the
-    (height, width) array ``out``, clamped to the image's value range.
+    float32 ``shape`` image to ``target`` = (width, height) into the
+    (height, width) float32 array ``out``.
 
     The row and column buffers are allocated here, once, and reused by every
-    call.  Each needed row is gathered from the image in its own dtype and
+    call.  Each needed row is gathered from the image as float32 and
     weighted into float64, which promotes it exactly as converting the whole
-    image first would.
+    image first would.  The weights are non-negative and sum to 1 within
+    float64 round-off, so a result can leave the image's value range only by
+    a few float64 ulps.  That is far below half a float32 ulp of the edge
+    value, which is itself a float32, so the cast to ``out`` rounds it back
+    onto the edge, and no clamp is needed.
     """
     src_h, src_w = shape
     tw, th = target
     y0, y1, fy = _linear_coords(src_h, th)
     x0, x1, fx = _linear_coords(src_w, tw)
     wy0, wy1, wx0 = (1.0 - fy)[:, None], fy[:, None], 1.0 - fx
-    gathered = np.empty((th, src_w), dtype=dtype)
+    gathered = np.empty((th, src_w), dtype=np.float32)
     rows, row_term = np.empty((th, src_w)), np.empty((th, src_w))
     cols, col_term = np.empty((th, tw)), np.empty((th, tw))
 
@@ -112,27 +118,9 @@ def _bilinear(shape: tuple[int, int], dtype, target: tuple[int, int]):
         np.multiply(np.take(rows, x0, axis=1, out=cols, mode="clip"), wx0, out=cols)
         np.multiply(np.take(rows, x1, axis=1, out=col_term, mode="clip"), fx, out=col_term)
         np.add(cols, col_term, out=cols)
-        # convex weights cannot overshoot; clamp away float round-off at the edges
-        np.clip(cols, image.min(), image.max(), out=cols)
         out[...] = cols
 
     return resize
-
-
-def resize_slice(image: np.ndarray, target: tuple[int, int]) -> np.ndarray:
-    """Resize one 2-D image to ``target`` = (width, height) bilinearly; the
-    output is clamped to the source value range.  A floating image keeps its
-    dtype, any other comes back as float64."""
-    image = np.asarray(image)
-    if image.ndim != 2:
-        raise ValueError(f"expected a 2-D image, got shape {image.shape}")
-    tw, th = (int(t) for t in target)
-    if tw < 1 or th < 1:
-        raise ValueError(f"target dimensions must be positive, got {target}")
-    floating = np.issubdtype(image.dtype, np.floating)
-    out = np.empty((th, tw), dtype=image.dtype if floating else np.float64)
-    _bilinear(image.shape, image.dtype, (tw, th))(image, out)
-    return out
 
 
 def resize_volume(vol: OctVolume | LabelVolume, target: tuple[int, int]):
@@ -164,7 +152,7 @@ def resize_volume(vol: OctVolume | LabelVolume, target: tuple[int, int]):
         return LabelVolume(voxels=out, volume_id=vol.volume_id, spacing=spacing)
 
     out = np.empty((depth, th, tw), dtype=np.float32)
-    resize = _bilinear((src_h, src_w), vol.voxels.dtype, (tw, th))
+    resize = _bilinear((src_h, src_w), (tw, th))
     for z in range(depth):
         resize(vol.voxels[z], out[z])
     return OctVolume(voxels=out, spacing=spacing, volume_id=vol.volume_id)
@@ -249,14 +237,15 @@ def preprocess_volume(
 ) -> OctVolume:
     """Normalize (per ``cfg.normalize``), resize to ``target``, and denoise.
 
-    With ``normalize="auto"`` the affine rescale only runs when intensities
-    fall outside [0, 1], so already-normalized volumes pass through bit-true.
+    Every mode rejects a volume with a non-finite intensity.  With
+    ``normalize="auto"`` the affine rescale only runs when intensities fall
+    outside [0, 1], so already-normalized volumes pass through bit-true.
     """
     if cfg.normalize == "always":
         vol = normalize(vol)
-    elif cfg.normalize == "auto":
+    else:
         lo, hi = _finite_range(vol)
-        if lo < 0.0 or hi > 1.0:
+        if cfg.normalize == "auto" and (lo < 0.0 or hi > 1.0):
             vol = normalize(vol)
     vol = resize_volume(vol, target)
     if cfg.denoiser != "none":

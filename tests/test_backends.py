@@ -5,13 +5,16 @@ from pathlib import Path
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
+from hypothesis.extra import numpy as hnp
 
 from octpipe import backends
 from octpipe.backends import (
+    BANDS,
     Backend,
     TrainingConfig,
     class_weights,
-    classify_bands,
     external_backend,
     one_hot,
     oracle_backend,
@@ -24,10 +27,58 @@ from octpipe.patch_engine import DepthMode, PatchBatch, extract, plan_grid
 from octpipe.volume_io import LabelVolume, OctVolume, ProbVolume, read_prob, write_volume
 
 
-def test_classify_bands_boundaries_are_inclusive():
-    values = np.array([0.0, 0.25, 0.2500001, 0.5, 0.5000001, 0.75, 0.7500001, 1.0])
-    out = classify_bands(values)
-    assert out.tolist() == [0, 0, 1, 1, 2, 2, 3, 3]
+def band_labels(intensity):
+    """Reference band labels: <=b1 -> 0, <=b2 -> 1, <=b3 -> 2, else 3, by
+    three masked assignments over a uint8 array of 3s."""
+    b1, b2, b3 = BANDS
+    out = np.full(intensity.shape, 3, dtype=np.uint8)
+    out[intensity <= b3] = 2
+    out[intensity <= b2] = 1
+    out[intensity <= b1] = 0
+    return out
+
+
+def threshold_labels(values):
+    """The threshold backend's arg-max over a row of values, as a 2D batch."""
+    data = np.asarray(values, dtype=np.float32).reshape(len(values), 1, 1, 1)
+    batch = PatchBatch(np.zeros((len(values), 3), int), data)
+    return threshold_backend().predict(batch, DepthMode.D2, "v").argmax(axis=1).ravel()
+
+
+def test_threshold_backend_band_edges_are_inclusive():
+    values = [0.0, 0.25, 0.2500001, 0.5, 0.5000001, 0.75, 0.7500001, 1.0, np.nan, np.inf, -np.inf]
+    assert threshold_labels(values).tolist() == [0, 0, 1, 1, 2, 2, 3, 3, 3, 3, 0]
+
+
+EDGE_VALUES = [
+    float(v)
+    for cut in np.float32(BANDS)
+    for v in (np.nextafter(cut, np.float32(-np.inf)), cut, np.nextafter(cut, np.float32(np.inf)))
+] + [0.0, -0.0, np.inf, -np.inf, np.nan]
+
+
+@st.composite
+def threshold_batches(draw):
+    """(mode, PatchBatch) with float32 data mixing random values and the band
+    edges, their float32 neighbours, signed zeros, infinities and NaN."""
+    mode = draw(st.sampled_from(list(DepthMode)))
+    planes = {DepthMode.D2: 1, DepthMode.D25: 3}.get(mode) or draw(st.integers(1, 4))
+    n = draw(st.integers(1, 4))
+    elements = st.one_of(st.sampled_from(EDGE_VALUES), st.floats(width=32))
+    data = draw(hnp.arrays(np.float32, (n, planes, draw(st.integers(1, 5)), draw(st.integers(1, 5))),
+                           elements=elements))
+    return mode, PatchBatch(np.zeros((n, 3), int), data)
+
+
+@settings(max_examples=300, deadline=None)
+@given(case=threshold_batches())
+def test_threshold_backend_equals_one_hot_of_band_labels(case):
+    mode, batch = case
+    data = batch.data if mode is DepthMode.D3 else batch.data[:, batch.data.shape[1] // 2]
+    expected = one_hot(band_labels(data), axis=1)
+    got = threshold_backend().predict(batch, mode, "v")
+    assert got.dtype == np.float32 and got.shape == expected.shape
+    np.testing.assert_array_equal(got.view(np.uint32), expected.view(np.uint32))
 
 
 def test_one_hot_round_trip():
@@ -69,7 +120,7 @@ def test_threshold_backend_center_plane_semantics():
     for data, pred in zip(batch.data, preds):
         assert pred.shape == (4, 16, 16)
         np.testing.assert_array_equal(
-            pred.argmax(axis=0), classify_bands(data[1])
+            pred.argmax(axis=0), band_labels(data[1])
         )
         ProbVolume(probs=pred[:, None]).validate()
 
@@ -80,7 +131,7 @@ def test_threshold_backend_3d_classifies_every_plane():
     batch = extract(vol, grid)
     (pred,) = threshold_backend().predict(batch, DepthMode.D3, "bv")
     assert pred.shape == (4, 3, 16, 16)
-    np.testing.assert_array_equal(pred.argmax(axis=0), classify_bands(vol.voxels))
+    np.testing.assert_array_equal(pred.argmax(axis=0), band_labels(vol.voxels))
 
 
 def test_oracle_backend_reproduces_truth_windows():

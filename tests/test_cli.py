@@ -209,6 +209,23 @@ def test_preprocess_header_spacing_follows_the_resize(make_dataset, tmp_path, ca
         assert "ElementSpacing = 2.0 4.0 1.0\n" in header
 
 
+def test_stitch_of_a_spill_with_a_two_entry_anchor_names_the_sidecar(tmp_path, capsys):
+    grid = plan_grid((32, 32), 16, 0.5, DepthMode.D2)
+    base = tmp_path / "pred_z0000"
+    patch_engine.save_predictions(base, [((x, y, 0), np.full((4, 16, 16), 0.25)) for x, y in grid.anchors])
+    sidecar = base.with_suffix(".json")
+    meta = json.loads(sidecar.read_text())
+    meta["anchors"][0] = [0, 0]
+    sidecar.write_text(json.dumps(meta))
+    rc, _, err = run(
+        capsys, "stitch", "--volume", "v", "--dims", "32x32x1", "--patch-size", "16",
+        "--overlap", "0.5", "--depth-mode", "2d", "--output-dir", tmp_path / "out",
+        "--predictions", base,
+    )
+    assert rc == 1
+    assert f"{sidecar}: anchor [0, 0] is not three integers" in err
+
+
 def test_patchify_stitch_round_trip(make_dataset, tmp_path, capsys):
     root, _, truths = make_dataset()
     out_dir = tmp_path / "out"
@@ -417,6 +434,26 @@ def test_evaluate_oracle_writes_reports(make_dataset, tmp_path, capsys):
         if line.startswith("| 2.5D"):
             cells = [c.strip() for c in line.split("|")[3:-1]]
             assert cells and all(c == "1.00" for c in cells)
+
+
+@pytest.mark.parametrize("mode", ["auto", "always", "never"])
+def test_evaluate_fails_at_preprocess_on_nan_intensities_in_every_normalize_mode(
+    make_dataset, tmp_path, capsys, mode
+):
+    root, _, _ = make_dataset(dims=(64, 64, 6))
+    path = root / "images" / "cirrus_01.mhd"
+    vol = read_volume(path)
+    vol.voxels.reshape(-1)[::100][:100] = np.nan
+    write_volume(vol, path)
+    cfg = tmp_path / "nan.cfg"
+    cfg.write_text(f"preprocess.target_vol = 64x64\ngrid.patch_size = 32\npreprocess.normalize = {mode}\n")
+    rc, _, err = run(
+        capsys, "evaluate", "--config", cfg, "--data-root", root, "--output-dir", tmp_path / "out",
+        "--backend", "threshold", "--folds", "2", "--seed", "0", "--jobs", "1",
+    )
+    assert rc == 1
+    assert "stage 'preprocess' failed for volume 'cirrus_01'" in err
+    assert "contains non-finite intensities" in err
 
 
 @pytest.mark.parametrize(

@@ -35,7 +35,7 @@ from octpipe.eval_harness import (
 )
 from octpipe.eval_harness import metrics
 from octpipe.eval_harness.runner import label_path
-from octpipe.patch_engine import DepthMode, close_all, labelize
+from octpipe.patch_engine import DepthMode, close_all, extract, labelize, plan_grid
 from octpipe.preprocess import PreprocessConfig
 from octpipe.volume_io import FLUIDS, FluidClass, LabelVolume, ProbVolume, write_volume
 
@@ -264,10 +264,10 @@ def test_synth_phantom_deterministic():
 
 
 def test_synth_phantom_bands_recoverable_by_threshold(small_phantom):
-    from octpipe.backends import classify_bands
-
     vol, labels = small_phantom
-    np.testing.assert_array_equal(classify_bands(vol.voxels), labels.voxels)
+    batch = extract(vol, plan_grid(vol.dims[:2], vol.dims[:2], 0.0, DepthMode.D3))
+    (pred,) = threshold_backend().predict(batch, DepthMode.D3, vol.volume_id)
+    np.testing.assert_array_equal(pred.argmax(axis=0), labels.voxels)
 
 
 def test_synth_phantom_rejects_bad_requests():
@@ -517,6 +517,39 @@ def test_run_experiment_micro_vs_macro(make_dataset, tmp_path):
         assert micro_value != macro_value
 
 
+def test_run_experiment_macro_is_the_mean_of_three_distinct_scores(make_dataset, tmp_path):
+    """A fold of three volumes scored 1, about 2/3 and 0 per fluid: the macro
+    cell is their mean, which differs from their median."""
+    root, inventory, truths = make_dataset(vendors=("Cirrus",), n_per_vendor=6)
+    fold = 0
+    perfect, halved, empty = sorted(make_folds(inventory, 2, 0).test_sets[fold]["Cirrus"])
+    prob_dir = tmp_path / "probs"
+    prob_dir.mkdir()
+    predictions = {}
+    for vid, truth in truths.items():
+        labels = truth.voxels.copy()
+        if vid == halved:  # every other voxel of each fluid goes to background
+            for cls in FLUIDS:
+                (where,) = np.nonzero(labels.ravel() == cls)
+                labels.ravel()[where[::2]] = 0
+        elif vid == empty:
+            labels[:] = 0
+        predictions[vid] = LabelVolume(voxels=labels, volume_id=vid)
+        write_volume(ProbVolume(probs=one_hot(labels), volume_id=vid), prob_dir / f"{vid}_prob.mhd")
+
+    cfg = nat_config(root, close_radius=0, aggregate="macro", backend=f"external:{prob_dir}")
+    entries = run_experiment(cfg, fold)
+    separated = False
+    for cls in FLUIDS:
+        per_volume = [
+            dice(confusion(predictions[vid], truths[vid], cls)) for vid in (perfect, halved, empty)
+        ]
+        got = next(e.dice for e in entries if e.fluid == cls.name)
+        assert abs(got - float(np.mean(per_volume))) <= 1e-12
+        separated |= float(np.mean(per_volume)) != float(np.median(per_volume))
+    assert separated
+
+
 def test_evaluate_volume_tags_stage_failures(make_dataset):
     root, _, truths = make_dataset(vendors=("Cirrus",), n_per_vendor=2)
     vid = sorted(truths)[0]
@@ -644,7 +677,6 @@ def test_external_3d_full_prediction_reads_negative_zero_as_zero(tmp_path, jobs)
     and the backend's read-only volume keeps its -0.0."""
     from octpipe.backends import external_backend
     from octpipe.eval_harness.runner import predict_volume
-    from octpipe.patch_engine import extract
     from octpipe.volume_io import OctVolume
 
     rng = np.random.default_rng(29)

@@ -236,6 +236,46 @@ def test_windows_single_view_gather_copy_and_bounds():
             windows(volume, np.array([[0, 0, 0], bad]), (3, 4), at_z)
 
 
+def gathered_windows(array, anchors, size, at_z):
+    """Reference: every (y, x) window through sliding_window_view, then one
+    fancy-indexed gather of the anchors' windows."""
+    from numpy.lib.stride_tricks import sliding_window_view
+
+    x, y, z = np.asarray(anchors).T
+    lead = array.ndim - 2
+    view = np.moveaxis(sliding_window_view(array, size, axis=(-2, -1)), (lead, lead + 1), (0, 1))
+    if at_z:
+        return np.moveaxis(view, lead + 1, 2)[y, x, z]
+    return view[y, x]
+
+
+@st.composite
+def window_cases(draw):
+    """(array, anchors, size, at_z) with 1 to 3 leading axes and 1 to 6
+    in-bounds anchors; at_z needs a z axis to index."""
+    at_z = draw(st.booleans())
+    lead = draw(st.lists(st.integers(1, 3), min_size=1 + at_z, max_size=3))
+    height, width = draw(st.integers(1, 9)), draw(st.integers(1, 9))
+    h, w = draw(st.integers(1, height)), draw(st.integers(1, width))
+    array = np.arange(np.prod(lead) * height * width, dtype=np.float32).reshape(*lead, height, width)
+    anchors = draw(st.lists(
+        st.tuples(st.integers(0, width - w), st.integers(0, height - h), st.integers(0, lead[-1] - 1)),
+        min_size=1, max_size=6,
+    ))
+    return array, np.array(anchors, dtype=np.intp), (h, w), at_z
+
+
+@settings(max_examples=200, deadline=None)
+@given(case=window_cases())
+def test_windows_equal_the_sliding_window_gather(case):
+    array, anchors, size, at_z = case
+    got = windows(array, anchors, size, at_z)
+    expected = gathered_windows(array, anchors, size, at_z)
+    assert got.shape == expected.shape and got.dtype == array.dtype
+    np.testing.assert_array_equal(got, expected)
+    assert np.shares_memory(got, array) == (len(anchors) == 1)
+
+
 def test_depth_mode_parse_and_labels():
     for mode, spellings in (
         (DepthMode.D2, ("2d", "2", " 2D ")),
@@ -851,3 +891,41 @@ def test_spill_loaders_name_a_malformed_sidecar(tmp_path, spill, corrupt):
     load = load_predictions if spill == "pred" else load_patches
     with pytest.raises(FormatError, match=re.escape(str(sidecar))):
         load(tmp_path / spill)
+
+
+@pytest.mark.parametrize(
+    "anchor", [[0, 0], [0, 0, 0, 0], [0, 0.0, 0], [0, "0", 0], [0, True, 0], 7],
+    ids=["two", "four", "float", "string", "bool", "not-a-list"],
+)
+def test_prediction_spill_anchor_must_be_three_integers(tmp_path, anchor):
+    grid = plan_grid((32, 32), (16, 16), 0.5)
+    save_predictions(tmp_path / "pred", [((x, y, 0), np.full((4, 16, 16), 0.25)) for x, y in grid.anchors])
+    sidecar = tmp_path / "pred.json"
+    meta = json.loads(sidecar.read_text())
+    meta["anchors"][1] = anchor
+    sidecar.write_text(json.dumps(meta))
+    with pytest.raises(FormatError, match=re.escape(f"{sidecar}: anchor {anchor!r} is not three integers")):
+        load_predictions(tmp_path / "pred")
+
+
+@pytest.mark.parametrize("base, load", [("batch", load_patches), ("pred", load_predictions)])
+def test_spill_loaders_check_the_raw_size_before_reading(tmp_path, base, load):
+    """An oversized raw file (64 MiB, sparse) is rejected by its size alone,
+    without reading it into memory."""
+    import tracemalloc
+
+    grid = plan_grid((32, 32), (16, 16), 0.5)
+    batch = extract(make_volume((32, 32, 1)), grid)
+    save_patches(tmp_path / "batch", batch, grid)
+    save_predictions(tmp_path / "pred", [(a, np.full((4, 16, 16), 0.25)) for a in batch.anchors.tolist()])
+    raw = tmp_path / f"{base}.raw"
+    with open(raw, "r+b") as f:
+        f.truncate(64 << 20)
+    tracemalloc.start()
+    try:
+        with pytest.raises(FormatError, match=rf"{re.escape(str(raw))} holds {64 << 20} bytes, sidecar promises"):
+            load(tmp_path / base)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak < 1 << 20, peak

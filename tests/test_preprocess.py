@@ -11,13 +11,13 @@ from hypothesis.extra import numpy as hnp
 
 from octpipe.errors import ValidationError
 from octpipe.preprocess import (
+    NORMALIZE_MODES,
     PreprocessConfig,
     default_slice_policy,
     denoise,
     filter_slices,
     normalize,
     preprocess_volume,
-    resize_slice,
     resize_volume,
 )
 from octpipe.volume_io import LabelVolume, OctVolume, Vendor
@@ -59,8 +59,14 @@ def bilinear_oracle(image, tw, th):
     return out
 
 
+def resize_plane(image, target):
+    """Bilinear resize of one float32 image through a one-slice OctVolume."""
+    vol = OctVolume(voxels=np.asarray(image, dtype=np.float32)[None], volume_id="one")
+    return resize_volume(vol, target).voxels[0]
+
+
 def test_resize_constant_slice():
-    out = resize_slice(np.full((7, 9), 0.5), (572, 572))
+    out = resize_plane(np.full((7, 9), 0.5), (572, 572))
     assert out.shape == (572, 572)
     np.testing.assert_allclose(out, 0.5)
     labels = LabelVolume(voxels=np.full((1, 7, 9), 2, dtype=np.uint8))
@@ -71,8 +77,8 @@ def test_resize_constant_slice():
 
 def test_resize_cirrus_slice_to_square():
     rng = np.random.default_rng(3)
-    image = rng.random((1024, 512))
-    out = resize_slice(image, (572, 572))
+    image = rng.random((1024, 512), dtype=np.float32)
+    out = resize_plane(image, (572, 572))
     assert out.shape == (572, 572)
     assert out.min() >= image.min() and out.max() <= image.max()
 
@@ -99,9 +105,11 @@ def test_resize_bilinear_matches_oracle_random_shapes():
     for _ in range(15):
         sh, sw = rng.integers(2, 16, size=2)
         th, tw = rng.integers(1, 16, size=2)
-        image = rng.random((sh, sw))
-        out = resize_slice(image, (int(tw), int(th)))
-        np.testing.assert_allclose(out, bilinear_oracle(image, int(tw), int(th)), atol=1e-12)
+        image = rng.random((sh, sw), dtype=np.float32)
+        out = resize_plane(image, (int(tw), int(th)))
+        # float32 output: within one float32 ulp of the float64 oracle
+        expected = bilinear_oracle(image.astype(np.float64), int(tw), int(th))
+        np.testing.assert_allclose(out, expected, rtol=2.0**-23, atol=0)
 
 
 def bilinear_reference(image, tw, th):
@@ -123,47 +131,61 @@ def bilinear_reference(image, tw, th):
     return out
 
 
+FLT_MAX = float(np.finfo(np.float32).max)
+FLT_TINY = float(np.finfo(np.float32).smallest_subnormal)
+EXTREMES = [FLT_MAX, -FLT_MAX, FLT_TINY, -FLT_TINY, 1e-40, -1e-40, 0.0, -0.0, 1.0, -1.0]
+
+
 @st.composite
 def float32_volumes(draw):
-    """(depth, h, w) float32 volumes with axes down to 1 pixel; some slices
-    are constant."""
+    """(depth, h, w) float32 volumes with axes down to 1 pixel, drawing often
+    from +-FLT_MAX, denormals and signed zeros; some slices are constant."""
     shape = draw(st.tuples(st.integers(1, 3), st.integers(1, 12), st.integers(1, 12)))
-    vol = draw(hnp.arrays(np.float32, shape, elements=st.floats(width=32, allow_nan=False,
-                                                                allow_infinity=False)))
+    elements = st.one_of(
+        st.sampled_from(EXTREMES), st.floats(width=32, allow_nan=False, allow_infinity=False)
+    )
+    vol = draw(hnp.arrays(np.float32, shape, elements=elements))
     for z in draw(st.sets(st.integers(0, shape[0] - 1))):
         vol[z] = vol[z, 0, 0]
     return vol
 
 
+def assert_resize_is_the_clamped_formula(voxels, target):
+    tw, th = target
+    ref = np.stack([bilinear_reference(plane, tw, th) for plane in voxels]).astype(np.float32)
+    out = resize_volume(OctVolume(voxels=voxels, volume_id="r"), target).voxels
+    np.testing.assert_array_equal(out.view(np.uint32), ref.view(np.uint32))
+
+
 @settings(max_examples=200, deadline=None)
 @given(voxels=float32_volumes(), target=st.tuples(st.integers(1, 16), st.integers(1, 16)))
 def test_resize_is_bit_identical_to_the_whole_slice_formula(voxels, target):
-    tw, th = target
-    ref = np.stack([bilinear_reference(plane, tw, th) for plane in voxels]).astype(np.float32)
-    for plane, expected in zip(voxels, ref):
-        got = resize_slice(plane, target)
-        assert got.dtype == np.float32
-        np.testing.assert_array_equal(got.view(np.uint32), expected.view(np.uint32))
-        wide = resize_slice(plane.astype(np.float64), target)
-        np.testing.assert_array_equal(wide.astype(np.float32).view(np.uint32), expected.view(np.uint32))
-    if voxels.shape[1:] != (th, tw):  # a volume at the target comes back as it is
-        out = resize_volume(OctVolume(voxels=voxels, volume_id="r"), target).voxels
-        np.testing.assert_array_equal(out.view(np.uint32), ref.view(np.uint32))
+    if voxels.shape[1:] != target[::-1]:  # a volume at the target comes back as it is
+        assert_resize_is_the_clamped_formula(voxels, target)
 
 
-def test_resize_slice_of_an_integer_image_is_float64():
-    image = np.arange(20, dtype=np.int16).reshape(4, 5) * 7
-    out = resize_slice(image, (9, 3))
-    assert out.dtype == np.float64
-    np.testing.assert_array_equal(out.view(np.uint64), bilinear_reference(image, 9, 3).view(np.uint64))
+@pytest.mark.parametrize("target", [(1, 1), (5, 3), (17, 29), (64, 48)])
+def test_resize_matches_the_clamped_formula_at_extreme_values(target):
+    rng = np.random.default_rng(47)
+    slices = [
+        np.full((9, 13), FLT_MAX),
+        np.full((9, 13), -FLT_TINY),
+        rng.choice([FLT_MAX, -FLT_MAX], size=(9, 13)),
+        rng.choice([FLT_TINY, -FLT_TINY, 0.0, -0.0, 1e-40], size=(9, 13)),
+        rng.choice(EXTREMES, size=(9, 13)),
+        rng.standard_normal((9, 13)) * 1e30,
+        np.where(rng.random((9, 13)) < 0.5, FLT_MAX, FLT_MAX * 0.999),
+    ]
+    assert_resize_is_the_clamped_formula(np.array(slices, dtype=np.float32), target)
 
 
-def test_resize_slice_rejects_bad_arguments():
-    image = np.zeros((4, 4))
-    with pytest.raises(ValueError):
-        resize_slice(image, (0, 4))
-    with pytest.raises(ValueError):
-        resize_slice(np.zeros((4, 4, 2)), (4, 4))
+def test_resize_volume_rejects_a_non_positive_target():
+    for vol in (OctVolume(voxels=np.zeros((1, 4, 4))), LabelVolume(voxels=np.zeros((1, 4, 4)))):
+        for target in ((0, 4), (4, 0), (-1, 4)):
+            with pytest.raises(ValueError, match="target dimensions must be positive"):
+                resize_volume(vol, target)
+    with pytest.raises(ValueError, match="must be 3-D"):
+        OctVolume(voxels=np.zeros((4, 4)))
 
 
 def test_resize_volume_spectralis_geometry():
@@ -331,6 +353,16 @@ def test_preprocess_volume_rescales_when_out_of_range():
     vol = OctVolume(voxels=voxels, spacing=None, volume_id="w")
     out = preprocess_volume(vol, PreprocessConfig(), (2, 2))
     assert out.voxels.min() == 0.0 and out.voxels.max() == 1.0
+
+
+@pytest.mark.parametrize("mode", NORMALIZE_MODES)
+@pytest.mark.parametrize("bad", [np.nan, np.inf, -np.inf])
+def test_preprocess_volume_rejects_non_finite_intensities_in_every_mode(mode, bad):
+    voxels = np.full((2, 8, 8), 0.5, dtype=np.float32)
+    voxels[1, 3, 4] = bad
+    vol = OctVolume(voxels=voxels, volume_id="nf")
+    with pytest.raises(ValidationError, match="volume 'nf' contains non-finite intensities"):
+        preprocess_volume(vol, PreprocessConfig(normalize=mode), (8, 8))
 
 
 def test_preprocess_volume_resizes_and_denoises():

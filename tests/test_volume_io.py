@@ -307,6 +307,20 @@ def test_prob_volume_validate_cases():
         ProbVolume(probs=signed, volume_id="signed").validate()
 
 
+@pytest.mark.parametrize("sign", [1.0, -1.0])
+def test_prob_validate_tolerance_sits_between_5e6_and_2e5(sign):
+    """Channel sums off 1 by 5e-6 pass and by 2e-5 fail, in either direction."""
+    for off, passes in ((5e-6, True), (2e-5, False)):
+        probs = np.full((4, 2, 3, 3), 0.25, dtype=np.float32)
+        probs[1, 1, 2, 0] += np.float32(sign * off)
+        vol = ProbVolume(probs=probs, volume_id="tol")
+        if passes:
+            vol.validate()
+        else:
+            with pytest.raises(ValidationError, match="channel sums deviate from 1 by up to 2"):
+                vol.validate()
+
+
 @pytest.mark.parametrize("bad", [np.nan, np.inf])
 def test_prob_validate_rejects_non_finite_values(bad):
     everywhere = np.full((4, 1, 2, 2), bad, dtype=np.float32)
