@@ -173,7 +173,9 @@ def cmd_stitch(args: argparse.Namespace, cfg: RunConfig) -> int:
             sizes.append(len(pairs))
             yield from pairs
 
-    prob = patch_engine.stitch(spilled(), cfg.grid(dims[:2]), dims, volume_id=args.volume)
+    prob = patch_engine.stitch(
+        spilled(), cfg.grid(dims[:2]), dims, volume_id=args.volume, jobs=cfg.resolved_jobs
+    )
     prob.validate()
     out_dir = cfg.output_dir / "predictions"
     out_dir.mkdir(parents=True, exist_ok=True)

@@ -3,10 +3,12 @@
 A run walks one fold's test volumes: read, preprocess to the working
 resolution, predict (whole image for variant F, overlapping patches for
 variant P), stitch, arg-max, close, score against the preprocessed truth.
-Prediction streams: worker threads predict slice batches (single patches in
-3D) with a bounded number in flight, and ``stitch`` sums each into the output
-volume as it arrives, in canonical anchor order, so results never depend on
-the worker count.  Each volume is scored with one confusion count per fluid.
+Prediction streams: ``jobs`` worker threads predict slice batches (single
+patches in 3D) with a bounded number in flight, and ``stitch`` sums each into
+the output volume as it arrives, in canonical anchor order, splitting each
+sum by class over up to ``jobs`` threads of its own, so results never depend
+on the worker count.  Each volume is scored with one confusion count per
+fluid.
 """
 
 from __future__ import annotations
@@ -124,11 +126,12 @@ def predict_volume(vol: OctVolume, backend: Backend, cfg: RunConfig) -> ProbVolu
     prediction stream directly, summing each batch into the output volume as
     it arrives, so no list of a volume's predictions is ever built; at most
     ``cfg.resolved_jobs + 1`` batches (slices, or single patches in 3d) are in
-    flight.  The result is bit-identical for every ``cfg.jobs``.
+    flight, and stitch sums on ``cfg.resolved_jobs`` threads too.  The result
+    is bit-identical for every ``cfg.jobs``.
     """
     grid = cfg.grid(vol.dims[:2])
     with closing(_predictions(vol, grid, backend, cfg.resolved_jobs)) as pairs:
-        return stitch(pairs, grid, vol.dims, volume_id=vol.volume_id)
+        return stitch(pairs, grid, vol.dims, volume_id=vol.volume_id, jobs=cfg.resolved_jobs)
 
 
 def segment_volume(vol: OctVolume, backend: Backend, cfg: RunConfig) -> LabelVolume:

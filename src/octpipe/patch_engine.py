@@ -10,12 +10,15 @@ from any iterable, in any order, and sums each into the output volume as soon
 as every anchor before it in canonical row-major order has been summed (until
 then it waits in one per-slice map), so the result is independent of the
 input ordering and of any parallel schedule upstream.  A prediction that is a
-window of a larger array (a backend's cached volume, a batch row) is held
-until its grid row is complete; a prediction that owns its memory is summed
-at once.  Either way it is summed plane by plane, so one plane of the row's
-overlapping windows stays in cache, and each voxel receives its predictions
-in canonical anchor order.  A slice range whose predictions are all in is
-divided in place by the grid's coverage plane.  A 3d grid of one image-sized
+window of a larger array (a backend's volume, a batch row) is held until the
+last anchor of its anchor z's grid arrives; a prediction that owns its memory
+is summed at once.  Either way a run is summed plane by plane over all its
+anchors, so each accumulator plane is loaded once, and each voxel receives
+its predictions in canonical anchor order.  Up to ``jobs`` threads share
+each run, each summing one contiguous slice of the class axis, so they write
+disjoint voxels and the result is the same at every ``jobs``.  A slice range
+whose predictions are all in is divided in place by the grid's coverage
+plane, each thread dividing its own classes.  A 3d grid of one image-sized
 patch (variant F) has one prediction, the whole volume, and stitch takes it
 over as the result instead of summing it into a second volume.
 Per-voxel passes over a whole volume (the finiteness check, arg-max, closing)
@@ -26,6 +29,8 @@ from __future__ import annotations
 
 import enum
 import json
+from concurrent.futures import ThreadPoolExecutor
+from contextlib import nullcontext
 from dataclasses import dataclass
 from pathlib import Path
 from typing import Iterable
@@ -217,6 +222,7 @@ def stitch(
     grid: PatchGrid,
     dims: tuple[int, int, int],
     volume_id: str = "",
+    jobs: int = 1,
 ) -> ProbVolume:
     """Average per-patch class probabilities into a full probability volume.
 
@@ -231,18 +237,22 @@ def stitch(
     the result.  Each anchor z keeps a count of the ``grid.anchors`` summed
     so far and a map of the predictions that arrived but are not yet summed.
     The run of arrived anchors that starts at the count is summed up to its
-    last prediction that owns its memory or ends a grid row (the anchors
-    sharing one y).  So a prediction that arrives early waits for the anchors
-    before it, and one that is a window of a larger array (its ``base`` is a
-    bigger ndarray, so holding it costs no memory) waits for the rest of its
-    row.  A run is added one plane at a time, anchor by anchor, so each plane
-    of the overlapping windows is summed while it is in cache.  Every voxel
-    therefore sums its predictions in canonical row-major anchor order
-    whatever the input order (or upstream schedule), and the result is
-    bit-identical however the predictions are stored.  Once an anchor z has
-    all its predictions, its slice range is divided in place by
-    :func:`coverage_plane`; that matches dividing by per-voxel counts bit for
-    bit, since both operands are exact in float32.
+    last prediction that owns its memory or is the grid's last anchor.  So a
+    prediction that arrives early waits for the anchors before it, and one
+    that is a window of a larger array (its ``base`` is a bigger ndarray, so
+    holding it costs no memory) waits for the rest of its anchor z's grid.
+    A run is added one plane at a time over all its anchors, so each plane
+    of the accumulator is loaded once per run.  ``min(jobs, 4)`` threads
+    share every run: each owns one contiguous slice of the class axis and
+    sums, and later divides, only those classes, the calling thread taking
+    the first slice.  Every voxel therefore sums its predictions in canonical
+    row-major anchor order whatever the input order, upstream schedule or
+    ``jobs``, and the result is bit-identical however the predictions are
+    stored.  Once an anchor z has all its predictions, its slice range is
+    divided in place by :func:`coverage_plane`; that matches dividing by
+    per-voxel counts bit for bit, since both operands are exact in float32.
+    The threads live in one pool per call, shut down before stitch returns
+    or raises.
 
     A 3d grid whose one anchor's patch is the whole image has one block, the
     whole volume, covering each voxel once.  Stitch takes that prediction
@@ -266,7 +276,7 @@ def stitch(
             f"grid was planned for image {grid.image_dims}, stitch dims are {(width, height)}"
         )
     planes = depth if grid.depth_mode is DepthMode.D3 else 1
-    probs, summed, waiting = _accumulate(patch_probs, grid, depth, planes)
+    probs, summed, waiting = _accumulate(patch_probs, grid, depth, planes, jobs)
     _check_complete(grid, depth, planes, summed, waiting)
     for z in range(depth):
         finite = np.isfinite(probs[:, z]).all(axis=0)
@@ -278,17 +288,17 @@ def stitch(
     return ProbVolume(probs=probs, volume_id=volume_id)
 
 
-def _accumulate(patch_probs, grid: PatchGrid, depth: int, planes: int):
+def _accumulate(patch_probs, grid: PatchGrid, depth: int, planes: int, jobs: int):
     """Sum ``patch_probs``, each ``planes`` deep, into a zeroed float32
     (4, ``depth``, height, width) array and divide each completed slice
     range by the coverage plane, or take over the one block of a
     whole-volume 3d grid; returns (probs, summed, waiting): the result, and
     per anchor z the count of anchors summed and the predictions that
-    arrived but are not yet summed, by anchor index."""
+    arrived but are not yet summed, by anchor index.  Each run is split by
+    class over ``min(jobs, 4)`` threads, the caller summing the first
+    slice and a pool the rest."""
     anchors = grid.anchors
     index = {anchor: i for i, anchor in enumerate(anchors)}
-    # the last anchor of each grid row (the anchors sharing one y)
-    row_end = [i + 1 == len(anchors) or anchors[i + 1][1] != y for i, (_, y) in enumerate(anchors)]
     ph, pw = grid.patch_h, grid.patch_w
     shape = (N_CLASSES, planes, ph, pw)
     # one block covers every voxel once, so it becomes the result (the
@@ -299,55 +309,66 @@ def _accumulate(patch_probs, grid: PatchGrid, depth: int, planes: int):
     plane = coverage_plane(grid)
     summed: dict[int, int] = {}
     waiting: dict[int, dict[int, np.ndarray]] = {}
+    threads = max(1, min(jobs, N_CLASSES))
+    cuts = [N_CLASSES * t // threads for t in range(threads + 1)]
+    parts = [slice(lo, hi) for lo, hi in zip(cuts, cuts[1:])]
 
     def closes_run(i: int, block: np.ndarray) -> bool:
-        # a window of a larger array costs nothing to hold, so it waits for its row
+        # a window of a larger array costs nothing to hold, so it waits for its grid
         base = block.base
-        return row_end[i] or not (isinstance(base, np.ndarray) and base.size > block.size)
+        return i + 1 == len(anchors) or not (isinstance(base, np.ndarray) and base.size > block.size)
 
-    for (x, y, z), pred in patch_probs:
-        i = index.get((x, y))
-        if i is None:
-            w, h = grid.image_dims
-            raise CoverageError(
-                f"anchor ({x}, {y}) is not part of the grid planned for image {w}x{h}, "
-                f"patch {pw}x{ph}, stride {grid.stride_x}x{grid.stride_y}"
-            )
-        if not 0 <= z < depth:
-            raise ValidationError(f"anchor ({x}, {y}, {z}) lies outside depth {depth}")
-        if z % planes:
-            raise ValidationError(f"anchor ({x}, {y}, {z}): 3d predictions anchor at z = 0")
-        pred = np.asarray(pred)
-        block = pred[:, None] if pred.ndim == 3 else pred
-        if block.shape != shape:
-            raise ValidationError(
-                f"prediction at ({x}, {y}, {z}) has shape {pred.shape}, expected "
-                f"{shape[:1] + shape[2:] if planes == 1 else shape} on a {grid.depth_mode.value} grid"
-            )
-        arrived, done = waiting.setdefault(z, {}), summed.setdefault(z, 0)
-        if i < done or i in arrived:
-            raise ValidationError(f"prediction for anchor ({x}, {y}, {z}) arrived twice")
-        arrived[i] = block
-        if not (closes_run(i, block) or i + 1 in arrived):
-            continue  # the arrived run from ``done`` gained no block that closes it
-        end = j = done
-        while j in arrived:
-            if closes_run(j, arrived[j]):
-                end = j + 1
-            j += 1
-        run = [(anchors[k], arrived.pop(k)) for k in range(done, end)]
-        if whole:  # coverage is 1 and x / 1 == x, so no division
-            owned = block.dtype == np.float32 and block.flags.writeable and block.flags.c_contiguous
-            probs = block if owned else block.astype(np.float32, order="C")
-            np.add(probs, 0.0, out=probs)  # -0.0 reads +0.0, as after a sum into zeros
-        else:
-            for p in range(planes):
-                for (ax, ay), block in run:
-                    probs[:, z + p, ay : ay + ph, ax : ax + pw] += block[:, p]
-            if end == len(anchors):
-                probs[:, z : z + planes] /= plane
-        del run  # hold no summed block while the next one arrives
-        summed[z] = end
+    def add(run, z: int, classes: slice, last: bool) -> None:
+        for p in range(planes):
+            for (ax, ay), block in run:
+                probs[classes, z + p, ay : ay + ph, ax : ax + pw] += block[classes, p]
+        if last:
+            probs[classes, z : z + planes] /= plane
+
+    with ThreadPoolExecutor(threads - 1) if threads > 1 else nullcontext() as pool:
+        for (x, y, z), pred in patch_probs:
+            i = index.get((x, y))
+            if i is None:
+                w, h = grid.image_dims
+                raise CoverageError(
+                    f"anchor ({x}, {y}) is not part of the grid planned for image {w}x{h}, "
+                    f"patch {pw}x{ph}, stride {grid.stride_x}x{grid.stride_y}"
+                )
+            if not 0 <= z < depth:
+                raise ValidationError(f"anchor ({x}, {y}, {z}) lies outside depth {depth}")
+            if z % planes:
+                raise ValidationError(f"anchor ({x}, {y}, {z}): 3d predictions anchor at z = 0")
+            pred = np.asarray(pred)
+            block = pred[:, None] if pred.ndim == 3 else pred
+            if block.shape != shape:
+                raise ValidationError(
+                    f"prediction at ({x}, {y}, {z}) has shape {pred.shape}, expected "
+                    f"{shape[:1] + shape[2:] if planes == 1 else shape} on a {grid.depth_mode.value} grid"
+                )
+            arrived, done = waiting.setdefault(z, {}), summed.setdefault(z, 0)
+            if i < done or i in arrived:
+                raise ValidationError(f"prediction for anchor ({x}, {y}, {z}) arrived twice")
+            arrived[i] = block
+            if not (closes_run(i, block) or i + 1 in arrived):
+                continue  # the arrived run from ``done`` gained no block that closes it
+            end = j = done
+            while j in arrived:
+                if closes_run(j, arrived[j]):
+                    end = j + 1
+                j += 1
+            run = [(anchors[k], arrived.pop(k)) for k in range(done, end)]
+            if whole:  # coverage is 1 and x / 1 == x, so no division
+                owned = block.dtype == np.float32 and block.flags.writeable and block.flags.c_contiguous
+                probs = block if owned else block.astype(np.float32, order="C")
+                np.add(probs, 0.0, out=probs)  # -0.0 reads +0.0, as after a sum into zeros
+            else:
+                last = end == len(anchors)
+                helpers = [pool.submit(add, run, z, part, last) for part in parts[1:]]
+                add(run, z, parts[0], last)
+                for helper in helpers:
+                    helper.result()
+            del run  # hold no summed block while the next one arrives
+            summed[z] = end
     return probs, summed, waiting
 
 
@@ -369,7 +390,7 @@ def _check_complete(grid: PatchGrid, depth: int, planes: int, summed: dict, wait
             raise CoverageError(f"voxel (x={xx}, y={yy}, z={z}) is covered by no patch")
     z = incomplete[0]
     i = summed[z]
-    while i in waiting[z]:  # windows held for their row have arrived
+    while i in waiting[z]:  # windows held for their grid have arrived
         i += 1
     x, y = grid.anchors[i]
     raise CoverageError(f"no prediction arrived for anchor ({x}, {y}, {z})")

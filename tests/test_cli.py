@@ -277,7 +277,9 @@ def test_stitch_holds_at_most_two_spills(tmp_path, capsys):
     """Stitching reads spills one by one, so at most two are in memory (the
     one being read, and the one whose last prediction stitch still holds),
     not all of them; 512 KiB (under half a spill) covers the command's own
-    bookkeeping: coverage plane, parser, JSON."""
+    bookkeeping: coverage plane, parser, JSON.  Each spill holds one slice's
+    whole grid, so holding its windows until the grid's last anchor keeps
+    no more alive."""
     import tracemalloc
 
     width = height = 96
@@ -294,11 +296,11 @@ def test_stitch_holds_at_most_two_spills(tmp_path, capsys):
         bases.append(base)
     spill = probs.nbytes
     output = 4 * depth * height * width * 4
-    argv = [
+    common = [
         "stitch", "--volume", "v", "--dims", f"{width}x{height}x{depth}",
-        "--patch-size", "32", "--overlap", "0.75", "--output-dir", tmp_path / "out",
-        "--predictions", *bases,
+        "--patch-size", "32", "--overlap", "0.75", "--predictions", *bases,
     ]
+    argv = [*common, "--output-dir", tmp_path / "out"]
     tracemalloc.start()
     try:
         rc, out, err = run(capsys, *argv)
@@ -308,6 +310,14 @@ def test_stitch_holds_at_most_two_spills(tmp_path, capsys):
     assert rc == 0, err
     assert f"stitched {depth * len(grid.anchors)} patch predictions" in out
     assert peak <= output + 2 * spill + 512 * 1024, (peak, output, spill)
+    # the summing threads split each run by class, so their count changes no byte
+    written = []
+    for jobs in ("1", "3"):
+        out_dir = tmp_path / f"out_jobs{jobs}"
+        rc, _, err = run(capsys, *common, "--output-dir", out_dir, "--jobs", jobs)
+        assert rc == 0, err
+        written.append((out_dir / "predictions" / "v_prob.raw").read_bytes())
+    assert written[0] == written[1] == (tmp_path / "out" / "predictions" / "v_prob.raw").read_bytes()
 
 
 def test_stitch_onto_a_mismatched_grid_names_the_grid(make_dataset, tmp_path, capsys):

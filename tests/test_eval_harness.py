@@ -202,6 +202,21 @@ def test_make_folds_deterministic_and_seed_sensitive():
     assert make_folds(inventory, 3, 7) != make_folds(inventory, 3, 8)
 
 
+def test_make_folds_golden_plan():
+    """One seed's plan, written out: the seeded shuffle of each vendor's
+    sorted ids, cut front to back into chunks of 2, 2 and 1 (or 2, 1, 1)."""
+    inventory = {
+        "Topcon": [f"topcon_{i:02d}" for i in range(4)],
+        "Cirrus": [f"cirrus_{i:02d}" for i in reversed(range(5))],
+    }
+    plan = make_folds(inventory, 3, seed=7)
+    assert plan.test_sets == (
+        {"Cirrus": ("cirrus_00", "cirrus_02"), "Topcon": ("topcon_00", "topcon_02")},
+        {"Cirrus": ("cirrus_04", "cirrus_03"), "Topcon": ("topcon_03",)},
+        {"Cirrus": ("cirrus_01",), "Topcon": ("topcon_01",)},
+    )
+
+
 def test_make_folds_vendor_streams_are_independent():
     base = table_inventory()
     plan_all = make_folds(base, 3, seed=4)
@@ -699,13 +714,14 @@ def test_external_3d_full_prediction_reads_negative_zero_as_zero(tmp_path, jobs)
 @pytest.mark.parametrize("backend_kind", ["threshold", "external"])
 @pytest.mark.parametrize("jobs", [1, 2])
 def test_predict_volume_3d_peak_holds_no_block_past_its_row(tmp_path, backend_kind, jobs):
-    """3D P on a 48-cube, patch 16, overlap 0.75: rows of 9 blocks of
+    """3D P on a 48-cube, patch 16, overlap 0.75: a grid of 81 blocks of
     (4, 48, 16, 16), each a ninth of the output.  A threshold block owns its
     memory and is summed as it arrives, so beyond the output only the
     ``jobs + 1`` blocks in flight and the one being built are alive, plus
-    slack; holding a row of them would add up to 9 more.  An external block is a view of the
-    volume the backend read when it was built (inside the traced region), so
-    holding its row costs nothing and the peak is that volume plus the output."""
+    slack; holding even 9 of them would add up to 9 more.  An external block
+    is a view of the volume the backend read when it was built (inside the
+    traced region), so holding it until the grid's last block costs nothing
+    and the peak is that volume plus the output."""
     import tracemalloc
 
     from octpipe.backends import external_backend

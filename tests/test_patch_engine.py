@@ -3,10 +3,11 @@
 import json
 import re
 import tempfile
+import threading
 
 import numpy as np
 import pytest
-from hypothesis import given, settings
+from hypothesis import assume, given, settings
 from hypothesis import strategies as st
 from hypothesis.extra import numpy as hnp
 from scipy import ndimage
@@ -410,6 +411,66 @@ def test_stitch_matches_reference_in_any_order(case):
     assert stitch(iter(shuffled), grid, dims).probs.tobytes() == expected.tobytes()
 
 
+@st.composite
+def threaded_stitch_inputs(draw):
+    """A grid with an edge anchor on some axis, in any depth mode, with owned
+    or window predictions (or a mix), an arrival order and a thread count."""
+    mode = draw(st.sampled_from(list(DepthMode)))
+    width, height = draw(st.integers(3, 40)), draw(st.integers(3, 40))
+    patch = (draw(st.integers(2, width - 1)), draw(st.integers(2, height - 1)))
+    grid = plan_grid((width, height), patch, draw(st.floats(0.0, 0.9)), mode)
+    xs, ys = ({anchor[axis] for anchor in grid.anchors} for axis in (0, 1))
+    edge_x = max(xs) % grid.stride_x != 0
+    edge_y = max(ys) % grid.stride_y != 0
+    assume(edge_x or edge_y)  # the far edge needs an anchor off the stride lattice
+    depth = draw(st.integers(1, 4))
+    pw, ph = patch
+    planes = depth if mode is DepthMode.D3 else 1
+    zs = range(0, depth, planes)
+    keys = [(x, y, z) for z in zs for x, y in grid.anchors]
+    shape = (4, ph, pw) if planes == 1 else (4, planes, ph, pw)
+    rng = np.random.default_rng(draw(st.integers(0, 2**32 - 1)))
+    source = rng.random((len(keys), *shape[:-2], ph + 1, pw + 2), dtype=np.float32)
+    views = [source[i, ..., 1:, 1 : pw + 1] for i in range(len(keys))]
+    owned = draw(st.lists(st.booleans(), min_size=len(keys), max_size=len(keys)))
+    preds = [v.copy() if own else v for v, own in zip(views, owned)]
+    pairs = list(zip(keys, preds))
+    order = draw(st.permutations(range(len(pairs))))
+    return grid, (width, height, depth), pairs, [pairs[i] for i in order], draw(st.integers(1, 5))
+
+
+@settings(max_examples=150, deadline=None)
+@given(threaded_stitch_inputs())
+def test_stitch_is_bit_identical_at_every_jobs_and_order(case):
+    grid, dims, pairs, shuffled, jobs = case
+    threads = threading.active_count()
+    expected = stitch(iter(pairs), grid, dims, jobs=1).probs.tobytes()
+    assert stitch(iter(shuffled), grid, dims, jobs=jobs).probs.tobytes() == expected
+    assert threading.active_count() == threads
+
+
+def test_stitch_errors_are_alike_at_every_jobs_and_leave_no_thread():
+    """A repeated anchor and a wrong-shaped prediction arrive after earlier
+    runs were summed on the pool; the message is the one a single thread
+    gives, and the pool is shut down when stitch raises."""
+    grid = plan_grid((32, 32), (16, 16), 0.0)
+    pairs = flat_pairs(grid, 1)
+    wrong = ((16, 16, 0), np.full((4, 16, 8), 0.25, dtype=np.float32))
+    cases = (
+        (pairs[:2] + pairs[1:], "prediction for anchor (16, 0, 0) arrived twice"),
+        (pairs[:3] + [wrong], "prediction at (16, 16, 0) has shape (4, 16, 8), expected (4, 16, 16) on a 2d grid"),
+    )
+    threads = threading.active_count()
+    for bad, message in cases:
+        for jobs in (1, 3):
+            with pytest.raises(ValidationError, match=f"^{re.escape(message)}$"):
+                stitch(iter(bad), grid, (32, 32, 1), jobs=jobs)
+            assert threading.active_count() == threads
+    for jobs in (1, 3):
+        assert stitch(iter(pairs), grid, (32, 32, 1), jobs=jobs).probs.min() == 0.25
+        assert threading.active_count() == threads
+
+
 def flat_pairs(grid, depth, value=0.25):
     h, w = grid.patch_h, grid.patch_w
     return [
@@ -485,8 +546,9 @@ def test_stitch_names_missing_anchor_when_every_voxel_is_covered():
 
 
 def test_stitch_names_missing_anchor_after_windows_held_for_its_row():
-    """Windows of one array wait for their row's end; the error still names
-    the first anchor that never arrived, not the first one held."""
+    """Windows of one array wait for the end of their anchor z's grid; the
+    error still names the first anchor that never arrived, not the first one
+    held."""
     grid = plan_grid((48, 48), (16, 16), 0.5)
     source = np.full((len(grid.anchors), 4, 16, 16), 0.25, dtype=np.float32)
     pairs = [((x, y, 0), source[i]) for i, (x, y) in enumerate(grid.anchors)]

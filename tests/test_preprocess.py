@@ -303,6 +303,91 @@ def test_denoise_reduces_noise():
         assert np.abs(out - clean).mean() < noisy_mae
 
 
+def gaussian_oracle(image, sigma):
+    """Separable gaussian in float64 on an edge-replicated copy: scipy's
+    kernel (radius ``int(4 * sigma + 0.5)``, normalised weights) and its
+    ``mode="nearest"`` border, written out."""
+    radius = int(4.0 * sigma + 0.5)
+    k = np.arange(-radius, radius + 1)
+    weights = np.exp(-0.5 * (k / sigma) ** 2)
+    weights /= weights.sum()
+    padded = np.pad(np.asarray(image, dtype=np.float64), radius, mode="edge")
+    h, w = image.shape
+    rows = sum(wt * padded[:, radius + d : radius + d + w] for d, wt in zip(k, weights))
+    return sum(wt * rows[radius + d : radius + d + h] for d, wt in zip(k, weights))
+
+
+@pytest.mark.parametrize("sigma", [0.5, 1.0, 2.5])
+def test_gaussian_border_replicates_the_edge(sigma):
+    """Both the per-B-scan call and the buffered volume path match a written-
+    out filter on an edge-replicated image, pixel for pixel up to the border;
+    a mirrored border would not."""
+    rng = np.random.default_rng(int(sigma * 10))
+    voxels = rng.random((2, 11, 13), dtype=np.float32)
+    cfg = PreprocessConfig(denoiser="gaussian", sigma=sigma)
+    volume = preprocess_volume(OctVolume(voxels=voxels, volume_id="g"), cfg, (13, 11)).voxels
+    for z, plane in enumerate(voxels):
+        expected = gaussian_oracle(plane, sigma)
+        np.testing.assert_allclose(denoise(plane, cfg), expected, rtol=1e-6, atol=1e-7)
+        np.testing.assert_allclose(volume[z], expected, rtol=1e-6, atol=1e-7)
+
+
+@pytest.mark.parametrize("sigma", [0.5, 1.0, 2.5])
+def test_preprocess_volume_gaussian_equals_per_slice_float64_filter(sigma):
+    """The volume path filters each float32 B-scan into one reused float64
+    buffer; that is bit for bit the filter of the B-scan's float64 copy."""
+    from scipy import ndimage
+
+    rng = np.random.default_rng(17)
+    voxels = rng.random((3, 24, 20), dtype=np.float32)
+    cfg = PreprocessConfig(denoiser="gaussian", sigma=sigma)
+    out = preprocess_volume(OctVolume(voxels=voxels, volume_id="b"), cfg, (20, 24)).voxels
+    expected = np.stack([
+        ndimage.gaussian_filter(p.astype(np.float64), sigma=sigma, mode="nearest").astype(np.float32)
+        for p in voxels
+    ])
+    assert out.tobytes() == expected.tobytes()
+    assert all(denoise(p, cfg).tobytes() == e.tobytes() for p, e in zip(voxels, expected))
+
+
+def nlm_oracle(image, search_radius, patch_radius, h):
+    """Non-local means pixel by pixel: every coordinate that leaves the image,
+    a search offset's or a comparison patch's, is clamped to the edge."""
+    height, width = image.shape
+
+    def at(y, x):
+        return float(image[min(max(y, 0), height - 1), min(max(x, 0), width - 1)])
+
+    def inside(v, n):
+        return min(max(v, 0), n - 1)
+
+    out = np.empty((height, width))
+    span = range(-search_radius, search_radius + 1)
+    patch = range(-patch_radius, patch_radius + 1)
+    for y in range(height):
+        for x in range(width):
+            num = den = 0.0
+            for dy in span:
+                for dx in span:
+                    d2 = np.mean([
+                        (at(cy, cx) - at(cy + dy, cx + dx)) ** 2
+                        for cy in (inside(y + py, height) for py in patch)
+                        for cx in (inside(x + px, width) for px in patch)
+                    ])
+                    weight = np.exp(-d2 / (h * h))
+                    num += weight * at(y + dy, x + dx)
+                    den += weight
+            out[y, x] = num / den
+    return out
+
+
+def test_nlm_border_replicates_the_edge():
+    image = np.random.default_rng(23).random((8, 9))
+    cfg = PreprocessConfig(denoiser="nlm", search_radius=2, patch_radius=2, h=0.5)
+    expected = nlm_oracle(image, 2, 2, 0.5)
+    np.testing.assert_allclose(denoise(image, cfg), expected, rtol=1e-6, atol=1e-7)
+
+
 def test_preprocess_config_validation():
     for key, kwargs in (
         ("preprocess.target_vol", dict(target_vol=(0, 384))),
