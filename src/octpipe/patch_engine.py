@@ -30,7 +30,6 @@ from __future__ import annotations
 import enum
 import json
 from concurrent.futures import ThreadPoolExecutor
-from contextlib import nullcontext
 from dataclasses import dataclass
 from pathlib import Path
 from typing import Iterable
@@ -325,7 +324,7 @@ def _accumulate(patch_probs, grid: PatchGrid, depth: int, planes: int, jobs: int
         if last:
             probs[classes, z : z + planes] /= plane
 
-    with ThreadPoolExecutor(threads - 1) if threads > 1 else nullcontext() as pool:
+    with ThreadPoolExecutor(max(threads - 1, 1)) as pool:
         for (x, y, z), pred in patch_probs:
             i = index.get((x, y))
             if i is None:

@@ -205,13 +205,8 @@ def _nlm(image: np.ndarray, search_radius: int, patch_radius: int, h: float) -> 
     return num / den
 
 
-def denoise(image: np.ndarray, cfg: PreprocessConfig, buf: np.ndarray | None = None) -> np.ndarray:
-    """Denoise one B-scan per the configured stage; ``none`` is an exact identity.
-
-    Returns float32, except that the gaussian, given ``buf`` (a float64
-    array of the image's shape), filters into it and returns it for the
-    caller to cast, so a volume's B-scans share one float64 buffer.
-    """
+def denoise(image: np.ndarray, cfg: PreprocessConfig) -> np.ndarray:
+    """Denoise one B-scan per the configured stage; ``none`` is an exact identity."""
     if cfg.denoiser == "none":
         return image
     image = np.asarray(image)
@@ -221,10 +216,8 @@ def denoise(image: np.ndarray, cfg: PreprocessConfig, buf: np.ndarray | None = N
         from scipy import ndimage
 
         # scipy filters each line in float64 whatever the input type, so a
-        # float32 image filters into ``buf`` exactly as its float64 copy would
-        if buf is not None:
-            return ndimage.gaussian_filter(image, cfg.sigma, mode="nearest", output=buf)
-        out = ndimage.gaussian_filter(image.astype(np.float64), sigma=cfg.sigma, mode="nearest")
+        # float32 image filters exactly as its float64 copy would
+        out = ndimage.gaussian_filter(image, cfg.sigma, mode="nearest", output=np.float64)
     else:
         out = _nlm(image, cfg.search_radius, cfg.patch_radius, cfg.h)
     return out.astype(np.float32)
@@ -259,8 +252,7 @@ def preprocess_volume(
     vol = resize_volume(vol, target)
     if cfg.denoiser != "none":
         voxels = np.empty_like(vol.voxels)
-        buf = np.empty(voxels.shape[1:]) if cfg.denoiser == "gaussian" else None
         for z, plane in enumerate(vol.voxels):
-            voxels[z] = denoise(plane, cfg, buf)
+            voxels[z] = denoise(plane, cfg)
         vol = OctVolume(voxels=voxels, spacing=vol.spacing, volume_id=vol.volume_id)
     return vol

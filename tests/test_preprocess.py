@@ -319,9 +319,9 @@ def gaussian_oracle(image, sigma):
 
 @pytest.mark.parametrize("sigma", [0.5, 1.0, 2.5])
 def test_gaussian_border_replicates_the_edge(sigma):
-    """Both the per-B-scan call and the buffered volume path match a written-
-    out filter on an edge-replicated image, pixel for pixel up to the border;
-    a mirrored border would not."""
+    """Both the per-B-scan call and the volume path match a written-out
+    filter on an edge-replicated image, pixel for pixel up to the border; a
+    mirrored border would not."""
     rng = np.random.default_rng(int(sigma * 10))
     voxels = rng.random((2, 11, 13), dtype=np.float32)
     cfg = PreprocessConfig(denoiser="gaussian", sigma=sigma)
@@ -334,8 +334,8 @@ def test_gaussian_border_replicates_the_edge(sigma):
 
 @pytest.mark.parametrize("sigma", [0.5, 1.0, 2.5])
 def test_preprocess_volume_gaussian_equals_per_slice_float64_filter(sigma):
-    """The volume path filters each float32 B-scan into one reused float64
-    buffer; that is bit for bit the filter of the B-scan's float64 copy."""
+    """The float32 B-scans filter into a float64 output with no float64 copy
+    of the input; that is bit for bit the filter of each B-scan's float64 copy."""
     from scipy import ndimage
 
     rng = np.random.default_rng(17)
