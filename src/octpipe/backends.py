@@ -2,7 +2,9 @@
 
 A backend maps a :class:`PatchBatch` of N patches to one array of N
 per-class probability maps: (N, 4, h, w) for single-slice modes,
-(N, 4, planes, h, w) for full-depth patches.  Three kinds are
+(N, 4, planes, h, w) for full-depth patches.  ``batch.data`` may be a
+read-only view of the volume: a backend reads it and never writes into it.
+Three kinds are
 built in: intensity thresholding, a truth-reading oracle, and a directory of
 precomputed probability volumes produced by an outside model.  Network
 architectures themselves are out of scope; they appear only as descriptor
@@ -33,7 +35,8 @@ PROB_CLAMP = 1e-7
 @dataclass(frozen=True)
 class Backend:
     """A predictor. ``predict(batch, mode, volume_id)`` returns the batch's N
-    class-first probability maps as one array, in batch order."""
+    class-first probability maps as one array, in batch order.  It must not
+    write into ``batch.data``, which may be a read-only view of the volume."""
 
     predict: PredictFn
 

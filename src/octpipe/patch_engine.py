@@ -2,7 +2,10 @@
 
 Patch anchors are (x, y) top-left corners in image coordinates.  Patches travel
 as one :class:`PatchBatch`: (N, 3) anchors and (N, planes, h, w) data, cut by
-the single window rule in :func:`windows`.  Per-patch predictions are
+the single window rule in :func:`windows`.  The anchors of one run (one grid
+row's stride-spaced part, or its edge-aligned anchor, per :func:`grid_runs`)
+are cut as one read-only strided view of the volume, so extraction copies no
+patch.  Per-patch predictions are
 class-first, and the grid's depth mode fixes their shape: a 2-D map
 (4, h, w) at each slice in 2d and 2.5d, one 3-D block (4, depth, h, w)
 anchored at z = 0 in 3d.  Stitching streams: it takes predictions
@@ -35,6 +38,7 @@ from pathlib import Path
 from typing import Iterable
 
 import numpy as np
+from numpy.lib.stride_tricks import sliding_window_view
 
 from .errors import CoverageError, FormatError, ValidationError
 from .volume_io import FLUIDS, N_CLASSES, FluidClass, LabelVolume, OctVolume, ProbVolume
@@ -156,9 +160,11 @@ def windows(array: np.ndarray, anchors, size: tuple[int, int], at_z: bool = Fals
 
     With ``at_z`` the axis before them is indexed by each anchor's z and
     dropped; otherwise z is ignored and every leading axis is kept.  Returns
-    (N, *leading, h, w): a view of ``array`` for one window, the windows
-    stacked into one copy for more.  Raises IndexError naming the first
-    window that leaves ``array``.
+    (N, *leading, h, w).  Anchors that form one run (one y, one z with
+    ``at_z``, and x strictly increasing by one constant step; a single
+    window is a run) give a read-only strided view of ``array``; any other
+    set gives the windows stacked into one copy.  Raises IndexError naming
+    the first window that leaves ``array``.
     """
     anchors = np.asarray(anchors)
     h, w = size
@@ -171,11 +177,28 @@ def windows(array: np.ndarray, anchors, size: tuple[int, int], at_z: bool = Fals
             f"{w}x{h} window at {tuple(anchors[np.argmax(bad)].tolist())} "
             f"falls outside array of shape {array.shape}"
         )
+    step = int(x[1] - x[0]) if len(x) > 1 else 1
+    run = len(x) and step > 0 and (np.diff(x) == step).all() and (y == y[0]).all()
+    if run and (not at_z or (z == z[0]).all()):
+        plane = array[..., z[0], :, :] if at_z else array
+        view = sliding_window_view(plane, (h, w), axis=(-2, -1))
+        return np.moveaxis(view[..., y[0], x[0] : x[-1] + 1 : step, :, :], -3, 0)
     cut = [
         (array[..., z, :, :] if at_z else array)[..., y : y + h, x : x + w]
         for x, y, z in anchors.tolist()
     ]
-    return cut[0][None] if len(cut) == 1 else np.stack(cut)
+    return np.stack(cut)
+
+
+def grid_runs(grid: PatchGrid) -> list[slice]:
+    """Split ``grid.anchors`` into runs, as slices of it: a run starts at
+    every anchor that is not the one before it moved ``stride_x`` along x.
+    So each grid row is its lattice part, plus the edge-aligned anchor, if
+    :func:`plan_grid` appended one, as a run of its own, and :func:`windows`
+    cuts every run as a view."""
+    anchors = grid.anchors
+    starts = [i for i, (x, y) in enumerate(anchors) if not i or anchors[i - 1] != (x - grid.stride_x, y)]
+    return [slice(lo, hi) for lo, hi in zip(starts, starts[1:] + [len(anchors)])]
 
 
 def extract(vol: OctVolume, grid: PatchGrid, z: int = 0, which: slice = slice(None)) -> PatchBatch:
@@ -185,6 +208,10 @@ def extract(vol: OctVolume, grid: PatchGrid, z: int = 0, which: slice = slice(No
     2d patches carry the single plane ``z``; 2.5d patches carry the slab
     ``z-SLAB_RADIUS .. z+SLAB_RADIUS`` with edge replication, so the centre plane always
     equals the 2d patch at the same anchor; 3d patches span every plane.
+    The data is cut by :func:`windows`, so the patches of one run (such as
+    one of :func:`grid_runs`) are a read-only view of ``vol.voxels``, or,
+    for a 2.5d slab that crosses the volume's edge, of its edge-replicated
+    copy.
     """
     voxels = vol.voxels
     depth, height, width = voxels.shape
@@ -199,8 +226,10 @@ def extract(vol: OctVolume, grid: PatchGrid, z: int = 0, which: slice = slice(No
         if not 0 <= z < depth:
             raise IndexError(f"slice index {z} outside volume depth {depth}")
         radius = SLAB_RADIUS if mode is DepthMode.D25 else 0
-        # edge replication: plane indices are clipped at the volume boundary
-        stack = voxels[np.clip(np.arange(z - radius, z + radius + 1), 0, depth - 1)]
+        if radius <= z < depth - radius:
+            stack = voxels[z - radius : z + radius + 1]
+        else:  # edge replication: plane indices are clipped at the volume boundary
+            stack = voxels[np.clip(np.arange(z - radius, z + radius + 1), 0, depth - 1)]
     xy = np.array(grid.anchors[which], dtype=np.intp).reshape(-1, 2)
     anchors = np.column_stack([xy, np.full(len(xy), z, dtype=np.intp)])
     return PatchBatch(anchors, windows(stack, anchors, (grid.patch_h, grid.patch_w)))

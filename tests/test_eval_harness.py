@@ -588,6 +588,45 @@ def test_evaluate_volume_tags_a_bad_external_file_as_predict(make_dataset, tmp_p
         evaluate_volume(vid, cfg)
 
 
+@pytest.mark.parametrize("variant", ["F", "P"])
+@pytest.mark.parametrize("mode", list(DepthMode), ids=lambda mode: mode.value)
+def test_a_backend_writing_into_its_batch_fails_predict_and_keeps_the_volume(
+    make_dataset, monkeypatch, mode, variant
+):
+    """A batch is a read-only view of the preprocessed volume, so a backend
+    that writes into it fails the predict stage; it can neither change the
+    volume nor write into a copy unnoticed."""
+    from octpipe.backends import Backend
+    from octpipe.eval_harness import runner
+
+    root, _, truths = make_dataset(vendors=("Cirrus",), n_per_vendor=2)
+    vid = sorted(truths)[0]
+
+    def writing_backend():
+        threshold = threshold_backend()
+
+        def predict(batch, mode, volume_id):
+            batch.data[...] = 0.0
+            return threshold.predict(batch, mode, volume_id)
+
+        return Backend(predict)
+
+    seen = {}
+    predict_volume = runner.predict_volume
+
+    def keep_input(vol, *args):
+        seen["vol"], seen["before"] = vol, vol.voxels.copy()
+        return predict_volume(vol, *args)
+
+    monkeypatch.setattr(runner, "threshold_backend", writing_backend)
+    monkeypatch.setattr(runner, "predict_volume", keep_input)
+    cfg = nat_config(root, backend="threshold", depth_mode=mode, variant=variant)
+    with pytest.raises(StageError, match="read-only") as err:
+        evaluate_volume(vid, cfg)
+    assert (err.value.stage, err.value.volume_id) == ("predict", vid)
+    assert seen["vol"].voxels.tobytes() == seen["before"].tobytes()
+
+
 def test_run_experiment_rejects_bad_fold(make_dataset):
     root, _, _ = make_dataset()
     with pytest.raises(ValidationError):
@@ -683,6 +722,31 @@ def test_predict_volume_peak_memory_stays_near_output_size(mode, variant, jobs):
     finally:
         tracemalloc.stop()
     assert peak < (3 if variant == "P" else 1.25) * prob.probs.nbytes
+
+
+@pytest.mark.parametrize("jobs", [1, 2, 3])
+def test_predict_volume_2_5d_peak_has_no_room_for_extracted_patches(jobs):
+    """2.5D P on 64x64x16, patch 16, overlap 0.75: 169 patches per slice,
+    whose predictions, one "slice" here, are 0.68 MB and whose slabs would
+    be 0.52 MB if copied.  Patches are views of the volume, so beyond the
+    output only the grid held for its last row and the ``jobs + 1`` slices
+    in flight are alive; extracting copies, as a task's or the caller's
+    slabs, does not fit."""
+    import tracemalloc
+
+    from octpipe.eval_harness.runner import predict_volume
+    from octpipe.volume_io import OctVolume
+
+    vol = OctVolume(np.random.default_rng(74).random((16, 64, 64), dtype=np.float32), volume_id="mem")
+    cfg = RunConfig(depth_mode=DepthMode.D25, variant="P", patch_size=16, overlap=0.75, jobs=jobs)
+    predictions = len(cfg.grid((64, 64)).anchors) * 4 * 16 * 16 * 4  # bytes of one slice's
+    tracemalloc.start()
+    try:
+        output = predict_volume(vol, threshold_backend(), cfg).probs.nbytes
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak < output + (1 + jobs + 1) * predictions
 
 
 @pytest.mark.parametrize("jobs", [1, 2])

@@ -21,6 +21,7 @@ from octpipe.patch_engine import (
     close_all,
     close_mask,
     extract,
+    grid_runs,
     labelize,
     load_patches,
     load_predictions,
@@ -198,6 +199,29 @@ def test_extract_rows_equal_plain_slices(case):
             one = extract(vol, grid, z, which=slice(i, i + 1))
             assert one.anchors.tolist() == [[x, y, z0]]
             np.testing.assert_array_equal(one.data[0], expected)
+        # a run's batch is a read-only view: of the volume, or of the slab
+        # copy where a 2.5d slab crosses the volume's edge
+        in_volume = grid.depth_mode is not DepthMode.D25 or 0 < z < len(vol.voxels) - 1
+        for run in grid_runs(grid):
+            part = extract(vol, grid, z, which=run)
+            assert part.data.tobytes() == batch.data[run].tobytes()
+            assert np.shares_memory(part.data, vol.voxels) == in_volume
+            assert not part.data.flags.writeable
+
+
+@settings(max_examples=100, deadline=None)
+@given(st.integers(1, 40), st.integers(1, 40), st.data())
+def test_grid_runs_split_each_row_into_its_lattice_and_edge_anchor(width, height, data):
+    patch = (data.draw(st.integers(1, width)), data.draw(st.integers(1, height)))
+    grid = plan_grid((width, height), patch, data.draw(st.floats(0.0, 0.95)))
+    runs = grid_runs(grid)
+    assert [a for run in runs for a in grid.anchors[run]] == list(grid.anchors)
+    for run in runs:
+        xs, ys = zip(*grid.anchors[run])
+        assert len(set(ys)) == 1 and xs == tuple(range(xs[0], xs[-1] + 1, grid.stride_x))
+    rows = len({y for _x, y in grid.anchors})
+    edge = (width - grid.patch_w) % grid.stride_x != 0  # plan_grid appended an edge anchor
+    assert len(runs) == rows * (1 + edge)
 
 
 @settings(max_examples=60, deadline=None)
@@ -226,7 +250,7 @@ def test_windows_single_view_gather_copy_and_bounds():
     volume = np.arange(2 * 6 * 8, dtype=np.float32).reshape(2, 6, 8)
     anchors = np.array([[1, 2, 1], [4, 0, 0]])
     one = windows(volume, anchors[:1], (3, 4))
-    assert one.shape == (1, 2, 3, 4) and np.shares_memory(one, volume)
+    assert one.shape == (1, 2, 3, 4) and np.shares_memory(one, volume) and not one.flags.writeable
     both = windows(volume, anchors, (3, 4), at_z=True)
     assert both.shape == (2, 3, 4) and not np.shares_memory(both, volume)
     np.testing.assert_array_equal(both[0], volume[1, 2:5, 1:5])
@@ -250,31 +274,75 @@ def gathered_windows(array, anchors, size, at_z):
     return view[y, x]
 
 
+WINDOW_KINDS = ("run", "two y", "mixed z", "unequal steps", "repeated x", "descending")
+
+
 @st.composite
 def window_cases(draw):
-    """(array, anchors, size, at_z) with 1 to 3 leading axes and 1 to 6
-    in-bounds anchors; at_z needs a z axis to index."""
+    """(array, anchors, size, at_z, kind, bad): 1 to 3 leading axes and
+    in-bounds anchors of one ``kind``: a run (one y and z, x from a start by
+    one positive step), or a run broken by a second y, a second z, unequal
+    steps, a repeated x or descending x.  ``bad`` is None or the index of
+    one anchor then moved out of bounds."""
     at_z = draw(st.booleans())
     lead = draw(st.lists(st.integers(1, 3), min_size=1 + at_z, max_size=3))
-    height, width = draw(st.integers(1, 9)), draw(st.integers(1, 9))
-    h, w = draw(st.integers(1, height)), draw(st.integers(1, width))
+    kind = draw(st.sampled_from(WINDOW_KINDS))
+    least = {"run": 1, "repeated x": 1, "unequal steps": 3}.get(kind, 2)  # anchors it needs
+    height, width = draw(st.integers(1, 9)), draw(st.integers(least, 12))
+    h, w = draw(st.integers(1, height)), draw(st.integers(1, width + 1 - least))
     array = np.arange(np.prod(lead) * height * width, dtype=np.float32).reshape(*lead, height, width)
-    anchors = draw(st.lists(
-        st.tuples(st.integers(0, width - w), st.integers(0, height - h), st.integers(0, lead[-1] - 1)),
-        min_size=1, max_size=6,
-    ))
-    return array, np.array(anchors, dtype=np.intp), (h, w), at_z
+    room = width - w  # the largest x
+    n = draw(st.integers(least, min(room + 1, 6)))
+    step = draw(st.integers(1, max(1, room // max(1, n - 1))))
+    x = draw(st.integers(0, room - step * (n - 1))) + step * np.arange(n)
+    y = np.full(n, draw(st.integers(0, height - h)))
+    z = np.full(n, draw(st.integers(0, lead[-1] - 1)))
+    i = draw(st.integers(1, n - 1)) if n > 1 else 0
+    if kind == "two y":
+        assume(height > h)
+        y[i:] = (y[0] + draw(st.integers(1, height - h))) % (height - h + 1)
+    elif kind == "mixed z":
+        assume(lead[-1] > 1)
+        z[i:] = (z[0] + draw(st.integers(1, lead[-1] - 1))) % lead[-1]
+    elif kind == "unequal steps":
+        x[i:] += draw(st.sampled_from([-1, 1]))
+        assume(x[-1] <= room and (np.diff(x) > 0).all())
+    elif kind == "repeated x":
+        x = np.insert(x, i, x[i - 1])
+        y, z = np.resize(y, n + 1), np.resize(z, n + 1)
+    elif kind == "descending":
+        x = x[::-1]
+    anchors = np.column_stack([x, y, z]).astype(np.intp)
+    bad = draw(st.none() | st.integers(0, len(anchors) - 1))
+    if bad is not None:
+        axis = draw(st.sampled_from([0, 1, 2] if at_z else [0, 1]))
+        limit = (width - w, height - h, lead[-1] - 1)[axis]
+        anchors[bad, axis] = draw(st.sampled_from([-1 - anchors[bad, axis], limit + 1]))
+    return array, anchors, (h, w), at_z, kind, bad
 
 
-@settings(max_examples=200, deadline=None)
+@settings(max_examples=300, deadline=None)
 @given(case=window_cases())
 def test_windows_equal_the_sliding_window_gather(case):
-    array, anchors, size, at_z = case
+    """A run of windows comes back as a read-only view of the array, and
+    any other anchor set as a writeable copy; both equal the gather of the
+    windows bit for bit.  A window out of bounds raises IndexError naming
+    its anchor, whatever the kind."""
+    array, anchors, size, at_z, kind, bad = case
+    if bad is not None:
+        h, w = size
+        anchor = ", ".join(str(v) for v in anchors[bad])
+        message = rf"{w}x{h} window at \({anchor}\) falls outside array of shape {re.escape(str(array.shape))}"
+        with pytest.raises(IndexError, match=message):
+            windows(array, anchors, size, at_z)
+        return
     got = windows(array, anchors, size, at_z)
     expected = gathered_windows(array, anchors, size, at_z)
     assert got.shape == expected.shape and got.dtype == array.dtype
-    np.testing.assert_array_equal(got, expected)
-    assert np.shares_memory(got, array) == (len(anchors) == 1)
+    assert got.tobytes() == expected.tobytes()
+    view = kind == "run" or (kind == "mixed z" and not at_z)  # z only counts with at_z
+    assert np.shares_memory(got, array) == view
+    assert got.flags.writeable != view
 
 
 def test_depth_mode_parse_and_labels():
@@ -391,7 +459,8 @@ def stitch_inputs(draw):
         my, mx = draw(st.integers(0, 2)), draw(st.integers(0, 2))
         source = rng.random((len(keys), *shape[:-2], ph + my, pw + mx), dtype=np.float32)
         if storage == "memmap":  # slices of a file mapping, whose own base is an mmap
-            mapped = np.memmap(tempfile.TemporaryFile(), np.float32, "w+", shape=source.shape)
+            with tempfile.TemporaryFile() as file:  # the mapping keeps its own descriptor
+                mapped = np.memmap(file, np.float32, "w+", shape=source.shape)
             mapped[:] = source
             source = mapped
         preds = [source[i, ..., my : my + ph, mx : mx + pw] for i in range(len(keys))]
