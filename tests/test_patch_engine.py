@@ -7,7 +7,7 @@ import threading
 
 import numpy as np
 import pytest
-from hypothesis import assume, given, settings
+from hypothesis import assume, example, given, settings
 from hypothesis import strategies as st
 from hypothesis.extra import numpy as hnp
 from scipy import ndimage
@@ -274,20 +274,21 @@ def gathered_windows(array, anchors, size, at_z):
     return view[y, x]
 
 
-WINDOW_KINDS = ("run", "two y", "mixed z", "unequal steps", "repeated x", "descending")
+WINDOW_KINDS = ("any", "run", "two y", "mixed z", "unequal steps", "repeated x", "descending")
 
 
 @st.composite
 def window_cases(draw):
     """(array, anchors, size, at_z, kind, bad): 1 to 3 leading axes and
-    in-bounds anchors of one ``kind``: a run (one y and z, x from a start by
-    one positive step), or a run broken by a second y, a second z, unequal
-    steps, a repeated x or descending x.  ``bad`` is None or the index of
-    one anchor then moved out of bounds."""
+    in-bounds anchors of one ``kind``: 1 to 6 independent anchors ("any"),
+    a run (one y and z, x from a start by one positive step), or a run
+    broken by a second y, a second z or unequal steps (at one anchor or
+    from one anchor on), a repeated x or descending x.  ``bad`` is None or the
+    index of one anchor then moved out of bounds."""
     at_z = draw(st.booleans())
     lead = draw(st.lists(st.integers(1, 3), min_size=1 + at_z, max_size=3))
     kind = draw(st.sampled_from(WINDOW_KINDS))
-    least = {"run": 1, "repeated x": 1, "unequal steps": 3}.get(kind, 2)  # anchors it needs
+    least = {"any": 1, "run": 1, "repeated x": 1, "unequal steps": 3}.get(kind, 2)  # anchors it needs
     height, width = draw(st.integers(1, 9)), draw(st.integers(least, 12))
     h, w = draw(st.integers(1, height)), draw(st.integers(1, width + 1 - least))
     array = np.arange(np.prod(lead) * height * width, dtype=np.float32).reshape(*lead, height, width)
@@ -297,15 +298,17 @@ def window_cases(draw):
     x = draw(st.integers(0, room - step * (n - 1))) + step * np.arange(n)
     y = np.full(n, draw(st.integers(0, height - h)))
     z = np.full(n, draw(st.integers(0, lead[-1] - 1)))
-    i = draw(st.integers(1, n - 1)) if n > 1 else 0
+    single = draw(st.booleans())  # break one anchor (a middle one if n > 2), or every one from i on
+    i = draw(st.integers(1, max(1, n - 1 - single))) if n > 1 else 0
+    broken = slice(i, i + 1) if single else slice(i, None)
     if kind == "two y":
         assume(height > h)
-        y[i:] = (y[0] + draw(st.integers(1, height - h))) % (height - h + 1)
+        y[broken] = (y[0] + draw(st.integers(1, height - h))) % (height - h + 1)
     elif kind == "mixed z":
         assume(lead[-1] > 1)
-        z[i:] = (z[0] + draw(st.integers(1, lead[-1] - 1))) % lead[-1]
+        z[broken] = (z[0] + draw(st.integers(1, lead[-1] - 1))) % lead[-1]
     elif kind == "unequal steps":
-        x[i:] += draw(st.sampled_from([-1, 1]))
+        x[broken] += draw(st.sampled_from([-1, 1]))
         assume(x[-1] <= room and (np.diff(x) > 0).all())
     elif kind == "repeated x":
         x = np.insert(x, i, x[i - 1])
@@ -313,6 +316,11 @@ def window_cases(draw):
     elif kind == "descending":
         x = x[::-1]
     anchors = np.column_stack([x, y, z]).astype(np.intp)
+    if kind == "any":
+        anchors = np.array(draw(st.lists(
+            st.tuples(st.integers(0, room), st.integers(0, height - h), st.integers(0, lead[-1] - 1)),
+            min_size=1, max_size=6,
+        )), dtype=np.intp)
     bad = draw(st.none() | st.integers(0, len(anchors) - 1))
     if bad is not None:
         axis = draw(st.sampled_from([0, 1, 2] if at_z else [0, 1]))
@@ -321,8 +329,18 @@ def window_cases(draw):
     return array, anchors, (h, w), at_z, kind, bad
 
 
+def middle_break(kind, anchors, at_z):
+    """A case whose first and last anchors agree, so only a middle anchor
+    breaks the run: its y, its z or the steps around it."""
+    array = np.arange(2 * 3 * 4 * 9, dtype=np.float32).reshape(2, 3, 4, 9)
+    return array, np.array(anchors, dtype=np.intp), (2, 3), at_z, kind, None
+
+
 @settings(max_examples=300, deadline=None)
 @given(case=window_cases())
+@example(case=middle_break("two y", [[0, 0, 1], [2, 1, 1], [4, 0, 1]], False))
+@example(case=middle_break("mixed z", [[0, 0, 1], [2, 0, 2], [4, 0, 1]], True))
+@example(case=middle_break("unequal steps", [[0, 0, 1], [2, 0, 1], [5, 0, 1], [6, 0, 1]], False))
 def test_windows_equal_the_sliding_window_gather(case):
     """A run of windows comes back as a read-only view of the array, and
     any other anchor set as a writeable copy; both equal the gather of the
@@ -340,7 +358,12 @@ def test_windows_equal_the_sliding_window_gather(case):
     expected = gathered_windows(array, anchors, size, at_z)
     assert got.shape == expected.shape and got.dtype == array.dtype
     assert got.tobytes() == expected.tobytes()
-    view = kind == "run" or (kind == "mixed z" and not at_z)  # z only counts with at_z
+    if kind == "any":
+        x, y, z = anchors.T.tolist()
+        steps = {b - a for a, b in zip(x, x[1:])}
+        view = len(set(y)) == 1 and (not at_z or len(set(z)) == 1) and len(steps) <= 1 and min(steps, default=1) > 0
+    else:
+        view = kind == "run" or (kind == "mixed z" and not at_z)  # z only counts with at_z
     assert np.shares_memory(got, array) == view
     assert got.flags.writeable != view
 
