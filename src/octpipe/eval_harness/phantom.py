@@ -42,14 +42,14 @@ class BlobSpec:
 def _paint_labels(dims: tuple[int, int, int], blobs: list[BlobSpec]) -> np.ndarray:
     width, height, depth = dims
     labels = np.zeros((depth, height, width), dtype=np.uint8)
-    zs = np.arange(depth, dtype=np.float64)[:, None, None]
-    ys = np.arange(height, dtype=np.float64)[None, :, None]
-    xs = np.arange(width, dtype=np.float64)[None, None, :]
     for blob in blobs:
         cx, cy, cz = blob.center
         rx, ry, rz = blob.radii
+        spans = zip((cz, cy, cx), (rz, ry, rx), labels.shape)
+        box = tuple(slice(max(c - r, 0), min(c + r + 1, n)) for c, r, n in spans)  # holds the blob
+        zs, ys, xs = np.ogrid[box]
         member = ((xs - cx) / rx) ** 2 + ((ys - cy) / ry) ** 2 + ((zs - cz) / rz) ** 2 <= 1.0
-        labels[member] = int(blob.cls)
+        labels[box][member] = int(blob.cls)
     return labels
 
 

@@ -6,10 +6,10 @@ variant P), stitch, arg-max, close, score against the preprocessed truth.
 Prediction streams: ``jobs`` worker threads each take one slice (one patch
 in 3D), with a bounded number in flight, cut it into batches of one grid-row
 run each, as read-only views of the volume, and predict them; ``stitch``
-sums each prediction into the output volume as it arrives, in canonical
-anchor order, splitting each sum by class over up to ``jobs`` threads of its
-own, so results never depend on the worker count.  Each volume is scored
-with one confusion count per fluid.
+sums each prediction into the output volume on the calling thread as it
+arrives, in canonical anchor order (only the sum that completes a 3D grid is
+split by class over up to ``jobs`` threads), so results never depend on the
+worker count.  Each volume is scored with one confusion count per fluid.
 """
 
 from __future__ import annotations
@@ -99,7 +99,7 @@ def _predictions(
     ``jobs`` threads, which run while the caller consumes earlier tasks.  A
     task extracts its slice one run of :func:`grid_runs` at a time, as a
     read-only view of the volume, and runs ``backend.predict`` on each run's
-    batch, so no patch is copied and the caller's thread only consumes.  At
+    batch, so no patch is copied and the caller's thread only stitches.  At
     most ``jobs + 1`` tasks are in flight, so memory does not grow with the
     depth or the anchor count.
     """
@@ -135,10 +135,10 @@ def predict_volume(vol: OctVolume, backend: Backend, cfg: RunConfig) -> ProbVolu
     prediction stream directly, summing each batch into the output volume as
     it arrives, so no list of a volume's predictions is ever built; at most
     ``cfg.resolved_jobs + 1`` tasks (slices, or single patches in 3d) are in
-    flight on ``cfg.resolved_jobs`` threads that extract and predict, and
-    stitch sums on ``cfg.resolved_jobs`` threads too.  In 2d and 2.5d a
-    backend gets one batch per run of a grid row, a read-only view of the
-    volume.  The result is bit-identical for every ``cfg.jobs``.
+    flight on ``cfg.resolved_jobs`` threads that extract and predict, which
+    also share the sum that completes a 3d grid.  In 2d and 2.5d a backend
+    gets one batch per run of a grid row, a read-only view of the volume.
+    The result is bit-identical for every ``cfg.jobs``.
     """
     grid = cfg.grid(vol.dims[:2])
     with closing(_predictions(vol, grid, backend, cfg.resolved_jobs)) as pairs:
@@ -146,9 +146,11 @@ def predict_volume(vol: OctVolume, backend: Backend, cfg: RunConfig) -> ProbVolu
 
 
 def segment_volume(vol: OctVolume, backend: Backend, cfg: RunConfig) -> LabelVolume:
-    """predict -> stitch -> argmax -> per-fluid closing; returns the labels."""
+    """predict -> stitch -> argmax -> per-fluid closing; returns the labels.
+    Closing runs after the probabilities are freed."""
     prob = _stage("predict", vol.volume_id, predict_volume, vol, backend, cfg)
     pred = _stage("labelize", vol.volume_id, labelize, prob)
+    del prob
     if cfg.close_radius > 0:
         pred = _stage("close", vol.volume_id, close_all, pred, cfg.close_radius)
     return pred

@@ -5,25 +5,21 @@ as one :class:`PatchBatch`: (N, 3) anchors and (N, planes, h, w) data, cut by
 the single window rule in :func:`windows`.  The anchors of one run (one grid
 row's stride-spaced part, or its edge-aligned anchor, per :func:`grid_runs`)
 are cut as one read-only strided view of the volume, so extraction copies no
-patch.  Per-patch predictions are
-class-first, and the grid's depth mode fixes their shape: a 2-D map
-(4, h, w) at each slice in 2d and 2.5d, one 3-D block (4, depth, h, w)
-anchored at z = 0 in 3d.  Stitching streams: it takes predictions
-from any iterable, in any order, and sums each into the output volume as soon
-as every anchor before it in canonical row-major order has been summed (until
-then it waits in one per-slice map), so the result is independent of the
-input ordering and of any parallel schedule upstream.  A prediction that is a
-window of a larger array (a backend's volume, a batch row) is held until the
-last anchor of its anchor z's grid arrives; a prediction that owns its memory
-is summed at once.  Either way a run is summed plane by plane over all its
-anchors, so each accumulator plane is loaded once, and each voxel receives
-its predictions in canonical anchor order.  Up to ``jobs`` threads share
-each run, each summing one contiguous slice of the class axis, so they write
-disjoint voxels and the result is the same at every ``jobs``.  A slice range
-whose predictions are all in is divided in place by the grid's coverage
-plane, each thread dividing its own classes.  A 3d grid of one image-sized
-patch (variant F) has one prediction, the whole volume, and stitch takes it
-over as the result instead of summing it into a second volume.
+patch.  Per-patch predictions are class-first, and the grid's depth mode
+fixes their shape: a 2-D map (4, h, w) at each slice in 2d and 2.5d, one 3-D
+block (4, depth, h, w) anchored at z = 0 in 3d.  Stitching streams: it takes
+predictions from any iterable, in any order, and sums each into the output
+volume, on the calling thread, as soon as every anchor before it in
+canonical row-major order has been summed (until then it waits in one
+per-slice map), so each voxel receives its predictions in canonical order
+whatever the input order or upstream schedule.  Only a 3d grid holds a
+prediction that is a window of a larger array (a backend's volume) until
+its last anchor arrives, and splits the run that completes it by class over
+up to ``jobs`` threads writing disjoint voxels.  A slice range whose
+predictions are all in is divided in place by the grid's coverage plane.  A
+3d grid of one image-sized patch (variant F) has one prediction, the whole
+volume, and stitch takes it over as the result instead of summing it into a
+second volume.
 Per-voxel passes over a whole volume (the finiteness check, arg-max, closing)
 run one slice at a time, so none allocates a temporary the size of the volume.
 """
@@ -264,23 +260,21 @@ def stitch(
     Predictions are summed as they arrive into the float32 array that becomes
     the result.  Each anchor z keeps a count of the ``grid.anchors`` summed
     so far and a map of the predictions that arrived but are not yet summed.
-    The run of arrived anchors that starts at the count is summed up to its
-    last prediction that owns its memory or is the grid's last anchor.  So a
-    prediction that arrives early waits for the anchors before it, and one
-    that is a window of a larger array (its ``base`` is a bigger ndarray, so
-    holding it costs no memory) waits for the rest of its anchor z's grid.
-    A run is added one plane at a time over all its anchors, so each plane
-    of the accumulator is loaded once per run.  ``min(jobs, 4)`` threads
-    share every run: each owns one contiguous slice of the class axis and
-    sums, and later divides, only those classes, the calling thread taking
-    the first slice.  Every voxel therefore sums its predictions in canonical
-    row-major anchor order whatever the input order, upstream schedule or
-    ``jobs``, and the result is bit-identical however the predictions are
-    stored.  Once an anchor z has all its predictions, its slice range is
-    divided in place by :func:`coverage_plane`; that matches dividing by
-    per-voxel counts bit for bit, since both operands are exact in float32.
-    The threads live in one pool per call, shut down before stitch returns
-    or raises.
+    A run of arrived anchors from the count is summed on the calling thread,
+    one plane at a time over all its anchors, so each accumulator plane is
+    loaded once per run.  On a one-plane grid (2d, 2.5d) the run is every
+    arrived anchor from the count, so an early prediction waits only for the
+    anchors before it.  On a 3d grid a window of a larger array (its
+    ``base`` is a bigger ndarray, so holding it costs no memory) also waits
+    for the rest of the grid, whose completing run ``min(jobs, 4)`` threads
+    share, the caller and a pool shut down before stitch returns or raises,
+    each summing, then dividing, one contiguous slice of the class axis.
+    Every voxel therefore sums its predictions in canonical row-major anchor
+    order whatever the input order, upstream schedule or ``jobs``, so the
+    result is bit-identical however the predictions are stored.  Once an
+    anchor z has all its predictions, its slice range is divided in place by
+    :func:`coverage_plane`; that matches dividing by per-voxel counts bit for
+    bit, since both operands are exact in float32.
 
     A 3d grid whose one anchor's patch is the whole image has one block, the
     whole volume, covering each voxel once.  Stitch takes that prediction
@@ -322,9 +316,10 @@ def _accumulate(patch_probs, grid: PatchGrid, depth: int, planes: int, jobs: int
     range by the coverage plane, or take over the one block of a
     whole-volume 3d grid; returns (probs, summed, waiting): the result, and
     per anchor z the count of anchors summed and the predictions that
-    arrived but are not yet summed, by anchor index.  Each run is split by
-    class over ``min(jobs, 4)`` threads, the caller summing the first
-    slice and a pool the rest."""
+    arrived but are not yet summed, by anchor index.  Runs are summed on the
+    calling thread, except that the run completing a 3d grid is split by
+    class over ``min(jobs, 4)`` threads, the caller summing the first slice
+    and a pool the rest."""
     anchors = grid.anchors
     index = {anchor: i for i, anchor in enumerate(anchors)}
     ph, pw = grid.patch_h, grid.patch_w
@@ -342,9 +337,9 @@ def _accumulate(patch_probs, grid: PatchGrid, depth: int, planes: int, jobs: int
     parts = [slice(lo, hi) for lo, hi in zip(cuts, cuts[1:])]
 
     def closes_run(i: int, block: np.ndarray) -> bool:
-        # a window of a larger array costs nothing to hold, so it waits for its grid
-        base = block.base
-        return i + 1 == len(anchors) or not (isinstance(base, np.ndarray) and base.size > block.size)
+        # a 3d window of a larger array costs nothing to hold, so it waits for its grid
+        held = planes > 1 and isinstance(block.base, np.ndarray) and block.base.size > block.size
+        return i + 1 == len(anchors) or not held
 
     def add(run, z: int, classes: slice, last: bool) -> None:
         for p in range(planes):
@@ -353,50 +348,51 @@ def _accumulate(patch_probs, grid: PatchGrid, depth: int, planes: int, jobs: int
         if last:
             probs[classes, z : z + planes] /= plane
 
-    with ThreadPoolExecutor(max(threads - 1, 1)) as pool:
-        for (x, y, z), pred in patch_probs:
-            i = index.get((x, y))
-            if i is None:
-                w, h = grid.image_dims
-                raise CoverageError(
-                    f"anchor ({x}, {y}) is not part of the grid planned for image {w}x{h}, "
-                    f"patch {pw}x{ph}, stride {grid.stride_x}x{grid.stride_y}"
-                )
-            if not 0 <= z < depth:
-                raise ValidationError(f"anchor ({x}, {y}, {z}) lies outside depth {depth}")
-            if z % planes:
-                raise ValidationError(f"anchor ({x}, {y}, {z}): 3d predictions anchor at z = 0")
-            pred = np.asarray(pred)
-            block = pred[:, None] if pred.ndim == 3 else pred
-            if block.shape != shape:
-                raise ValidationError(
-                    f"prediction at ({x}, {y}, {z}) has shape {pred.shape}, expected "
-                    f"{shape[:1] + shape[2:] if planes == 1 else shape} on a {grid.depth_mode.value} grid"
-                )
-            arrived, done = waiting.setdefault(z, {}), summed.setdefault(z, 0)
-            if i < done or i in arrived:
-                raise ValidationError(f"prediction for anchor ({x}, {y}, {z}) arrived twice")
-            arrived[i] = block
-            if not (closes_run(i, block) or i + 1 in arrived):
-                continue  # the arrived run from ``done`` gained no block that closes it
-            end = j = done
-            while j in arrived:
-                if closes_run(j, arrived[j]):
-                    end = j + 1
-                j += 1
-            run = [(anchors[k], arrived.pop(k)) for k in range(done, end)]
-            if whole:  # coverage is 1 and x / 1 == x, so no division
-                owned = block.dtype == np.float32 and block.flags.writeable and block.flags.c_contiguous
-                probs = block if owned else block.astype(np.float32, order="C")
-                np.add(probs, 0.0, out=probs)  # -0.0 reads +0.0, as after a sum into zeros
-            else:
-                last = end == len(anchors)
-                helpers = [pool.submit(add, run, z, part, last) for part in parts[1:]]
-                add(run, z, parts[0], last)
-                for helper in helpers:
-                    helper.result()
-            del run  # hold no summed block while the next one arrives
-            summed[z] = end
+    for (x, y, z), pred in patch_probs:
+        i = index.get((x, y))
+        if i is None:
+            w, h = grid.image_dims
+            raise CoverageError(
+                f"anchor ({x}, {y}) is not part of the grid planned for image {w}x{h}, "
+                f"patch {pw}x{ph}, stride {grid.stride_x}x{grid.stride_y}"
+            )
+        if not 0 <= z < depth:
+            raise ValidationError(f"anchor ({x}, {y}, {z}) lies outside depth {depth}")
+        if z % planes:
+            raise ValidationError(f"anchor ({x}, {y}, {z}): 3d predictions anchor at z = 0")
+        pred = np.asarray(pred)
+        block = pred[:, None] if pred.ndim == 3 else pred
+        if block.shape != shape:
+            raise ValidationError(
+                f"prediction at ({x}, {y}, {z}) has shape {pred.shape}, expected "
+                f"{shape[:1] + shape[2:] if planes == 1 else shape} on a {grid.depth_mode.value} grid"
+            )
+        arrived, done = waiting.setdefault(z, {}), summed.setdefault(z, 0)
+        if i < done or i in arrived:
+            raise ValidationError(f"prediction for anchor ({x}, {y}, {z}) arrived twice")
+        arrived[i] = block
+        if done not in arrived or not (closes_run(i, block) or i + 1 in arrived):
+            continue  # the arrived run from ``done`` gained no block that closes it
+        end = j = done
+        while j in arrived:
+            if closes_run(j, arrived[j]):
+                end = j + 1
+            j += 1
+        run = [(anchors[k], arrived.pop(k)) for k in range(done, end)]
+        last = end == len(anchors)
+        if whole:  # coverage is 1 and x / 1 == x, so no division
+            owned = block.dtype == np.float32 and block.flags.writeable and block.flags.c_contiguous
+            probs = block if owned else block.astype(np.float32, order="C")
+            np.add(probs, 0.0, out=probs)  # -0.0 reads +0.0, as after a sum into zeros
+        elif last and planes > 1 and len(parts) > 1:  # every prediction is in, so no predict thread competes
+            with ThreadPoolExecutor(len(parts) - 1) as pool:
+                helpers = pool.map(lambda part: add(run, z, part, True), parts[1:])
+                add(run, z, parts[0], True)
+                list(helpers)
+        else:
+            add(run, z, slice(None), last)
+        del run  # hold no summed block while the next one arrives
+        summed[z] = end
     return probs, summed, waiting
 
 
@@ -418,7 +414,7 @@ def _check_complete(grid: PatchGrid, depth: int, planes: int, summed: dict, wait
             raise CoverageError(f"voxel (x={xx}, y={yy}, z={z}) is covered by no patch")
     z = incomplete[0]
     i = summed[z]
-    while i in waiting[z]:  # windows held for their grid have arrived
+    while i in waiting[z]:  # 3d windows held for their grid have arrived
         i += 1
     x, y = grid.anchors[i]
     raise CoverageError(f"no prediction arrived for anchor ({x}, {y}, {z})")

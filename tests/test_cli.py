@@ -364,6 +364,29 @@ def test_patchify_full_image_variant_writes_one_image_sized_patch_per_slice(
         assert batch.data.shape == (1, 3, 96, 96)  # the 2.5d slab around z
 
 
+def test_patchify_3d_spills_the_whole_grid(make_dataset, tmp_path, capsys):
+    """``--depth-mode 3d`` writes one spill of every full-depth patch,
+    which reads back equal to extracting the whole grid."""
+    root, _, _ = make_dataset()
+    out_dir = tmp_path / "out"
+    cfg_path = native_config(tmp_path)
+    common = ["--config", cfg_path, "--data-root", root, "--output-dir", out_dir, "--depth-mode", "3d"]
+    rc, out, err = run(capsys, "patchify", "--volume", "cirrus_00", *common)
+    assert rc == 0, err
+    base = out_dir / "patches" / "cirrus_00_3d"
+    assert out.strip() == f"wrote 25 patches to {base}.raw"
+    cfg = replace(load_config(cfg_path), depth_mode=DepthMode.D3)
+    target = cfg.preprocess.target_for(cfg.depth_mode)
+    vol = preprocess_volume(read_volume(root / "images" / "cirrus_00.mhd"), cfg.preprocess, target)
+    grid = cfg.grid(vol.dims[:2])
+    expected = patch_engine.extract(vol, grid)
+    batch, loaded_grid, volume_id = patch_engine.load_patches(base)
+    assert (loaded_grid, volume_id) == (grid, "cirrus_00")
+    assert batch.anchors.tolist() == expected.anchors.tolist()
+    assert batch.data.shape == (25, 4, 32, 32)
+    assert batch.data.tobytes() == expected.data.astype(np.float32).tobytes()
+
+
 def test_stitch_full_image_variant_matches_predict_volume(make_dataset, tmp_path, capsys):
     root, _, _ = make_dataset()
     out_dir = tmp_path / "out"

@@ -2,9 +2,12 @@
 
 import json
 import re
+import weakref
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from octpipe.backends import TrainingConfig, one_hot, threshold_backend
 from octpipe.config import RunConfig
@@ -34,6 +37,7 @@ from octpipe.eval_harness import (
     synth_phantom,
 )
 from octpipe.eval_harness import metrics
+from octpipe.eval_harness.phantom import _paint_labels
 from octpipe.eval_harness.runner import label_path
 from octpipe.patch_engine import DepthMode, close_all, extract, labelize, plan_grid
 from octpipe.preprocess import PreprocessConfig
@@ -268,6 +272,30 @@ def test_synth_phantom_ellipsoid_count_matches_oracle():
                 if ((x - 30) / 8) ** 2 + ((y - 30) / 8) ** 2 + ((z - 4) / 2) ** 2 <= 1.0:
                     expected += 1
     assert int(np.count_nonzero(labels.voxels == 1)) == expected
+
+
+@settings(max_examples=100, deadline=None)
+@given(st.data())
+def test_paint_labels_equals_the_whole_volume_formula(data):
+    """Each blob is painted inside its bounding box, which may cross the
+    volume's border; that gives, byte for byte, the labels of evaluating
+    every blob's ellipsoid over the whole volume in order."""
+    width, height, depth = data.draw(st.integers(1, 24)), data.draw(st.integers(1, 24)), data.draw(st.integers(1, 8))
+    blob = st.builds(
+        BlobSpec,
+        cls=st.sampled_from(FLUIDS),
+        center=st.tuples(*(st.integers(-4, n + 4) for n in (width, height, depth))),
+        radii=st.tuples(st.integers(1, 12), st.integers(1, 12), st.integers(1, 4)),
+    )
+    blobs = data.draw(st.lists(blob, max_size=5))
+    expected = np.zeros((depth, height, width), dtype=np.uint8)
+    zs = np.arange(depth, dtype=np.float64)[:, None, None]
+    ys = np.arange(height, dtype=np.float64)[None, :, None]
+    xs = np.arange(width, dtype=np.float64)[None, None, :]
+    for b in blobs:
+        (cx, cy, cz), (rx, ry, rz) = b.center, b.radii
+        expected[((xs - cx) / rx) ** 2 + ((ys - cy) / ry) ** 2 + ((zs - cz) / rz) ** 2 <= 1.0] = int(b.cls)
+    assert _paint_labels((width, height, depth), blobs).tobytes() == expected.tobytes()
 
 
 def test_synth_phantom_deterministic():
@@ -724,14 +752,64 @@ def test_predict_volume_peak_memory_stays_near_output_size(mode, variant, jobs):
     assert peak < (3 if variant == "P" else 1.25) * prob.probs.nbytes
 
 
+@pytest.mark.parametrize("mode", list(DepthMode))
+def test_only_a_3d_stitch_opens_a_pool(monkeypatch, mode):
+    """At ``jobs`` 3 a 2D or 2.5D ``predict_volume`` stitches on the calling
+    thread and opens no pool in ``patch_engine``; a 3D one opens one pool of
+    2, which with the calling thread splits by class the run that completes
+    its grid."""
+    from octpipe import patch_engine
+    from octpipe.eval_harness.runner import predict_volume
+    from octpipe.volume_io import OctVolume
+
+    opened = []
+    pool = patch_engine.ThreadPoolExecutor
+
+    def counted(*args, **kwargs):
+        opened.append(args)
+        return pool(*args, **kwargs)
+
+    monkeypatch.setattr(patch_engine, "ThreadPoolExecutor", counted)
+    vol = OctVolume(np.random.default_rng(75).random((4, 32, 32), dtype=np.float32), volume_id="pool")
+    cfg = RunConfig(depth_mode=mode, patch_size=16, overlap=0.5, jobs=3)
+    predict_volume(vol, threshold_backend(), cfg)
+    assert opened == ([(2,)] if mode is DepthMode.D3 else [])
+
+
+def test_segment_volume_frees_the_probabilities_before_closing(monkeypatch):
+    """Closing runs once the probability volume is gone, so the two are
+    never alive together."""
+    from octpipe.eval_harness import runner
+    from octpipe.volume_io import OctVolume
+
+    probs, alive = [], []
+    predict = runner.predict_volume
+
+    def predict_kept(*args):
+        prob = predict(*args)
+        probs.append(weakref.ref(prob))
+        return prob
+
+    def close_checked(labels, radius):
+        alive.append(probs[0]() is not None)
+        return close_all(labels, radius)
+
+    monkeypatch.setattr(runner, "predict_volume", predict_kept)
+    monkeypatch.setattr(runner, "close_all", close_checked)
+    vol = OctVolume(np.random.default_rng(76).random((4, 32, 32), dtype=np.float32), volume_id="free")
+    cfg = RunConfig(depth_mode=DepthMode.D25, patch_size=16, overlap=0.5, close_radius=1, jobs=1)
+    runner.segment_volume(vol, threshold_backend(), cfg)
+    assert alive == [False]
+
+
 @pytest.mark.parametrize("jobs", [1, 2, 3])
 def test_predict_volume_2_5d_peak_has_no_room_for_extracted_patches(jobs):
     """2.5D P on 64x64x16, patch 16, overlap 0.75: 169 patches per slice,
     whose predictions, one "slice" here, are 0.68 MB and whose slabs would
     be 0.52 MB if copied.  Patches are views of the volume, so beyond the
-    output only the grid held for its last row and the ``jobs + 1`` slices
-    in flight are alive; extracting copies, as a task's or the caller's
-    slabs, does not fit."""
+    output only the slice being stitched and the ``jobs + 1`` slices in
+    flight are alive; extracting copies, as a task's or the caller's slabs,
+    does not fit."""
     import tracemalloc
 
     from octpipe.eval_harness.runner import predict_volume

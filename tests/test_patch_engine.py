@@ -4,6 +4,7 @@ import json
 import re
 import tempfile
 import threading
+import weakref
 
 import numpy as np
 import pytest
@@ -77,6 +78,25 @@ def test_plan_grid_rejects_oversized_patch_and_bad_overlap():
         plan_grid((256, 256), (128, 128), 1.0)
     with pytest.raises(ValueError):
         plan_grid((256, 256), (128, 128), -0.1)
+    for patch in ((0, 16), (16, 0), (-1, 16)):
+        with pytest.raises(ValueError, match=re.escape(f"patch dimensions must be positive, got {patch}")):
+            plan_grid((64, 64), patch, 0.5)
+
+
+def test_patch_batch_rejects_anchors_unlike_its_data():
+    data = np.zeros((2, 1, 4, 4), dtype=np.float32)
+    for anchors, rows in ((np.zeros((3, 3)), data), (np.zeros((2, 2)), data), (np.zeros((2, 3)), data[:, 0])):
+        with pytest.raises(ValueError, match=re.escape(f"got {anchors.shape} and {rows.shape}")):
+            PatchBatch(anchors.astype(np.intp), rows)
+
+
+def test_extract_and_stitch_reject_a_grid_planned_for_other_dims():
+    vol = make_volume((32, 32, 2), seed=5)
+    grid = plan_grid((32, 48), (16, 16), 0.5)
+    with pytest.raises(ValueError, match=re.escape("grid was planned for image (32, 48), volume planes are (32, 32)")):
+        extract(vol, grid, z=0)
+    with pytest.raises(ValidationError, match=re.escape("grid was planned for image (32, 48), stitch dims are (32, 32)")):
+        stitch([], grid, (32, 32, 2))
 
 
 @settings(max_examples=200, deadline=None)
@@ -543,24 +563,29 @@ def test_stitch_is_bit_identical_at_every_jobs_and_order(case):
 
 def test_stitch_errors_are_alike_at_every_jobs_and_leave_no_thread():
     """A repeated anchor and a wrong-shaped prediction arrive after earlier
-    runs were summed on the pool; the message is the one a single thread
-    gives, and the pool is shut down when stitch raises."""
+    runs were summed, on a 3d grid after the run that completes it was
+    summed on the pool; the message is the one a single thread gives, and
+    no thread is left when stitch raises."""
     grid = plan_grid((32, 32), (16, 16), 0.0)
+    grid3 = plan_grid((32, 32), (16, 16), 0.0, DepthMode.D3)
     pairs = flat_pairs(grid, 1)
+    pairs3 = [((x, y, 0), np.full((4, 1, 16, 16), 0.25, dtype=np.float32)) for x, y in grid3.anchors]
     wrong = ((16, 16, 0), np.full((4, 16, 8), 0.25, dtype=np.float32))
     cases = (
-        (pairs[:2] + pairs[1:], "prediction for anchor (16, 0, 0) arrived twice"),
-        (pairs[:3] + [wrong], "prediction at (16, 16, 0) has shape (4, 16, 8), expected (4, 16, 16) on a 2d grid"),
+        (grid, pairs[:2] + pairs[1:], "prediction for anchor (16, 0, 0) arrived twice"),
+        (grid, pairs[:3] + [wrong], "prediction at (16, 16, 0) has shape (4, 16, 8), expected (4, 16, 16) on a 2d grid"),
+        (grid3, pairs3 + pairs3[:1], "prediction for anchor (0, 0, 0) arrived twice"),
     )
     threads = threading.active_count()
-    for bad, message in cases:
+    for g, bad, message in cases:
         for jobs in (1, 3):
             with pytest.raises(ValidationError, match=f"^{re.escape(message)}$"):
-                stitch(iter(bad), grid, (32, 32, 1), jobs=jobs)
+                stitch(iter(bad), g, (32, 32, 1), jobs=jobs)
             assert threading.active_count() == threads
-    for jobs in (1, 3):
-        assert stitch(iter(pairs), grid, (32, 32, 1), jobs=jobs).probs.min() == 0.25
-        assert threading.active_count() == threads
+    for g, good in ((grid, pairs), (grid3, pairs3)):
+        for jobs in (1, 3):
+            assert stitch(iter(good), g, (32, 32, 1), jobs=jobs).probs.min() == 0.25
+            assert threading.active_count() == threads
 
 
 def flat_pairs(grid, depth, value=0.25):
@@ -638,17 +663,39 @@ def test_stitch_names_missing_anchor_when_every_voxel_is_covered():
 
 
 def test_stitch_names_missing_anchor_after_windows_held_for_its_row():
-    """Windows of one array wait for the end of their anchor z's grid; the
+    """On a 3d grid, windows of one array wait for the end of the grid; the
     error still names the first anchor that never arrived, not the first one
     held."""
-    grid = plan_grid((48, 48), (16, 16), 0.5)
-    source = np.full((len(grid.anchors), 4, 16, 16), 0.25, dtype=np.float32)
+    grid = plan_grid((48, 48), (16, 16), 0.5, DepthMode.D3)
+    source = np.full((len(grid.anchors), 4, 2, 16, 16), 0.25, dtype=np.float32)
     pairs = [((x, y, 0), source[i]) for i, (x, y) in enumerate(grid.anchors)]
     missing = pairs.pop(grid.anchors.index((16, 16)))
     assert grid.anchors.index((16, 16)) > grid.anchors.index((0, 16))  # (0, 16) is held
     with pytest.raises(CoverageError, match="anchor \\(16, 16, 0\\)"):
-        stitch(pairs, grid, (48, 48, 1))
-    assert stitch(pairs + [missing], grid, (48, 48, 1)).probs.min() == 0.25
+        stitch(pairs, grid, (48, 48, 2))
+    assert stitch(pairs + [missing], grid, (48, 48, 2)).probs.min() == 0.25
+
+
+@pytest.mark.parametrize("mode", [DepthMode.D2, DepthMode.D25])
+def test_stitch_frees_a_planar_window_before_its_grid_ends(mode):
+    """On a one-plane grid a window of a larger array is summed as soon as
+    the anchors before it are in, so its array is freed before the grid's
+    last prediction arrives.  Only the prediction stitch has just taken may
+    still be alive when the next one is made."""
+    grid = plan_grid((48, 48), (16, 16), 0.5, mode)
+    bases = []
+
+    def pairs():
+        for x, y in grid.anchors:
+            assert all(base() is None for base in bases[:-1])
+            source = np.full((4, 17, 18), 0.25, dtype=np.float32)
+            bases.append(weakref.ref(source))
+            yield (x, y, 0), source[:, 1:, 2:]
+            del source
+
+    for jobs in (1, 3):
+        bases.clear()
+        assert stitch(pairs(), grid, (48, 48, 1), jobs=jobs).probs.min() == 0.25
 
 
 def test_stitch_takes_over_a_whole_volume_3d_prediction():
@@ -983,6 +1030,16 @@ def test_patch_sidecar_with_another_slab_radius_is_rejected(tmp_path):
     with pytest.raises(FormatError, match=re.escape(f"{sidecar} is not a valid patches sidecar")) as err:
         load_patches(tmp_path / "batch")
     assert "slab radius must be 1, got 2" in str(err.value)
+
+
+def test_spills_refuse_an_empty_batch(tmp_path):
+    grid = plan_grid((32, 32), (16, 16), 0.5)
+    empty = PatchBatch(np.zeros((0, 3), dtype=np.intp), np.zeros((0, 1, 16, 16), dtype=np.float32))
+    with pytest.raises(ValueError, match="refusing to spill an empty patches batch"):
+        save_patches(tmp_path / "batch", empty, grid)
+    with pytest.raises(ValueError, match="refusing to spill an empty predictions batch"):
+        save_predictions(tmp_path / "pred", [])
+    assert not list(tmp_path.iterdir())
 
 
 def test_prediction_spill_round_trip(tmp_path):

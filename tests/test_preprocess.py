@@ -284,6 +284,13 @@ def test_denoise_none_is_identity():
     assert out is image
 
 
+def test_denoise_rejects_an_image_that_is_not_2d():
+    for denoiser in ("gaussian", "nlm"):
+        for shape in ((16,), (2, 16, 16)):
+            with pytest.raises(ValueError, match=re.escape(f"expected a 2-D image, got shape {shape}")):
+                denoise(np.zeros(shape), PreprocessConfig(denoiser=denoiser))
+
+
 def test_denoise_constant_slice():
     image = np.full((16, 16), 0.3)
     for denoiser in ("gaussian", "nlm"):
