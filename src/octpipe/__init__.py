@@ -6,7 +6,6 @@ with cross-validation planning, and synthetic phantoms for verification."""
 from .backends import (
     Backend,
     TrainingConfig,
-    class_weights,
     external_backend,
     oracle_backend,
     threshold_backend,
@@ -57,7 +56,6 @@ __all__ = [
     "TrainingConfig",
     "ValidationError",
     "Vendor",
-    "class_weights",
     "close_all",
     "close_mask",
     "denoise",

@@ -1,4 +1,4 @@
-"""Pluggable batch predictors plus class-weighting and loss utilities.
+"""Pluggable batch predictors plus the training loss.
 
 A backend maps a :class:`PatchBatch` of N patches to one array of N
 per-class probability maps: (N, 4, h, w) for single-slice modes,
@@ -15,7 +15,7 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 from pathlib import Path
-from typing import Callable, Iterable
+from typing import Callable
 
 import numpy as np
 
@@ -122,15 +122,22 @@ def oracle_backend(truth: LabelVolume) -> Backend:
     return Backend(predict)
 
 
-def external_backend(prob_dir: str | Path, volume_id: str) -> Backend:
+def external_backend(prob_dir: str | Path, volume_id: str, dims: tuple[int, int, int]) -> Backend:
     """Crop windows out of ``volume_id``'s precomputed ``<volume_id>_prob.mhd``
-    in ``prob_dir``, read and validated here, once.  The backend serves that
-    one volume; asking it for another raises ValidationError.  The volume is
-    read-only, so its windows are copied, never taken over, by ``stitch``."""
+    in ``prob_dir``, read and validated here, once; its (w, h, d) must be
+    ``dims``, the working size of the image it predicts.  The backend serves
+    that one volume; asking it for another raises ValidationError.  The
+    volume is read-only, so its windows are copied, never taken over, by
+    ``stitch``."""
     path = prob_path(prob_dir, volume_id)
     if not path.exists():
         raise FileNotFoundError(f"no probability volume for '{volume_id}' at {path}")
     prob = read_prob(path)
+    if prob.dims != dims:
+        raise ValidationError(
+            f"probability volume for '{volume_id}' is {prob.dims} (w, h, d), "
+            f"not the working size {dims}"
+        )
     prob.validate()
     prob.probs.flags.writeable = False
 
@@ -140,34 +147,6 @@ def external_backend(prob_dir: str | Path, volume_id: str) -> Backend:
         return windows(prob.probs, batch.anchors, batch.data.shape[-2:], mode is not DepthMode.D3)
 
     return Backend(predict)
-
-
-def class_weights(train_labels: Iterable[LabelVolume] | LabelVolume | np.ndarray) -> np.ndarray:
-    """Median-frequency balancing weights over the 4 classes.
-
-    Frequencies are pooled over every supplied label volume, so the result
-    depends only on voxel composition, not on how the voxels are divided
-    into volumes.  Each present class gets median(present frequencies) /
-    own frequency; absent classes get the largest present weight so a stray
-    prediction of them is penalised at least as hard as any real class.
-    """
-    if isinstance(train_labels, (LabelVolume, np.ndarray)):
-        train_labels = [train_labels]
-    counts = np.zeros(N_CLASSES, dtype=np.int64)
-    for item in train_labels:
-        voxels = item.voxels if isinstance(item, LabelVolume) else np.asarray(item)
-        counts += np.bincount(voxels.reshape(-1).astype(np.int64), minlength=N_CLASSES)[:N_CLASSES]
-    total = counts.sum()
-    if total == 0:
-        raise ValidationError("cannot derive class weights from an empty label set")
-    freqs = counts.astype(np.float64) / total
-    present = counts > 0
-    ref = float(np.median(freqs[present]))
-    weights = np.zeros(N_CLASSES, dtype=np.float64)
-    weights[present] = ref / freqs[present]
-    if not present.all():
-        weights[~present] = float(weights[present].max())
-    return weights
 
 
 def weighted_cross_entropy(

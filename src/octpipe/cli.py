@@ -30,7 +30,14 @@ from .errors import ConfigError
 from .eval_harness.folds import make_folds, save_folds
 from .eval_harness.phantom import random_phantom
 from .eval_harness.report import load_report_csv, render_report
-from .eval_harness.runner import image_path, label_path, load_inventory, run_experiment
+from .eval_harness.runner import (
+    image_path,
+    label_path,
+    load_inventory,
+    matching_labels,
+    preprocess_pair,
+    run_experiment,
+)
 from .preprocess import default_slice_policy, filter_slices, preprocess_volume, resize_volume
 from .volume_io import prob_path, read_labels, read_volume, vendor_of, write_volume
 
@@ -92,12 +99,14 @@ def cmd_preprocess(args: argparse.Namespace, cfg: RunConfig) -> int:
     for vendor in sorted(inventory):
         for volume_id in sorted(inventory[vendor]):
             vol = read_volume(image_path(cfg.data_root, volume_id))
-            processed = preprocess_volume(vol, cfg.preprocess, target)
-            out_dir.mkdir(parents=True, exist_ok=True)
-            write_volume(processed, out_dir / f"{volume_id}.mhd")
             lpath = label_path(cfg.data_root, volume_id)
             if lpath.exists():
-                labels = resize_volume(read_labels(lpath), target)
+                vol, labels = preprocess_pair(vol, read_labels(lpath), cfg.preprocess, target)
+            else:
+                vol, labels = preprocess_volume(vol, cfg.preprocess, target), None
+            out_dir.mkdir(parents=True, exist_ok=True)
+            write_volume(vol, out_dir / f"{volume_id}.mhd")
+            if labels is not None:
                 write_volume(labels, out_dir / f"{volume_id}_labels.mhd")
             print(f"preprocessed {volume_id} -> {target[0]}x{target[1]}")
     _write_config_copy(cfg, out_dir)
@@ -149,7 +158,7 @@ def cmd_patchify(args: argparse.Namespace, cfg: RunConfig) -> int:
             if policy == "auto":
                 policy = default_slice_policy(vendor_of(native_dims))
             if policy == "diseased_only" and lpath.exists():
-                labels = resize_volume(read_labels(lpath), target)
+                labels = resize_volume(matching_labels(native, read_labels(lpath)), target)
                 slices = filter_slices(labels, "diseased_only")
             else:
                 slices = list(range(vol.dims[2]))
@@ -174,7 +183,7 @@ def cmd_stitch(args: argparse.Namespace, cfg: RunConfig) -> int:
             yield from pairs
 
     prob = patch_engine.stitch(
-        spilled(), cfg.grid(dims[:2]), dims, volume_id=args.volume, jobs=cfg.resolved_jobs
+        spilled(), cfg.grid(dims[:2]), dims[2], volume_id=args.volume, jobs=cfg.resolved_jobs
     )
     prob.validate()
     out_dir = cfg.output_dir / "predictions"

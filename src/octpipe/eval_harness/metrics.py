@@ -26,10 +26,6 @@ class ConfusionCounts:
             self.tp + other.tp, self.fp + other.fp, self.fn + other.fn, self.tn + other.tn
         )
 
-    @property
-    def total(self) -> int:
-        return self.tp + self.fp + self.fn + self.tn
-
 
 def _voxels(arr) -> np.ndarray:
     return arr.voxels if isinstance(arr, LabelVolume) else np.asarray(arr)

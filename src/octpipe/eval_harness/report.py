@@ -53,6 +53,10 @@ class ReportEntry:
             raise ValidationError(f"variant must be one of {VARIANTS}, got {self.variant!r}")
         if self.fluid not in FLUID_ORDER:
             raise ValidationError(f"fluid must be one of {FLUID_ORDER}, got {self.fluid!r}")
+        if self.fold < 0:
+            raise ValidationError(f"fold must be >= 0, got {self.fold}")
+        if self.n_volumes < 1:
+            raise ValidationError(f"n_volumes must be >= 1, got {self.n_volumes}")
 
 
 def _order(value: str, ordering: tuple[str, ...]) -> tuple[int, str]:
@@ -89,10 +93,7 @@ def _cell_value(cells: dict, key) -> float | None:
     got = cells.get(key)
     if not got:
         return None
-    total = sum(n for _v, n in got)
-    if total == 0:
-        return float(sum(v for v, _n in got) / len(got))
-    return float(sum(v * n for v, n in got) / total)
+    return float(sum(v * n for v, n in got) / sum(n for _v, n in got))
 
 
 def render_table(entries: list[ReportEntry], training: TrainingConfig | None = None) -> str:

@@ -83,10 +83,21 @@ def _stage(stage: str, volume_id: str, fn, *args, **kwargs):
         raise StageError(stage, volume_id, exc) from exc
 
 
+def matching_labels(vol: OctVolume, labels: LabelVolume) -> LabelVolume:
+    """``labels``, once they are known to label ``vol`` voxel for voxel: a
+    size unlike the image's raises ValidationError naming both."""
+    if labels.dims != vol.dims:
+        raise ValidationError(
+            f"labels of '{vol.volume_id}' are {labels.dims} (w, h, d), its image is {vol.dims}"
+        )
+    return labels
+
+
 def preprocess_pair(
     vol: OctVolume, labels: LabelVolume, cfg: PreprocessConfig, target: tuple[int, int]
 ) -> tuple[OctVolume, LabelVolume]:
-    """Bring an image and its labels to the working resolution together."""
+    """Bring an image and its labels, of one size, to the working size together."""
+    labels = matching_labels(vol, labels)
     return preprocess_volume(vol, cfg, target), resize_volume(labels, target)
 
 
@@ -142,7 +153,7 @@ def predict_volume(vol: OctVolume, backend: Backend, cfg: RunConfig) -> ProbVolu
     """
     grid = cfg.grid(vol.dims[:2])
     with closing(_predictions(vol, grid, backend, cfg.resolved_jobs)) as pairs:
-        return stitch(pairs, grid, vol.dims, volume_id=vol.volume_id, jobs=cfg.resolved_jobs)
+        return stitch(pairs, grid, vol.dims[2], volume_id=vol.volume_id, jobs=cfg.resolved_jobs)
 
 
 def segment_volume(vol: OctVolume, backend: Backend, cfg: RunConfig) -> LabelVolume:
@@ -163,7 +174,7 @@ def _backend_for(descriptor: str, volume_id: str, truth: LabelVolume) -> Backend
     if kind == "threshold":
         return threshold_backend()
     if kind == "external":
-        return external_backend(arg, volume_id)
+        return external_backend(arg, volume_id, truth.dims)
     return oracle_backend(truth)
 
 

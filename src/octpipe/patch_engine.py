@@ -244,11 +244,12 @@ def coverage_plane(grid: PatchGrid) -> np.ndarray:
 def stitch(
     patch_probs: Iterable[tuple[tuple[int, int, int], np.ndarray]],
     grid: PatchGrid,
-    dims: tuple[int, int, int],
+    depth: int,
     volume_id: str = "",
     jobs: int = 1,
 ) -> ProbVolume:
-    """Average per-patch class probabilities into a full probability volume.
+    """Average per-patch class probabilities into a probability volume of
+    ``depth`` slices, each the size of the grid's image.
 
     ``patch_probs`` is any iterable of (anchor, prediction) pairs, in any
     order, and is consumed once.  ``grid.depth_mode`` fixes every
@@ -287,16 +288,11 @@ def stitch(
     Raises :class:`CoverageError` for an anchor outside ``grid``, naming the
     grid's image size, patch size and stride, and for a voxel no patch
     covers, naming it (or, where every voxel is covered, the first anchor
-    that never arrived), and :class:`ValidationError` for
-    ``dims`` unlike the grid's image, an anchor z outside ``dims``, a 3d
-    anchor z other than 0, a prediction of the wrong shape, a repeated
-    anchor, or a non-finite result, naming the first bad voxel.
+    that never arrived), and :class:`ValidationError` for an anchor z
+    outside ``depth``, a 3d anchor z other than 0, a prediction of the
+    wrong shape, a repeated anchor, or a non-finite result, naming the
+    first bad voxel.
     """
-    width, height, depth = (int(v) for v in dims)
-    if (width, height) != grid.image_dims:
-        raise ValidationError(
-            f"grid was planned for image {grid.image_dims}, stitch dims are {(width, height)}"
-        )
     planes = depth if grid.depth_mode is DepthMode.D3 else 1
     probs, summed, waiting = _accumulate(patch_probs, grid, depth, planes, jobs)
     _check_complete(grid, depth, planes, summed, waiting)

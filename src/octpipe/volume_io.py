@@ -309,29 +309,30 @@ def read_prob(path: str | Path) -> ProbVolume:
     return ProbVolume(probs=data, volume_id=path.stem.removesuffix(_PROB_SUFFIX))
 
 
+# the array each kind of volume is written from, and its element type on disk
+_WRITTEN_AS = {
+    OctVolume: ("voxels", "MET_FLOAT"),
+    LabelVolume: ("voxels", "MET_UCHAR"),
+    ProbVolume: ("probs", "MET_FLOAT"),
+}
+
+
 def write_volume(vol: OctVolume | LabelVolume | ProbVolume, path: str | Path) -> None:
     """Write a volume as a MetaImage header plus companion raw file.
 
-    Intensity and probability volumes are stored as MET_FLOAT, labels as
-    MET_UCHAR.  Probability volumes are stored channel-major as a 4-D
-    MetaImage (DimSize = width height depth 4), so each class plane is a
-    contiguous x-fastest block.  The payload is written before its header,
-    so a failed payload write leaves no header pointing at it.
+    Each kind is stored with its ``_WRITTEN_AS`` element type.  Probability
+    volumes are stored channel-major as a 4-D MetaImage (DimSize = width
+    height depth 4), so each class plane is a contiguous x-fastest block.
+    The payload is written before its header, so a failed payload write
+    leaves no header pointing at it.
     """
     path = Path(path)
     if path.suffix != ".mhd":
         raise ValueError(f"volumes are written as .mhd header + raw pair, got {path.name}")
-    if isinstance(vol, ProbVolume):
-        data = vol.probs.astype("<f4", copy=False)
-        element_type = "MET_FLOAT"
-    elif isinstance(vol, LabelVolume):
-        data = vol.voxels.astype("<u1", copy=False)
-        element_type = "MET_UCHAR"
-    elif isinstance(vol, OctVolume):
-        data = vol.voxels.astype("<f4", copy=False)
-        element_type = "MET_FLOAT"
-    else:
+    if type(vol) not in _WRITTEN_AS:
         raise TypeError(f"cannot serialize object of type {type(vol).__name__}")
+    field, element_type = _WRITTEN_AS[type(vol)]
+    data = getattr(vol, field).astype(ELEMENT_DTYPES[element_type], copy=False)
 
     dim_size = " ".join(str(d) for d in reversed(data.shape))
     raw_name = path.stem + ".raw"

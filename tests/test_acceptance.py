@@ -96,7 +96,7 @@ def test_criterion_02_pipeline_round_trip():
                 batch = extract(vol, grid, z)
                 preds = backend.predict(batch, mode, "px")
                 pairs.extend((tuple(a), pr) for a, pr in zip(batch.anchors.tolist(), preds))
-        prob = stitch(pairs, grid, (384, 384, 16), volume_id="px")
+        prob = stitch(pairs, grid, 16, volume_id="px")
         pred = labelize(prob)
         np.testing.assert_array_equal(pred.voxels, truth.voxels)
         closed = close_all(pred, 1)
@@ -180,11 +180,11 @@ def test_criterion_05_stitch_determinism():
         for x, y in grid.anchors:
             raw = rng.random((4, 16, 16)).astype(np.float32)
             pairs.append(((x, y, z), raw / raw.sum(axis=0, keepdims=True)))
-    reference = stitch(pairs, grid, (64, 64, 4)).probs.tobytes()
+    reference = stitch(pairs, grid, 4).probs.tobytes()
     for _ in range(20):
         order = rng.permutation(len(pairs))
         shuffled = [pairs[i] for i in order]
-        assert stitch(shuffled, grid, (64, 64, 4)).probs.tobytes() == reference
+        assert stitch(shuffled, grid, 4).probs.tobytes() == reference
 
     vol = OctVolume(rng.random((8, 96, 96), dtype=np.float32), volume_id="jv")
     backend = threshold_backend()
@@ -334,7 +334,7 @@ def test_criterion_09_throughput():
     for z in range(128):
         for anchor in extract(vol, grid, z).anchors.tolist():
             pairs.append((tuple(anchor), flat))
-    prob = stitch(pairs, grid, (384, 384, 128), volume_id="big")
+    prob = stitch(pairs, grid, 128, volume_id="big")
     assert prob.probs.shape == (4, 128, 384, 384)
     assert float(prob.probs[0].min()) == 1.0
     elapsed = time.perf_counter() - start

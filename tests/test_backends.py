@@ -1,4 +1,4 @@
-"""Prediction backends, class weighting, and the training loss."""
+"""Prediction backends and the training loss."""
 
 import math
 from pathlib import Path
@@ -14,7 +14,6 @@ from octpipe.backends import (
     BANDS,
     Backend,
     TrainingConfig,
-    class_weights,
     external_backend,
     one_hot,
     oracle_backend,
@@ -162,7 +161,7 @@ def test_external_backend_round_trip(tmp_path):
     probs = raw / raw.sum(axis=0, keepdims=True)
     write_volume(ProbVolume(probs=probs, volume_id="case"), tmp_path / "case_prob.mhd")
 
-    backend = external_backend(tmp_path, "case")
+    backend = external_backend(tmp_path, "case", (16, 16, 3))
     grid = plan_grid((16, 16), (8, 8), 0.5)
     vol = OctVolume(voxels=np.zeros((3, 16, 16), np.float32), spacing=None, volume_id="case")
     batch = extract(vol, grid, z=2)
@@ -182,7 +181,7 @@ def test_external_backend_reads_its_volume_once_and_refuses_another_id(tmp_path,
         return read_prob(path)
 
     monkeypatch.setattr(backends, "read_prob", counted_read_prob)
-    backend = external_backend(tmp_path, "a")
+    backend = external_backend(tmp_path, "a", (4, 4, 1))
     assert reads == ["a_prob.mhd"]
     batch = PatchBatch(np.zeros((1, 3), int), np.zeros((1, 1, 4, 4), np.float32))
     for _ in range(3):
@@ -194,7 +193,7 @@ def test_external_backend_reads_its_volume_once_and_refuses_another_id(tmp_path,
 
 def test_external_backend_missing_file_names_volume(tmp_path):
     with pytest.raises(FileNotFoundError) as err:
-        external_backend(tmp_path, "ghost")
+        external_backend(tmp_path, "ghost", (4, 4, 1))
     assert "ghost" in str(err.value)
 
 
@@ -203,52 +202,7 @@ def test_external_backend_rejects_invalid_probabilities(tmp_path):
     bad[0] = 0.2
     write_volume(ProbVolume(probs=bad, volume_id="bad"), tmp_path / "bad_prob.mhd")
     with pytest.raises(ValidationError):
-        external_backend(tmp_path, "bad")
-
-
-def labels_of(counts):
-    """A label array holding exactly counts[c] voxels of class c."""
-    values = np.concatenate([np.full(n, c, dtype=np.uint8) for c, n in enumerate(counts)])
-    return LabelVolume(voxels=values.reshape(1, 1, -1), volume_id="w")
-
-
-def test_class_weights_median_frequency_example():
-    weights = class_weights(labels_of((900, 50, 25, 25)))
-    # frequencies (0.9, 0.05, 0.025, 0.025); median 0.0375
-    np.testing.assert_allclose(weights, [0.0375 / 0.9, 0.75, 1.5, 1.5])
-
-
-def test_class_weights_pooling_is_split_invariant():
-    a = labels_of((400, 30, 10, 10))
-    b = labels_of((500, 20, 15, 15))
-    merged = labels_of((900, 50, 25, 25))
-    np.testing.assert_allclose(class_weights([a, b]), class_weights(merged))
-
-
-def test_class_weights_absent_class_gets_max_present():
-    weights = class_weights(labels_of((900, 50, 50, 0)))
-    present = weights[:3]
-    assert weights[3] == present.max()
-
-
-def test_class_weights_uniform_counts():
-    np.testing.assert_allclose(class_weights(labels_of((10, 10, 10, 10))), np.ones(4))
-
-
-def test_class_weights_brute_force_random_counts():
-    rng = np.random.default_rng(6)
-    for _ in range(20):
-        counts = rng.integers(1, 200, size=4)
-        weights = class_weights(labels_of(tuple(int(c) for c in counts)))
-        freqs = counts / counts.sum()
-        expected = sorted(freqs)[1:3]
-        median = (expected[0] + expected[1]) / 2
-        np.testing.assert_allclose(weights, median / freqs)
-
-
-def test_class_weights_rejects_empty():
-    with pytest.raises(ValidationError):
-        class_weights([])
+        external_backend(tmp_path, "bad", (4, 4, 1))
 
 
 def test_weighted_cross_entropy_perfect_prediction():

@@ -15,7 +15,14 @@ from octpipe.eval_harness.report import load_report_csv
 from octpipe.eval_harness.runner import predict_volume
 from octpipe.patch_engine import DepthMode, plan_grid
 from octpipe.preprocess import filter_slices, preprocess_volume
-from octpipe.volume_io import ProbVolume, read_labels, read_prob, read_volume, write_volume
+from octpipe.volume_io import (
+    LabelVolume,
+    ProbVolume,
+    read_labels,
+    read_prob,
+    read_volume,
+    write_volume,
+)
 
 
 def run(capsys, *argv):
@@ -88,6 +95,7 @@ def test_synth_rejects_empty_vendor_list(tmp_path, capsys):
         ("--dims", "64x64"),
         ("--dims", "64x64x4x2"),
         ("--n-blobs", "0"),
+        ("--n-per-vendor", "0"),
     ],
 )
 def test_synth_bad_argument_is_usage_error(tmp_path, capsys, flag, value):
@@ -521,6 +529,48 @@ def test_evaluate_model_column_is_the_recorded_backend(
     assert models == {line.removeprefix("backend=")}
 
 
+@pytest.mark.parametrize(
+    "command, padded",
+    [("evaluate", "labels"), ("preprocess", "labels"), ("patchify", "labels"), ("evaluate", "probs")],
+)
+def test_a_volume_of_another_size_than_its_image_fails_before_writing(
+    make_dataset, tmp_path, capsys, command, padded
+):
+    """Labels or one-hot probabilities of cirrus_00 padded by 16 rows would
+    otherwise be resized apart from the image, or cropped, and scored,
+    written or filtered as if they matched."""
+    root, _, truths = make_dataset()
+    taller = np.pad(truths["cirrus_00"].voxels, ((0, 0), (0, 16), (0, 0)))
+    if padded == "labels":
+        write_volume(LabelVolume(taller), root / "labels" / "cirrus_00.mhd")
+    probs = tmp_path / "probs"
+    probs.mkdir()
+    for vid, truth in truths.items():
+        voxels = taller if padded == "probs" and vid == "cirrus_00" else truth.voxels
+        write_volume(ProbVolume(one_hot(voxels)), probs / f"{vid}_prob.mhd")
+    extra = {
+        "evaluate": ["--backend", f"external:{probs}", "--folds", "2", "--jobs", "1"],
+        "preprocess": [],
+        "patchify": ["--volume", "cirrus_00"],
+    }[command]
+    out_dir = tmp_path / "out"
+    rc, _, err = run(
+        capsys, command, *extra,
+        "--config", native_config(tmp_path), "--data-root", root, "--output-dir", out_dir,
+    )
+    message = {
+        "labels": "labels of 'cirrus_00' are (96, 112, 4) (w, h, d), its image is (96, 96, 4)",
+        "probs": "probability volume for 'cirrus_00' is (96, 112, 4) (w, h, d), "
+        "not the working size (96, 96, 4)",
+    }[padded]
+    if command == "evaluate":
+        stage = {"labels": "preprocess", "probs": "predict"}[padded]
+        message = f"stage '{stage}' failed for volume 'cirrus_00': {message}"
+    assert rc == 1
+    assert message in err
+    assert not [path for path in out_dir.rglob("*") if path.is_file()]
+
+
 def test_evaluate_repeat_runs_byte_identical(make_dataset, tmp_path, capsys):
     root, _, _ = make_dataset()
     cfg = native_config(tmp_path)
@@ -575,6 +625,28 @@ def test_report_merges_variants_with_f_before_p(make_dataset, tmp_path, capsys):
     assert len(merged) == 24
 
 
+@pytest.mark.parametrize(
+    "fold, n_volumes, message",
+    [("1", "-1", "n_volumes must be >= 1, got -1"), ("1", "0", "n_volumes must be >= 1, got 0"),
+     ("-1", "2", "fold must be >= 0, got -1")],
+)
+def test_report_rejects_a_row_that_names_no_volumes_or_no_fold(
+    tmp_path, capsys, fold, n_volumes, message
+):
+    """Weighted by its count, an IRF 0.6 row at n = -1 beside 0.8 at n = 2
+    would render as a plausible 1.00."""
+    csv_path = tmp_path / "in.csv"
+    csv_path.write_text(
+        "dimension,model,variant,vendor,fluid,dice,fold,n_volumes\n"
+        "2.5D,threshold,P,Cirrus,IRF,0.8,0,2\n"
+        f"2.5D,threshold,P,Cirrus,IRF,0.6,{fold},{n_volumes}\n"
+    )
+    rc, _, err = run(capsys, "report", csv_path, "--output-dir", tmp_path / "out")
+    assert rc == 1
+    assert message in err
+    assert not (tmp_path / "out").exists()
+
+
 def test_missing_data_root_is_usage_error(tmp_path, capsys):
     rc, _, err = run(capsys, "folds", "--output-dir", tmp_path / "out")
     assert rc == 2
@@ -597,12 +669,13 @@ def test_unknown_config_key_is_usage_error(make_dataset, tmp_path, capsys):
 def test_bad_config_value_is_usage_error(make_dataset, tmp_path, capsys):
     root, _, _ = make_dataset()
     cfg = tmp_path / "bad.cfg"
-    cfg.write_text("variant = Q\n")
     out_dir = tmp_path / "o"
-    rc, _, err = run(capsys, "folds", "--config", cfg, "--data-root", root, "--output-dir", out_dir)
-    assert rc == 2
-    assert "variant" in err
-    assert not (out_dir / "folds" / "run_config.txt").exists()
+    for key, value in (("variant", "Q"), ("training.shuffle_each_epoch", "perhaps")):
+        cfg.write_text(f"{key} = {value}\n")
+        rc, _, err = run(capsys, "folds", "--config", cfg, "--data-root", root, "--output-dir", out_dir)
+        assert rc == 2
+        assert key in err and value in err
+        assert not (out_dir / "folds" / "run_config.txt").exists()
 
 
 @pytest.mark.parametrize("flag, value", [("--jobs", "two"), ("--jobs", "-4"), ("--overlap", "1.5")])

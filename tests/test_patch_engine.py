@@ -90,13 +90,11 @@ def test_patch_batch_rejects_anchors_unlike_its_data():
             PatchBatch(anchors.astype(np.intp), rows)
 
 
-def test_extract_and_stitch_reject_a_grid_planned_for_other_dims():
+def test_extract_rejects_a_grid_planned_for_other_dims():
     vol = make_volume((32, 32, 2), seed=5)
     grid = plan_grid((32, 48), (16, 16), 0.5)
     with pytest.raises(ValueError, match=re.escape("grid was planned for image (32, 48), volume planes are (32, 32)")):
         extract(vol, grid, z=0)
-    with pytest.raises(ValidationError, match=re.escape("grid was planned for image (32, 48), stitch dims are (32, 32)")):
-        stitch([], grid, (32, 32, 2))
 
 
 @settings(max_examples=200, deadline=None)
@@ -254,7 +252,7 @@ def test_backend_batch_rows_equal_single_patch_predictions(tmp_path_factory, cas
     raw = rng.random((4, *vol.voxels.shape)).astype(np.float32)
     prob_dir = tmp_path_factory.mktemp("probs")
     write_volume(ProbVolume(raw / raw.sum(axis=0), volume_id="v"), prob_dir / "v_prob.mhd")
-    backends = (threshold_backend(), oracle_backend(truth), external_backend(prob_dir, "v"))
+    backends = (threshold_backend(), oracle_backend(truth), external_backend(prob_dir, "v", vol.dims))
     for z in slices:
         batch = extract(vol, grid, z)
         for backend in backends:
@@ -407,7 +405,7 @@ def test_stitch_constant_consensus():
         p = np.zeros((4, 32, 32), dtype=np.float32)
         p[0] = 1.0
         preds.append(((x, y, 0), p))
-    prob = stitch(preds, grid, (64, 64, 1))
+    prob = stitch(preds, grid, 1)
     np.testing.assert_array_equal(prob.probs[0], 1.0)
     prob.validate()
 
@@ -419,7 +417,7 @@ def test_stitch_mean_of_sixteen_interior_covers():
         p = np.zeros((4, 128, 128), dtype=np.float32)
         p[1] = 1.0
         preds.append(((x, y, 0), p))
-    prob = stitch(preds, grid, (384, 384, 1))
+    prob = stitch(preds, grid, 1)
     assert prob.probs[1, 0, 200, 200] == 1.0
     np.testing.assert_allclose(prob.probs.sum(axis=0), 1.0, atol=1e-6)
 
@@ -432,10 +430,10 @@ def test_stitch_permutation_invariant_bitwise():
         for x, y in grid.anchors:
             raw = rng.random((4, 16, 16)).astype(np.float32)
             preds.append(((x, y, z), raw / raw.sum(axis=0, keepdims=True)))
-    base = stitch(preds, grid, (48, 48, 2))
+    base = stitch(preds, grid, 2)
     for seed in range(5):
         order = np.random.default_rng(seed).permutation(len(preds))
-        again = stitch([preds[i] for i in order], grid, (48, 48, 2))
+        again = stitch([preds[i] for i in order], grid, 2)
         np.testing.assert_array_equal(base.probs, again.probs)
 
 
@@ -447,10 +445,10 @@ def test_stitch_reports_uncovered_voxel():
         p[0] = 1.0
         preds.append(((x, y, 0), p))
     with pytest.raises(CoverageError) as err:
-        stitch(preds[:-1], grid, (32, 32, 1))
+        stitch(preds[:-1], grid, 1)
     assert "voxel (x=16, y=16, z=0)" in str(err.value)
     with pytest.raises(CoverageError) as err:
-        stitch(preds, grid, (32, 32, 2))  # z=1 never predicted
+        stitch(preds, grid, 2)  # z=1 never predicted
     assert "voxel (x=0, y=0, z=1)" in str(err.value)
 
 
@@ -458,7 +456,7 @@ def test_stitch_rejects_anchor_not_in_grid():
     grid = plan_grid((32, 32), (16, 16), 0.0)
     p = np.full((4, 16, 16), 0.25, dtype=np.float32)
     with pytest.raises(CoverageError):
-        stitch([((3, 3, 0), p)], grid, (32, 32, 1))
+        stitch([((3, 3, 0), p)], grid, 1)
 
 
 def reference_stitch(pairs, grid, dims):
@@ -520,7 +518,7 @@ def stitch_inputs(draw):
 def test_stitch_matches_reference_in_any_order(case):
     grid, dims, pairs, shuffled = case
     expected = reference_stitch(pairs, grid, dims)
-    assert stitch(iter(shuffled), grid, dims).probs.tobytes() == expected.tobytes()
+    assert stitch(iter(shuffled), grid, dims[2]).probs.tobytes() == expected.tobytes()
 
 
 @st.composite
@@ -556,8 +554,8 @@ def threaded_stitch_inputs(draw):
 def test_stitch_is_bit_identical_at_every_jobs_and_order(case):
     grid, dims, pairs, shuffled, jobs = case
     threads = threading.active_count()
-    expected = stitch(iter(pairs), grid, dims, jobs=1).probs.tobytes()
-    assert stitch(iter(shuffled), grid, dims, jobs=jobs).probs.tobytes() == expected
+    expected = stitch(iter(pairs), grid, dims[2], jobs=1).probs.tobytes()
+    assert stitch(iter(shuffled), grid, dims[2], jobs=jobs).probs.tobytes() == expected
     assert threading.active_count() == threads
 
 
@@ -580,11 +578,11 @@ def test_stitch_errors_are_alike_at_every_jobs_and_leave_no_thread():
     for g, bad, message in cases:
         for jobs in (1, 3):
             with pytest.raises(ValidationError, match=f"^{re.escape(message)}$"):
-                stitch(iter(bad), g, (32, 32, 1), jobs=jobs)
+                stitch(iter(bad), g, 1, jobs=jobs)
             assert threading.active_count() == threads
     for g, good in ((grid, pairs), (grid3, pairs3)):
         for jobs in (1, 3):
-            assert stitch(iter(good), g, (32, 32, 1), jobs=jobs).probs.min() == 0.25
+            assert stitch(iter(good), g, 1, jobs=jobs).probs.min() == 0.25
             assert threading.active_count() == threads
 
 
@@ -603,15 +601,15 @@ def test_stitch_rejects_anchor_z_outside_depth():
     for z in (-1, 1):
         (x, y, _), pred = pairs[0]
         with pytest.raises(ValidationError, match=f"anchor \\(0, 0, {z}\\)"):
-            stitch(pairs[1:] + [((x, y, z), pred)], grid, (32, 32, 1))
+            stitch(pairs[1:] + [((x, y, z), pred)], grid, 1)
 
 
 def test_stitch_rejects_prediction_of_wrong_shape():
     grid = plan_grid((16, 16), (16, 16), 0.0)
     with pytest.raises(ValidationError, match="shape"):
-        stitch([((0, 0, 0), np.full((4, 8, 8), 0.25, dtype=np.float32))], grid, (16, 16, 1))
+        stitch([((0, 0, 0), np.full((4, 8, 8), 0.25, dtype=np.float32))], grid, 1)
     with pytest.raises(ValidationError, match="shape"):
-        stitch([((0, 0, 0), np.full((3, 16, 16), 0.25, dtype=np.float32))], grid, (16, 16, 1))
+        stitch([((0, 0, 0), np.full((3, 16, 16), 0.25, dtype=np.float32))], grid, 1)
 
 
 def test_stitch_takes_the_prediction_shape_from_the_depth_mode():
@@ -627,9 +625,9 @@ def test_stitch_takes_the_prediction_shape_from_the_depth_mode():
     )
     for grid, anchor, pred, message in rejected:
         with pytest.raises(ValidationError, match=message):
-            stitch([(anchor, pred)], grid, (16, 16, 3))
-    expected = stitch([((0, 0, z), block[:, z]) for z in range(3)], d2, (16, 16, 3)).probs
-    np.testing.assert_array_equal(stitch([((0, 0, 0), block)], d3, (16, 16, 3)).probs, expected)
+            stitch([(anchor, pred)], grid, 3)
+    expected = stitch([((0, 0, z), block[:, z]) for z in range(3)], d2, 3).probs
+    np.testing.assert_array_equal(stitch([((0, 0, 0), block)], d3, 3).probs, expected)
 
 
 def test_stitch_rejects_repeated_anchor():
@@ -638,7 +636,7 @@ def test_stitch_rejects_repeated_anchor():
     # once after the anchor was summed, once while it waits for an earlier one
     for repeated in (pairs[:2] + pairs[1:], pairs[1:2] + pairs[1:]):
         with pytest.raises(ValidationError, match="anchor \\(16, 0, 0\\) arrived twice"):
-            stitch(repeated, grid, (32, 32, 1))
+            stitch(repeated, grid, 1)
 
 
 def test_stitch_rejects_non_finite_output():
@@ -650,7 +648,7 @@ def test_stitch_rejects_non_finite_output():
     pairs[-1] = (anchor, bad)
     x, y, z = anchor
     with pytest.raises(ValidationError, match=f"voxel \\(x={x + 5}, y={y + 3}, z={z}\\)"):
-        stitch(pairs, grid, (32, 32, 2))
+        stitch(pairs, grid, 2)
 
 
 def test_stitch_names_missing_anchor_when_every_voxel_is_covered():
@@ -659,7 +657,7 @@ def test_stitch_names_missing_anchor_when_every_voxel_is_covered():
     missing = pairs.pop(grid.anchors.index((16, 16)))
     assert missing[0] == (16, 16, 0)
     with pytest.raises(CoverageError, match="anchor \\(16, 16, 0\\)"):
-        stitch(pairs, grid, (48, 48, 1))
+        stitch(pairs, grid, 1)
 
 
 def test_stitch_names_missing_anchor_after_windows_held_for_its_row():
@@ -672,8 +670,8 @@ def test_stitch_names_missing_anchor_after_windows_held_for_its_row():
     missing = pairs.pop(grid.anchors.index((16, 16)))
     assert grid.anchors.index((16, 16)) > grid.anchors.index((0, 16))  # (0, 16) is held
     with pytest.raises(CoverageError, match="anchor \\(16, 16, 0\\)"):
-        stitch(pairs, grid, (48, 48, 2))
-    assert stitch(pairs + [missing], grid, (48, 48, 2)).probs.min() == 0.25
+        stitch(pairs, grid, 2)
+    assert stitch(pairs + [missing], grid, 2).probs.min() == 0.25
 
 
 @pytest.mark.parametrize("mode", [DepthMode.D2, DepthMode.D25])
@@ -695,7 +693,7 @@ def test_stitch_frees_a_planar_window_before_its_grid_ends(mode):
 
     for jobs in (1, 3):
         bases.clear()
-        assert stitch(pairs(), grid, (48, 48, 1), jobs=jobs).probs.min() == 0.25
+        assert stitch(pairs(), grid, 1, jobs=jobs).probs.min() == 0.25
 
 
 def test_stitch_takes_over_a_whole_volume_3d_prediction():
@@ -709,7 +707,7 @@ def test_stitch_takes_over_a_whole_volume_3d_prediction():
     expected = np.zeros_like(block) + block
     assert np.signbit(block).any() and not np.signbit(expected).any()
     owned = block.copy()
-    prob = stitch([((0, 0, 0), owned)], grid, (16, 16, 3))
+    prob = stitch([((0, 0, 0), owned)], grid, 3)
     assert prob.probs is owned
     assert prob.probs.tobytes() == expected.tobytes()
     read_only = block.copy()
@@ -717,7 +715,7 @@ def test_stitch_takes_over_a_whole_volume_3d_prediction():
     strided = np.repeat(block, 2, axis=-1)[..., ::2]
     for pred in (read_only, block.astype(np.float64), strided):
         before = pred.tobytes()
-        prob = stitch([((0, 0, 0), pred)], grid, (16, 16, 3))
+        prob = stitch([((0, 0, 0), pred)], grid, 3)
         assert not np.shares_memory(prob.probs, pred)
         assert prob.probs.tobytes() == expected.tobytes()
         assert pred.tobytes() == before
@@ -744,7 +742,7 @@ def test_stitch_whole_volume_3d_errors_keep_their_messages():
     )
     for pairs, error, message in cases:
         with pytest.raises(error, match=f"^{re.escape(message)}$"):
-            stitch(pairs, grid, (16, 16, 3))
+            stitch(pairs, grid, 3)
 
 
 def test_labelize_rules():
@@ -1000,7 +998,7 @@ def test_oracle_round_trip_all_depth_modes():
             for z in range(4):
                 for x, y in grid.anchors:
                     preds.append(((x, y, z), one_hot_patch(voxels[z, y : y + 16, x : x + 16])))
-        prob = stitch(preds, grid, (48, 48, 4))
+        prob = stitch(preds, grid, 4)
         np.testing.assert_array_equal(labelize(prob).voxels, labels.voxels)
 
 
@@ -1054,8 +1052,8 @@ def test_prediction_spill_round_trip(tmp_path):
     assert [a for a, _ in loaded] == [a for a, _ in preds]
     for (_, a), (_, b) in zip(preds, loaded):
         np.testing.assert_array_equal(a, b)
-    base = stitch(preds, grid, (32, 32, 1))
-    again = stitch(loaded, grid, (32, 32, 1))
+    base = stitch(preds, grid, 1)
+    again = stitch(loaded, grid, 1)
     np.testing.assert_array_equal(base.probs, again.probs)
 
 

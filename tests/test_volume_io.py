@@ -195,6 +195,22 @@ def test_label_value_out_of_range_rejected(tmp_path):
 def test_label_volume_constructor_rejects_bad_alphabet():
     with pytest.raises(ValidationError):
         LabelVolume(voxels=np.full((1, 2, 2), 9, dtype=np.uint8), volume_id="bad")
+    with pytest.raises(ValueError, match=re.escape("label volume must be 3-D, got shape (2, 2)")):
+        LabelVolume(voxels=np.zeros((2, 2), dtype=np.uint8), volume_id="flat")
+
+
+@pytest.mark.parametrize(
+    "name, vol, error, message",
+    [
+        ("v.raw", OctVolume(np.zeros((1, 2, 2))), ValueError,
+         "volumes are written as .mhd header + raw pair, got v.raw"),
+        ("v.mhd", np.zeros((1, 2, 2)), TypeError, "cannot serialize object of type ndarray"),
+    ],
+)
+def test_write_volume_refuses_another_path_or_object(tmp_path, name, vol, error, message):
+    with pytest.raises(error, match=re.escape(message)):
+        write_volume(vol, tmp_path / name)
+    assert not list(tmp_path.iterdir())
 
 
 def test_malformed_headers_rejected(tmp_path):
@@ -374,6 +390,31 @@ def test_non_numeric_header_field_is_a_format_error(tmp_path, field, line):
     with pytest.raises(FormatError) as err:
         read_volume(path)
     assert str(path) in str(err.value) and field in str(err.value)
+
+
+@pytest.mark.parametrize(
+    "read, lines, payload, message",
+    [
+        (read_volume, ["DimSize = 2 4"], 8, "DimSize has 2 entries for NDims=3"),
+        (read_volume, ["DimSize = 2 0 4"], 8, "non-positive DimSize [2, 0, 4]"),
+        (read_volume, ["Comment = caf\u00e9"], 8, "non-ASCII bytes in header"),
+        (read_labels, ["ElementType = MET_FLOAT"], 32, "label payload must be an unsigned integer type"),
+        (read_prob, ["NDims = 4", "DimSize = 2 2 2 3", "ElementType = MET_FLOAT"], 96,
+         "expected 4 channels, got 3"),
+    ],
+)
+def test_header_that_does_not_fit_its_reader_names_the_file(tmp_path, read, lines, payload, message):
+    """Each line replaces the header line of its key, or is added; the
+    payload holds ``payload`` bytes, as many as the header asks for."""
+    header = header_for((2, 2, 2), "MET_UCHAR")
+    for line in lines:
+        key = line.partition("=")[0]
+        header = [l for l in header if not l.startswith(key)] + [line]
+    path = tmp_path / "case.mhd"
+    path.write_bytes(("\n".join(header + ["ElementDataFile = case.raw"]) + "\n").encode("utf-8"))
+    path.with_suffix(".raw").write_bytes(bytes(payload))
+    with pytest.raises(FormatError, match=re.escape(f"{path}: {message}")):
+        read(path)
 
 
 def test_header_key_given_twice_is_a_format_error(tmp_path):
