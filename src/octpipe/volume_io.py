@@ -320,18 +320,20 @@ _WRITTEN_AS = {
 def write_volume(vol: OctVolume | LabelVolume | ProbVolume, path: str | Path) -> None:
     """Write a volume as a MetaImage header plus companion raw file.
 
-    Each kind is stored with its ``_WRITTEN_AS`` element type.  Probability
-    volumes are stored channel-major as a 4-D MetaImage (DimSize = width
-    height depth 4), so each class plane is a contiguous x-fastest block.
+    Each kind, or a subclass of it, is stored with its ``_WRITTEN_AS``
+    element type.  Probability volumes are stored channel-major as a 4-D
+    MetaImage (DimSize = width height depth 4), so each class plane is a
+    contiguous x-fastest block.
     The payload is written before its header, so a failed payload write
     leaves no header pointing at it.
     """
     path = Path(path)
     if path.suffix != ".mhd":
         raise ValueError(f"volumes are written as .mhd header + raw pair, got {path.name}")
-    if type(vol) not in _WRITTEN_AS:
+    written = next((w for kind, w in _WRITTEN_AS.items() if isinstance(vol, kind)), None)
+    if written is None:
         raise TypeError(f"cannot serialize object of type {type(vol).__name__}")
-    field, element_type = _WRITTEN_AS[type(vol)]
+    field, element_type = written
     data = getattr(vol, field).astype(ELEMENT_DTYPES[element_type], copy=False)
 
     dim_size = " ".join(str(d) for d in reversed(data.shape))

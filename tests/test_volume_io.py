@@ -213,6 +213,16 @@ def test_write_volume_refuses_another_path_or_object(tmp_path, name, vol, error,
     assert not list(tmp_path.iterdir())
 
 
+def test_write_volume_writes_a_subclass_as_its_base(tmp_path):
+    class Annotated(LabelVolume):
+        pass
+
+    voxels = np.array([[[0, 1], [2, 3]]], dtype=np.uint8)
+    write_volume(Annotated(voxels=voxels, volume_id="sub"), tmp_path / "sub.mhd")
+    assert "ElementType = MET_UCHAR" in (tmp_path / "sub.mhd").read_text()
+    np.testing.assert_array_equal(read_labels(tmp_path / "sub.mhd").voxels, voxels)
+
+
 def test_malformed_headers_rejected(tmp_path):
     payload = np.zeros(8, dtype=np.uint8).tobytes()
 
