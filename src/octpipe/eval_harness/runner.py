@@ -3,13 +3,13 @@
 A run walks one fold's test volumes: read, preprocess to the working
 resolution, predict (whole image for variant F, overlapping patches for
 variant P), stitch, arg-max, close, score against the preprocessed truth.
-Prediction streams: ``jobs`` worker threads each take one slice (one patch
-in 3D), with a bounded number in flight, cut it into batches of one grid-row
-run each, as read-only views of the volume, and predict them; ``stitch``
-sums each prediction into the output volume on the calling thread as it
-arrives, in canonical anchor order (only the sum that completes a 3D grid is
-split by class over up to ``jobs`` threads), so results never depend on the
-worker count.  Each volume is scored with one confusion count per fluid.
+Prediction streams: ``jobs`` worker threads each take one grid-row run of
+one slice (one patch in 3D), with a bounded number in flight, cut it as one
+batch, a read-only view of the volume, and predict it; ``stitch`` sums each
+prediction into the output volume on the calling thread as it arrives, in
+canonical anchor order (only the sum that completes a 3D grid is split by
+class over up to ``jobs`` threads), so results never depend on the worker
+count.  Each volume is scored with one confusion count per fluid.
 """
 
 from __future__ import annotations
@@ -106,27 +106,24 @@ def _predictions(
 ) -> Iterator[tuple[tuple[int, int, int], np.ndarray]]:
     """Yield (anchor, prediction) pairs in canonical order.
 
-    Each slice, or in 3d each full-depth patch on its own, is one task for
-    ``jobs`` threads, which run while the caller consumes earlier tasks.  A
-    task extracts its slice one run of :func:`grid_runs` at a time, as a
-    read-only view of the volume, and runs ``backend.predict`` on each run's
-    batch, so no patch is copied and the caller's thread only stitches.  At
-    most ``jobs + 1`` tasks are in flight, so memory does not grow with the
-    depth or the anchor count.
+    Each run of :func:`grid_runs` at each slice, or in 3d each full-depth
+    patch on its own, is one task for ``jobs`` threads, which run while the
+    caller consumes earlier tasks.  A task extracts its run as a read-only
+    view of the volume and runs ``backend.predict`` on that one batch, so no
+    patch is copied and the caller's thread only stitches.  At most
+    ``jobs + 1`` tasks are in flight, so memory does not grow with the
+    depth, the anchor count or the anchors per slice.
     """
     mode = grid.depth_mode
     if mode is DepthMode.D3:
-        tasks = [(0, [slice(i, i + 1)]) for i in range(len(grid.anchors))]
+        tasks = [(0, slice(i, i + 1)) for i in range(len(grid.anchors))]
     else:
         runs = grid_runs(grid)
-        tasks = [(z, runs) for z in range(vol.dims[2])]
+        tasks = [(z, run) for z in range(vol.dims[2]) for run in runs]
 
-    def predict(z: int, runs: list[slice]) -> list:
-        pairs = []
-        for which in runs:
-            batch = extract(vol, grid, z, which)
-            pairs += zip(map(tuple, batch.anchors.tolist()), backend.predict(batch, mode, vol.volume_id))
-        return pairs
+    def predict(z: int, which: slice) -> zip:
+        batch = extract(vol, grid, z, which)
+        return zip(map(tuple, batch.anchors.tolist()), backend.predict(batch, mode, vol.volume_id))
 
     with ThreadPoolExecutor(max_workers=jobs) as pool:
         in_flight: deque = deque()
@@ -145,11 +142,12 @@ def predict_volume(vol: OctVolume, backend: Backend, cfg: RunConfig) -> ProbVolu
     one image-sized patch for variant F.  ``stitch`` drives the
     prediction stream directly, summing each batch into the output volume as
     it arrives, so no list of a volume's predictions is ever built; at most
-    ``cfg.resolved_jobs + 1`` tasks (slices, or single patches in 3d) are in
-    flight on ``cfg.resolved_jobs`` threads that extract and predict, which
-    also share the sum that completes a 3d grid.  In 2d and 2.5d a backend
-    gets one batch per run of a grid row, a read-only view of the volume.
-    The result is bit-identical for every ``cfg.jobs``.
+    ``cfg.resolved_jobs + 1`` tasks (grid-row runs of one slice, or single
+    patches in 3d) are in flight on ``cfg.resolved_jobs`` threads that
+    extract and predict, which also share the sum that completes a 3d grid.
+    In 2d and 2.5d a backend gets one batch per run of a grid row, a
+    read-only view of the volume.  The result is bit-identical for every
+    ``cfg.jobs``.
     """
     grid = cfg.grid(vol.dims[:2])
     with closing(_predictions(vol, grid, backend, cfg.resolved_jobs)) as pairs:

@@ -4,7 +4,7 @@ Patch anchors are (x, y) top-left corners in image coordinates.  Patches travel
 as one :class:`PatchBatch`: (N, 3) anchors and (N, planes, h, w) data, cut by
 the single window rule in :func:`windows`.  The anchors of one run (one grid
 row's stride-spaced part, or its edge-aligned anchor, per :func:`grid_runs`)
-are cut as one read-only strided view of the volume, so extraction copies no
+are cut as one read-only view of the volume, so extraction copies no
 patch.  Per-patch predictions are class-first, and the grid's depth mode
 fixes their shape: a 2-D map (4, h, w) at each slice in 2d and 2.5d, one 3-D
 block (4, depth, h, w) anchored at z = 0 in 3d.  Stitching streams: it takes
@@ -27,6 +27,7 @@ run one slice at a time, so none allocates a temporary the size of the volume.
 from __future__ import annotations
 
 import enum
+import functools
 import json
 from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass
@@ -34,7 +35,7 @@ from pathlib import Path
 from typing import Iterable
 
 import numpy as np
-from numpy.lib.stride_tricks import sliding_window_view
+from numpy.lib.stride_tricks import as_strided
 
 from .errors import CoverageError, FormatError, ValidationError
 from .volume_io import FLUIDS, N_CLASSES, FluidClass, LabelVolume, OctVolume, ProbVolume
@@ -77,6 +78,11 @@ class PatchGrid:
     anchors: tuple[tuple[int, int], ...]
     image_dims: tuple[int, int]
     depth_mode: DepthMode = DepthMode.D2
+
+    @functools.cached_property
+    def _cuts(self) -> dict:
+        """:func:`extract`'s anchors and run for each ``which``, planned on first use."""
+        return {}
 
 
 def _axis_anchors(length: int, patch: int, stride: int) -> list[int]:
@@ -158,9 +164,9 @@ def windows(array: np.ndarray, anchors, size: tuple[int, int], at_z: bool = Fals
     dropped; otherwise z is ignored and every leading axis is kept.  Returns
     (N, *leading, h, w).  Anchors that form one run (one y, one z with
     ``at_z``, and x strictly increasing by one constant step; a single
-    window is a run) give a read-only strided view of ``array``; any other
-    set gives the windows stacked into one copy.  Raises IndexError naming
-    the first window that leaves ``array``.
+    window is a run) give a read-only view of ``array`` (see
+    :func:`_run_view`); any other set gives the windows stacked into one
+    copy.  Raises IndexError naming the first window that leaves ``array``.
     """
     anchors = np.asarray(anchors)
     h, w = size
@@ -173,17 +179,36 @@ def windows(array: np.ndarray, anchors, size: tuple[int, int], at_z: bool = Fals
             f"{w}x{h} window at {tuple(anchors[np.argmax(bad)].tolist())} "
             f"falls outside array of shape {array.shape}"
         )
-    step = int(x[1] - x[0]) if len(x) > 1 else 1
-    run = len(x) and step > 0 and (np.diff(x) == step).all() and (y == y[0]).all()
-    if run and (not at_z or (z == z[0]).all()):
-        plane = array[..., z[0], :, :] if at_z else array
-        view = sliding_window_view(plane, (h, w), axis=(-2, -1))
-        return np.moveaxis(view[..., y[0], x[0] : x[-1] + 1 : step, :, :], -3, 0)
+    run = _run(anchors, at_z)
+    if run is not None:
+        return _run_view(array[..., z[0], :, :] if at_z else array, run, size)
     cut = [
         (array[..., z, :, :] if at_z else array)[..., y : y + h, x : x + w]
         for x, y, z in anchors.tolist()
     ]
     return np.stack(cut)
+
+
+def _run(anchors: np.ndarray, at_z: bool) -> tuple[int, int, int, int] | None:
+    """(x, y, step, n) of the run the (n, 3) ``anchors`` form, or None."""
+    x, y, z = anchors.T
+    step = int(x[1] - x[0]) if len(x) > 1 else 1
+    run = len(x) and step > 0 and (np.diff(x) == step).all() and (y == y[0]).all()
+    if run and (not at_z or (z == z[0]).all()):
+        return int(x[0]), int(y[0]), step, len(x)
+    return None
+
+
+def _run_view(plane: np.ndarray, run: tuple[int, int, int, int], size: tuple[int, int]) -> np.ndarray:
+    """The (h, w) = ``size`` windows of ``run`` = (x, y, step, n), already
+    bounds-checked, in ``plane`` as one read-only (n, *leading, h, w) view: a
+    basic slice, whose base is ``plane``'s, for one window, else strided."""
+    x, y, step, n = run
+    corner = plane[..., y : y + size[0], x : x + size[1]]
+    strides = (step * corner.strides[-1], *corner.strides)
+    view = corner[None] if n == 1 else as_strided(corner, (n, *corner.shape), strides)
+    view.flags.writeable = False
+    return view
 
 
 def grid_runs(grid: PatchGrid) -> list[slice]:
@@ -204,10 +229,12 @@ def extract(vol: OctVolume, grid: PatchGrid, z: int = 0, which: slice = slice(No
     2d patches carry the single plane ``z``; 2.5d patches carry the slab
     ``z-SLAB_RADIUS .. z+SLAB_RADIUS`` with edge replication, so the centre plane always
     equals the 2d patch at the same anchor; 3d patches span every plane.
-    The data is cut by :func:`windows`, so the patches of one run (such as
-    one of :func:`grid_runs`) are a read-only view of ``vol.voxels``, or,
-    for a 2.5d slab that crosses the volume's edge, of its edge-replicated
-    copy.
+    The data is cut as :func:`windows` cuts it, so the patches of one run
+    (such as one of :func:`grid_runs`) are a read-only view of
+    ``vol.voxels``, or, for a 2.5d slab that crosses the volume's edge, of
+    its edge-replicated copy.  What depends only on the grid and ``which``
+    (the anchor array, the bounds check, whether the anchors form a run) is
+    worked out once per grid and ``which``, on its first call.
     """
     voxels = vol.voxels
     depth, height, width = voxels.shape
@@ -226,9 +253,17 @@ def extract(vol: OctVolume, grid: PatchGrid, z: int = 0, which: slice = slice(No
             stack = voxels[z - radius : z + radius + 1]
         else:  # edge replication: plane indices are clipped at the volume boundary
             stack = voxels[np.clip(np.arange(z - radius, z + radius + 1), 0, depth - 1)]
-    xy = np.array(grid.anchors[which], dtype=np.intp).reshape(-1, 2)
-    anchors = np.column_stack([xy, np.full(len(xy), z, dtype=np.intp)])
-    return PatchBatch(anchors, windows(stack, anchors, (grid.patch_h, grid.patch_w)))
+    key = which.indices(len(grid.anchors))
+    if key not in grid._cuts:  # a run whose windows all lie inside the image skips windows' checks
+        xy = np.array(grid.anchors[which], dtype=np.intp).reshape(-1, 2)
+        inside = len(xy) and xy.min() >= 0 and (xy + (grid.patch_w, grid.patch_h) <= grid.image_dims).all()
+        anchors = np.column_stack([xy, np.zeros(len(xy), dtype=np.intp)])
+        grid._cuts[key] = anchors, _run(anchors, False) if inside else None
+    planned, run = grid._cuts[key]
+    anchors = planned.copy()
+    anchors[:, 2] = z
+    size = (grid.patch_h, grid.patch_w)
+    return PatchBatch(anchors, _run_view(stack, run, size) if run else windows(stack, anchors, size))
 
 
 def coverage_plane(grid: PatchGrid) -> np.ndarray:

@@ -39,7 +39,7 @@ from octpipe.eval_harness import (
 from octpipe.eval_harness import metrics
 from octpipe.eval_harness.phantom import _paint_labels
 from octpipe.eval_harness.runner import label_path
-from octpipe.patch_engine import DepthMode, close_all, extract, labelize, plan_grid
+from octpipe.patch_engine import DepthMode, close_all, extract, grid_runs, labelize, plan_grid
 from octpipe.preprocess import PreprocessConfig
 from octpipe.volume_io import FLUIDS, FluidClass, LabelVolume, ProbVolume, write_volume
 
@@ -810,12 +810,14 @@ def test_segment_volume_frees_the_probabilities_before_closing(monkeypatch):
 
 @pytest.mark.parametrize("jobs", [1, 2, 3])
 def test_predict_volume_2_5d_peak_has_no_room_for_extracted_patches(jobs):
-    """2.5D P on 64x64x16, patch 16, overlap 0.75: 169 patches per slice,
-    whose predictions, one "slice" here, are 0.68 MB and whose slabs would
-    be 0.52 MB if copied.  Patches are views of the volume, so beyond the
-    output only the slice being stitched and the ``jobs + 1`` slices in
-    flight are alive; extracting copies, as a task's or the caller's slabs,
-    does not fit."""
+    """2.5D P on 64x64x16, patch 16, overlap 0.75: 13 runs of 13 patches per
+    slice, whose predictions are 53 KB a run and 0.68 MB a slice, and whose
+    slabs would be 0.52 MB a slice if copied.  Patches are views of the
+    volume and each task is one run, so beyond the output only the run being
+    stitched and the ``jobs + 1`` runs in flight are alive, plus slack: per
+    predict thread, the slab copy of an edge slice (48 KB) and the backend's
+    working buffers, and a fixed 256 KB.  Holding a slice's predictions per
+    task, or copying a slice's patches, does not fit."""
     import tracemalloc
 
     from octpipe.eval_harness.runner import predict_volume
@@ -823,14 +825,47 @@ def test_predict_volume_2_5d_peak_has_no_room_for_extracted_patches(jobs):
 
     vol = OctVolume(np.random.default_rng(74).random((16, 64, 64), dtype=np.float32), volume_id="mem")
     cfg = RunConfig(depth_mode=DepthMode.D25, variant="P", patch_size=16, overlap=0.75, jobs=jobs)
-    predictions = len(cfg.grid((64, 64)).anchors) * 4 * 16 * 16 * 4  # bytes of one slice's
+    run = 13 * 4 * 16 * 16 * 4  # bytes of one run's predictions
+    assert [r.stop - r.start for r in grid_runs(cfg.grid((64, 64)))] == [13] * 13
     tracemalloc.start()
     try:
         output = predict_volume(vol, threshold_backend(), cfg).probs.nbytes
         peak = tracemalloc.get_traced_memory()[1]
     finally:
         tracemalloc.stop()
-    assert peak < output + (1 + jobs + 1) * predictions
+    assert peak < output + (jobs + 2) * run + jobs * 128 * 1024 + 256 * 1024
+
+
+@pytest.mark.parametrize("mode", [DepthMode.D2, DepthMode.D25], ids=lambda mode: mode.value)
+def test_planar_predict_volume_keeps_few_predictions_alive(mode):
+    """70x50x6, patch 16, overlap 0.75: 15 x 10 anchors per slice, with an
+    edge anchor on both axes, so 20 runs per slice.  Each predict call is one
+    run, and when it starts at most ``jobs + 2`` earlier outputs are still
+    alive: the ``jobs + 1`` in flight and the one being stitched.  Holding a
+    slice's runs would keep 20 or more alive.  The probabilities are the
+    same bytes at every ``jobs``."""
+    from octpipe.backends import Backend
+    from octpipe.eval_harness.runner import predict_volume
+    from octpipe.volume_io import OctVolume
+
+    vol = OctVolume(np.random.default_rng(77).random((6, 50, 70), dtype=np.float32), volume_id="live")
+    assert len(plan_grid((70, 50), 16, 0.75).anchors) == 150
+    outputs = set()
+    for jobs in (1, 2, 3):
+        predict = threshold_backend().predict
+        refs, counts = [], []
+
+        def counted(batch, depth_mode, volume_id):
+            counts.append(sum(ref() is not None for ref in list(refs)))
+            out = predict(batch, depth_mode, volume_id)
+            refs.append(weakref.ref(out))
+            return out
+
+        cfg = RunConfig(depth_mode=mode, variant="P", patch_size=16, overlap=0.75, jobs=jobs)
+        outputs.add(predict_volume(vol, Backend(counted), cfg).probs.tobytes())
+        assert len(counts) == 6 * 20
+        assert max(counts) <= jobs + 2, (jobs, max(counts))
+    assert len(outputs) == 1
 
 
 @pytest.mark.parametrize("jobs", [1, 2])

@@ -1,5 +1,6 @@
 """Grid planning, patch extraction, stitching, closing, and disk spill."""
 
+import dataclasses
 import json
 import re
 import tempfile
@@ -277,6 +278,75 @@ def test_windows_single_view_gather_copy_and_bounds():
     for bad, at_z in outside:
         with pytest.raises(IndexError, match=rf"window at \({bad[0]}, {bad[1]}, {bad[2]}\)"):
             windows(volume, np.array([[0, 0, 0], bad]), (3, 4), at_z)
+
+
+def test_a_one_window_run_is_a_read_only_basic_slice():
+    """One window is cut as a basic slice of the writeable array, so its
+    base is the array itself and no strided-view wrapper stays alive with
+    it; only the view is read-only.  Stitch's held-window rule
+    (``base.size > size``) holds a window of a larger array, and not the
+    window of a whole-volume (3D F) grid."""
+    volume = np.arange(4 * 3 * 6 * 8, dtype=np.float32).reshape(4, 3, 6, 8).copy()
+    for anchor, size, at_z in (([1, 2, 1], (3, 4), True), ([2, 1, 0], (4, 5), False), ([0, 0, 0], (6, 8), False)):
+        (window,) = windows(volume, np.array([anchor]), size, at_z)
+        assert window.base is volume and np.shares_memory(window, volume)
+        assert not window.flags.writeable and volume.flags.writeable
+        assert (window.base.size > window.size) == (size != (6, 8))
+
+
+def test_extract_plans_each_cut_once_and_keeps_its_checks():
+    """The anchors and run of ``extract(vol, grid, z, which)`` are worked out
+    on the first call for a ``which``; later calls still check the plane
+    size and z, give each batch its own anchors at its own z, and leave the
+    grid equal to a freshly planned one.  A window outside the volume raises
+    IndexError naming it, with its z, on every call."""
+    vol = make_volume((40, 24, 5), seed=6)
+    grid = plan_grid((40, 24), (16, 16), 0.75, DepthMode.D25)
+    run = grid_runs(grid)[1]
+    first = extract(vol, grid, 1, run)
+    first.anchors[:] = -1
+    for z in (3, 0):
+        batch = extract(vol, grid, z, run)
+        assert batch.anchors.tolist() == [[x, y, z] for x, y in grid.anchors[run]]
+        assert batch.data.tobytes() == extract(vol, grid, z).data[run].tobytes()
+    assert grid == plan_grid((40, 24), (16, 16), 0.75, DepthMode.D25)
+    assert set(grid._cuts) == {run.indices(len(grid.anchors)), slice(None).indices(len(grid.anchors))}
+    with pytest.raises(IndexError, match="slice index 5 outside volume depth 5"):
+        extract(vol, grid, 5, run)
+    with pytest.raises(ValueError, match="grid was planned for image"):
+        extract(make_volume((40, 28, 5), seed=6), grid, 0, run)
+    bad = dataclasses.replace(grid, anchors=grid.anchors + ((30, 0),))
+    for z in (2, 4, 2):
+        with pytest.raises(IndexError, match=rf"16x16 window at \(30, 0, {z}\) falls outside"):
+            extract(vol, bad, z, slice(len(grid.anchors), None))
+
+
+def test_extract_plans_agree_when_many_threads_fill_them_at_once():
+    """Eight threads, more than the cores, extract every run of every slice
+    of one fresh grid at once with a short switch interval; each batch
+    equals the one a single thread cuts from another fresh grid."""
+    import sys
+    from concurrent.futures import ThreadPoolExecutor
+
+    vol = make_volume((70, 50, 4), seed=7)
+    tasks = [(z, run) for z in range(4) for run in grid_runs(plan_grid((70, 50), 16, 0.75, DepthMode.D25))]
+
+    def cut(grid, task):
+        batch = extract(vol, grid, *task)
+        return batch.anchors.tobytes() + batch.data.tobytes()
+
+    alone = plan_grid((70, 50), 16, 0.75, DepthMode.D25)
+    expected = [cut(alone, task) for task in tasks]
+    shared = plan_grid((70, 50), 16, 0.75, DepthMode.D25)
+    interval = sys.getswitchinterval()
+    sys.setswitchinterval(1e-6)
+    try:
+        with ThreadPoolExecutor(8) as pool:
+            futures = [pool.submit(cut, shared, task) for task in tasks]
+            got = [future.result(timeout=60) for future in futures]
+    finally:
+        sys.setswitchinterval(interval)
+    assert got == expected
 
 
 def gathered_windows(array, anchors, size, at_z):
