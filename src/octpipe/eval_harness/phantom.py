@@ -4,6 +4,13 @@ Each class occupies its own intensity band (background low, then IRF, SRF,
 PED in rising order) so a simple threshold at 0.25 / 0.5 / 0.75 recovers the
 labels exactly.  Fluid regions are axis-aligned ellipsoids kept well apart,
 so per-class morphological closing leaves the truth unchanged.
+
+Intensities follow one stream contract: a phantom's generator draws class by
+class in ``INTENSITY_BANDS`` order, and each class's values fill its voxels
+in C order (slice, row, column), so drawing them one B-scan at a time
+continues the same stream as one draw per class.  Memory rule: besides the
+image and labels a phantom returns, nothing the size of the volume is
+allocated, only buffers the size of one B-scan.
 """
 
 from __future__ import annotations
@@ -63,7 +70,12 @@ def synth_phantom(
     volume_id: str = "phantom",
 ) -> tuple[OctVolume, LabelVolume]:
     """Render a phantom: labels from the blob list, intensities drawn per voxel
-    uniformly inside the class's band."""
+    uniformly inside the class's band.
+
+    The intensities are, bit for bit, ``default_rng(seed).uniform(lo, hi, n)``
+    per class in band order, filling that class's ``n`` voxels in C order;
+    they are drawn one B-scan at a time into reused plane buffers, so nothing
+    the size of the volume is allocated besides the outputs."""
     width, height, depth = (int(v) for v in dims)
     if width < MIN_DIMS[0] or height < MIN_DIMS[1] or depth < MIN_DIMS[2]:
         raise ValueError(f"phantom dims must be at least {MIN_DIMS}, got {dims}")
@@ -81,11 +93,20 @@ def synth_phantom(
     labels = _paint_labels((width, height, depth), blobs)
     rng = np.random.default_rng(seed)
     voxels = np.empty((depth, height, width), dtype=np.float32)
+    mask = np.empty((height, width), dtype=bool)
+    draws = np.empty(height * width)
     for cls, (lo, hi) in INTENSITY_BANDS.items():
-        mask = labels == int(cls)
-        n = int(np.count_nonzero(mask))
-        if n:
-            voxels[mask] = rng.uniform(lo, hi, size=n).astype(np.float32)
+        for plane, plane_labels in zip(voxels, labels):
+            n = np.count_nonzero(np.equal(plane_labels, int(cls), out=mask))
+            if not n:
+                continue
+            values = rng.random(out=draws[:n])  # numpy's uniform is lo + (hi - lo) * random()
+            values *= hi - lo
+            values += lo
+            if n == mask.size:
+                plane[...] = values.reshape(mask.shape)
+            else:
+                plane[mask] = values
     vol = OctVolume(voxels=voxels, spacing=(1.0, 1.0, 1.0), volume_id=volume_id)
     return vol, LabelVolume(voxels=labels, volume_id=volume_id, spacing=vol.spacing)
 
@@ -93,10 +114,15 @@ def synth_phantom(
 def closing_stable(labels: LabelVolume, radius: int) -> bool:
     """True when per-class closing at ``radius`` leaves the labels untouched.
 
-    The classes close in order on one copy, stopping at the first change:
-    until a class changes something the copy still equals ``labels``."""
-    voxels = labels.voxels.copy()
-    return not any(_close_in_place(voxels, cls, radius) for cls in FLUIDS)
+    Closing works per B-scan, so each B-scan is copied into one reused plane
+    and its classes close in order there, stopping at the first change: until
+    a class changes something the plane still equals the B-scan."""
+    plane = np.empty((1, *labels.voxels.shape[1:]), dtype=labels.voxels.dtype)
+    for scan in labels.voxels:
+        np.copyto(plane[0], scan)
+        if any(_close_in_place(plane, cls, radius) for cls in FLUIDS):
+            return False
+    return True
 
 
 def random_phantom(

@@ -232,9 +232,10 @@ def extract(vol: OctVolume, grid: PatchGrid, z: int = 0, which: slice = slice(No
     The data is cut as :func:`windows` cuts it, so the patches of one run
     (such as one of :func:`grid_runs`) are a read-only view of
     ``vol.voxels``, or, for a 2.5d slab that crosses the volume's edge, of
-    its edge-replicated copy.  What depends only on the grid and ``which``
-    (the anchor array, the bounds check, whether the anchors form a run) is
-    worked out once per grid and ``which``, on its first call.
+    an edge-replicated copy of only the rows the run spans.  What depends
+    only on the grid and ``which`` (the anchor array, the bounds check, the
+    rows spanned, whether the anchors form a run) is worked out once per
+    grid and ``which``, on its first call.
     """
     voxels = vol.voxels
     depth, height, width = voxels.shape
@@ -243,27 +244,30 @@ def extract(vol: OctVolume, grid: PatchGrid, z: int = 0, which: slice = slice(No
             f"grid was planned for image {grid.image_dims}, volume planes are {(width, height)}"
         )
     mode = grid.depth_mode
-    if mode is DepthMode.D3:
-        stack, z = voxels, 0
-    else:
-        if not 0 <= z < depth:
-            raise IndexError(f"slice index {z} outside volume depth {depth}")
-        radius = SLAB_RADIUS if mode is DepthMode.D25 else 0
-        if radius <= z < depth - radius:
-            stack = voxels[z - radius : z + radius + 1]
-        else:  # edge replication: plane indices are clipped at the volume boundary
-            stack = voxels[np.clip(np.arange(z - radius, z + radius + 1), 0, depth - 1)]
+    if mode is not DepthMode.D3 and not 0 <= z < depth:
+        raise IndexError(f"slice index {z} outside volume depth {depth}")
     key = which.indices(len(grid.anchors))
     if key not in grid._cuts:  # a run whose windows all lie inside the image skips windows' checks
         xy = np.array(grid.anchors[which], dtype=np.intp).reshape(-1, 2)
         inside = len(xy) and xy.min() >= 0 and (xy + (grid.patch_w, grid.patch_h) <= grid.image_dims).all()
         anchors = np.column_stack([xy, np.zeros(len(xy), dtype=np.intp)])
-        grid._cuts[key] = anchors, _run(anchors, False) if inside else None
-    planned, run = grid._cuts[key]
+        # only the rows the windows span are cut, and (x, y - top) is each window's corner in them
+        top, bottom = (int(xy[:, 1].min()), int(xy[:, 1].max()) + grid.patch_h) if inside else (0, height)
+        grid._cuts[key] = anchors, slice(top, bottom), _run(anchors - (0, top, 0), False) if inside else None
+    planned, rows, run = grid._cuts[key]
+    if mode is DepthMode.D3:
+        stack, z = voxels[:, rows], 0
+    else:
+        radius = SLAB_RADIUS if mode is DepthMode.D25 else 0
+        if radius <= z < depth - radius:
+            stack = voxels[z - radius : z + radius + 1, rows]
+        else:  # edge replication: plane indices are clipped at the volume boundary
+            stack = voxels[np.clip(np.arange(z - radius, z + radius + 1), 0, depth - 1), rows]
     anchors = planned.copy()
     anchors[:, 2] = z
     size = (grid.patch_h, grid.patch_w)
-    return PatchBatch(anchors, _run_view(stack, run, size) if run else windows(stack, anchors, size))
+    data = _run_view(stack, run, size) if run else windows(stack, anchors - (0, rows.start, 0), size)
+    return PatchBatch(anchors, data)
 
 
 def coverage_plane(grid: PatchGrid) -> np.ndarray:

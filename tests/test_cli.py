@@ -1,5 +1,6 @@
 """End-to-end command-line workflows on temporary phantom datasets."""
 
+import hashlib
 import json
 from dataclasses import replace
 
@@ -79,6 +80,18 @@ def test_synth_writes_dataset(tmp_path, capsys):
         assert vol.dims == (64, 64, 4)
         assert labels.dims == (64, 64, 4)
         assert set(np.unique(labels.voxels)) <= {0, 1, 2, 3}
+
+
+def test_synth_dataset_bytes_are_pinned(tmp_path, capsys):
+    root = tmp_path / "data"
+    rc, _, _ = run(capsys, "synth", "--data-root", root, "--dims", "100x90x6", "--n-per-vendor", "1", "--seed", "3")
+    assert rc == 0
+    digest = hashlib.md5()
+    for path in sorted(root.glob("*/*")):
+        digest.update(path.relative_to(root).as_posix().encode())
+        digest.update(path.read_bytes())
+    digest.update((root / "inventory.json").read_bytes())
+    assert digest.hexdigest() == "1fc088784871742b6f9a3495f215fdbe"
 
 
 def test_synth_rejects_empty_vendor_list(tmp_path, capsys):

@@ -1,5 +1,6 @@
 """Scoring, fold planning, phantoms, report rendering, and the runner."""
 
+import hashlib
 import json
 import re
 import weakref
@@ -37,7 +38,7 @@ from octpipe.eval_harness import (
     synth_phantom,
 )
 from octpipe.eval_harness import metrics
-from octpipe.eval_harness.phantom import _paint_labels
+from octpipe.eval_harness.phantom import INTENSITY_BANDS, _paint_labels
 from octpipe.eval_harness.runner import label_path
 from octpipe.patch_engine import DepthMode, close_all, extract, grid_runs, labelize, plan_grid
 from octpipe.preprocess import PreprocessConfig
@@ -296,6 +297,64 @@ def test_paint_labels_equals_the_whole_volume_formula(data):
         (cx, cy, cz), (rx, ry, rz) = b.center, b.radii
         expected[((xs - cx) / rx) ** 2 + ((ys - cy) / ry) ** 2 + ((zs - cz) / rz) ** 2 <= 1.0] = int(b.cls)
     assert _paint_labels((width, height, depth), blobs).tobytes() == expected.tobytes()
+
+
+@st.composite
+def inside_blobs(draw, dims):
+    """A blob of any fluid class whose box lies inside the (width, height, depth) ``dims``."""
+    radii = tuple(draw(st.integers(1, min(12, (n - 1) // 2))) for n in dims)
+    center = tuple(draw(st.integers(r, n - 1 - r)) for r, n in zip(radii, dims))
+    return BlobSpec(cls=draw(st.sampled_from(FLUIDS)), center=center, radii=radii)
+
+
+@settings(max_examples=60, deadline=None)
+@given(st.data())
+def test_synth_phantom_equals_the_whole_volume_draw(data):
+    """Drawing one B-scan at a time continues the stream of one whole-volume
+    draw per class: the intensities equal, byte for byte, each class's
+    ``rng.uniform`` values written through its whole-volume mask in band
+    order."""
+    dims = data.draw(st.integers(64, 96)), data.draw(st.integers(64, 96)), data.draw(st.integers(4, 8))
+    blobs = data.draw(st.lists(inside_blobs(dims), max_size=4))
+    seed = data.draw(st.integers(0, 2**32 - 1))
+    vol, labels = synth_phantom(dims, blobs, seed=seed)
+    expected_labels = _paint_labels(dims, blobs)
+    rng = np.random.default_rng(seed)
+    expected = np.empty(expected_labels.shape, dtype=np.float32)
+    for cls, (lo, hi) in INTENSITY_BANDS.items():
+        mask = expected_labels == int(cls)
+        n = int(np.count_nonzero(mask))
+        if n:
+            expected[mask] = rng.uniform(lo, hi, size=n).astype(np.float32)
+    assert labels.voxels.tobytes() == expected_labels.tobytes()
+    assert vol.voxels.tobytes() == expected.tobytes()
+
+
+def test_random_phantom_bytes_are_pinned():
+    vol, labels = random_phantom((100, 90, 6), seed=7)
+    assert hashlib.md5(vol.voxels.tobytes()).hexdigest() == "79b65729cb25dbfd090c5ad0de84c072"
+    assert hashlib.md5(labels.voxels.tobytes()).hexdigest() == "cb27f654111931bd0808a629aeb95d9f"
+
+
+def test_synth_phantom_peak_is_its_outputs_plus_plane_buffers():
+    """A 512x512x16 phantom allocates its image and labels plus buffers the
+    size of one B-scan: no intensity draw the size of the volume."""
+    import tracemalloc
+
+    dims = (512, 512, 16)
+    blobs = [
+        BlobSpec(cls=FluidClass.IRF, center=(100, 120, 5), radii=(25, 20, 4)),
+        BlobSpec(cls=FluidClass.SRF, center=(300, 260, 8), radii=(24, 25, 6)),
+        BlobSpec(cls=FluidClass.PED, center=(420, 400, 10), radii=(20, 12, 3)),
+    ]
+    tracemalloc.start()
+    try:
+        vol, labels = synth_phantom(dims, blobs, seed=5)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    plane = 512 * 512
+    assert peak < vol.voxels.nbytes + labels.voxels.nbytes + 16 * plane, peak
 
 
 def test_synth_phantom_deterministic():
