@@ -11,6 +11,7 @@ from __future__ import annotations
 import argparse
 import json
 import sys
+from functools import partial
 from pathlib import Path
 
 from . import patch_engine
@@ -98,12 +99,12 @@ def cmd_preprocess(args: argparse.Namespace, cfg: RunConfig) -> int:
     inventory = load_inventory(cfg.data_root)
     for vendor in sorted(inventory):
         for volume_id in sorted(inventory[vendor]):
-            vol = read_volume(image_path(cfg.data_root, volume_id))
+            image = partial(read_volume, image_path(cfg.data_root, volume_id))
             lpath = label_path(cfg.data_root, volume_id)
             if lpath.exists():
-                vol, labels = preprocess_pair(vol, read_labels(lpath), cfg.preprocess, target)
+                vol, labels = preprocess_pair(image, partial(read_labels, lpath), cfg.preprocess, target)
             else:
-                vol, labels = preprocess_volume(vol, cfg.preprocess, target), None
+                vol, labels = preprocess_volume(image(), cfg.preprocess, target), None
             out_dir.mkdir(parents=True, exist_ok=True)
             write_volume(vol, out_dir / f"{volume_id}.mhd")
             if labels is not None:

@@ -1,8 +1,9 @@
 """Experiment orchestration: fold iteration, per-volume prediction, scoring.
 
-A run walks one fold's test volumes: read, preprocess to the working
-resolution, predict (whole image for variant F, overlapping patches for
-variant P), stitch, arg-max, close, score against the preprocessed truth.
+A run walks one fold's test volumes: read and preprocess to the working
+resolution (``preprocess_pair``, after which no native volume is alive),
+predict (whole image for variant F, overlapping patches for variant P),
+stitch, arg-max, close, score against the preprocessed truth.
 Prediction streams: ``jobs`` worker threads each take one grid-row run of
 one slice (one patch in 3D), with a bounded number in flight, cut it as one
 batch, a read-only view of the volume, and predict it; ``stitch`` sums each
@@ -18,8 +19,9 @@ import json
 from collections import deque
 from concurrent.futures import ThreadPoolExecutor
 from contextlib import closing
+from functools import partial
 from pathlib import Path
-from typing import TYPE_CHECKING, Iterator
+from typing import TYPE_CHECKING, Callable, Iterator
 
 import numpy as np
 
@@ -94,11 +96,15 @@ def matching_labels(vol: OctVolume, labels: LabelVolume) -> LabelVolume:
 
 
 def preprocess_pair(
-    vol: OctVolume, labels: LabelVolume, cfg: PreprocessConfig, target: tuple[int, int]
+    load_image: Callable[[], OctVolume], load_labels: Callable[[], LabelVolume],
+    cfg: PreprocessConfig, target: tuple[int, int],
 ) -> tuple[OctVolume, LabelVolume]:
-    """Bring an image and its labels, of one size, to the working size together."""
-    labels = matching_labels(vol, labels)
-    return preprocess_volume(vol, cfg, target), resize_volume(labels, target)
+    """Read an image, then its labels, of one size, and bring both to the working
+    size.  No native volume outlives its preprocessing: the native labels are
+    freed once resized, before the image is resized, and the image on return."""
+    vol = load_image()
+    labels = resize_volume(matching_labels(vol, load_labels()), target)
+    return preprocess_volume(vol, cfg, target), labels
 
 
 def _predictions(
@@ -179,10 +185,12 @@ def _backend_for(descriptor: str, volume_id: str, truth: LabelVolume) -> Backend
 def evaluate_volume(volume_id: str, cfg: RunConfig) -> tuple[dict, dict]:
     """Score one volume with the backend ``cfg.backend`` names; returns
     (per-fluid dice, per-fluid confusion counts)."""
-    vol = _stage("read_volume", volume_id, read_volume, image_path(cfg.data_root, volume_id))
-    truth = _stage("read_labels", volume_id, read_labels, label_path(cfg.data_root, volume_id))
-    target = cfg.preprocess.target_for(cfg.depth_mode)
-    vol, truth = _stage("preprocess", volume_id, preprocess_pair, vol, truth, cfg.preprocess, target)
+    vol, truth = _stage(
+        "preprocess", volume_id, preprocess_pair,
+        partial(_stage, "read_volume", volume_id, read_volume, image_path(cfg.data_root, volume_id)),
+        partial(_stage, "read_labels", volume_id, read_labels, label_path(cfg.data_root, volume_id)),
+        cfg.preprocess, cfg.preprocess.target_for(cfg.depth_mode),
+    )
     # no name holds the backend, so an external one's volume is freed before scoring
     pred = segment_volume(
         vol, _stage("predict", volume_id, _backend_for, cfg.backend, volume_id, truth), cfg

@@ -9,8 +9,9 @@ the range without a clamp.  Nearest-neighbour picks
 ``floor((i + 0.5) * src / dst)`` and therefore never leaves the source
 alphabet.  Volume-wide stages work one B-scan at a time, and range and
 finiteness checks are reductions, so no stage holds a second volume-sized
-temporary besides its output.  Only the denoisers use scipy, and they import
-it when they run.
+temporary besides its output: denoising writes back into the resized volume
+through one float64 plane buffer.  Only the denoisers use scipy, and they
+import it when they run.
 """
 
 from __future__ import annotations
@@ -205,22 +206,25 @@ def _nlm(image: np.ndarray, search_radius: int, patch_radius: int, h: float) -> 
     return num / den
 
 
-def denoise(image: np.ndarray, cfg: PreprocessConfig) -> np.ndarray:
-    """Denoise one B-scan per the configured stage; ``none`` is an exact identity."""
+def denoise(image: np.ndarray, cfg: PreprocessConfig, out: np.ndarray | None = None) -> np.ndarray:
+    """Denoise one B-scan per the configured stage; ``none`` is an exact identity.
+    Filters run in float64, into the float64 plane ``out`` (returned) or else
+    into a new plane returned as float32; a float32 ``out`` would round."""
     if cfg.denoiser == "none":
         return image
     image = np.asarray(image)
     if image.ndim != 2:
         raise ValueError(f"expected a 2-D image, got shape {image.shape}")
+    buf = np.empty(image.shape) if out is None else out
     if cfg.denoiser == "gaussian":
         from scipy import ndimage
 
         # scipy filters each line in float64 whatever the input type, so a
         # float32 image filters exactly as its float64 copy would
-        out = ndimage.gaussian_filter(image, cfg.sigma, mode="nearest", output=np.float64)
+        ndimage.gaussian_filter(image, cfg.sigma, mode="nearest", output=buf)
     else:
-        out = _nlm(image, cfg.search_radius, cfg.patch_radius, cfg.h)
-    return out.astype(np.float32)
+        buf[...] = _nlm(image, cfg.search_radius, cfg.patch_radius, cfg.h)
+    return buf.astype(np.float32) if out is None else buf
 
 
 def filter_slices(labels: LabelVolume, policy: str) -> list[int]:
@@ -242,7 +246,9 @@ def preprocess_volume(
     Every mode rejects a volume with a non-finite intensity.  With
     ``normalize="auto"`` the affine rescale only runs when intensities fall
     outside [0, 1], so already-normalized volumes pass through bit-true.
-    """
+    B-scans are denoised through one float64 plane into the volume normalize
+    or resize allocated, never into ``vol``."""
+    caller = vol.voxels
     if cfg.normalize == "always":
         vol = normalize(vol)
     else:
@@ -251,8 +257,9 @@ def preprocess_volume(
             vol = normalize(vol)
     vol = resize_volume(vol, target)
     if cfg.denoiser != "none":
-        voxels = np.empty_like(vol.voxels)
+        voxels = np.empty_like(caller) if vol.voxels is caller else vol.voxels
+        buf = np.empty(voxels.shape[1:])
         for z, plane in enumerate(vol.voxels):
-            voxels[z] = denoise(plane, cfg)
+            voxels[z] = denoise(plane, cfg, buf)
         vol = OctVolume(voxels=voxels, spacing=vol.spacing, volume_id=vol.volume_id)
     return vol

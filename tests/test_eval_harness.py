@@ -669,6 +669,39 @@ def test_evaluate_volume_tags_stage_failures(make_dataset):
     assert err.value.volume_id == vid
 
 
+@pytest.mark.parametrize(
+    "faults, stage, message",
+    [
+        (("image", "labels"), "read_volume", "images/{vid}.mhd: header ended before"),
+        (("labels",), "read_labels", "labels/{vid}.mhd: header ended before"),
+        (("taller labels", "nan image"), "preprocess", "labels of '{vid}' are (96, 112, 4) (w, h, d)"),
+    ],
+    ids=["unreadable-image-and-labels", "unreadable-labels", "size-mismatch-and-nan-image"],
+)
+def test_evaluate_volume_names_the_first_stage_of_several_faults(make_dataset, faults, stage, message):
+    """``preprocess_pair`` reads the image before its labels and compares
+    their sizes before it preprocesses the image, so the first fault in that
+    order names the stage."""
+    from octpipe.volume_io import OctVolume, read_volume
+
+    root, _, truths = make_dataset(vendors=("Cirrus",), n_per_vendor=2)
+    vid = sorted(truths)[0]
+    image = root / "images" / f"{vid}.mhd"
+    if "nan image" in faults:
+        voxels = read_volume(image).voxels.copy()
+        voxels[1, 2, 3] = np.nan
+        write_volume(OctVolume(voxels, volume_id=vid), image)
+    if "taller labels" in faults:
+        taller = np.pad(truths[vid].voxels, ((0, 0), (0, 16), (0, 0)))
+        write_volume(LabelVolume(taller), label_path(root, vid))
+    for kind, path in (("image", image), ("labels", label_path(root, vid))):
+        if kind in faults:
+            path.write_text("NDims = 7\n")
+    with pytest.raises(StageError, match=re.escape(message.format(vid=vid))) as err:
+        evaluate_volume(vid, nat_config(root, backend="oracle"))
+    assert (err.value.stage, err.value.volume_id) == (stage, vid)
+
+
 @pytest.mark.parametrize("fault", ["missing", "invalid"])
 def test_evaluate_volume_tags_a_bad_external_file_as_predict(make_dataset, tmp_path, fault):
     root, _, truths = make_dataset(vendors=("Cirrus",), n_per_vendor=2)
@@ -1039,6 +1072,41 @@ def test_per_voxel_passes_peak_near_output_plus_one_slice(tmp_path, stage):
     finally:
         tracemalloc.stop()
     assert peak < output_bytes + probs[:, 0].nbytes
+
+
+def test_full_3d_evaluate_volume_peak_holds_one_native_volume(tmp_path):
+    """Oracle, variant F, 3D, gaussian: a 512x256x16 volume brought to
+    128x128.  Its native labels are freed once resized, before the image is
+    resized, and the image is denoised in place, so no stage holds more than
+    the native image (8 MB), the working image (1 MB), the working truth
+    (0.25 MB) and four float64 planes of the working height and the native
+    width (0.5 MB each), the widest planes preprocessing allocates: the
+    resize's row buffers.  The native labels (2 MB) do not fit beside them."""
+    import tracemalloc
+
+    (tmp_path / "images").mkdir()
+    (tmp_path / "labels").mkdir()
+    vol, labels = random_phantom((512, 256, 16), seed=77, n_blobs=4, volume_id="native")
+    write_volume(vol, tmp_path / "images" / "native.mhd")
+    write_volume(labels, label_path(tmp_path, "native"))
+    cfg = RunConfig(
+        data_root=tmp_path,
+        preprocess=PreprocessConfig(target_vol=(128, 128), denoiser="gaussian"),
+        depth_mode=DepthMode.D3,
+        variant="F",
+        backend="oracle",
+        jobs=1,
+    )
+    evaluate_volume("native", cfg)  # warm the path: lazy imports and caches
+    tracemalloc.start()
+    try:
+        scores, _ = evaluate_volume("native", cfg)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert all(value == 1.0 for value in scores.values())
+    native, working = vol.voxels.nbytes, 16 * 128 * 128 * 4
+    assert peak < native + working + working // 4 + 4 * 128 * 512 * 8
 
 
 def test_predict_volume_3d_is_jobs_invariant():

@@ -457,6 +457,76 @@ def test_preprocess_volume_rejects_non_finite_intensities_in_every_mode(mode, ba
         preprocess_volume(vol, PreprocessConfig(normalize=mode), (8, 8))
 
 
+def per_slice_preprocess(voxels, cfg, target):
+    """What ``preprocess_volume`` computed before it denoised in place:
+    normalize per ``cfg.normalize``, resize, then copy each B-scan's float32
+    ``denoise`` into a new volume."""
+    vol = OctVolume(voxels=voxels, volume_id="old")
+    out_of_range = voxels.min() < 0.0 or voxels.max() > 1.0
+    if cfg.normalize == "always" or (cfg.normalize == "auto" and out_of_range):
+        vol = normalize(vol)
+    vol = resize_volume(vol, target)
+    if cfg.denoiser == "none":
+        return vol.voxels
+    planes = [denoise(plane, cfg) for plane in vol.voxels]
+    assert all(plane.dtype == np.float32 for plane in planes)
+    return np.stack(planes)
+
+
+def read_only_volume(shape, seed, scale=1.0):
+    voxels = np.random.default_rng(seed).random(shape, dtype=np.float32) * np.float32(scale)
+    voxels.flags.writeable = False
+    return OctVolume(voxels=voxels, volume_id="ro")
+
+
+@pytest.mark.parametrize("denoiser", ["gaussian", "nlm"])
+def test_preprocess_volume_never_writes_into_its_callers_volume(denoiser):
+    """A read-only volume already at the working size passes through resize
+    as it is, so the denoised output must be a new volume."""
+    vol = read_only_volume((3, 12, 10), seed=44)
+    before = vol.voxels.tobytes()
+    cfg = PreprocessConfig(denoiser=denoiser)
+    out = preprocess_volume(vol, cfg, (10, 12))
+    assert vol.voxels.tobytes() == before
+    assert not np.shares_memory(out.voxels, vol.voxels)
+    assert out.voxels.tobytes() == per_slice_preprocess(vol.voxels, cfg, (10, 12)).tobytes()
+
+
+@pytest.mark.parametrize("shape", [(3, 12, 10), (3, 15, 11)], ids=["at-target", "resized"])
+@pytest.mark.parametrize("mode", NORMALIZE_MODES)
+@pytest.mark.parametrize("denoiser", ["none", "gaussian", "nlm"])
+def test_preprocess_volume_is_bit_identical_to_the_per_slice_formula(denoiser, mode, shape):
+    """Intensities in [0, 1.5): ``auto`` and ``always`` rescale and ``never``
+    passes the caller's volume on, so every owner of the volume that gets
+    denoised occurs; the caller's read-only input is never written."""
+    vol = read_only_volume(shape, seed=45, scale=1.5)
+    cfg = PreprocessConfig(denoiser=denoiser, normalize=mode)
+    out = preprocess_volume(vol, cfg, (10, 12))
+    assert out.voxels.dtype == np.float32
+    assert out.voxels.tobytes() == per_slice_preprocess(vol.voxels, cfg, (10, 12)).tobytes()
+
+
+@pytest.mark.parametrize(
+    "shape, scale", [((256, 48, 40), 1.0), ((256, 32, 32), 2.0)], ids=["resized", "normalized-at-target"]
+)
+def test_preprocess_volume_peak_denoises_in_place(shape, scale):
+    """The resize, or the rescale of a volume already at the working size,
+    allocates the output, and the gaussian writes back into it through one
+    float64 plane: a second output-sized volume does not fit."""
+    import tracemalloc
+
+    vol = read_only_volume(shape, seed=46, scale=scale)
+    cfg = PreprocessConfig(denoiser="gaussian")
+    preprocess_volume(vol, cfg, (32, 32))  # warm the path: scipy's import
+    tracemalloc.start()
+    try:
+        out = preprocess_volume(vol, cfg, (32, 32))
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak < 1.25 * out.voxels.nbytes
+
+
 def test_preprocess_volume_resizes_and_denoises():
     rng = np.random.default_rng(43)
     vol = OctVolume(voxels=rng.random((3, 20, 24), dtype=np.float32),
