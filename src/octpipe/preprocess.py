@@ -9,9 +9,9 @@ the range without a clamp.  Nearest-neighbour picks
 ``floor((i + 0.5) * src / dst)`` and therefore never leaves the source
 alphabet.  Volume-wide stages work one B-scan at a time, and range and
 finiteness checks are reductions, so no stage holds a second volume-sized
-temporary besides its output: denoising writes back into the resized volume
-through one float64 plane buffer.  Only the denoisers use scipy, and they
-import it when they run.
+temporary besides its output: each denoised B-scan is written back into the
+volume the rescale or resize allocated.  Only the denoisers use scipy, and
+they import it when they run.
 """
 
 from __future__ import annotations
@@ -107,6 +107,7 @@ def _bilinear(shape: tuple[int, int], target: tuple[int, int]):
     y0, y1, fy = _linear_coords(src_h, th)
     x0, x1, fx = _linear_coords(src_w, tw)
     wy0, wy1, wx0 = (1.0 - fy)[:, None], fy[:, None], 1.0 - fx
+    # kept: fancy-indexed temporaries give the same bits but make each resize ~2x slower
     gathered = np.empty((th, src_w), dtype=np.float32)
     rows, row_term = np.empty((th, src_w)), np.empty((th, src_w))
     cols, col_term = np.empty((th, tw)), np.empty((th, tw))
@@ -170,13 +171,16 @@ def _finite_range(vol: OctVolume) -> tuple[float, float]:
 
 def normalize(vol: OctVolume) -> OctVolume:
     """Min-max normalize intensities to [0, 1]; a constant volume maps to all zeros."""
-    voxels = vol.voxels
-    lo, hi = _finite_range(vol)
+    return _rescale(vol, *_finite_range(vol))
+
+
+def _rescale(vol: OctVolume, lo: float, hi: float) -> OctVolume:
+    """Map the intensity range [lo, hi] onto [0, 1], or all zeros if lo == hi."""
     if hi > lo:
-        out = voxels - lo
+        out = vol.voxels - lo
         out /= hi - lo
     else:
-        out = np.zeros_like(voxels, dtype=np.float32)
+        out = np.zeros_like(vol.voxels)
     return OctVolume(voxels=out, spacing=vol.spacing, volume_id=vol.volume_id)
 
 
@@ -206,25 +210,23 @@ def _nlm(image: np.ndarray, search_radius: int, patch_radius: int, h: float) -> 
     return num / den
 
 
-def denoise(image: np.ndarray, cfg: PreprocessConfig, out: np.ndarray | None = None) -> np.ndarray:
+def denoise(image: np.ndarray, cfg: PreprocessConfig) -> np.ndarray:
     """Denoise one B-scan per the configured stage; ``none`` is an exact identity.
-    Filters run in float64, into the float64 plane ``out`` (returned) or else
-    into a new plane returned as float32; a float32 ``out`` would round."""
+    Filters run in float64, and the filtered B-scan is returned as float32."""
     if cfg.denoiser == "none":
         return image
     image = np.asarray(image)
     if image.ndim != 2:
         raise ValueError(f"expected a 2-D image, got shape {image.shape}")
-    buf = np.empty(image.shape) if out is None else out
     if cfg.denoiser == "gaussian":
         from scipy import ndimage
 
         # scipy filters each line in float64 whatever the input type, so a
         # float32 image filters exactly as its float64 copy would
-        ndimage.gaussian_filter(image, cfg.sigma, mode="nearest", output=buf)
+        out = ndimage.gaussian_filter(image, cfg.sigma, mode="nearest", output=np.float64)
     else:
-        buf[...] = _nlm(image, cfg.search_radius, cfg.patch_radius, cfg.h)
-    return buf.astype(np.float32) if out is None else buf
+        out = _nlm(image, cfg.search_radius, cfg.patch_radius, cfg.h)
+    return out.astype(np.float32)
 
 
 def filter_slices(labels: LabelVolume, policy: str) -> list[int]:
@@ -243,23 +245,19 @@ def preprocess_volume(
 ) -> OctVolume:
     """Normalize (per ``cfg.normalize``), resize to ``target``, and denoise.
 
-    Every mode rejects a volume with a non-finite intensity.  With
-    ``normalize="auto"`` the affine rescale only runs when intensities fall
-    outside [0, 1], so already-normalized volumes pass through bit-true.
-    B-scans are denoised through one float64 plane into the volume normalize
-    or resize allocated, never into ``vol``."""
+    Every mode takes the intensity range once and rejects a volume with a
+    non-finite intensity.  With ``normalize="auto"`` the affine rescale only
+    runs when intensities fall outside [0, 1], so already-normalized volumes
+    pass through bit-true.  Each denoised B-scan is written into the volume
+    the rescale or resize allocated, never into ``vol``."""
     caller = vol.voxels
-    if cfg.normalize == "always":
-        vol = normalize(vol)
-    else:
-        lo, hi = _finite_range(vol)
-        if cfg.normalize == "auto" and (lo < 0.0 or hi > 1.0):
-            vol = normalize(vol)
+    lo, hi = _finite_range(vol)
+    if cfg.normalize == "always" or (cfg.normalize == "auto" and (lo < 0.0 or hi > 1.0)):
+        vol = _rescale(vol, lo, hi)
     vol = resize_volume(vol, target)
     if cfg.denoiser != "none":
         voxels = np.empty_like(caller) if vol.voxels is caller else vol.voxels
-        buf = np.empty(voxels.shape[1:])
         for z, plane in enumerate(vol.voxels):
-            voxels[z] = denoise(plane, cfg, buf)
+            voxels[z] = denoise(plane, cfg)
         vol = OctVolume(voxels=voxels, spacing=vol.spacing, volume_id=vol.volume_id)
     return vol

@@ -92,13 +92,20 @@ class LabelVolume:
     spacing: tuple[float, float, float] | None = None
 
     def __post_init__(self):
-        self.voxels = np.asarray(self.voxels, dtype=np.uint8)
-        if self.voxels.ndim != 3:
-            raise ValueError(f"label volume must be 3-D, got shape {self.voxels.shape}")
-        if self.voxels.size and int(self.voxels.max()) >= N_CLASSES:
-            raise ValidationError(
-                f"label volume contains a value outside 0..{N_CLASSES - 1}"
-            )
+        voxels = np.asarray(self.voxels)
+        if voxels.ndim != 3:
+            raise ValueError(f"label volume must be 3-D, got shape {voxels.shape}")
+        # checked before the cast, which wraps 256 to 0; an unsigned array needs only its max
+        if voxels.size and not (voxels.dtype.kind == "u" and voxels.max() < N_CLASSES):
+            for z, plane in enumerate(voxels):
+                outside = ~np.isin(plane, np.arange(N_CLASSES))
+                if outside.any():
+                    y, x = np.argwhere(outside)[0]
+                    raise ValidationError(
+                        f"label value {plane[y, x].item()} at voxel (x={x}, y={y}, z={z}) "
+                        f"outside 0..{N_CLASSES - 1}"
+                    )
+        self.voxels = voxels.astype(np.uint8, copy=False)
 
     @property
     def dims(self) -> tuple[int, int, int]:
@@ -219,13 +226,11 @@ def _numbers(path: Path, header: dict[str, str], key: str, kind: type) -> list:
         ) from None
 
 
-def _load_array(path: Path) -> tuple[np.ndarray, dict[str, str]]:
-    """Load a MetaImage file as an array shaped (..., depth, height, width)."""
-    path = Path(path)
+def _load_array(path: Path, ndims: int) -> tuple[np.ndarray, dict[str, str]]:
+    """Load an ``ndims``-D MetaImage file as an array shaped (..., depth, height, width)."""
     header, header_end = _parse_header(path)
-    if _numbers(path, header, "NDims", int) not in ([3], [4]):
-        raise FormatError(f"{path}: NDims must be 3 or 4, got {header.get('NDims')}")
-    ndims = int(header["NDims"])
+    if _numbers(path, header, "NDims", int) != [ndims]:
+        raise FormatError(f"{path}: NDims must be {ndims}, got {header.get('NDims')}")
     if "DimSize" not in header:
         raise FormatError(f"{path}: header is missing DimSize")
     dim_size = _numbers(path, header, "DimSize", int)
@@ -266,27 +271,20 @@ def _parse_spacing(path: Path, header: dict[str, str]) -> tuple[float, float, fl
 def read_volume(path: str | Path) -> OctVolume:
     """Read an intensity volume; 8/16-bit unsigned payloads are converted to float32."""
     path = Path(path)
-    data, header = _load_array(path)
-    if data.ndim != 3:
-        raise FormatError(f"{path}: expected a scalar 3-D volume, got NDims=4")
+    data, header = _load_array(path, 3)
     return OctVolume(voxels=data, spacing=_parse_spacing(path, header), volume_id=path.stem)
 
 
 def read_labels(path: str | Path) -> LabelVolume:
-    """Read a label volume, rejecting any voxel outside the 0..3 alphabet."""
+    """Read a label volume; a voxel outside the 0..3 alphabet fails naming the file."""
     path = Path(path)
-    data, header = _load_array(path)
-    if data.ndim != 3:
-        raise FormatError(f"{path}: expected a scalar 3-D label volume, got NDims=4")
+    data, header = _load_array(path, 3)
     if not np.issubdtype(data.dtype, np.unsignedinteger):
         raise FormatError(f"{path}: label payload must be an unsigned integer type")
-    if int(data.max()) >= N_CLASSES:
-        z, y, x = (int(i) for i in np.argwhere(data >= N_CLASSES)[0])
-        raise ValidationError(
-            f"{path}: label value {int(data[z, y, x])} at voxel (x={x}, y={y}, z={z}) "
-            f"outside 0..{N_CLASSES - 1}"
-        )
-    return LabelVolume(voxels=data, volume_id=path.stem, spacing=_parse_spacing(path, header))
+    try:
+        return LabelVolume(voxels=data, volume_id=path.stem, spacing=_parse_spacing(path, header))
+    except ValidationError as e:
+        raise ValidationError(f"{path}: {e}") from None
 
 
 _PROB_SUFFIX = "_prob"
@@ -301,9 +299,7 @@ def read_prob(path: str | Path) -> ProbVolume:
     """Read a 4-channel probability volume written by :func:`write_volume`;
     its id is the file stem less any ``_prob`` suffix :func:`prob_path` adds."""
     path = Path(path)
-    data, header = _load_array(path)
-    if data.ndim != 4:
-        raise FormatError(f"{path}: expected a 4-channel volume (NDims=4)")
+    data, header = _load_array(path, 4)
     if data.shape[0] != N_CLASSES:
         raise FormatError(f"{path}: expected {N_CLASSES} channels, got {data.shape[0]}")
     return ProbVolume(probs=data, volume_id=path.stem.removesuffix(_PROB_SUFFIX))

@@ -3,6 +3,7 @@
 import hashlib
 import json
 import re
+import tempfile
 import weakref
 
 import numpy as np
@@ -10,7 +11,14 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from octpipe.backends import TrainingConfig, one_hot, threshold_backend
+from octpipe.backends import (
+    BANDS,
+    TrainingConfig,
+    external_backend,
+    one_hot,
+    oracle_backend,
+    threshold_backend,
+)
 from octpipe.config import RunConfig
 from octpipe.errors import StageError, ValidationError
 from octpipe.eval_harness import (
@@ -37,12 +45,20 @@ from octpipe.eval_harness import (
     save_folds,
     synth_phantom,
 )
-from octpipe.eval_harness import metrics
+from octpipe.eval_harness import metrics, runner
 from octpipe.eval_harness.phantom import INTENSITY_BANDS, _paint_labels
-from octpipe.eval_harness.runner import label_path
+from octpipe.eval_harness.runner import image_path, label_path, predict_volume
 from octpipe.patch_engine import DepthMode, close_all, extract, grid_runs, labelize, plan_grid
-from octpipe.preprocess import PreprocessConfig
-from octpipe.volume_io import FLUIDS, FluidClass, LabelVolume, ProbVolume, write_volume
+from octpipe.preprocess import PreprocessConfig, resize_volume
+from octpipe.volume_io import (
+    FLUIDS,
+    FluidClass,
+    LabelVolume,
+    OctVolume,
+    ProbVolume,
+    prob_path,
+    write_volume,
+)
 
 
 # ---------------------------------------------------------------- metrics
@@ -1119,3 +1135,91 @@ def test_predict_volume_3d_is_jobs_invariant():
         cfg = RunConfig(depth_mode=DepthMode.D3, patch_size=16, overlap=0.5, jobs=jobs)
         outputs.add(predict_volume(vol, threshold_backend(), cfg).probs.tobytes())
     assert len(outputs) == 1
+
+
+# ---------------------------------------------------------------- the whole predict path
+
+
+@st.composite
+def predict_cases(draw):
+    """A patch grid with an edge anchor on both axes (each side is the patch
+    plus whole strides plus a remainder), the image it tiles, the run
+    settings, the backend, and a native label size the oracle's truth is
+    resized from."""
+    patch = draw(st.integers(6, 14))
+    overlap = draw(st.sampled_from([0.25, 0.5, 0.75]))
+    stride = round(patch * (1 - overlap))
+    w, h = (patch + draw(st.integers(0, 2)) * stride + draw(st.integers(1, stride - 1)) for _ in "wh")
+    return dict(
+        dims=(w, h, draw(st.integers(3, 5))),
+        native=(draw(st.integers(w // 2, 2 * w)), draw(st.integers(h // 2, 2 * h))),
+        patch_size=patch,
+        overlap=overlap,
+        depth_mode=draw(st.sampled_from(list(DepthMode))),
+        variant=draw(st.sampled_from(["F", "P"])),
+        backend=draw(st.sampled_from(["threshold", "oracle", "external"])),
+        jobs=draw(st.integers(1, 3)),
+        seed=draw(st.integers(0, 2**31 - 1)),
+    )
+
+
+def nearest_sources(src: int, dst: int) -> list[int]:
+    """Source index of each output index: floor((i + 0.5) * src / dst)."""
+    return [(2 * i + 1) * src // (2 * dst) for i in range(dst)]
+
+
+@settings(max_examples=40, deadline=None)
+@given(case=predict_cases())
+def test_predict_path_equals_the_backend_reference_at_every_jobs(case):
+    """``predict_volume`` of random intensities equals, bit for bit, the
+    one-hot of the threshold backend's intensity bands, the one-hot of the
+    oracle's nearest-resized random truth, or the external backend's file of
+    random quarter probabilities (whose means over any coverage are exact),
+    and so is the same bytes at ``jobs`` 1, 2 and 3.  An oracle
+    ``evaluate_volume`` of a closing-stable phantom at its minimum size
+    scores Dice 1.0 for every fluid, as a per-voxel tally of its prediction
+    against the truth does."""
+    (w, h, d), (nw, nh) = case["dims"], case["native"]
+    rng = np.random.default_rng(case["seed"])
+    vol = OctVolume(rng.random((d, h, w), dtype=np.float32), volume_id="case")
+    run = {key: case[key] for key in ("patch_size", "overlap", "depth_mode", "variant")}
+    xs, ys = (sorted({anchor[i] for anchor in RunConfig(**run).grid((w, h)).anchors}) for i in (0, 1))
+    if case["variant"] == "P":
+        stride = round(case["patch_size"] * (1 - case["overlap"]))
+        assert xs[-1] == w - case["patch_size"] and xs[-1] % stride != 0
+        assert ys[-1] == h - case["patch_size"] and ys[-1] % stride != 0
+    with tempfile.TemporaryDirectory() as tmp:
+        if case["backend"] == "threshold":
+            backend = threshold_backend()
+            ref = one_hot(sum((vol.voxels > cut).astype(np.uint8) for cut in BANDS))
+        elif case["backend"] == "oracle":
+            native = rng.integers(0, 4, (d, nh, nw), dtype=np.uint8)
+            backend = oracle_backend(resize_volume(LabelVolume(native), (w, h)))
+            ref = one_hot(native[:, nearest_sources(nh, h)][:, :, nearest_sources(nw, w)])
+        else:
+            quarters = rng.multinomial(4, [0.25] * 4, size=(d, h, w)).astype(np.float32) / 4
+            ref = np.moveaxis(quarters, -1, 0)
+            write_volume(ProbVolume(ref, volume_id="case"), prob_path(tmp, "case"))
+            backend = external_backend(tmp, "case", vol.dims)
+        for jobs in (1, 2, 3):
+            probs = predict_volume(vol, backend, RunConfig(**run, jobs=jobs)).probs
+            assert probs.tobytes() == ref.tobytes(), jobs
+
+        image, truth = random_phantom((64, 64, 4), seed=case["seed"], volume_id="ph")
+        for path, volume in ((image_path(tmp, "ph"), image), (label_path(tmp, "ph"), truth)):
+            path.parent.mkdir()
+            write_volume(volume, path)
+        cfg = RunConfig(
+            **run, jobs=case["jobs"], data_root=tmp, backend="oracle",
+            preprocess=PreprocessConfig(target_2d=(64, 64), target_vol=(64, 64)),
+        )
+        seen = {}
+        with pytest.MonkeyPatch.context() as mp:
+            segment = runner.segment_volume
+            mp.setattr(runner, "segment_volume", lambda *a: seen.setdefault("pred", segment(*a)))
+            scores, _ = evaluate_volume("ph", cfg)
+    tally = np.bincount(4 * truth.voxels.ravel() + seen["pred"].voxels.ravel(), minlength=16)
+    tally = tally.reshape(4, 4)  # [true class, predicted class]
+    for cls in FLUIDS:
+        marked = tally[cls].sum() + tally[:, cls].sum()  # a fluid in neither scores 1.0
+        assert scores[cls] == (2 * tally[cls, cls] / marked if marked else 1.0) == 1.0

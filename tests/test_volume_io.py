@@ -191,12 +191,54 @@ def test_label_value_out_of_range_rejected(tmp_path):
     msg = str(err.value)
     assert "7" in msg and "x=2" in msg and "y=1" in msg and "z=0" in msg
 
+    # checked as read: a cast to uint8 would wrap 256 to 0
+    wide = np.zeros((2, 2, 3), dtype="<u2")
+    wide[1, 0, 2] = 256
+    write_mhd(tmp_path / "wide.mhd", header_for((3, 2, 2), "MET_USHORT"), wide.tobytes())
+    with pytest.raises(ValidationError, match=re.escape(
+        f"{tmp_path / 'wide.mhd'}: label value 256 at voxel (x=2, y=0, z=1) outside 0..3"
+    )):
+        read_labels(tmp_path / "wide.mhd")
+
 
 def test_label_volume_constructor_rejects_bad_alphabet():
     with pytest.raises(ValidationError):
         LabelVolume(voxels=np.full((1, 2, 2), 9, dtype=np.uint8), volume_id="bad")
+    with pytest.raises(ValidationError, match=re.escape("label value 256 at voxel (x=0, y=0, z=0)")):
+        LabelVolume(np.array([[[256, 257, 1]]]))  # not cast to [0, 1, 1] first
     with pytest.raises(ValueError, match=re.escape("label volume must be 3-D, got shape (2, 2)")):
         LabelVolume(voxels=np.zeros((2, 2), dtype=np.uint8), volume_id="flat")
+
+
+# the values outside 0..3 each element type can hold
+BAD_LABELS = {
+    np.uint8: (4,),
+    np.uint16: (256, 4),
+    np.int64: (256, -1, 4),
+    np.float32: (256, -1, 4, 1.5, np.nan),
+    np.float64: (256, -1, 4, 1.5, np.nan),
+}
+
+
+@settings(max_examples=150, deadline=None)
+@given(data=st.data(), dtype=st.sampled_from(sorted(BAD_LABELS, key=str)))
+def test_label_volume_checks_every_value_before_its_uint8_cast(data, dtype):
+    """Values in 0..3 of any integer or float type construct and equal their
+    uint8 cast.  A value outside the alphabet, placed at one or more drawn
+    voxels, fails naming the first of them in (z, y, x) order and its value,
+    where the cast would have wrapped 256 to 0, -1 to 255 and 1.5 to 1."""
+    shape = data.draw(hnp.array_shapes(min_dims=3, max_dims=3, max_side=5))
+    voxels = data.draw(hnp.arrays(dtype, shape, elements=st.integers(0, 3)))
+    assert LabelVolume(voxels).voxels.tobytes() == voxels.astype(np.uint8).tobytes()
+
+    bad = np.asarray(data.draw(st.sampled_from(BAD_LABELS[dtype])), dtype=dtype)
+    at = data.draw(st.lists(st.integers(0, voxels.size - 1), min_size=1, max_size=3, unique=True))
+    voxels.flat[at] = bad
+    z, y, x = np.unravel_index(min(at), shape)
+    with pytest.raises(ValidationError, match=re.escape(
+        f"label value {bad.item()} at voxel (x={x}, y={y}, z={z}) outside 0..3"
+    )):
+        LabelVolume(voxels)
 
 
 @pytest.mark.parametrize(
@@ -411,6 +453,9 @@ def test_non_numeric_header_field_is_a_format_error(tmp_path, field, line):
         (read_labels, ["ElementType = MET_FLOAT"], 32, "label payload must be an unsigned integer type"),
         (read_prob, ["NDims = 4", "DimSize = 2 2 2 3", "ElementType = MET_FLOAT"], 96,
          "expected 4 channels, got 3"),
+        (read_volume, ["NDims = 4", "DimSize = 2 2 2 1"], 8, "NDims must be 3, got 4"),
+        (read_labels, ["NDims = 4", "DimSize = 2 2 2 1"], 8, "NDims must be 3, got 4"),
+        (read_prob, ["ElementType = MET_FLOAT"], 32, "NDims must be 4, got 3"),
     ],
 )
 def test_header_that_does_not_fit_its_reader_names_the_file(tmp_path, read, lines, payload, message):
