@@ -94,7 +94,7 @@ def cmd_info(args: argparse.Namespace, cfg: RunConfig) -> int:
 
 def cmd_preprocess(args: argparse.Namespace, cfg: RunConfig) -> int:
     _require(cfg, DATA_ROOT, OUTPUT_DIR)
-    target = cfg.preprocess.target_for(cfg.depth_mode)
+    target = cfg.working_size
     out_dir = cfg.output_dir / "volumes"
     inventory = load_inventory(cfg.data_root)
     for vendor in sorted(inventory):
@@ -139,7 +139,7 @@ def cmd_patchify(args: argparse.Namespace, cfg: RunConfig) -> int:
     native_dims = native.dims
     if args.slice is not None and not 0 <= args.slice < native_dims[2]:
         raise ConfigError(f"--slice {args.slice} outside volume depth {native_dims[2]}")
-    target = cfg.preprocess.target_for(mode)
+    target = cfg.working_size
     vol = preprocess_volume(native, cfg.preprocess, target)
     grid = cfg.grid(vol.dims[:2])
     out_dir = cfg.output_dir / "patches"

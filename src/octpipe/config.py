@@ -2,33 +2,40 @@
 
 The file format is one ``section.key=value`` pair per line (``#`` comments,
 blank lines ignored), flat on purpose so resolved configs diff cleanly.
-Every setting is declared once, as a row of ``KEYS``: its file key, where it
-lives in ``RunConfig``, how it is parsed and rendered, and its command-line
-flag.  Keys only convert text; values are range-checked when the dataclass
-holding them is built, so a flag, a file and library code meet the same
-checks.  ``apply_settings`` turns a bad value into ``ConfigError`` naming its
-key.  ``render_config(cfg)`` emits every resolved setting in
-sorted order; parsing that text back yields an identical configuration.
+Each setting is declared once, as a field of ``RunConfig`` or of its
+``preprocess`` and ``training`` sections: its type picks its parser and
+renderer, its metadata holds the rest (see ``_setting``), and ``KEYS`` is
+built by walking those fields.  Keys only convert text; values are
+range-checked when the dataclass holding them is built, so a flag, a file
+and library code meet the same checks.  ``apply_settings`` turns a bad value
+into ``ConfigError`` naming its key.  ``render_config(cfg)`` emits every
+resolved setting in sorted order; parsing that text back yields an
+identical configuration.
 """
 
 from __future__ import annotations
 
 import os
-from dataclasses import dataclass, field, replace
+from dataclasses import dataclass, field, fields, is_dataclass, replace
 from functools import partial
 from operator import attrgetter
 from pathlib import Path
-from typing import Any, Callable
+from typing import Any, Callable, Iterator, get_type_hints
 
 from .backends import TrainingConfig, parse_backend_descriptor
-from .errors import ConfigError, ValidationError
+from .errors import ConfigError, ValidationError, check_fields
 from .patch_engine import DepthMode, PatchGrid, plan_grid
-from .preprocess import DENOISERS, SLICE_POLICIES, PreprocessConfig
+from .preprocess import SLICE_POLICIES, PreprocessConfig
 
 DATA_ROOT_ENV = "OCTPIPE_DATA_ROOT"
-_SLICE_CHOICES = ("auto", *SLICE_POLICIES)
-AGGREGATES = ("macro", "micro")
 VARIANTS = ("F", "P")  # full image, overlapping patches; reports list them in this order
+
+
+def _setting(default: Any, **meta: Any) -> Any:
+    """A field whose metadata holds what its type cannot say: its file
+    ``key`` (default: the attribute name), ``flag``, ``help``, ``choices``,
+    a lower bound ``low`` and an exclusive upper bound ``below``."""
+    return field(default=default, metadata=meta)
 
 
 @dataclass(frozen=True)
@@ -37,40 +44,30 @@ class RunConfig:
 
     Each range check names the setting by its file key."""
 
-    data_root: Path | None = None
-    output_dir: Path | None = None
-    variant: str = "P"
-    depth_mode: DepthMode = DepthMode.D25
-    backend: str = "threshold"
-    jobs: int = 0  # 0 means "use logical core count"
-    patch_size: int = 128
-    overlap: float = 0.75
-    close_radius: int = 1
-    aggregate: str = "macro"
-    folds_k: int = 3
-    seed: int = 0
-    slice_policy: str = "auto"
+    data_root: Path | None = _setting(None, flag="--data-root")
+    output_dir: Path | None = _setting(None, flag="--output-dir")
+    variant: str = _setting("P", flag="--variant", choices=VARIANTS)
+    depth_mode: DepthMode = _setting(
+        DepthMode.D25, flag="--depth-mode", help=" | ".join(mode.value for mode in DepthMode)
+    )
+    backend: str = _setting("threshold", flag="--backend", help="threshold | oracle | external:DIR")
+    jobs: int = _setting(0, flag="--jobs", help="0 = all cores", low=0)
+    patch_size: int = _setting(128, key="grid.patch_size", flag="--patch-size", low=1)
+    overlap: float = _setting(0.75, key="grid.overlap", flag="--overlap", low=0, below=1)
+    close_radius: int = _setting(1, key="grid.close_radius", flag="--close-radius", low=0)
+    aggregate: str = _setting(
+        "macro", key="eval.aggregate", flag="--aggregate", choices=("macro", "micro")
+    )
+    folds_k: int = _setting(
+        3, key="folds.k", flag="--folds", help="number of cross-validation folds", low=2
+    )
+    seed: int = _setting(0, key="folds.seed", flag="--seed")
+    slice_policy: str = _setting("auto", flag="--slice-policy", choices=("auto", *SLICE_POLICIES))
     preprocess: PreprocessConfig = field(default_factory=PreprocessConfig)
     training: TrainingConfig = field(default_factory=TrainingConfig)
 
     def __post_init__(self):
-        for name, value, choices in (
-            ("variant", self.variant, VARIANTS),
-            ("eval.aggregate", self.aggregate, AGGREGATES),
-            ("slice_policy", self.slice_policy, _SLICE_CHOICES),
-        ):
-            if value not in choices:
-                raise ValidationError(f"{name} must be one of {choices}, got {value!r}")
-        for name, value, low in (
-            ("jobs", self.jobs, 0),
-            ("grid.patch_size", self.patch_size, 1),
-            ("grid.close_radius", self.close_radius, 0),
-            ("folds.k", self.folds_k, 2),
-        ):
-            if value < low:
-                raise ValidationError(f"{name} must be >= {low}, got {value}")
-        if not 0.0 <= self.overlap < 1.0:
-            raise ValidationError(f"grid.overlap must lie in [0, 1), got {self.overlap}")
+        check_fields(self)
         if not isinstance(self.depth_mode, DepthMode):
             raise ValidationError(f"depth_mode must be a DepthMode, got {self.depth_mode!r}")
         # the model column of every report: kind lower-cased, a path as Path spells it
@@ -80,6 +77,14 @@ class RunConfig:
     @property
     def resolved_jobs(self) -> int:
         return self.jobs if self.jobs > 0 else (os.cpu_count() or 1)
+
+    @property
+    def working_size(self) -> tuple[int, int]:
+        """The (width, height) every volume is preprocessed to:
+        ``preprocess.target_2d`` in 2d, else ``preprocess.target_vol``."""
+        if self.depth_mode is DepthMode.D2:
+            return self.preprocess.target_2d
+        return self.preprocess.target_vol
 
     def grid(self, image_dims: tuple[int, int]) -> PatchGrid:
         """The grid this run tiles each (width, height) plane with: one
@@ -93,20 +98,15 @@ class RunConfig:
 @dataclass(frozen=True)
 class Key:
     """One setting: file key ``name``, ``RunConfig`` attribute ``path``
-    (``section.attr`` for nested configs; defaults to ``name``), text parser
-    and renderer, and the command-line ``flag`` (None for file-only keys)
-    with its ``help``."""
+    (``section.attr`` for nested configs), text parser and renderer, and the
+    command-line ``flag`` (None for file-only keys) with its ``help``."""
 
     name: str
-    parse: Callable[[str], Any] = str
-    render: Callable[[Any], str] = str
-    flag: str | None = None
-    help: str | None = None
-    path: str | None = None
-
-    def __post_init__(self):
-        if self.path is None:
-            object.__setattr__(self, "path", self.name)
+    parse: Callable[[str], Any]
+    render: Callable[[Any], str]
+    flag: str | None
+    help: str | None
+    path: str
 
     def read(self, text: str) -> Any:
         """Parse one value; unparseable text raises ConfigError naming this key."""
@@ -116,8 +116,7 @@ class Key:
             raise ConfigError(f"bad value for {self.name!r}: {exc}") from exc
 
     def get(self, cfg: RunConfig) -> Any:
-        section, _, attr = self.path.rpartition(".")
-        return getattr(getattr(cfg, section) if section else cfg, attr)
+        return attrgetter(self.path)(cfg)
 
 
 def parse_dims(text: str, parts: int) -> tuple[int, ...]:
@@ -132,10 +131,6 @@ def parse_dims(text: str, parts: int) -> tuple[int, ...]:
     return dims
 
 
-def _render_dims(dims: tuple[int, ...]) -> str:
-    return "x".join(map(str, dims))
-
-
 def _parse_bool(text: str) -> bool:
     t = text.strip().lower()
     if t in ("true", "yes", "1"):
@@ -145,60 +140,33 @@ def _parse_bool(text: str) -> bool:
     raise ValueError(f"expected a boolean, got {text!r}")
 
 
-def _render_bool(value: bool) -> str:
-    return "true" if value else "false"
+# (parser, renderer) for each annotated setting type
+_CODECS: dict[Any, tuple[Callable[[str], Any], Callable[[Any], str]]] = {
+    str: (str, str),
+    int: (int, str),
+    float: (float, repr),
+    bool: (_parse_bool, lambda value: "true" if value else "false"),
+    Path | None: (Path, str),
+    DepthMode: (DepthMode.parse, attrgetter("value")),
+    tuple[int, int]: (partial(parse_dims, parts=2), lambda dims: "x".join(map(str, dims))),
+}
 
 
-def _one_of(choices: tuple[str, ...]) -> str:
-    return " | ".join(choices)
+def _keys(settings: type, prefix: str = "") -> Iterator[Key]:
+    """One Key per field of the dataclass ``settings``, in field order,
+    walking into each nested section; help defaults to the choices."""
+    types = get_type_hints(settings)
+    for f in fields(settings):
+        if is_dataclass(types[f.name]):
+            yield from _keys(types[f.name], f"{f.name}.")
+            continue
+        meta, path, choices = f.metadata, prefix + f.name, f.metadata.get("choices")
+        text = meta.get("help", choices and " | ".join(choices))
+        yield Key(meta.get("key", path), *_CODECS[types[f.name]], meta.get("flag"), text, path)
 
 
-DATA_ROOT = Key("data_root", Path, flag="--data-root")
-OUTPUT_DIR = Key("output_dir", Path, flag="--output-dir")
-
-KEYS: tuple[Key, ...] = (
-    DATA_ROOT,
-    OUTPUT_DIR,
-    Key("variant", flag="--variant", help=_one_of(VARIANTS)),
-    Key(
-        "depth_mode",
-        DepthMode.parse,
-        attrgetter("value"),
-        flag="--depth-mode",
-        help=_one_of(tuple(mode.value for mode in DepthMode)),
-    ),
-    Key("backend", flag="--backend", help="threshold | oracle | external:DIR"),
-    Key("jobs", int, flag="--jobs", help="0 = all cores"),
-    Key("grid.patch_size", int, flag="--patch-size", path="patch_size"),
-    Key("grid.overlap", float, repr, flag="--overlap", path="overlap"),
-    Key("grid.close_radius", int, flag="--close-radius", path="close_radius"),
-    Key("eval.aggregate", flag="--aggregate", help=_one_of(AGGREGATES), path="aggregate"),
-    Key(
-        "folds.k",
-        int,
-        flag="--folds",
-        help="number of cross-validation folds",
-        path="folds_k",
-    ),
-    Key("folds.seed", int, flag="--seed", path="seed"),
-    Key("slice_policy", flag="--slice-policy", help=_one_of(_SLICE_CHOICES)),
-    Key("preprocess.target_2d", partial(parse_dims, parts=2), _render_dims),
-    Key("preprocess.target_vol", partial(parse_dims, parts=2), _render_dims),
-    Key("preprocess.denoiser", flag="--denoiser", help=_one_of(DENOISERS)),
-    Key("preprocess.sigma", float, repr),
-    Key("preprocess.search_radius", int),
-    Key("preprocess.patch_radius", int),
-    Key("preprocess.h", float, repr),
-    Key("preprocess.normalize"),
-    Key("training.optimizer"),
-    Key("training.decay", float, repr),
-    Key("training.lr_start", float, repr),
-    Key("training.lr_end", float, repr),
-    Key("training.epochs", int),
-    Key("training.shuffle_each_epoch", _parse_bool, _render_bool),
-    Key("training.loss"),
-)
-
+KEYS: tuple[Key, ...] = tuple(_keys(RunConfig))
+DATA_ROOT, OUTPUT_DIR = KEYS[:2]  # RunConfig's first two fields
 _BY_NAME = {key.name: key for key in KEYS}
 
 

@@ -189,7 +189,7 @@ def evaluate_volume(volume_id: str, cfg: RunConfig) -> tuple[dict, dict]:
         "preprocess", volume_id, preprocess_pair,
         partial(_stage, "read_volume", volume_id, read_volume, image_path(cfg.data_root, volume_id)),
         partial(_stage, "read_labels", volume_id, read_labels, label_path(cfg.data_root, volume_id)),
-        cfg.preprocess, cfg.preprocess.target_for(cfg.depth_mode),
+        cfg.preprocess, cfg.working_size,
     )
     # no name holds the backend, so an external one's volume is freed before scoring
     pred = segment_volume(

@@ -17,12 +17,11 @@ they import it when they run.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
+from dataclasses import dataclass, field
 
 import numpy as np
 
-from .errors import ValidationError
-from .patch_engine import DepthMode
+from .errors import ValidationError, check_fields
 from .volume_io import LabelVolume, OctVolume, Vendor
 
 DENOISERS = ("none", "gaussian", "nlm")
@@ -34,16 +33,17 @@ SLICE_POLICIES = ("diseased_only", "all")
 class PreprocessConfig:
     """Working resolutions plus the denoiser and normalization stage settings.
 
-    Each range check names the setting by its file key."""
+    Field metadata declares the command-line flag and the choices of a
+    setting; each range check names the setting by its file key."""
 
     target_2d: tuple[int, int] = (572, 572)
     target_vol: tuple[int, int] = (384, 384)
-    denoiser: str = "none"
+    denoiser: str = field(default="none", metadata={"flag": "--denoiser", "choices": DENOISERS})
     sigma: float = 1.0          # gaussian kernel width
     search_radius: int = 5      # nlm search window half-width
     patch_radius: int = 2       # nlm comparison patch half-width
     h: float = 0.1              # nlm weight bandwidth
-    normalize: str = "auto"     # one of NORMALIZE_MODES
+    normalize: str = field(default="auto", metadata={"choices": NORMALIZE_MODES})
 
     def __post_init__(self):
         for name, target in (("target_2d", self.target_2d), ("target_vol", self.target_vol)):
@@ -51,12 +51,7 @@ class PreprocessConfig:
                 raise ValidationError(
                     f"preprocess.{name} must be two positive integers, got {target}"
                 )
-        for name, value, choices in (
-            ("denoiser", self.denoiser, DENOISERS),
-            ("normalize", self.normalize, NORMALIZE_MODES),
-        ):
-            if value not in choices:
-                raise ValidationError(f"preprocess.{name} must be one of {choices}, got {value!r}")
+        check_fields(self, "preprocess.")
         positive = {"gaussian": ("sigma",), "nlm": ("h", "search_radius", "patch_radius")}
         for name in positive.get(self.denoiser, ()):
             if not getattr(self, name) > 0:
@@ -64,10 +59,6 @@ class PreprocessConfig:
                     f"preprocess.{name} must be > 0 with the {self.denoiser} denoiser, "
                     f"got {getattr(self, name)}"
                 )
-
-    def target_for(self, mode: DepthMode) -> tuple[int, int]:
-        """Working (width, height) for a DepthMode: target_2d in 2d, else target_vol."""
-        return self.target_2d if mode is DepthMode.D2 else self.target_vol
 
 
 def default_slice_policy(vendor: Vendor | None) -> str:

@@ -1,5 +1,6 @@
 """End-to-end command-line workflows on temporary phantom datasets."""
 
+import argparse
 import hashlib
 import json
 from dataclasses import replace
@@ -9,7 +10,7 @@ import pytest
 
 from octpipe import patch_engine
 from octpipe.backends import one_hot, threshold_backend
-from octpipe.cli import main
+from octpipe.cli import build_parser, main
 from octpipe.config import DATA_ROOT_ENV, KEYS, load_config
 from octpipe.eval_harness import runner
 from octpipe.eval_harness.report import load_report_csv
@@ -230,6 +231,29 @@ def test_preprocess_header_spacing_follows_the_resize(make_dataset, tmp_path, ca
         assert "ElementSpacing = 2.0 4.0 1.0\n" in header
 
 
+def test_preprocess_writes_only_the_image_of_a_volume_without_labels(make_dataset, tmp_path, capsys):
+    root, _, _ = make_dataset()
+    (root / "labels" / "cirrus_01.mhd").unlink()
+    (root / "labels" / "cirrus_01.raw").unlink()
+    cfg = tmp_path / "half.cfg"
+    cfg.write_text("preprocess.target_vol = 48x40\npreprocess.denoiser = gaussian\n")
+    out_dir = tmp_path / "out"
+    rc, out, err = run(
+        capsys, "preprocess", "--config", cfg, "--data-root", root, "--output-dir", out_dir
+    )
+    assert rc == 0, err
+    assert "preprocessed cirrus_01 -> 48x40" in out
+    volumes = out_dir / "volumes"
+    assert (volumes / "cirrus_01.mhd").exists()
+    assert not (volumes / "cirrus_01_labels.mhd").exists()
+    assert (volumes / "cirrus_00_labels.mhd").exists()
+    source = read_volume(root / "images" / "cirrus_01.mhd")
+    expected = preprocess_volume(source, load_config(cfg).preprocess, (48, 40))
+    got = read_volume(volumes / "cirrus_01.mhd")
+    assert got.dims == (48, 40, 4)
+    assert got.voxels.tobytes() == expected.voxels.tobytes()
+
+
 def test_stitch_of_a_spill_with_a_two_entry_anchor_names_the_sidecar(tmp_path, capsys):
     grid = plan_grid((32, 32), 16, 0.5, DepthMode.D2)
     base = tmp_path / "pred_z0000"
@@ -397,7 +421,7 @@ def test_patchify_3d_spills_the_whole_grid(make_dataset, tmp_path, capsys):
     base = out_dir / "patches" / "cirrus_00_3d"
     assert out.strip() == f"wrote 25 patches to {base}.raw"
     cfg = replace(load_config(cfg_path), depth_mode=DepthMode.D3)
-    target = cfg.preprocess.target_for(cfg.depth_mode)
+    target = cfg.working_size
     vol = preprocess_volume(read_volume(root / "images" / "cirrus_00.mhd"), cfg.preprocess, target)
     grid = cfg.grid(vol.dims[:2])
     expected = patch_engine.extract(vol, grid)
@@ -429,7 +453,7 @@ def test_stitch_full_image_variant_matches_predict_volume(make_dataset, tmp_path
     assert rc == 0, err
     assert "stitched 4 patch predictions" in out
     cfg = replace(load_config(cfg_path), variant="F")
-    target = cfg.preprocess.target_for(cfg.depth_mode)
+    target = cfg.working_size
     vol = preprocess_volume(read_volume(root / "images" / f"{vid}.mhd"), cfg.preprocess, target)
     expected = predict_volume(vol, backend, cfg)
     got = read_prob(out_dir / "predictions" / f"{vid}_prob.mhd")
@@ -878,3 +902,73 @@ def test_flag_overrides_config_file(make_dataset, tmp_path, capsys):
     copy = (out_dir / "folds" / "run_config.txt").read_text()
     assert "folds.seed=2" in copy
     assert json.loads((out_dir / "folds" / "folds.json").read_text())["seed"] == 2
+
+
+# Every subcommand's arguments as (flags, dest, help, default, required,
+# nargs), in --help order; the key flags end every list.
+_HELP = (("-h", "--help"), "help", "show this help message and exit", "==SUPPRESS==", False, 0)
+_KEY_FLAGS = [
+    (("--config",), "config", "flat key=value configuration file", None, False, None),
+    (("--data-root",), "data_root", None, None, False, None),
+    (("--output-dir",), "output_dir", None, None, False, None),
+    (("--variant",), "variant", "F | P", None, False, None),
+    (("--depth-mode",), "depth_mode", "2d | 2.5d | 3d", None, False, None),
+    (("--backend",), "backend", "threshold | oracle | external:DIR", None, False, None),
+    (("--jobs",), "jobs", "0 = all cores", None, False, None),
+    (("--patch-size",), "grid.patch_size", None, None, False, None),
+    (("--overlap",), "grid.overlap", None, None, False, None),
+    (("--close-radius",), "grid.close_radius", None, None, False, None),
+    (("--aggregate",), "eval.aggregate", "macro | micro", None, False, None),
+    (("--folds",), "folds.k", "number of cross-validation folds", None, False, None),
+    (("--seed",), "folds.seed", None, None, False, None),
+    (("--slice-policy",), "slice_policy", "auto | diseased_only | all", None, False, None),
+    (("--denoiser",), "preprocess.denoiser", "none | gaussian | nlm", None, False, None),
+]
+_SUBCOMMANDS = {
+    "info": ("print vendor and geometry of volumes", [((), "paths", None, None, True, "+")]),
+    "preprocess": ("resize/denoise every inventory volume", []),
+    "folds": ("plan cross-validation folds", []),
+    "patchify": (
+        "extract overlapping patches to disk",
+        [
+            (("--volume",), "volume", "volume id to patchify", None, True, None),
+            (("--slice",), "slice", "single slice index (default: policy-selected)", None, False, None),
+        ],
+    ),
+    "stitch": (
+        "stitch spilled patch predictions into a volume",
+        [
+            (("--volume",), "volume", "volume id for the output", None, True, None),
+            (("--dims",), "dims", "target dims as WxHxD", None, True, None),
+            (("--predictions",), "predictions", "prediction spill base paths", None, True, "+"),
+        ],
+    ),
+    "evaluate": (
+        "run the pipeline over cross-validation folds",
+        [(("--fold",), "fold", "evaluate a single fold (default: all)", None, False, None)],
+    ),
+    "report": ("merge evaluate CSVs into one table", [((), "csvs", None, None, True, "+")]),
+    "synth": (
+        "write a synthetic phantom dataset",
+        [
+            (("--dims",), "dims", "volume dims as WxHxD", "128x128x8", False, None),
+            (("--n-per-vendor",), "n_per_vendor", None, 3, False, None),
+            (("--vendors",), "vendors", None, "Cirrus,Spectralis,Topcon", False, None),
+            (("--n-blobs",), "n_blobs", None, 6, False, None),
+        ],
+    ),
+}
+
+
+def test_every_subcommand_keeps_its_flags_choices_and_help():
+    (subs,) = [a for a in build_parser()._actions if isinstance(a, argparse._SubParsersAction)]
+    assert [(c.dest, c.help) for c in subs._choices_actions] == [
+        (name, text) for name, (text, _) in _SUBCOMMANDS.items()
+    ]
+    for name, parser in subs.choices.items():
+        got = [
+            (tuple(a.option_strings), a.dest, a.help, a.default, a.required, a.nargs)
+            for a in parser._actions
+        ]
+        assert got == [_HELP, *_SUBCOMMANDS[name][1], *_KEY_FLAGS], name
+        assert all(a.choices is None for a in parser._actions), name

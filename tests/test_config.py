@@ -87,6 +87,73 @@ def test_render_config_round_trips():
     assert text.endswith("\n")
 
 
+def test_render_config_of_the_defaults_is_the_same_text():
+    cfg = RunConfig(data_root=Path("/data/oct"), output_dir=Path("runs/a"))
+    assert render_config(cfg) == (
+        "backend=threshold\n"
+        "data_root=/data/oct\n"
+        "depth_mode=2.5d\n"
+        "eval.aggregate=macro\n"
+        "folds.k=3\n"
+        "folds.seed=0\n"
+        "grid.close_radius=1\n"
+        "grid.overlap=0.75\n"
+        "grid.patch_size=128\n"
+        "jobs=0\n"
+        "output_dir=runs/a\n"
+        "preprocess.denoiser=none\n"
+        "preprocess.h=0.1\n"
+        "preprocess.normalize=auto\n"
+        "preprocess.patch_radius=2\n"
+        "preprocess.search_radius=5\n"
+        "preprocess.sigma=1.0\n"
+        "preprocess.target_2d=572x572\n"
+        "preprocess.target_vol=384x384\n"
+        "slice_policy=auto\n"
+        "training.decay=0.95\n"
+        "training.epochs=100\n"
+        "training.loss=weighted-cross-entropy\n"
+        "training.lr_end=0.0001\n"
+        "training.lr_start=0.001\n"
+        "training.optimizer=adam\n"
+        "training.shuffle_each_epoch=true\n"
+        "variant=P\n"
+    )
+
+
+def test_keys_keep_their_names_paths_and_flags_in_field_order():
+    assert [(key.name, key.path, key.flag) for key in KEYS] == [
+        ("data_root", "data_root", "--data-root"),
+        ("output_dir", "output_dir", "--output-dir"),
+        ("variant", "variant", "--variant"),
+        ("depth_mode", "depth_mode", "--depth-mode"),
+        ("backend", "backend", "--backend"),
+        ("jobs", "jobs", "--jobs"),
+        ("grid.patch_size", "patch_size", "--patch-size"),
+        ("grid.overlap", "overlap", "--overlap"),
+        ("grid.close_radius", "close_radius", "--close-radius"),
+        ("eval.aggregate", "aggregate", "--aggregate"),
+        ("folds.k", "folds_k", "--folds"),
+        ("folds.seed", "seed", "--seed"),
+        ("slice_policy", "slice_policy", "--slice-policy"),
+        ("preprocess.target_2d", "preprocess.target_2d", None),
+        ("preprocess.target_vol", "preprocess.target_vol", None),
+        ("preprocess.denoiser", "preprocess.denoiser", "--denoiser"),
+        ("preprocess.sigma", "preprocess.sigma", None),
+        ("preprocess.search_radius", "preprocess.search_radius", None),
+        ("preprocess.patch_radius", "preprocess.patch_radius", None),
+        ("preprocess.h", "preprocess.h", None),
+        ("preprocess.normalize", "preprocess.normalize", None),
+        ("training.optimizer", "training.optimizer", None),
+        ("training.decay", "training.decay", None),
+        ("training.lr_start", "training.lr_start", None),
+        ("training.lr_end", "training.lr_end", None),
+        ("training.epochs", "training.epochs", None),
+        ("training.shuffle_each_epoch", "training.shuffle_each_epoch", None),
+        ("training.loss", "training.loss", None),
+    ]
+
+
 def test_load_config_file_and_missing(tmp_path):
     path = tmp_path / "run.cfg"
     path.write_text("folds.seed=11\nvariant=F\n")
@@ -130,9 +197,9 @@ def test_run_config_validation_and_targets():
         with pytest.raises(ValidationError):
             RunConfig(**bad)
     cfg_2d = RunConfig(depth_mode=DepthMode.D2)
-    assert cfg_2d.preprocess.target_for(cfg_2d.depth_mode) == (572, 572)
+    assert cfg_2d.working_size == (572, 572)
     cfg_3d = RunConfig(depth_mode=DepthMode.D3)
-    assert cfg_3d.preprocess.target_for(cfg_3d.depth_mode) == (384, 384)
+    assert cfg_3d.working_size == (384, 384)
 
 
 def test_depth_mode_text_is_rejected_not_run_as_2d():

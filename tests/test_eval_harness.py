@@ -504,6 +504,25 @@ def test_report_entry_validation():
         entry(fluid="CNV")
 
 
+def test_unknown_dimensions_and_vendors_sort_after_the_known_ones():
+    """Names outside DepthMode and Vendor follow the known ones, in name
+    order, though "0D" and "Bioptigen" sort first alphabetically."""
+    entries = [
+        entry(dimension=dimension, vendor=vendor)
+        for dimension in ("4D", "3D", "0D", "2D")
+        for vendor in ("Optovue", "Topcon", "Bioptigen", "Cirrus")
+    ]
+    dimensions = ["2D", "3D", "0D", "4D"]
+    vendors = ["Cirrus", "Topcon", "Bioptigen", "Optovue"]
+    table, text = render_report(entries)
+    rows = [line.split(",") for line in text.splitlines()[1:]]
+    assert [(row[0], row[3]) for row in rows] == [(d, v) for d in dimensions for v in vendors]
+    lines = table.splitlines()
+    header = lines[0].strip("| ").split(" | ")
+    assert [cell.split()[0] for cell in header[2::3]] == vendors
+    assert [line.split(" | ")[0].lstrip("| ") for line in lines[2:6]] == dimensions
+
+
 @pytest.mark.parametrize("render", [render_table, render_csv])
 def test_render_refuses_an_empty_entry_list(render):
     with pytest.raises(ValidationError, match="nothing to render: no report entries"):
