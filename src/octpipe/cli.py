@@ -40,7 +40,7 @@ from .eval_harness.runner import (
     run_experiment,
 )
 from .preprocess import default_slice_policy, filter_slices, preprocess_volume, resize_volume
-from .volume_io import prob_path, read_labels, read_volume, vendor_of, write_volume
+from .volume_io import prob_path, read_labels, read_volume, vendor_of, write_files, write_volume
 
 
 def _add_common(sub: argparse.ArgumentParser) -> None:
@@ -65,8 +65,7 @@ def _require(cfg: RunConfig, *keys: Key) -> None:
 
 
 def _write_config_copy(cfg: RunConfig, directory: Path) -> None:
-    directory.mkdir(parents=True, exist_ok=True)
-    (directory / "run_config.txt").write_text(render_config(cfg))
+    write_files((directory / "run_config.txt", render_config(cfg)))
 
 
 def _write_report(cfg: RunConfig, entries: list, name: str) -> int:
@@ -74,9 +73,7 @@ def _write_report(cfg: RunConfig, entries: list, name: str) -> int:
     run's config beside them, and print the table."""
     table, csv_text = render_report(entries, training=cfg.training)
     out_dir = cfg.output_dir / "reports"
-    out_dir.mkdir(parents=True, exist_ok=True)
-    (out_dir / f"{name}.csv").write_text(csv_text)
-    (out_dir / f"{name}.md").write_text(table)
+    write_files((out_dir / f"{name}.csv", csv_text), (out_dir / f"{name}.md", table))
     _write_config_copy(cfg, out_dir)
     print(table)
     return 0
@@ -105,7 +102,6 @@ def cmd_preprocess(args: argparse.Namespace, cfg: RunConfig) -> int:
                 vol, labels = preprocess_pair(image, partial(read_labels, lpath), cfg.preprocess, target)
             else:
                 vol, labels = preprocess_volume(image(), cfg.preprocess, target), None
-            out_dir.mkdir(parents=True, exist_ok=True)
             write_volume(vol, out_dir / f"{volume_id}.mhd")
             if labels is not None:
                 write_volume(labels, out_dir / f"{volume_id}_labels.mhd")
@@ -119,7 +115,6 @@ def cmd_folds(args: argparse.Namespace, cfg: RunConfig) -> int:
     inventory = load_inventory(cfg.data_root)
     plan = make_folds(inventory, cfg.folds_k, cfg.seed)
     out_dir = cfg.output_dir / "folds"
-    out_dir.mkdir(parents=True, exist_ok=True)
     save_folds(plan, out_dir / "folds.json")
     _write_config_copy(cfg, out_dir)
     for fold in range(plan.k):
@@ -143,7 +138,6 @@ def cmd_patchify(args: argparse.Namespace, cfg: RunConfig) -> int:
     vol = preprocess_volume(native, cfg.preprocess, target)
     grid = cfg.grid(vol.dims[:2])
     out_dir = cfg.output_dir / "patches"
-    out_dir.mkdir(parents=True, exist_ok=True)
 
     if mode is patch_engine.DepthMode.D3:
         patches = patch_engine.extract(vol, grid)
@@ -188,7 +182,6 @@ def cmd_stitch(args: argparse.Namespace, cfg: RunConfig) -> int:
     )
     prob.validate()
     out_dir = cfg.output_dir / "predictions"
-    out_dir.mkdir(parents=True, exist_ok=True)
     out_path = prob_path(out_dir, args.volume)
     write_volume(prob, out_path)
     _write_config_copy(cfg, out_dir)
@@ -240,13 +233,11 @@ def cmd_synth(args: argparse.Namespace, cfg: RunConfig) -> int:
                 volume_id=volume_id,
             )
             for volume, where in ((vol, image_path), (labels, label_path)):
-                path = where(root, volume_id)
-                path.parent.mkdir(parents=True, exist_ok=True)
-                write_volume(volume, path)
+                write_volume(volume, where(root, volume_id))
             ids.append(volume_id)
             counter += 1
         inventory[vendor] = ids
-    (root / "inventory.json").write_text(json.dumps(inventory, indent=2, sort_keys=True) + "\n")
+    write_files((root / "inventory.json", json.dumps(inventory, indent=2, sort_keys=True) + "\n"))
     _write_config_copy(cfg, root)
     total = sum(len(v) for v in inventory.values())
     print(f"wrote {total} phantom volumes under {root}")

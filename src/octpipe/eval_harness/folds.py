@@ -18,6 +18,7 @@ from pathlib import Path
 import numpy as np
 
 from ..errors import ValidationError
+from ..volume_io import write_files
 
 
 def _vendor_stream(seed: int, vendor: str) -> np.random.Generator:
@@ -100,5 +101,5 @@ def save_folds(plan: FoldPlan, path: str | Path) -> None:
             for fold_sets in plan.test_sets
         ],
     }
-    Path(path).write_text(json.dumps(payload, indent=2, sort_keys=True) + "\n")
+    write_files((path, json.dumps(payload, indent=2, sort_keys=True) + "\n"))
 

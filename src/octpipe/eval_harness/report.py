@@ -10,13 +10,13 @@ from __future__ import annotations
 
 import csv
 import io
-from dataclasses import dataclass
+from dataclasses import dataclass, field
 from decimal import ROUND_HALF_UP, Decimal
 from pathlib import Path
 
 from ..backends import TrainingConfig
 from ..config import VARIANTS
-from ..errors import ValidationError
+from ..errors import ValidationError, check_fields
 from ..patch_engine import DepthMode
 from ..volume_io import FLUIDS, Vendor
 
@@ -39,24 +39,17 @@ class ReportEntry:
 
     dimension: str
     model: str
-    variant: str
+    variant: str = field(metadata={"choices": VARIANTS})
     vendor: str
-    fluid: str
+    fluid: str = field(metadata={"choices": FLUID_ORDER})
     dice: float
-    fold: int
-    n_volumes: int
+    fold: int = field(metadata={"low": 0})
+    n_volumes: int = field(metadata={"low": 1})
 
     def __post_init__(self):
         if not 0.0 <= self.dice <= 1.0:
             raise ValidationError(f"dice must lie in [0, 1], got {self.dice}")
-        if self.variant not in VARIANTS:
-            raise ValidationError(f"variant must be one of {VARIANTS}, got {self.variant!r}")
-        if self.fluid not in FLUID_ORDER:
-            raise ValidationError(f"fluid must be one of {FLUID_ORDER}, got {self.fluid!r}")
-        if self.fold < 0:
-            raise ValidationError(f"fold must be >= 0, got {self.fold}")
-        if self.n_volumes < 1:
-            raise ValidationError(f"n_volumes must be >= 1, got {self.n_volumes}")
+        check_fields(self)
 
 
 def _order(value: str, ordering: tuple[str, ...]) -> tuple[int, str]:

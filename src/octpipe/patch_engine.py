@@ -39,6 +39,7 @@ from numpy.lib.stride_tricks import as_strided
 
 from .errors import CoverageError, FormatError, ValidationError
 from .volume_io import FLUIDS, N_CLASSES, FluidClass, LabelVolume, OctVolume, ProbVolume
+from .volume_io import read_payload, write_files
 
 SLAB_RADIUS = 1  # a 2.5d patch carries its B-scan and this many neighbours on each side
 
@@ -559,17 +560,16 @@ def _save_spill(path_base, kind: str, stack, meta: dict) -> None:
     if not len(stack):
         raise ValueError(f"refusing to spill an empty {kind} batch")
     stack = np.asarray(stack, dtype=np.float32)
-    stack.tofile(raw_path)
     meta = {"kind": kind, _SHAPE_FIELDS[kind]: list(stack.shape[1:]), **meta}
-    meta_path.write_text(json.dumps(meta, indent=2, sort_keys=True) + "\n")
+    write_files((raw_path, stack), (meta_path, json.dumps(meta, indent=2, sort_keys=True) + "\n"))
 
 
 def _load_spill(path_base, kind: str, build):
     """Read a spill of ``kind`` and return ``build(meta, stack)``, given its
     sidecar and an (n_anchors, *shape) stack.  A sidecar that is not JSON,
     lacks a field, holds a value of the wrong type or an anchor that is not
-    three integers raises FormatError naming it, as does a raw file whose
-    size differs from the sidecar's promise, before it is read."""
+    three integers raises FormatError naming it, as :func:`read_payload`
+    does a raw file whose size differs from the sidecar's promise."""
     raw_path, meta_path = _sidecar_paths(path_base)
     try:
         meta = json.loads(meta_path.read_text())
@@ -579,11 +579,7 @@ def _load_spill(path_base, kind: str, build):
             if not (type(anchor) is list and len(anchor) == 3 and all(type(v) is int for v in anchor)):
                 raise FormatError(f"{meta_path}: anchor {anchor!r} is not three integers")
         shape = (len(meta["anchors"]), *meta[_SHAPE_FIELDS[kind]])
-        expected = int(np.prod(shape)) * 4
-        found = raw_path.stat().st_size
-        if found != expected:
-            raise FormatError(f"{raw_path} holds {found} bytes, sidecar promises {expected}")
-        return build(meta, np.fromfile(raw_path, dtype=np.float32).reshape(shape))
+        return build(meta, read_payload(meta_path, raw_path, 0, np.float32, shape))
     except (AttributeError, KeyError, TypeError, ValueError) as exc:
         raise FormatError(f"{meta_path} is not a valid {kind} sidecar: {type(exc).__name__}: {exc}") from exc
 

@@ -10,6 +10,8 @@ one slice at a time, so neither allocates a second volume.
 from __future__ import annotations
 
 import enum
+import math
+import operator
 import os
 from dataclasses import dataclass
 from pathlib import Path
@@ -188,31 +190,20 @@ def _parse_header(path: Path) -> tuple[dict[str, str], int]:
                 return header, offset
 
 
-def _read_raw(
-    path: Path, header: dict[str, str], header_end: int, dtype: np.dtype, count: int
-) -> np.ndarray:
-    """Read the ``count`` values of the payload into one flat array, which is
-    allocated only once the payload is known to hold exactly that many bytes."""
-    data_file = header["ElementDataFile"]
-    if data_file.upper() == "LOCAL":
-        source, offset = path, header_end
-    else:
-        source, offset = path.parent / data_file, 0
-        if not source.exists():
-            raise FileNotFoundError(f"{path}: raw payload file {source} does not exist")
-        if not source.is_file():
-            raise FormatError(f"{path}: raw payload {source} is not a regular file")
-    expected = count * dtype.itemsize
+def read_payload(described_by: Path, source: Path, offset: int, dtype, shape) -> np.ndarray:
+    """Read the ``shape`` array of ``dtype`` that the header or sidecar
+    ``described_by`` promises in ``source`` from byte ``offset`` on.  It is
+    allocated only once the file holds exactly its bytes; any other size
+    raises FormatError naming both files and both counts."""
+    expected = math.prod(map(operator.index, shape)) * np.dtype(dtype).itemsize
     with open(source, "rb") as f:
         found = os.fstat(f.fileno()).st_size - offset
         if found == expected:
-            data = np.empty(count, dtype=dtype)
+            data = np.empty(shape, dtype=dtype)
             f.seek(offset)
             found = f.readinto(data)
     if found != expected:
-        raise IOError(
-            f"{source}: raw payload size mismatch, expected {expected} bytes, found {found}"
-        )
+        raise FormatError(f"{described_by}: payload {source} holds {found} bytes, expected {expected}")
     return data
 
 
@@ -247,12 +238,17 @@ def _load_array(path: Path, ndims: int) -> tuple[np.ndarray, dict[str, str]]:
     if dtype is None:
         raise FormatError(f"{path}: unsupported ElementType {element_type!r}")
 
-    count = 1
-    for d in dim_size:
-        count *= d
-    data = _read_raw(path, header, header_end, dtype, count)
+    data_file = header["ElementDataFile"]
+    if data_file.upper() == "LOCAL":
+        source, offset = path, header_end
+    else:
+        source, offset = path.parent / data_file, 0
+        if not source.exists():
+            raise FileNotFoundError(f"{path}: raw payload file {source} does not exist")
+        if not source.is_file():
+            raise FormatError(f"{path}: raw payload {source} is not a regular file")
     # DimSize is fastest-first (x, y, z[, c]); numpy C-order wants slowest-first.
-    return data.reshape(tuple(reversed(dim_size))), header
+    return read_payload(path, source, offset, dtype, tuple(reversed(dim_size))), header
 
 
 def _parse_spacing(path: Path, header: dict[str, str]) -> tuple[float, float, float] | None:
@@ -313,15 +309,36 @@ _WRITTEN_AS = {
 }
 
 
+def write_files(*files: tuple[str | Path, str | np.ndarray]) -> None:
+    """Write each (path, text or array) to a ``.part`` file beside its
+    target, making its directory, in the order given, then ``os.replace``
+    each target by its part in the same order, so a payload listed before
+    its header is whole before the header names it.  A failed write removes
+    every part, leaving the targets as they were.  Text is UTF-8.  Nothing
+    is fsynced: a file is replaced whole, but not made to survive a power loss."""
+    parts = []
+    try:
+        for path, content in files:
+            parts.append(part := Path(f"{path}.part"))
+            part.parent.mkdir(parents=True, exist_ok=True)
+            with open(part, "wb") as f:  # unlike ndarray.tofile, raises on a failed flush
+                f.write(content.encode() if isinstance(content, str) else np.ascontiguousarray(content))
+        for (path, _), part in zip(files, parts):
+            os.replace(part, path)
+    except BaseException:
+        for part in parts:
+            part.unlink(missing_ok=True)
+        raise
+
+
 def write_volume(vol: OctVolume | LabelVolume | ProbVolume, path: str | Path) -> None:
-    """Write a volume as a MetaImage header plus companion raw file.
+    """Write a volume as a MetaImage header plus companion raw file, payload first.
 
     Each kind, or a subclass of it, is stored with its ``_WRITTEN_AS``
     element type.  Probability volumes are stored channel-major as a 4-D
     MetaImage (DimSize = width height depth 4), so each class plane is a
-    contiguous x-fastest block.
-    The payload is written before its header, so a failed payload write
-    leaves no header pointing at it.
+    contiguous x-fastest block.  The header names the payload in ASCII, so
+    a non-ASCII file name raises FormatError before anything is written.
     """
     path = Path(path)
     if path.suffix != ".mhd":
@@ -329,11 +346,13 @@ def write_volume(vol: OctVolume | LabelVolume | ProbVolume, path: str | Path) ->
     written = next((w for kind, w in _WRITTEN_AS.items() if isinstance(vol, kind)), None)
     if written is None:
         raise TypeError(f"cannot serialize object of type {type(vol).__name__}")
+    raw_name = path.stem + ".raw"
+    if not raw_name.isascii():
+        raise FormatError(f"{path}: a MetaImage header names its payload in ASCII, got {raw_name!r}")
     field, element_type = written
     data = getattr(vol, field).astype(ELEMENT_DTYPES[element_type], copy=False)
 
     dim_size = " ".join(str(d) for d in reversed(data.shape))
-    raw_name = path.stem + ".raw"
     lines = [
         "ObjectType = Image",
         f"NDims = {data.ndim}",
@@ -347,5 +366,4 @@ def write_volume(vol: OctVolume | LabelVolume | ProbVolume, path: str | Path) ->
     if spacing is not None:
         lines.append("ElementSpacing = " + " ".join(repr(float(s)) for s in spacing))
     lines.append(f"ElementDataFile = {raw_name}")
-    np.ascontiguousarray(data).tofile(path.parent / raw_name)
-    path.write_text("\n".join(lines) + "\n", encoding="ascii")
+    write_files((path.parent / raw_name, data), (path, "\n".join(lines) + "\n"))

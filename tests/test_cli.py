@@ -1,8 +1,12 @@
 """End-to-end command-line workflows on temporary phantom datasets."""
 
 import argparse
+import contextlib
 import hashlib
 import json
+import re
+import resource
+import signal
 from dataclasses import replace
 
 import numpy as np
@@ -12,6 +16,7 @@ from octpipe import patch_engine
 from octpipe.backends import one_hot, threshold_backend
 from octpipe.cli import build_parser, main
 from octpipe.config import DATA_ROOT_ENV, KEYS, load_config
+from octpipe.errors import FormatError
 from octpipe.eval_harness import runner
 from octpipe.eval_harness.report import load_report_csv
 from octpipe.eval_harness.runner import predict_volume
@@ -93,6 +98,68 @@ def test_synth_dataset_bytes_are_pinned(tmp_path, capsys):
         digest.update(path.read_bytes())
     digest.update((root / "inventory.json").read_bytes())
     assert digest.hexdigest() == "1fc088784871742b6f9a3495f215fdbe"
+
+
+def test_a_non_ascii_volume_name_is_refused_before_any_file_is_written(tmp_path, capsys):
+    """A MetaImage header names its payload in ASCII, so neither
+    ``write_volume`` nor ``synth`` leaves a payload, or a header that cannot
+    name it, for a volume called ``ünï_00``."""
+    path = tmp_path / "direct" / "ünï_00.mhd"
+    path.parent.mkdir()
+    with pytest.raises(FormatError, match=re.escape(str(path))):
+        write_volume(LabelVolume(np.zeros((1, 2, 2), np.uint8)), path)
+    root = tmp_path / "data"
+    rc, _, err = run(
+        capsys, "synth", "--data-root", root, "--dims", "64x64x4", "--n-per-vendor", "1", "--vendors", "Ünï"
+    )
+    assert rc == 1
+    assert str(root / "images" / "ünï_00.mhd") in err
+    assert not [p for p in tmp_path.rglob("*") if p.is_file()]
+
+
+@contextlib.contextmanager
+def file_size_limit(nbytes):
+    """Fail every write past ``nbytes`` of a file with EFBIG, as a full disk
+    fails a write part-way (SIGXFSZ is ignored, so the write returns the error)."""
+    soft, hard = resource.getrlimit(resource.RLIMIT_FSIZE)
+    handler = signal.signal(signal.SIGXFSZ, signal.SIG_IGN)
+    resource.setrlimit(resource.RLIMIT_FSIZE, (nbytes, hard))
+    try:
+        yield
+    finally:
+        resource.setrlimit(resource.RLIMIT_FSIZE, (soft, hard))
+        signal.signal(signal.SIGXFSZ, handler)
+
+
+@pytest.mark.parametrize("kind", ["volume", "spill", "report"])
+def test_a_write_that_fails_part_way_leaves_the_old_files(make_dataset, tmp_path, capsys, kind):
+    """A second write of each kind that fails 256 bytes into its first file
+    leaves the first write's header and payload bytes as they were, so no
+    header names a new payload, and leaves no ``.part`` file."""
+    out = tmp_path / "out"
+    out.mkdir()
+    if kind == "volume":
+        def write(n):
+            write_volume(LabelVolume(np.full((n, 16, 16), n % 4, np.uint8)), out / "case.mhd")
+    elif kind == "spill":
+        def write(n):
+            patch_engine.save_predictions(out / "spill", [((0, 0, z), np.full((4, 16, 16), 0.25)) for z in range(n)])
+    else:
+        root, _, _ = make_dataset()
+
+        def write(n):  # fold 0 alone, then both folds of the threshold backend
+            folds = ["--fold", "0"] if n == 1 else ["--backend", "threshold"]
+            argv = ["evaluate", "--config", native_config(tmp_path), "--data-root", root, "--output-dir", out]
+            rc, _, err = run(capsys, *argv, "--folds", "2", "--jobs", "1", *folds)
+            if rc:
+                raise OSError(err)
+
+    write(1)
+    old = {path: path.read_bytes() for path in out.rglob("*") if path.is_file()}
+    with file_size_limit(256), pytest.raises(OSError, match="File too large"):
+        write(2)
+    assert not list(out.rglob("*.part"))
+    assert {path: path.read_bytes() for path in out.rglob("*") if path.is_file()} == old
 
 
 def test_synth_rejects_empty_vendor_list(tmp_path, capsys):
@@ -665,18 +732,24 @@ def test_report_merges_variants_with_f_before_p(make_dataset, tmp_path, capsys):
 @pytest.mark.parametrize(
     "fold, n_volumes, message",
     [("1", "-1", "n_volumes must be >= 1, got -1"), ("1", "0", "n_volumes must be >= 1, got 0"),
-     ("-1", "2", "fold must be >= 0, got -1")],
+     ("-1", "2", "fold must be >= 0, got -1"),
+     ("1", "2", "variant must be one of ('F', 'P'), got 'p'"),
+     ("1", "2", "fluid must be one of ('IRF', 'SRF', 'PED'), got 'GA'")],
 )
 def test_report_rejects_a_row_that_names_no_volumes_or_no_fold(
     tmp_path, capsys, fold, n_volumes, message
 ):
     """Weighted by its count, an IRF 0.6 row at n = -1 beside 0.8 at n = 2
-    would render as a plausible 1.00."""
+    would render as a plausible 1.00; a variant or fluid outside the table's
+    would render as a row or column of its own.  The message names the field
+    a case corrupts."""
+    variant = "p" if message.startswith("variant") else "P"
+    fluid = "GA" if message.startswith("fluid") else "IRF"
     csv_path = tmp_path / "in.csv"
     csv_path.write_text(
         "dimension,model,variant,vendor,fluid,dice,fold,n_volumes\n"
         "2.5D,threshold,P,Cirrus,IRF,0.8,0,2\n"
-        f"2.5D,threshold,P,Cirrus,IRF,0.6,{fold},{n_volumes}\n"
+        f"2.5D,threshold,{variant},Cirrus,{fluid},0.6,{fold},{n_volumes}\n"
     )
     rc, _, err = run(capsys, "report", csv_path, "--output-dir", tmp_path / "out")
     assert rc == 1

@@ -1190,8 +1190,9 @@ def nearest_sources(src: int, dst: int) -> list[int]:
 @settings(max_examples=40, deadline=None)
 @given(case=predict_cases())
 def test_predict_path_equals_the_backend_reference_at_every_jobs(case):
-    """``predict_volume`` of random intensities equals, bit for bit, the
-    one-hot of the threshold backend's intensity bands, the one-hot of the
+    """``predict_volume`` of random intensities, every fifth exactly on a
+    cut of ``BANDS``, equals, bit for bit, the one-hot of the threshold
+    backend's intensity bands, the one-hot of the
     oracle's nearest-resized random truth, or the external backend's file of
     random quarter probabilities (whose means over any coverage are exact),
     and so is the same bytes at ``jobs`` 1, 2 and 3.  An oracle
@@ -1201,6 +1202,8 @@ def test_predict_path_equals_the_backend_reference_at_every_jobs(case):
     (w, h, d), (nw, nh) = case["dims"], case["native"]
     rng = np.random.default_rng(case["seed"])
     vol = OctVolume(rng.random((d, h, w), dtype=np.float32), volume_id="case")
+    on_cuts = vol.voxels.reshape(-1)[::5]  # a cut itself falls in the band below it
+    on_cuts[:] = np.resize(np.float32(BANDS), on_cuts.size)
     run = {key: case[key] for key in ("patch_size", "overlap", "depth_mode", "variant")}
     xs, ys = (sorted({anchor[i] for anchor in RunConfig(**run).grid((w, h)).anchors}) for i in (0, 1))
     if case["variant"] == "P":

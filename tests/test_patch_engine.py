@@ -1176,8 +1176,10 @@ def test_spill_loaders_reject_other_kind_and_truncated_payload(tmp_path):
         load_patches(tmp_path / "pred")
     for base, load in ((tmp_path / "batch", load_patches), (tmp_path / "pred", load_predictions)):
         raw = base.with_suffix(".raw")
+        whole = raw.stat().st_size
         raw.write_bytes(raw.read_bytes()[:-4])
-        with pytest.raises(FormatError, match="sidecar promises"):
+        message = f"{base.with_suffix('.json')}: payload {raw} holds {whole - 4} bytes, expected {whole}"
+        with pytest.raises(FormatError, match=re.escape(message)):
             load(base)
 
 
@@ -1235,11 +1237,12 @@ def test_spill_loaders_check_the_raw_size_before_reading(tmp_path, base, load):
     save_patches(tmp_path / "batch", batch, grid)
     save_predictions(tmp_path / "pred", [(a, np.full((4, 16, 16), 0.25)) for a in batch.anchors.tolist()])
     raw = tmp_path / f"{base}.raw"
+    message = f"{tmp_path / base}.json: payload {raw} holds {64 << 20} bytes, expected {raw.stat().st_size}"
     with open(raw, "r+b") as f:
         f.truncate(64 << 20)
     tracemalloc.start()
     try:
-        with pytest.raises(FormatError, match=rf"{re.escape(str(raw))} holds {64 << 20} bytes, sidecar promises"):
+        with pytest.raises(FormatError, match=re.escape(message)):
             load(tmp_path / base)
         peak = tracemalloc.get_traced_memory()[1]
     finally:

@@ -306,17 +306,19 @@ def test_malformed_headers_rejected(tmp_path):
 
 
 def test_payload_size_mismatch_reported(tmp_path):
-    write_mhd(tmp_path / "short.mhd", header_for((4, 4, 4), "MET_UCHAR"), b"\x00" * 10)
-    with pytest.raises(IOError) as err:
-        read_volume(tmp_path / "short.mhd")
-    assert "64" in str(err.value) and "10" in str(err.value)
+    path = tmp_path / "short.mhd"
+    write_mhd(path, header_for((4, 4, 4), "MET_UCHAR"), b"\x00" * 10)
+    message = f"{path}: payload {tmp_path / 'short.raw'} holds 10 bytes, expected 64"
+    with pytest.raises(FormatError, match=re.escape(message)):
+        read_volume(path)
 
 
 def test_payload_size_is_checked_before_allocating(tmp_path):
     # 10^15 float32 values would need 3.55 PiB; the 32-byte payload is reported instead
     path = tmp_path / "huge.mhd"
     write_mhd(path, header_for((100000, 100000, 100000), "MET_FLOAT"), b"\x00" * 32)
-    with pytest.raises(IOError, match="size mismatch, expected 4000000000000000 bytes, found 32"):
+    message = f"{path}: payload {tmp_path / 'huge.raw'} holds 32 bytes, expected 4000000000000000"
+    with pytest.raises(FormatError, match=re.escape(message)):
         read_volume(path)
 
 
@@ -563,7 +565,6 @@ def test_fuzzed_header_reads_or_fails_naming_its_file(lines, read):
             read(path)
         except (FormatError, ValidationError, FileNotFoundError) as exc:
             assert str(exc).startswith(f"{path}: "), exc
-        except OSError as exc:  # the payload read was the header or a file beside it
-            source, _, rest = str(exc).partition(": ")
-            assert rest.startswith("raw payload size mismatch"), exc
-            assert source in (str(path), *payloads), exc
+            # a payload of the wrong size is the header itself or a file beside it
+            mismatch = re.fullmatch(r".*: payload (.*) holds -?\d+ bytes, expected \d+", str(exc))
+            assert mismatch is None or mismatch[1] in (str(path), *payloads), exc
