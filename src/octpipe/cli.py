@@ -30,7 +30,7 @@ from .config import (
 from .errors import ConfigError
 from .eval_harness.folds import make_folds, save_folds
 from .eval_harness.phantom import random_phantom
-from .eval_harness.report import load_report_csv, render_report
+from .eval_harness.report import load_report_csvs, render_report
 from .eval_harness.runner import (
     image_path,
     label_path,
@@ -40,7 +40,7 @@ from .eval_harness.runner import (
     run_experiment,
 )
 from .preprocess import default_slice_policy, filter_slices, preprocess_volume, resize_volume
-from .volume_io import prob_path, read_labels, read_volume, vendor_of, write_files, write_volume
+from .volume_io import Vendor, prob_path, read_labels, read_volume, vendor_of, write_files, write_volume
 
 
 def _add_common(sub: argparse.ArgumentParser) -> None:
@@ -125,11 +125,23 @@ def cmd_folds(args: argparse.Namespace, cfg: RunConfig) -> int:
     return 0
 
 
+def _inventory_vendor(cfg: RunConfig, volume_id: str) -> Vendor | None:
+    """The scanner ``inventory.json`` lists ``volume_id`` under (None for a
+    name that is no ``Vendor``); an id it does not list is a usage error."""
+    for name, ids in load_inventory(cfg.data_root).items():
+        if volume_id in ids:
+            return next((vendor for vendor in Vendor if vendor.value == name), None)
+    raise ConfigError(f"volume {volume_id!r} is not listed in {cfg.data_root / 'inventory.json'}")
+
+
 def cmd_patchify(args: argparse.Namespace, cfg: RunConfig) -> int:
     _require(cfg, DATA_ROOT, OUTPUT_DIR)
     mode = cfg.depth_mode
     if args.slice is not None and mode is patch_engine.DepthMode.D3:
         raise ConfigError("--slice picks one B-scan, which --depth-mode 3d does not patch by")
+    policy = cfg.slice_policy
+    if policy == "auto" and args.slice is None and mode is not patch_engine.DepthMode.D3:
+        policy = default_slice_policy(_inventory_vendor(cfg, args.volume))
     native = read_volume(image_path(cfg.data_root, args.volume))
     native_dims = native.dims
     if args.slice is not None and not 0 <= args.slice < native_dims[2]:
@@ -149,9 +161,6 @@ def cmd_patchify(args: argparse.Namespace, cfg: RunConfig) -> int:
             slices = [args.slice]
         else:
             lpath = label_path(cfg.data_root, args.volume)
-            policy = cfg.slice_policy
-            if policy == "auto":
-                policy = default_slice_policy(vendor_of(native_dims))
             if policy == "diseased_only" and lpath.exists():
                 labels = resize_volume(matching_labels(native, read_labels(lpath)), target)
                 slices = filter_slices(labels, "diseased_only")
@@ -202,10 +211,7 @@ def cmd_evaluate(args: argparse.Namespace, cfg: RunConfig) -> int:
 
 def cmd_report(args: argparse.Namespace, cfg: RunConfig) -> int:
     _require(cfg, OUTPUT_DIR)
-    entries = []
-    for path in args.csvs:
-        entries.extend(load_report_csv(path))
-    return _write_report(cfg, entries, "report")
+    return _write_report(cfg, load_report_csvs(args.csvs), "report")
 
 
 def cmd_synth(args: argparse.Namespace, cfg: RunConfig) -> int:

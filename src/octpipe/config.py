@@ -4,13 +4,13 @@ The file format is one ``section.key=value`` pair per line (``#`` comments,
 blank lines ignored), flat on purpose so resolved configs diff cleanly.
 Each setting is declared once, as a field of ``RunConfig`` or of its
 ``preprocess`` and ``training`` sections: its type picks its parser and
-renderer, its metadata holds the rest (see ``_setting``), and ``KEYS`` is
-built by walking those fields.  Keys only convert text; values are
-range-checked when the dataclass holding them is built, so a flag, a file
-and library code meet the same checks.  ``apply_settings`` turns a bad value
-into ``ConfigError`` naming its key.  ``render_config(cfg)`` emits every
-resolved setting in sorted order; parsing that text back yields an
-identical configuration.
+renderer in ``CODECS``, its metadata holds the rest (see ``_setting``),
+and ``KEYS`` is built by walking those fields.  Keys only convert text;
+values are range-checked when the dataclass holding them is built, so a
+flag, a file and library code meet the same checks.  ``apply_settings``
+turns a bad value into ``ConfigError`` naming its key.
+``render_config(cfg)`` emits every resolved setting in sorted order;
+parsing that text back yields an identical configuration.
 """
 
 from __future__ import annotations
@@ -140,11 +140,12 @@ def _parse_bool(text: str) -> bool:
     raise ValueError(f"expected a boolean, got {text!r}")
 
 
-# (parser, renderer) for each annotated setting type
-_CODECS: dict[Any, tuple[Callable[[str], Any], Callable[[Any], str]]] = {
+# (parser, renderer) for each annotated type of a setting or a report column;
+# a float is spelled as Python spells it, a numpy scalar included
+CODECS: dict[Any, tuple[Callable[[str], Any], Callable[[Any], str]]] = {
     str: (str, str),
     int: (int, str),
-    float: (float, repr),
+    float: (float, lambda value: repr(float(value))),
     bool: (_parse_bool, lambda value: "true" if value else "false"),
     Path | None: (Path, str),
     DepthMode: (DepthMode.parse, attrgetter("value")),
@@ -162,7 +163,7 @@ def _keys(settings: type, prefix: str = "") -> Iterator[Key]:
             continue
         meta, path, choices = f.metadata, prefix + f.name, f.metadata.get("choices")
         text = meta.get("help", choices and " | ".join(choices))
-        yield Key(meta.get("key", path), *_CODECS[types[f.name]], meta.get("flag"), text, path)
+        yield Key(meta.get("key", path), *CODECS[types[f.name]], meta.get("flag"), text, path)
 
 
 KEYS: tuple[Key, ...] = tuple(_keys(RunConfig))

@@ -10,13 +10,14 @@ from __future__ import annotations
 
 import csv
 import io
-from dataclasses import dataclass, field
+from dataclasses import dataclass, field, fields
 from decimal import ROUND_HALF_UP, Decimal
 from pathlib import Path
+from typing import get_type_hints
 
 from ..backends import TrainingConfig
-from ..config import VARIANTS
-from ..errors import ValidationError, check_fields
+from ..config import CODECS, VARIANTS
+from ..errors import FormatError, ValidationError, check_fields
 from ..patch_engine import DepthMode
 from ..volume_io import FLUIDS, Vendor
 
@@ -24,8 +25,6 @@ HUMAN_BASELINE = 0.71
 HUMAN_BASELINE_NOTE = f"Human grader baseline: Dice {HUMAN_BASELINE:.2f}."
 
 MISSING_CELL = "—"
-
-CSV_FIELDS = ("dimension", "model", "variant", "vendor", "fluid", "dice", "fold", "n_volumes")
 
 DIMENSION_ORDER = tuple(mode.label for mode in DepthMode)
 FLUID_ORDER = tuple(cls.name for cls in FLUIDS)
@@ -52,6 +51,11 @@ class ReportEntry:
         check_fields(self)
 
 
+CSV_FIELDS = tuple(f.name for f in fields(ReportEntry))
+# each column's (parser, renderer): the codec of its field's type, as for a setting
+_CODECS = {name: CODECS[kind] for name, kind in get_type_hints(ReportEntry).items()}
+
+
 def _order(value: str, ordering: tuple[str, ...]) -> tuple[int, str]:
     if value in ordering:
         return (ordering.index(value), value)
@@ -71,7 +75,7 @@ def entry_sort_key(entry: ReportEntry):
 
 def format_cell(value: float) -> str:
     """Two decimals, half-up, matching the published table formatting."""
-    return str(Decimal(repr(float(value))).quantize(Decimal("0.01"), rounding=ROUND_HALF_UP))
+    return str(Decimal(_CODECS["dice"][1](value)).quantize(Decimal("0.01"), rounding=ROUND_HALF_UP))
 
 
 def _vendors_in(entries: list[ReportEntry]) -> list[str]:
@@ -129,9 +133,7 @@ def render_csv(entries: list[ReportEntry]) -> str:
     writer = csv.writer(buf, lineterminator="\n")
     writer.writerow(CSV_FIELDS)
     for e in sorted(entries, key=entry_sort_key):
-        writer.writerow(
-            [e.dimension, e.model, e.variant, e.vendor, e.fluid, repr(float(e.dice)), e.fold, e.n_volumes]
-        )
+        writer.writerow([render(getattr(e, name)) for name, (_, render) in _CODECS.items()])
     return buf.getvalue()
 
 
@@ -142,29 +144,49 @@ def render_report(
     return render_table(entries, training), render_csv(entries)
 
 
-def parse_report_csv(text: str) -> list[ReportEntry]:
-    """Inverse of render_csv; values parse back to the exact stored floats."""
-    reader = csv.DictReader(io.StringIO(text))
-    if reader.fieldnames is None or tuple(reader.fieldnames) != CSV_FIELDS:
-        raise ValidationError(
-            f"unexpected CSV header {reader.fieldnames}, want {list(CSV_FIELDS)}"
-        )
+def parse_report_csv(text: str, origin: str = "<csv>") -> list[ReportEntry]:
+    """Inverse of render_csv; values parse back to the exact stored floats.
+    A row with a missing or extra cell, or a cell its column's codec cannot
+    parse, raises FormatError naming ``origin``, the line and the column; a
+    failed ReportEntry check keeps its message after the same prefix."""
+    reader = csv.reader(io.StringIO(text))
+    header = next(reader, None)
+    if header is None or tuple(header) != CSV_FIELDS:
+        raise ValidationError(f"{origin}: unexpected CSV header {header}, want {list(CSV_FIELDS)}")
     entries = []
-    for row in reader:
-        entries.append(
-            ReportEntry(
-                dimension=row["dimension"],
-                model=row["model"],
-                variant=row["variant"],
-                vendor=row["vendor"],
-                fluid=row["fluid"],
-                dice=float(row["dice"]),
-                fold=int(row["fold"]),
-                n_volumes=int(row["n_volumes"]),
-            )
-        )
+    for row in filter(None, reader):  # a blank line holds no row
+        where = f"{origin}:{reader.line_num}"
+        if len(row) < len(CSV_FIELDS):
+            raise FormatError(f"{where}: no cell for column {CSV_FIELDS[len(row)]}")
+        if len(row) > len(CSV_FIELDS):
+            raise FormatError(f"{where}: a cell past the last column, {CSV_FIELDS[-1]}")
+        values = {}
+        for cell, (name, (parse, _)) in zip(row, _CODECS.items()):
+            try:
+                values[name] = parse(cell)
+            except ValueError as exc:
+                raise FormatError(f"{where}: column {name}: {exc}") from exc
+        try:
+            entries.append(ReportEntry(**values))
+        except ValidationError as exc:
+            raise ValidationError(f"{where}: {exc}") from exc
     return entries
 
 
 def load_report_csv(path: str | Path) -> list[ReportEntry]:
-    return parse_report_csv(Path(path).read_text())
+    return parse_report_csv(Path(path).read_text(), origin=str(path))
+
+
+def load_report_csvs(paths: list[str | Path]) -> list[ReportEntry]:
+    """The rows of every CSV in ``paths``.  A table cell's fold may come
+    from one row only, so two rows with one ``entry_sort_key`` raise
+    ValidationError naming both files and the cell."""
+    entries, source = [], {}
+    for path in paths:
+        for e in load_report_csv(path):
+            if (key := entry_sort_key(e)) in source:
+                cell = f"{e.dimension} {e.model}_{e.variant} {e.vendor} {e.fluid} fold {e.fold}"
+                raise ValidationError(f"{source[key]} and {path} both hold {cell}")
+            source[key] = path
+            entries.append(e)
+    return entries

@@ -549,6 +549,45 @@ def test_patchify_policy_selects_diseased_slices(make_dataset, tmp_path, capsys)
         assert (out_dir / "patches" / f"{vid}_z{z:04d}.json").exists()
 
 
+def test_patchify_takes_the_vendor_of_its_slice_policy_from_the_inventory(tmp_path, capsys):
+    """A Topcon volume patchifies every slice and a Cirrus one only its
+    diseased ones, though neither has its scanner's native geometry."""
+    root, out_dir = tmp_path / "data", tmp_path / "out"
+    rc, _, _ = run(
+        capsys, "synth", "--vendors", "Topcon,Cirrus", "--dims", "96x96x8", "--seed", "3",
+        "--data-root", root,
+    )
+    assert rc == 0
+    diseased = filter_slices(read_labels(root / "labels" / "cirrus_00.mhd"), "diseased_only")
+    assert len(diseased) < 8
+    for vid, count in (("topcon_00", 8), ("cirrus_00", len(diseased))):
+        rc, out, _ = run(
+            capsys,
+            "patchify",
+            "--volume", vid,
+            "--config", native_config(tmp_path),
+            "--data-root", root,
+            "--output-dir", out_dir,
+        )
+        assert rc == 0
+        assert f"for each of {count} slices" in out
+
+
+def test_patchify_refuses_a_volume_the_inventory_does_not_list(make_dataset, tmp_path, capsys):
+    """Only the automatic slice policy reads the inventory."""
+    root, inventory, _ = make_dataset()
+    inventory["Cirrus"].remove("cirrus_01")
+    (root / "inventory.json").write_text(json.dumps(inventory))
+    out_dir = tmp_path / "out"
+    common = ["--volume", "cirrus_01", "--config", native_config(tmp_path), "--data-root", root]
+    rc, _, err = run(capsys, "patchify", *common, "--output-dir", out_dir)
+    assert rc == 2
+    assert f"volume 'cirrus_01' is not listed in {root / 'inventory.json'}" in err
+    assert not out_dir.exists()
+    rc, _, _ = run(capsys, "patchify", *common, "--slice-policy", "all", "--output-dir", out_dir)
+    assert rc == 0
+
+
 def test_evaluate_oracle_writes_reports(make_dataset, tmp_path, capsys):
     root, inventory, _ = make_dataset()
     out_dir = tmp_path / "out"
@@ -755,6 +794,63 @@ def test_report_rejects_a_row_that_names_no_volumes_or_no_fold(
     assert rc == 1
     assert message in err
     assert not (tmp_path / "out").exists()
+
+
+REPORT_HEADER = "dimension,model,variant,vendor,fluid,dice,fold,n_volumes\n"
+REPORT_ROW = "2.5D,threshold,P,Cirrus,IRF,0.8,0,2\n"
+
+
+@pytest.mark.parametrize(
+    "row, message",
+    [
+        ("2.5D,threshold,P,Cirrus,SRF,abc,0,2", "column dice: could not convert string to float: 'abc'"),
+        ("2.5D,threshold,P,Cirrus,SRF,0.6,0", "no cell for column n_volumes"),
+        ("2.5D,threshold,P,Cirrus,SRF,0.6,0,2,7", "a cell past the last column, n_volumes"),
+    ],
+    ids=["unparsed-cell", "short-row", "ninth-cell"],
+)
+def test_report_names_the_file_line_and_column_of_a_malformed_row(tmp_path, capsys, row, message):
+    """A cell that does not parse, a missing cell and an extra one each fail
+    naming where they are; none is dropped or turned into a cell."""
+    csv_path = tmp_path / "in.csv"
+    csv_path.write_text(REPORT_HEADER + REPORT_ROW + row + "\n")
+    rc, _, err = run(capsys, "report", csv_path, "--output-dir", tmp_path / "out")
+    assert rc == 1
+    assert f"{csv_path}:3: {message}" in err
+    assert not (tmp_path / "out").exists()
+
+
+def test_report_refuses_the_same_csv_given_twice(tmp_path, capsys):
+    csv_path = tmp_path / "in.csv"
+    csv_path.write_text(REPORT_HEADER + REPORT_ROW)
+    rc, _, err = run(capsys, "report", csv_path, csv_path, "--output-dir", tmp_path / "out")
+    assert rc == 1
+    assert f"{csv_path} and {csv_path} both hold 2.5D threshold_P Cirrus IRF fold 0" in err
+    assert not (tmp_path / "out").exists()
+
+
+def test_report_refuses_two_runs_that_fill_the_same_cells(make_dataset, tmp_path, capsys):
+    """Runs that differ only in the denoiser would average into one
+    threshold_P row; the first cell both fill is named with both files."""
+    root, _, _ = make_dataset()
+    csvs = []
+    for denoiser in ("none", "gaussian"):
+        out_dir = tmp_path / denoiser
+        rc, _, _ = run(
+            capsys,
+            "evaluate",
+            "--config", native_config(tmp_path),
+            "--data-root", root,
+            "--output-dir", out_dir,
+            "--folds", "2",
+            "--denoiser", denoiser,
+        )
+        assert rc == 0
+        csvs.append(out_dir / "reports" / "evaluate_2.5d_P.csv")
+    rc, _, err = run(capsys, "report", *csvs, "--output-dir", tmp_path / "merged")
+    assert rc == 1
+    assert f"{csvs[0]} and {csvs[1]} both hold 2.5D threshold_P Cirrus IRF fold 0" in err
+    assert not (tmp_path / "merged").exists()
 
 
 def test_missing_data_root_is_usage_error(tmp_path, capsys):

@@ -3,6 +3,7 @@
 import re
 from pathlib import Path
 
+import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
@@ -85,6 +86,15 @@ def test_render_config_round_trips():
     lines = text.splitlines()
     assert lines == sorted(lines)
     assert text.endswith("\n")
+
+
+def test_a_numpy_float_renders_as_python_spells_it_and_round_trips():
+    """Settings and report cells spell a float by one rule, so an overlap
+    computed with numpy renders as ``0.5``, not ``np.float64(0.5)``."""
+    cfg = RunConfig(overlap=np.float64(0.5))
+    text = render_config(cfg)
+    assert "grid.overlap=0.5" in text.splitlines()
+    assert apply_settings(RunConfig(), parse_config_text(text)) == cfg
 
 
 def test_render_config_of_the_defaults_is_the_same_text():

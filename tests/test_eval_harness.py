@@ -20,7 +20,7 @@ from octpipe.backends import (
     threshold_backend,
 )
 from octpipe.config import RunConfig
-from octpipe.errors import StageError, ValidationError
+from octpipe.errors import FormatError, StageError, ValidationError
 from octpipe.eval_harness import (
     BlobSpec,
     ConfusionCounts,
@@ -493,6 +493,32 @@ def test_csv_header_and_schema(tmp_path):
     assert load_report_csv(tmp_path / "r.csv") == parse_report_csv(text)
     with pytest.raises(ValidationError):
         parse_report_csv("model,dice\nunet,0.5\n")
+
+
+@pytest.mark.parametrize(
+    "row, error, message",
+    [
+        ("2D,unet,F,Cirrus,IRF,abc,0,8", FormatError,
+         "column dice: could not convert string to float: 'abc'"),
+        ("2D,unet,F,Cirrus,IRF,0.5,,8", FormatError, "column fold: invalid literal for int()"),
+        ("2D,unet,F,Cirrus,IRF,0.5,0", FormatError, "no cell for column n_volumes"),
+        ("2D,unet,F,Cirrus,IRF,0.5,0,8,9", FormatError, "a cell past the last column, n_volumes"),
+        ("2D,unet,F,Cirrus,IRF,1.5,0,8", ValidationError, "dice must lie in [0, 1], got 1.5"),
+    ],
+    ids=["unparsed-float", "empty-int", "short-row", "ninth-cell", "failed-check"],
+)
+def test_a_malformed_csv_row_is_named_by_file_line_and_column(tmp_path, row, error, message):
+    """The bad row is the third line, after the header and one good row."""
+    path = tmp_path / "r.csv"
+    path.write_text(render_csv([entry()]) + row + "\n")
+    with pytest.raises(error, match=re.escape(f"{path}:3: {message}")):
+        load_report_csv(path)
+
+
+def test_csv_blank_lines_hold_no_row():
+    text = render_csv([entry(fluid="IRF"), entry(fluid="SRF")])
+    header, first, second = text.splitlines()
+    assert parse_report_csv(f"{header}\n\n{first}\n\n{second}\n") == parse_report_csv(text)
 
 
 def test_report_entry_validation():

@@ -1,12 +1,16 @@
-"""The bytes of every ``evaluate`` report, pinned by sha256.
+"""The bytes of every ``evaluate`` report, and of ``preprocess`` and
+``patchify`` outputs, pinned by sha256.
 
 The matrix is 2d/2.5d/3d x F/P x threshold/oracle/external on a 72x64x4
 ``synth`` set brought to 90x76, so the bilinear image resize runs, with the
 none denoiser, so no scipy filter bits enter the pins.  At patch 32 and
 overlap 0.5 the P grid has an edge anchor on both axes.  The external
 backend reads the one-hot of each truth, nearest-resized to the working
-size and shifted 3 columns, so its cells score below 1.0.  An intended
-change to a report's bytes updates this table, and says why.
+size and shifted 3 columns, so its cells score below 1.0.  The same set
+pins what ``preprocess`` writes, with one volume's labels removed, and
+what ``patchify --slice-policy all`` spills for one volume in each depth
+mode and variant, ``run_config.txt`` included.  An intended change to
+any of these bytes updates its table, and says why.
 """
 
 import hashlib
@@ -59,10 +63,70 @@ DIGESTS = {
     "external:probs evaluate_3d_P.md": "998d38ef2520c7a6d1973954fba5c92798ec866f51c0edb623ad53656147f2a7",
 }
 
+OUTPUT_DIGESTS = {
+    "patchify_2.5d_F/patches/cirrus_00_z0000.json": "80edfc9dfb1f1d927ed912f481918dd7322c01fa37a650f80c93f70dc5d65215",
+    "patchify_2.5d_F/patches/cirrus_00_z0000.raw": "43316a082f6a6d1b791451a8d5b01b963752e2b91275936eb54d9c497209db34",
+    "patchify_2.5d_F/patches/cirrus_00_z0001.json": "b2d535300dbf2b31666034386551c85c94252c74c4a284557ff1b5561239b139",
+    "patchify_2.5d_F/patches/cirrus_00_z0001.raw": "bf122c8adb693371775a16a5342cd49fda45e55ab1b7b4afd6818a8d78a7cdf8",
+    "patchify_2.5d_F/patches/cirrus_00_z0002.json": "122bd058a161d259e265b50f77331ac097740138e0776e0917460c3c66e96a01",
+    "patchify_2.5d_F/patches/cirrus_00_z0002.raw": "a5e60a70fc189588bd37fcc32d006a52295d5015c96e7eb0064a9d85ec0317d3",
+    "patchify_2.5d_F/patches/cirrus_00_z0003.json": "2b01522749dab2dd113d464957d965a191ddc293a45b076076c499a426dfae4a",
+    "patchify_2.5d_F/patches/cirrus_00_z0003.raw": "e270ea810e0f1f3c2caaf65d5c1cc8894bb8dd8a3d53545846d42543ac07cc1b",
+    "patchify_2.5d_F/patches/run_config.txt": "136084e28cde7042ad6fd9ba1b2a0a1d76a2f51aeb1c3beffcd069ff97e3995c",
+    "patchify_2.5d_P/patches/cirrus_00_z0000.json": "936ba63a69017ec968c8ccb33e46b96250686a7d7f04c1e1273f2b5f3d166535",
+    "patchify_2.5d_P/patches/cirrus_00_z0000.raw": "564267d5ec6c634c10093843f31aa904bda5acbfed3f43c3045bcd4f4d438772",
+    "patchify_2.5d_P/patches/cirrus_00_z0001.json": "131c9be4bc7ce12712c4bb1ac3c389ec47baed9ae6618ceabc5401ccced68bcb",
+    "patchify_2.5d_P/patches/cirrus_00_z0001.raw": "129b668f999d5e3463a8d1ca2d834574d28b9e0c1bee5653f07022ce4a09958d",
+    "patchify_2.5d_P/patches/cirrus_00_z0002.json": "5ef36b0cbeb6b471d6dadca05081005878527077487f245bb15109a24e7ab1b6",
+    "patchify_2.5d_P/patches/cirrus_00_z0002.raw": "2d5afed2ca017122c43c05029fe44a8a024f617664162a14d243f9fd54d86aa6",
+    "patchify_2.5d_P/patches/cirrus_00_z0003.json": "551d2d105cc982c6085d1260a35ef24d12ef878f142751ac6ffe006878b58b33",
+    "patchify_2.5d_P/patches/cirrus_00_z0003.raw": "b0b6b257b0bc3ceabc9fa1bb6158293ad5bfc1fb52f73ec1e6623a5684f55754",
+    "patchify_2.5d_P/patches/run_config.txt": "8c489d9c64983edfe476289f6bbc009886a9204de0ed79d665599d214c9bfc69",
+    "patchify_2d_F/patches/cirrus_00_z0000.json": "5fd1a56f335cbee65e67207d3bdd66757dfa93b438baa7dfd4253bca5a8972f9",
+    "patchify_2d_F/patches/cirrus_00_z0000.raw": "c837832a8e9f6d6ea93d7d950322d6fa1208ebb664bdca333560aac35fa9dc70",
+    "patchify_2d_F/patches/cirrus_00_z0001.json": "5d8a25602fa0ccd70d71a58cec0639701a2f6c2c29edc106fc26a7c27b89ee17",
+    "patchify_2d_F/patches/cirrus_00_z0001.raw": "203e625ab5406ad3937cfd26f6e7f8af37ffd3efd09b3a847aa137d2f75393ee",
+    "patchify_2d_F/patches/cirrus_00_z0002.json": "a72ee0fa8a4b2d841391738c6de088819c1edbf404d92a45d3dbf8388a8e108a",
+    "patchify_2d_F/patches/cirrus_00_z0002.raw": "c3fddd3e76922980ea2517a4108692c716e1e4cde3fdd80e4a9ae9b2c75ce45b",
+    "patchify_2d_F/patches/cirrus_00_z0003.json": "3334268d90d76f6a5a7ea747800a56a4dc0beba51714d84f4cf034e21c421d9e",
+    "patchify_2d_F/patches/cirrus_00_z0003.raw": "a7fd8d5039d0a5db4e0d96ea8991f7b3ec4ae6648223e59f4fca7e2cb3cb2b2d",
+    "patchify_2d_F/patches/run_config.txt": "ec8fa137abfd8b44289e9ba888967ebb93e5a7328b125adb023af1b25962c7f8",
+    "patchify_2d_P/patches/cirrus_00_z0000.json": "97a0f49f1a0c9848934bbdd835c384c655c7971796bdb4968f4f7fe459ff0101",
+    "patchify_2d_P/patches/cirrus_00_z0000.raw": "ba7c845aa0626050479900ee1286ee08f54629a1477647c3841d64a32496bcbf",
+    "patchify_2d_P/patches/cirrus_00_z0001.json": "324592f59c927c4546d61a4ed602c53ff160228127ab5b1b06e405efd83b7452",
+    "patchify_2d_P/patches/cirrus_00_z0001.raw": "c3e904f6d1774b166a871380c34ef19be908e02887626fd1f7dc51c28107cf7d",
+    "patchify_2d_P/patches/cirrus_00_z0002.json": "2e7526b80e47b8a5b065e6240f2f29ba2c6ab1aac99bf07b74da9703c836a7bb",
+    "patchify_2d_P/patches/cirrus_00_z0002.raw": "333ce53ae7fa3d423d6d37b38534a54a9643a37fc62b7468b669606438278f58",
+    "patchify_2d_P/patches/cirrus_00_z0003.json": "a8c7b8597fa46c81a367f7120763432114ce4e9561b617e8ae35bf930ea87c6f",
+    "patchify_2d_P/patches/cirrus_00_z0003.raw": "cc2dac9960c0d68416b607a81cf13bb2bcbe4ac820a7b9de02bd0652d2186f90",
+    "patchify_2d_P/patches/run_config.txt": "c6516d5626cbc8670a12738125772b61d6f9ab9c2058d6668c85e15b586fdaf8",
+    "patchify_3d_F/patches/cirrus_00_3d.json": "6ebf2f99e785cdcfe1e2d2b84715b46bff513e8b49dc6da4f68b912952b40883",
+    "patchify_3d_F/patches/cirrus_00_3d.raw": "07291ef5ed7a0372b7252523895be1ac98bf43df08791a13169fa938ca83e0da",
+    "patchify_3d_F/patches/run_config.txt": "7125d79938264eed3de7fbcdf7b4b85b498e60fb4ad434b389fe23f1ff63263f",
+    "patchify_3d_P/patches/cirrus_00_3d.json": "dd49fde94a4aa8660cb23650bb83f61dfbc7642666b4f71ac255c0a9bef73342",
+    "patchify_3d_P/patches/cirrus_00_3d.raw": "30cdc0c1b6ea04f06cc1a1284c5908bb08824394e50200f3e2e5446c48cf3d4b",
+    "patchify_3d_P/patches/run_config.txt": "ed2dc05bd81c7124a3e361ff4f69f4dd39874ed1bf660c12b4e1c8fa19d4fa8a",
+    "preprocess/volumes/cirrus_00.mhd": "e482b9c2fb663315c1583be43955bb40770fd7687ef19448dfea02cc90aac17b",
+    "preprocess/volumes/cirrus_00.raw": "07291ef5ed7a0372b7252523895be1ac98bf43df08791a13169fa938ca83e0da",
+    "preprocess/volumes/cirrus_00_labels.mhd": "bfbe62be24504bc83471db48d7e0ea23c560cbe1ab1e8ba62a9586b00e45f919",
+    "preprocess/volumes/cirrus_00_labels.raw": "6d80b6a590aa27a8f0eb486cb4eadfec90e5354ad622c85f063961e1cb9e059f",
+    "preprocess/volumes/cirrus_01.mhd": "0e25d3f074fd7fcaf5463cac95b6f8103603c557c6740abb62b382376ba1dacb",
+    "preprocess/volumes/cirrus_01.raw": "3cdf3d54826819130e24ca3f00390c25eb19d3e0499e841fc86e0d1a31ae78bb",
+    "preprocess/volumes/cirrus_01_labels.mhd": "916103a8384e521e5dfdcdf213f8c6b2ac0de72422c3c3883e2c7bcdd2a70385",
+    "preprocess/volumes/cirrus_01_labels.raw": "8981eb8f92b176f5dd497511035347e596547cdfff5006e20b73654909092afb",
+    "preprocess/volumes/run_config.txt": "4e88d8071789b23aea5e6b8ad394317ba0e12613f97d2c7b0f5e077b5d94ffee",
+    "preprocess/volumes/spectralis_00.mhd": "8d555601673e43dc0e4e85ee42ab9bc29edf911c25e287b90da638c68c2d80ab",
+    "preprocess/volumes/spectralis_00.raw": "cf913104c2979c54b0a1d2b1c6fcabfb0c18714c99b5565fd44a83d4f5e55c2b",
+    "preprocess/volumes/spectralis_00_labels.mhd": "1bdd03af758caff59601dd52a7557586742ae95666f8ceaeb3ec99ae88a47568",
+    "preprocess/volumes/spectralis_00_labels.raw": "63361b7e8203c86603ba07b500480410d120734c4dcaaaca337c28b107e9c75b",
+    "preprocess/volumes/spectralis_01.mhd": "8f02b2afe1c562c7d2949610e91b67b8173669852c8e44a62bb5f04ab8f3b3d5",
+    "preprocess/volumes/spectralis_01.raw": "9d029b3948bbe648ed3e5c6c6c6ac4780276a5f5fb8298bd2146f74a22353f4a",
+}
 
-def report_digests(root):
-    """Synthesize the set under ``root``, run the matrix there, and return
-    each report's sha256 by backend and file name."""
+
+def synth_set(root):
+    """Write the working-size config and synthesize the set under ``root``
+    (the working directory); return the arguments each command takes."""
     config = root / "working.cfg"
     config.write_text(
         f"preprocess.target_2d = {WORKING[0]}x{WORKING[1]}\n"
@@ -71,9 +135,16 @@ def report_digests(root):
         "grid.patch_size = 32\n"
         "grid.overlap = 0.5\n"
     )
-    data = root / "data"
-    argv = ["--data-root", str(data), "--config", str(config), "--folds", "2", "--jobs", "1"]
+    argv = ["--data-root", "data", "--config", str(config), "--folds", "2", "--jobs", "1"]
     assert main(["synth", "--dims", "72x64x4", "--n-per-vendor", "2", "--vendors", "Cirrus,Spectralis", *argv]) == 0
+    return argv
+
+
+def report_digests(root):
+    """Synthesize the set under ``root``, run the matrix there, and return
+    each report's sha256 by backend and file name."""
+    argv = synth_set(root)
+    data = root / "data"
     probs = root / "probs"
     probs.mkdir()
     for path in sorted((data / "labels").glob("*.mhd")):
@@ -95,3 +166,30 @@ def report_digests(root):
 def test_evaluate_reports_are_the_pinned_bytes(tmp_path, monkeypatch, capsys):
     monkeypatch.chdir(tmp_path)  # the external model column is the relative ``external:probs``
     assert report_digests(tmp_path) == DIGESTS
+
+
+def output_digests(root):
+    """Synthesize the set under ``root``, then return the sha256 of each file,
+    by its path under ``out``, that ``preprocess`` writes with one volume's
+    labels removed and that ``patchify --slice-policy all`` writes for
+    cirrus_00 in each depth mode and variant."""
+    argv = synth_set(root)
+    for path in (root / "data" / "labels").glob("spectralis_01.*"):
+        path.unlink()
+    assert main(["preprocess", "--output-dir", "out/preprocess", *argv]) == 0
+    for mode in ("2d", "2.5d", "3d"):
+        for variant in ("F", "P"):
+            run = ["patchify", "--volume", "cirrus_00", "--slice-policy", "all", "--depth-mode", mode]
+            out = f"out/patchify_{mode}_{variant}"
+            assert main([*run, "--variant", variant, "--output-dir", out, *argv]) == 0
+    out = root / "out"
+    return {
+        path.relative_to(out).as_posix(): hashlib.sha256(path.read_bytes()).hexdigest()
+        for path in sorted(out.rglob("*"))
+        if path.is_file()
+    }
+
+
+def test_preprocess_and_patchify_outputs_are_the_pinned_bytes(tmp_path, monkeypatch, capsys):
+    monkeypatch.chdir(tmp_path)  # each run_config.txt names the relative ``data`` and ``out/...``
+    assert output_digests(tmp_path) == OUTPUT_DIGESTS
