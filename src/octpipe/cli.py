@@ -35,11 +35,10 @@ from .eval_harness.runner import (
     image_path,
     label_path,
     load_inventory,
-    matching_labels,
     preprocess_pair,
     run_experiment,
 )
-from .preprocess import default_slice_policy, filter_slices, preprocess_volume, resize_volume
+from .preprocess import default_slice_policy, filter_slices
 from .volume_io import Vendor, prob_path, read_labels, read_volume, vendor_of, write_files, write_volume
 
 
@@ -96,12 +95,12 @@ def cmd_preprocess(args: argparse.Namespace, cfg: RunConfig) -> int:
     inventory = load_inventory(cfg.data_root)
     for vendor in sorted(inventory):
         for volume_id in sorted(inventory[vendor]):
-            image = partial(read_volume, image_path(cfg.data_root, volume_id))
             lpath = label_path(cfg.data_root, volume_id)
-            if lpath.exists():
-                vol, labels = preprocess_pair(image, partial(read_labels, lpath), cfg.preprocess, target)
-            else:
-                vol, labels = preprocess_volume(image(), cfg.preprocess, target), None
+            vol, labels = preprocess_pair(
+                partial(read_volume, image_path(cfg.data_root, volume_id)),
+                partial(read_labels, lpath) if lpath.exists() else None,
+                cfg.preprocess, target,
+            )
             write_volume(vol, out_dir / f"{volume_id}.mhd")
             if labels is not None:
                 write_volume(labels, out_dir / f"{volume_id}_labels.mhd")
@@ -139,15 +138,21 @@ def cmd_patchify(args: argparse.Namespace, cfg: RunConfig) -> int:
     mode = cfg.depth_mode
     if args.slice is not None and mode is patch_engine.DepthMode.D3:
         raise ConfigError("--slice picks one B-scan, which --depth-mode 3d does not patch by")
+    per_slice = args.slice is None and mode is not patch_engine.DepthMode.D3  # a policy picks slices
     policy = cfg.slice_policy
-    if policy == "auto" and args.slice is None and mode is not patch_engine.DepthMode.D3:
+    if policy == "auto" and per_slice:
         policy = default_slice_policy(_inventory_vendor(cfg, args.volume))
-    native = read_volume(image_path(cfg.data_root, args.volume))
-    native_dims = native.dims
-    if args.slice is not None and not 0 <= args.slice < native_dims[2]:
-        raise ConfigError(f"--slice {args.slice} outside volume depth {native_dims[2]}")
-    target = cfg.working_size
-    vol = preprocess_volume(native, cfg.preprocess, target)
+    lpath = label_path(cfg.data_root, args.volume)
+    # only the automatic policy patchifies every slice of an unlabeled volume
+    if per_slice and cfg.slice_policy == "diseased_only" and not lpath.exists():
+        raise ConfigError(f"--slice-policy diseased_only needs the label file {lpath}, which does not exist")
+    filtered = per_slice and policy == "diseased_only" and lpath.exists()
+    vol, labels = preprocess_pair(
+        partial(read_volume, image_path(cfg.data_root, args.volume)),
+        partial(read_labels, lpath) if filtered else None, cfg.preprocess, cfg.working_size,
+    )
+    if args.slice is not None and not 0 <= args.slice < vol.dims[2]:
+        raise ConfigError(f"--slice {args.slice} outside volume depth {vol.dims[2]}")
     grid = cfg.grid(vol.dims[:2])
     out_dir = cfg.output_dir / "patches"
 
@@ -157,15 +162,9 @@ def cmd_patchify(args: argparse.Namespace, cfg: RunConfig) -> int:
         patch_engine.save_patches(base, patches, grid, volume_id=args.volume)
         print(f"wrote {len(patches)} patches to {base}.raw")
     else:
-        if args.slice is not None:
-            slices = [args.slice]
-        else:
-            lpath = label_path(cfg.data_root, args.volume)
-            if policy == "diseased_only" and lpath.exists():
-                labels = resize_volume(matching_labels(native, read_labels(lpath)), target)
-                slices = filter_slices(labels, "diseased_only")
-            else:
-                slices = list(range(vol.dims[2]))
+        slices = range(vol.dims[2]) if args.slice is None else [args.slice]
+        if labels is not None:
+            slices = filter_slices(labels, "diseased_only")
         for z in slices:
             patches = patch_engine.extract(vol, grid, z)
             base = out_dir / f"{args.volume}_z{z:04d}"

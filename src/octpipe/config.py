@@ -16,6 +16,7 @@ parsing that text back yields an identical configuration.
 from __future__ import annotations
 
 import os
+import re
 from dataclasses import dataclass, field, fields, is_dataclass, replace
 from functools import partial
 from operator import attrgetter
@@ -119,10 +120,32 @@ class Key:
         return attrgetter(self.path)(cfg)
 
 
+def _plain(kind: type, pattern: str, form: str) -> Callable[[str], Any]:
+    """``kind``'s parser, which also refuses text ``pattern`` does not match
+    in full (digit groups, surrounding space, other scripts' digits); text
+    ``kind`` cannot read keeps its own message."""
+    match = re.compile(pattern).fullmatch
+
+    def parse(text: str) -> Any:
+        value = kind(text)
+        if match(text) is None:
+            raise ValueError(f"expected {form}, got {text!r}")
+        return value
+
+    return parse
+
+
+# what str() writes of an int and repr() of a float: a sign, digits, one point, an exponent
+_parse_int = _plain(int, r"[+-]?[0-9]+", "an integer")
+_parse_float = _plain(
+    float, r"[+-]?(?:(?:[0-9]+\.?[0-9]*|\.[0-9]+)(?:[eE][+-]?[0-9]+)?|inf|nan)", "a decimal number"
+)
+
+
 def parse_dims(text: str, parts: int) -> tuple[int, ...]:
     """``WxH`` (two parts) or ``WxHxD`` (three) as positive integers."""
     try:
-        dims = tuple(int(part) for part in text.lower().split("x"))
+        dims = tuple(_parse_int(part) for part in text.lower().split("x"))
     except ValueError:
         dims = ()
     if len(dims) != parts or min(dims) < 1:
@@ -144,8 +167,8 @@ def _parse_bool(text: str) -> bool:
 # a float is spelled as Python spells it, a numpy scalar included
 CODECS: dict[Any, tuple[Callable[[str], Any], Callable[[Any], str]]] = {
     str: (str, str),
-    int: (int, str),
-    float: (float, lambda value: repr(float(value))),
+    int: (_parse_int, str),
+    float: (_parse_float, lambda value: repr(float(value))),
     bool: (_parse_bool, lambda value: "true" if value else "false"),
     Path | None: (Path, str),
     DepthMode: (DepthMode.parse, attrgetter("value")),

@@ -1,7 +1,8 @@
 """Experiment orchestration: fold iteration, per-volume prediction, scoring.
 
 A run walks one fold's test volumes: read and preprocess to the working
-resolution (``preprocess_pair``, after which no native volume is alive),
+resolution (``preprocess_pair``, after which no native volume is alive;
+the ``preprocess`` and ``patchify`` commands load through it too),
 predict (whole image for variant F, overlapping patches for variant P),
 stitch, arg-max, close, score against the preprocessed truth.
 Prediction streams: ``jobs`` worker threads each take one grid-row run of
@@ -85,25 +86,23 @@ def _stage(stage: str, volume_id: str, fn, *args, **kwargs):
         raise StageError(stage, volume_id, exc) from exc
 
 
-def matching_labels(vol: OctVolume, labels: LabelVolume) -> LabelVolume:
-    """``labels``, once they are known to label ``vol`` voxel for voxel: a
-    size unlike the image's raises ValidationError naming both."""
-    if labels.dims != vol.dims:
-        raise ValidationError(
-            f"labels of '{vol.volume_id}' are {labels.dims} (w, h, d), its image is {vol.dims}"
-        )
-    return labels
-
-
 def preprocess_pair(
-    load_image: Callable[[], OctVolume], load_labels: Callable[[], LabelVolume],
+    load_image: Callable[[], OctVolume], load_labels: Callable[[], LabelVolume] | None,
     cfg: PreprocessConfig, target: tuple[int, int],
-) -> tuple[OctVolume, LabelVolume]:
-    """Read an image, then its labels, of one size, and bring both to the working
-    size.  No native volume outlives its preprocessing: the native labels are
-    freed once resized, before the image is resized, and the image on return."""
-    vol = load_image()
-    labels = resize_volume(matching_labels(vol, load_labels()), target)
+) -> tuple[OctVolume, LabelVolume | None]:
+    """Read an image, then its labels (None without ``load_labels``), and
+    bring both to the working size.  Labels of another size than the image
+    raise ValidationError naming both.  No native volume outlives its
+    preprocessing: the native labels are freed once resized, before the
+    image is preprocessed, and the image on return."""
+    vol, labels = load_image(), None
+    if load_labels is not None:
+        labels = load_labels()
+        if labels.dims != vol.dims:
+            raise ValidationError(
+                f"labels of '{vol.volume_id}' are {labels.dims} (w, h, d), its image is {vol.dims}"
+            )
+        labels = resize_volume(labels, target)
     return preprocess_volume(vol, cfg, target), labels
 
 

@@ -39,7 +39,7 @@ from numpy.lib.stride_tricks import as_strided
 
 from .errors import CoverageError, FormatError, ValidationError
 from .volume_io import FLUIDS, N_CLASSES, FluidClass, LabelVolume, OctVolume, ProbVolume
-from .volume_io import read_payload, write_files
+from .volume_io import first_voxel, read_payload, write_files
 
 SLAB_RADIUS = 1  # a 2.5d patch carries its B-scan and this many neighbours on each side
 
@@ -340,10 +340,7 @@ def stitch(
     for z in range(depth):
         finite = np.isfinite(probs[:, z]).all(axis=0)
         if not finite.all():
-            yy, xx = (int(i) for i in np.argwhere(~finite)[0])
-            raise ValidationError(
-                f"stitched probability at voxel (x={xx}, y={yy}, z={z}) is not finite"
-            )
+            raise ValidationError(f"stitched probability at voxel {first_voxel(~finite, z)} is not finite")
     return ProbVolume(probs=probs, volume_id=volume_id)
 
 
@@ -448,8 +445,7 @@ def _check_complete(grid: PatchGrid, depth: int, planes: int, summed: dict, wait
             x, y = grid.anchors[i]
             covered[y : y + grid.patch_h, x : x + grid.patch_w] = True
         if not covered.all():
-            yy, xx = (int(i) for i in np.argwhere(~covered)[0])
-            raise CoverageError(f"voxel (x={xx}, y={yy}, z={z}) is covered by no patch")
+            raise CoverageError(f"voxel {first_voxel(~covered, z)} is covered by no patch")
     z = incomplete[0]
     i = summed[z]
     while i in waiting[z]:  # 3d windows held for their grid have arrived
@@ -477,9 +473,8 @@ def labelize(prob: ProbVolume) -> LabelVolume:
             np.putmask(out, wins, cls)
             np.maximum(best, probs[cls, z], out=best)
         if np.isnan(best).any():
-            yy, xx = (int(i) for i in np.argwhere(np.isnan(best))[0])
             raise ValidationError(
-                f"probability at voxel (x={xx}, y={yy}, z={z}) of volume "
+                f"probability at voxel {first_voxel(np.isnan(best), z)} of volume "
                 f"'{prob.volume_id}' is NaN"
             )
     return LabelVolume(voxels=labels, volume_id=prob.volume_id)

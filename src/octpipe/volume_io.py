@@ -66,6 +66,13 @@ def vendor_of(dims: tuple[int, int, int]) -> Vendor | None:
     return None
 
 
+def first_voxel(mask: np.ndarray, z: int) -> str:
+    """``(x=…, y=…, z=…)`` of the first set element, in row-major order, of
+    the (height, width) ``mask`` of slice ``z``."""
+    y, x = np.argwhere(mask)[0]
+    return f"(x={x}, y={y}, z={z})"
+
+
 @dataclass
 class OctVolume:
     """Intensity volume, float32, indexed [z, y, x]."""
@@ -102,9 +109,8 @@ class LabelVolume:
             for z, plane in enumerate(voxels):
                 outside = ~np.isin(plane, np.arange(N_CLASSES))
                 if outside.any():
-                    y, x = np.argwhere(outside)[0]
                     raise ValidationError(
-                        f"label value {plane[y, x].item()} at voxel (x={x}, y={y}, z={z}) "
+                        f"label value {plane[outside][0].item()} at voxel {first_voxel(outside, z)} "
                         f"outside 0..{N_CLASSES - 1}"
                     )
         self.voxels = voxels.astype(np.uint8, copy=False)

@@ -7,6 +7,7 @@ import json
 import re
 import resource
 import signal
+import weakref
 from dataclasses import replace
 
 import numpy as np
@@ -586,6 +587,94 @@ def test_patchify_refuses_a_volume_the_inventory_does_not_list(make_dataset, tmp
     assert not out_dir.exists()
     rc, _, _ = run(capsys, "patchify", *common, "--slice-policy", "all", "--output-dir", out_dir)
     assert rc == 0
+
+
+def test_patchify_holds_no_native_volume_when_it_writes_its_first_spill(
+    make_dataset, tmp_path, capsys, monkeypatch
+):
+    """``patchify`` loads through ``preprocess_pair``, so the arrays
+    ``read_volume`` and ``read_labels`` return are freed before any spill."""
+    import octpipe.cli as cli
+
+    root, _, _ = make_dataset()
+    native = []
+
+    def keeping(read):
+        def read_and_keep(path):
+            vol = read(path)
+            native.append(weakref.ref(vol.voxels))
+            return vol
+
+        return read_and_keep
+
+    alive_at_spill = []
+    save_patches = patch_engine.save_patches
+
+    def save_and_look(*args, **kwargs):
+        if not alive_at_spill:
+            alive_at_spill.append([ref() is not None for ref in native])
+        return save_patches(*args, **kwargs)
+
+    monkeypatch.setattr(cli, "read_volume", keeping(cli.read_volume))
+    monkeypatch.setattr(cli, "read_labels", keeping(cli.read_labels))
+    monkeypatch.setattr(patch_engine, "save_patches", save_and_look)
+    cfg = tmp_path / "smaller.cfg"
+    cfg.write_text("preprocess.target_vol = 80x72\ngrid.patch_size = 32\n")
+    rc, _, err = run(
+        capsys, "patchify", "--volume", "cirrus_00", "--slice-policy", "diseased_only",
+        "--config", cfg, "--data-root", root, "--output-dir", tmp_path / "out",
+    )
+    assert rc == 0, err
+    assert alive_at_spill == [[False, False]]  # the image, then its labels
+
+
+def test_patchify_diseased_only_refuses_a_volume_without_labels_before_reading(
+    make_dataset, tmp_path, capsys, monkeypatch
+):
+    """An explicit diseased-only policy needs the label file; the automatic
+    policy, a picked --slice and 3d, which filter no slices, do not."""
+    import octpipe.cli as cli
+
+    root, _, _ = make_dataset()
+    for path in (root / "labels").glob("cirrus_00.*"):
+        path.unlink()
+    common = ["--volume", "cirrus_00", "--config", native_config(tmp_path), "--data-root", root]
+    out_dir = tmp_path / "out"
+    with monkeypatch.context() as patched:
+        patched.setattr(cli, "read_volume", None)  # a read would fail with TypeError, exit 1
+        rc, _, err = run(capsys, "patchify", *common, "--slice-policy", "diseased_only", "--output-dir", out_dir)
+    assert rc == 2
+    assert f"--slice-policy diseased_only needs the label file {root / 'labels' / 'cirrus_00.mhd'}" in err
+    assert not out_dir.exists()
+    for extra, count in (
+        ([], 4),
+        (["--slice-policy", "diseased_only", "--slice", "1"], 1),
+        (["--slice-policy", "diseased_only", "--depth-mode", "3d"], None),
+    ):
+        rc, out, err = run(capsys, "patchify", *common, *extra, "--output-dir", out_dir)
+        assert rc == 0, err
+        assert count is None or f"for each of {count} slices" in out
+
+
+def test_patchify_reports_a_preprocessing_fault_before_an_out_of_range_slice(
+    make_dataset, tmp_path, capsys
+):
+    """The depth --slice is checked against is the depth preprocessing
+    returns, so a non-finite intensity of the same volume is named first."""
+    root, _, _ = make_dataset()
+    path = root / "images" / "cirrus_00.mhd"
+    vol = read_volume(path)
+    vol.voxels[1, 2, 3] = np.nan
+    write_volume(vol, path)
+    out_dir = tmp_path / "out"
+    rc, _, err = run(
+        capsys, "patchify", "--volume", "cirrus_00", "--slice", "4",
+        "--config", native_config(tmp_path), "--data-root", root, "--output-dir", out_dir,
+    )
+    assert rc == 1
+    assert "volume 'cirrus_00' contains non-finite intensities" in err
+    assert "--slice" not in err
+    assert not out_dir.exists()
 
 
 def test_evaluate_oracle_writes_reports(make_dataset, tmp_path, capsys):

@@ -10,6 +10,7 @@ from hypothesis import strategies as st
 
 from octpipe.backends import TrainingConfig
 from octpipe.config import (
+    CODECS,
     DATA_ROOT_ENV,
     KEYS,
     RunConfig,
@@ -263,6 +264,14 @@ def test_render_config_round_trips_lr_pair_below_defaults():
         ("preprocess.target_2d", "0x64"),
         ("preprocess.target_2d", "64xabc"),
         ("preprocess.target_vol", "64x64x4"),
+        # Python's int and float also read these, which no renderer writes
+        ("grid.patch_size", "1_28"),
+        ("grid.overlap", " 0.5_0"),
+        ("grid.overlap", "0.5 "),
+        ("folds.seed", "\u0663"),  # ARABIC-INDIC DIGIT THREE
+        ("preprocess.sigma", "Infinity"),
+        ("preprocess.target_2d", "1_28x9_6"),
+        ("preprocess.target_vol", "128 x 96"),
     ],
 )
 def test_apply_settings_rejects_out_of_range_values(key, value):
@@ -342,6 +351,29 @@ def test_render_config_is_a_fixed_point_in_any_order(mapping, data):
     assert render_config(again) == text
     shuffled = dict(data.draw(st.permutations(list(mapping.items()))))
     assert apply_settings(RunConfig(), shuffled) == cfg
+
+
+CODEC_VALUES = {
+    str: st.text(),
+    int: st.integers(),
+    float: st.floats(allow_nan=False) | st.just(float("nan")) | st.floats(width=32).map(np.float32),
+    bool: st.booleans(),
+    Path | None: _paths.map(Path),
+    DepthMode: st.sampled_from(DepthMode),
+    tuple[int, int]: st.tuples(st.integers(1, 10**9), st.integers(1, 10**9)),
+}
+
+
+@settings(max_examples=300, deadline=None)
+@given(data=st.data())
+def test_every_codec_reads_back_what_it_renders(data):
+    assert set(CODEC_VALUES) == set(CODECS)
+    for kind, (parse, render) in CODECS.items():
+        value = data.draw(CODEC_VALUES[kind], label=str(kind))
+        text = render(value)
+        assert render(parse(text)) == text
+        if kind is not float or value == value:
+            assert parse(text) == value
 
 
 def test_render_config_stores_canonical_spellings():

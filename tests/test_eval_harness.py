@@ -504,8 +504,16 @@ def test_csv_header_and_schema(tmp_path):
         ("2D,unet,F,Cirrus,IRF,0.5,0", FormatError, "no cell for column n_volumes"),
         ("2D,unet,F,Cirrus,IRF,0.5,0,8,9", FormatError, "a cell past the last column, n_volumes"),
         ("2D,unet,F,Cirrus,IRF,1.5,0,8", ValidationError, "dice must lie in [0, 1], got 1.5"),
+        # Python's int and float read these as 10, 0.5, 0.5 and 8, but no report spells them so
+        ("2D,unet,F,Cirrus,IRF,0.5,1_0,8", FormatError, "column fold: expected an integer, got '1_0'"),
+        ("2D,unet,F,Cirrus,IRF,0.5_0,0,8", FormatError, "column dice: expected a decimal number, got '0.5_0'"),
+        ("2D,unet,F,Cirrus,IRF, 0.5,0,8", FormatError, "column dice: expected a decimal number, got ' 0.5'"),
+        ("2D,unet,F,Cirrus,IRF,0.5,0,8 ", FormatError, "column n_volumes: expected an integer, got '8 '"),
     ],
-    ids=["unparsed-float", "empty-int", "short-row", "ninth-cell", "failed-check"],
+    ids=[
+        "unparsed-float", "empty-int", "short-row", "ninth-cell", "failed-check",
+        "grouped-int", "grouped-float", "spaced-float", "spaced-int",
+    ],
 )
 def test_a_malformed_csv_row_is_named_by_file_line_and_column(tmp_path, row, error, message):
     """The bad row is the third line, after the header and one good row."""

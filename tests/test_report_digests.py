@@ -9,15 +9,20 @@ backend reads the one-hot of each truth, nearest-resized to the working
 size and shifted 3 columns, so its cells score below 1.0.  The same set
 pins what ``preprocess`` writes, with one volume's labels removed, and
 what ``patchify --slice-policy all`` spills for one volume in each depth
-mode and variant, ``run_config.txt`` included.  An intended change to
-any of these bytes updates its table, and says why.
+mode and variant, ``run_config.txt`` included.  A third table pins, on the
+same set with one slice of that volume's labels cleared, its
+``patchify --slice-policy diseased_only`` spills, what ``stitch`` writes
+from threshold-backend predictions of its ``all`` spills, and what
+``preprocess`` writes with ``preprocess.normalize = always``.  An intended
+change to any of these bytes updates its table, and says why.
 """
 
 import hashlib
 
 import numpy as np
 
-from octpipe.backends import one_hot
+from octpipe import patch_engine
+from octpipe.backends import one_hot, threshold_backend
 from octpipe.cli import main
 from octpipe.preprocess import resize_volume
 from octpipe.volume_io import ProbVolume, prob_path, read_labels, write_volume
@@ -168,6 +173,15 @@ def test_evaluate_reports_are_the_pinned_bytes(tmp_path, monkeypatch, capsys):
     assert report_digests(tmp_path) == DIGESTS
 
 
+def digests_under(out):
+    """The sha256 of each file under ``out``, by its path there."""
+    return {
+        path.relative_to(out).as_posix(): hashlib.sha256(path.read_bytes()).hexdigest()
+        for path in sorted(out.rglob("*"))
+        if path.is_file()
+    }
+
+
 def output_digests(root):
     """Synthesize the set under ``root``, then return the sha256 of each file,
     by its path under ``out``, that ``preprocess`` writes with one volume's
@@ -182,14 +196,121 @@ def output_digests(root):
             run = ["patchify", "--volume", "cirrus_00", "--slice-policy", "all", "--depth-mode", mode]
             out = f"out/patchify_{mode}_{variant}"
             assert main([*run, "--variant", variant, "--output-dir", out, *argv]) == 0
-    out = root / "out"
-    return {
-        path.relative_to(out).as_posix(): hashlib.sha256(path.read_bytes()).hexdigest()
-        for path in sorted(out.rglob("*"))
-        if path.is_file()
-    }
+    return digests_under(root / "out")
 
 
 def test_preprocess_and_patchify_outputs_are_the_pinned_bytes(tmp_path, monkeypatch, capsys):
     monkeypatch.chdir(tmp_path)  # each run_config.txt names the relative ``data`` and ``out/...``
     assert output_digests(tmp_path) == OUTPUT_DIGESTS
+
+
+SPILL_DIGESTS = {
+    "patchify_2.5d_F/patches/cirrus_00_z0000.json": "80edfc9dfb1f1d927ed912f481918dd7322c01fa37a650f80c93f70dc5d65215",
+    "patchify_2.5d_F/patches/cirrus_00_z0000.raw": "43316a082f6a6d1b791451a8d5b01b963752e2b91275936eb54d9c497209db34",
+    "patchify_2.5d_F/patches/cirrus_00_z0001.json": "b2d535300dbf2b31666034386551c85c94252c74c4a284557ff1b5561239b139",
+    "patchify_2.5d_F/patches/cirrus_00_z0001.raw": "bf122c8adb693371775a16a5342cd49fda45e55ab1b7b4afd6818a8d78a7cdf8",
+    "patchify_2.5d_F/patches/cirrus_00_z0003.json": "2b01522749dab2dd113d464957d965a191ddc293a45b076076c499a426dfae4a",
+    "patchify_2.5d_F/patches/cirrus_00_z0003.raw": "e270ea810e0f1f3c2caaf65d5c1cc8894bb8dd8a3d53545846d42543ac07cc1b",
+    "patchify_2.5d_F/patches/run_config.txt": "a05cfc3a1b34b1562a1c81d04d058b6e9c733a98d525d1622b4e7a4338b88d48",
+    "patchify_2.5d_P/patches/cirrus_00_z0000.json": "936ba63a69017ec968c8ccb33e46b96250686a7d7f04c1e1273f2b5f3d166535",
+    "patchify_2.5d_P/patches/cirrus_00_z0000.raw": "564267d5ec6c634c10093843f31aa904bda5acbfed3f43c3045bcd4f4d438772",
+    "patchify_2.5d_P/patches/cirrus_00_z0001.json": "131c9be4bc7ce12712c4bb1ac3c389ec47baed9ae6618ceabc5401ccced68bcb",
+    "patchify_2.5d_P/patches/cirrus_00_z0001.raw": "129b668f999d5e3463a8d1ca2d834574d28b9e0c1bee5653f07022ce4a09958d",
+    "patchify_2.5d_P/patches/cirrus_00_z0003.json": "551d2d105cc982c6085d1260a35ef24d12ef878f142751ac6ffe006878b58b33",
+    "patchify_2.5d_P/patches/cirrus_00_z0003.raw": "b0b6b257b0bc3ceabc9fa1bb6158293ad5bfc1fb52f73ec1e6623a5684f55754",
+    "patchify_2.5d_P/patches/run_config.txt": "b60da0b06cf99dc367c3d7759e88768e3795f1965e6202c92126aeac554a60eb",
+    "patchify_2d_F/patches/cirrus_00_z0000.json": "5fd1a56f335cbee65e67207d3bdd66757dfa93b438baa7dfd4253bca5a8972f9",
+    "patchify_2d_F/patches/cirrus_00_z0000.raw": "c837832a8e9f6d6ea93d7d950322d6fa1208ebb664bdca333560aac35fa9dc70",
+    "patchify_2d_F/patches/cirrus_00_z0001.json": "5d8a25602fa0ccd70d71a58cec0639701a2f6c2c29edc106fc26a7c27b89ee17",
+    "patchify_2d_F/patches/cirrus_00_z0001.raw": "203e625ab5406ad3937cfd26f6e7f8af37ffd3efd09b3a847aa137d2f75393ee",
+    "patchify_2d_F/patches/cirrus_00_z0003.json": "3334268d90d76f6a5a7ea747800a56a4dc0beba51714d84f4cf034e21c421d9e",
+    "patchify_2d_F/patches/cirrus_00_z0003.raw": "a7fd8d5039d0a5db4e0d96ea8991f7b3ec4ae6648223e59f4fca7e2cb3cb2b2d",
+    "patchify_2d_F/patches/run_config.txt": "409ea287860c5814d276a476a516ffa08639adc311b0fe153618c69da0ebc96a",
+    "patchify_2d_P/patches/cirrus_00_z0000.json": "97a0f49f1a0c9848934bbdd835c384c655c7971796bdb4968f4f7fe459ff0101",
+    "patchify_2d_P/patches/cirrus_00_z0000.raw": "ba7c845aa0626050479900ee1286ee08f54629a1477647c3841d64a32496bcbf",
+    "patchify_2d_P/patches/cirrus_00_z0001.json": "324592f59c927c4546d61a4ed602c53ff160228127ab5b1b06e405efd83b7452",
+    "patchify_2d_P/patches/cirrus_00_z0001.raw": "c3e904f6d1774b166a871380c34ef19be908e02887626fd1f7dc51c28107cf7d",
+    "patchify_2d_P/patches/cirrus_00_z0003.json": "a8c7b8597fa46c81a367f7120763432114ce4e9561b617e8ae35bf930ea87c6f",
+    "patchify_2d_P/patches/cirrus_00_z0003.raw": "cc2dac9960c0d68416b607a81cf13bb2bcbe4ac820a7b9de02bd0652d2186f90",
+    "patchify_2d_P/patches/run_config.txt": "187014a2bdc674a91139f31353256bee2287f2f4caad892e093c9371ee85a5ef",
+    "preprocess_always/volumes/cirrus_00.mhd": "e482b9c2fb663315c1583be43955bb40770fd7687ef19448dfea02cc90aac17b",
+    "preprocess_always/volumes/cirrus_00.raw": "089aebe8cacad413cb0d4578d32e2e9f94df7c0d1789381f36907e968fdbc2ae",
+    "preprocess_always/volumes/cirrus_00_labels.mhd": "bfbe62be24504bc83471db48d7e0ea23c560cbe1ab1e8ba62a9586b00e45f919",
+    "preprocess_always/volumes/cirrus_00_labels.raw": "36d8ebacbc04092a20d1f5e4f3bf3ae62e139f5db1a002c689dc0fc690b80f68",
+    "preprocess_always/volumes/cirrus_01.mhd": "0e25d3f074fd7fcaf5463cac95b6f8103603c557c6740abb62b382376ba1dacb",
+    "preprocess_always/volumes/cirrus_01.raw": "8a597b2c98c414668b19753207663aecb7e2f4cf3baed15bb12936de89f47433",
+    "preprocess_always/volumes/cirrus_01_labels.mhd": "916103a8384e521e5dfdcdf213f8c6b2ac0de72422c3c3883e2c7bcdd2a70385",
+    "preprocess_always/volumes/cirrus_01_labels.raw": "8981eb8f92b176f5dd497511035347e596547cdfff5006e20b73654909092afb",
+    "preprocess_always/volumes/run_config.txt": "1c749203b8d433244ebc5d684ccfc306f17b48e5b0557232f73ad932bf64b9b7",
+    "preprocess_always/volumes/spectralis_00.mhd": "8d555601673e43dc0e4e85ee42ab9bc29edf911c25e287b90da638c68c2d80ab",
+    "preprocess_always/volumes/spectralis_00.raw": "060478231659f0b672bed22fe2827279dc26a9bb341a21fe6cc2044590955fc1",
+    "preprocess_always/volumes/spectralis_00_labels.mhd": "1bdd03af758caff59601dd52a7557586742ae95666f8ceaeb3ec99ae88a47568",
+    "preprocess_always/volumes/spectralis_00_labels.raw": "63361b7e8203c86603ba07b500480410d120734c4dcaaaca337c28b107e9c75b",
+    "preprocess_always/volumes/spectralis_01.mhd": "8f02b2afe1c562c7d2949610e91b67b8173669852c8e44a62bb5f04ab8f3b3d5",
+    "preprocess_always/volumes/spectralis_01.raw": "d472d053c9633bb953ac07642245d6e0674f12417431fdc57cb814c5e5936c42",
+    "preprocess_always/volumes/spectralis_01_labels.mhd": "e9c58dd37230534e1ca10cff3563f95b7984aa6692f9a744a19e8c13796d4545",
+    "preprocess_always/volumes/spectralis_01_labels.raw": "e7bfc824079337b5019353212543c0e037b3c4e48f9a6722a2926278a20d0fb8",
+    "stitch_2.5d_F/predictions/cirrus_00_prob.mhd": "06fbe71f87c0fff15dc6689aef64879f57690bbf78f913ed19f25bbe3488d9d8",
+    "stitch_2.5d_F/predictions/cirrus_00_prob.raw": "08fe3a4ae4757f1303c21e965d675cb5ec09ff803bb7a046ba825f971022774e",
+    "stitch_2.5d_F/predictions/run_config.txt": "c7e22fe7735233d1952a50ed5d167247271cc0c2e3fa12479c825a53575af705",
+    "stitch_2.5d_P/predictions/cirrus_00_prob.mhd": "06fbe71f87c0fff15dc6689aef64879f57690bbf78f913ed19f25bbe3488d9d8",
+    "stitch_2.5d_P/predictions/cirrus_00_prob.raw": "bcb505413ee95b45e38a54e502e873ca07df0b67bc0be145a04745280bec1d03",
+    "stitch_2.5d_P/predictions/run_config.txt": "06b44650f1ac320d912528ade829d5eb878f8a7d88c4e0b6d97ce85b831d7717",
+    "stitch_2d_F/predictions/cirrus_00_prob.mhd": "06fbe71f87c0fff15dc6689aef64879f57690bbf78f913ed19f25bbe3488d9d8",
+    "stitch_2d_F/predictions/cirrus_00_prob.raw": "08fe3a4ae4757f1303c21e965d675cb5ec09ff803bb7a046ba825f971022774e",
+    "stitch_2d_F/predictions/run_config.txt": "76632eee44149a5790fd310a3d3a2812c1808b7b61a4ddd60da5afc268206726",
+    "stitch_2d_P/predictions/cirrus_00_prob.mhd": "06fbe71f87c0fff15dc6689aef64879f57690bbf78f913ed19f25bbe3488d9d8",
+    "stitch_2d_P/predictions/cirrus_00_prob.raw": "bcb505413ee95b45e38a54e502e873ca07df0b67bc0be145a04745280bec1d03",
+    "stitch_2d_P/predictions/run_config.txt": "034b7b7b801f85acdde1b0845438041754dfd37437bf7ea43c4ec68890edeaaf",
+    "stitch_3d_F/predictions/cirrus_00_prob.mhd": "06fbe71f87c0fff15dc6689aef64879f57690bbf78f913ed19f25bbe3488d9d8",
+    "stitch_3d_F/predictions/cirrus_00_prob.raw": "08fe3a4ae4757f1303c21e965d675cb5ec09ff803bb7a046ba825f971022774e",
+    "stitch_3d_F/predictions/run_config.txt": "d2b27eb30d7eb187c2e10ec7be44c3c844717848218597980f34f034bf54f2c4",
+    "stitch_3d_P/predictions/cirrus_00_prob.mhd": "06fbe71f87c0fff15dc6689aef64879f57690bbf78f913ed19f25bbe3488d9d8",
+    "stitch_3d_P/predictions/cirrus_00_prob.raw": "bcb505413ee95b45e38a54e502e873ca07df0b67bc0be145a04745280bec1d03",
+    "stitch_3d_P/predictions/run_config.txt": "ccab7c5ce68d036ba788eab88ea6cd6937e127458e11ff8f1221ffff24561eb6",
+}
+
+
+def spill_digests(root):
+    """Synthesize the set under ``root`` and clear slice 2 of cirrus_00's
+    labels; return the sha256 of each file, by its path under ``out``, that
+    ``patchify --slice-policy diseased_only`` writes for cirrus_00 in 2d and
+    2.5d, that ``stitch`` writes from threshold-backend predictions of its
+    ``--slice-policy all`` spills in each depth mode and variant (each patch
+    blended toward uniform by its own weight, so the average matters), and that
+    ``preprocess`` writes with ``preprocess.normalize = always``."""
+    argv = synth_set(root)
+    labels = root / "data" / "labels" / "cirrus_00.mhd"
+    cleared = read_labels(labels)
+    cleared.voxels[2] = 0
+    write_volume(cleared, labels)
+    always = root / "always.cfg"
+    always.write_text((root / "working.cfg").read_text() + "preprocess.normalize = always\n")
+    rescaled = [str(always) if arg.endswith("working.cfg") else arg for arg in argv]
+    assert main(["preprocess", "--output-dir", "out/preprocess_always", *rescaled]) == 0
+    backend = threshold_backend()
+    for mode in ("2d", "2.5d", "3d"):
+        for variant in ("F", "P"):
+            run = ["--volume", "cirrus_00", "--depth-mode", mode, "--variant", variant, *argv]
+            spills = root / "spills" / f"{mode}_{variant}"
+            assert main(["patchify", "--slice-policy", "all", "--output-dir", str(spills), *run]) == 0
+            bases = []
+            for sidecar in sorted((spills / "patches").glob("*.json")):
+                batch, grid, _ = patch_engine.load_patches(sidecar.with_suffix(""))
+                probs = backend.predict(batch, grid.depth_mode, "cirrus_00")
+                # each patch leans toward uniform by its own weight, so overlapping patches differ
+                lean = np.linspace(0.1, 0.9, len(probs), dtype=np.float32).reshape(-1, *[1] * (probs.ndim - 1))
+                probs = probs * (1 - lean) + lean / 4
+                bases.append(str(spills / f"pred_{sidecar.stem}"))
+                patch_engine.save_predictions(bases[-1], list(zip(map(tuple, batch.anchors.tolist()), probs)))
+            stitch = ["stitch", "--dims", f"{WORKING[0]}x{WORKING[1]}x4", "--predictions", *bases]
+            assert main([*stitch, "--output-dir", f"out/stitch_{mode}_{variant}", *run]) == 0
+            if mode != "3d":
+                out = f"out/patchify_{mode}_{variant}"
+                assert main(["patchify", "--slice-policy", "diseased_only", "--output-dir", out, *run]) == 0
+    return digests_under(root / "out")
+
+
+def test_diseased_only_spills_stitch_and_rescale_outputs_are_the_pinned_bytes(tmp_path, monkeypatch, capsys):
+    monkeypatch.chdir(tmp_path)  # each run_config.txt names the relative ``data`` and ``out/...``
+    assert spill_digests(tmp_path) == SPILL_DIGESTS
