@@ -3,6 +3,8 @@ OCT scans: MetaImage I/O, preprocessing, overlapping-patch extraction and
 stitching at 2D/2.5D/3D, pluggable segmentation backends, Dice evaluation
 with cross-validation planning, and synthetic phantoms for verification."""
 
+from types import ModuleType as _Module
+
 from .backends import (
     Backend,
     TrainingConfig,
@@ -23,7 +25,7 @@ from .patch_engine import (
     plan_grid,
     stitch,
 )
-from .preprocess import PreprocessConfig, denoise, filter_slices, normalize, resize_volume
+from .preprocess import PreprocessConfig, denoise, filter_slices, resize_volume
 from .volume_io import (
     FluidClass,
     LabelVolume,
@@ -39,40 +41,7 @@ from .volume_io import (
 
 __version__ = "0.1.0"
 
-__all__ = [
-    "Backend",
-    "ConfigError",
-    "CoverageError",
-    "DepthMode",
-    "FluidClass",
-    "FormatError",
-    "LabelVolume",
-    "OctVolume",
-    "PatchBatch",
-    "PatchGrid",
-    "PreprocessConfig",
-    "ProbVolume",
-    "StageError",
-    "TrainingConfig",
-    "ValidationError",
-    "Vendor",
-    "close_all",
-    "close_mask",
-    "denoise",
-    "external_backend",
-    "extract",
-    "filter_slices",
-    "labelize",
-    "normalize",
-    "oracle_backend",
-    "plan_grid",
-    "read_labels",
-    "read_prob",
-    "read_volume",
-    "resize_volume",
-    "stitch",
-    "threshold_backend",
-    "vendor_of",
-    "weighted_cross_entropy",
-    "write_volume",
-]
+# the imports above are the export list: every public name they bind but submodules
+__all__ = sorted(
+    name for name, value in globals().items() if not (name.startswith("_") or isinstance(value, _Module))
+)

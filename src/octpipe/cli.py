@@ -16,6 +16,7 @@ from pathlib import Path
 
 from . import patch_engine
 from .config import (
+    CODECS,
     DATA_ROOT,
     KEYS,
     OUTPUT_DIR,
@@ -219,6 +220,11 @@ def cmd_synth(args: argparse.Namespace, cfg: RunConfig) -> int:
     vendors = [v.strip() for v in args.vendors.split(",") if v.strip()]
     if not vendors:
         raise ConfigError("--vendors must name at least one vendor")
+    prefixes = [vendor.lower() for vendor in vendors]  # each volume id is a prefix and a number
+    for i, prefix in enumerate(prefixes):
+        if prefix in prefixes[:i]:
+            first = vendors[prefixes.index(prefix)]
+            raise ConfigError(f"--vendors {first!r} and {vendors[i]!r} both give the volume ids {prefix}_NN")
     if args.n_per_vendor < 1:
         raise ConfigError("--n-per-vendor must be >= 1")
     if args.n_blobs < 1:
@@ -226,10 +232,10 @@ def cmd_synth(args: argparse.Namespace, cfg: RunConfig) -> int:
     root = cfg.data_root
     inventory: dict[str, list[str]] = {}
     counter = 0
-    for vendor in vendors:
+    for vendor, prefix in zip(vendors, prefixes):
         ids = []
         for i in range(args.n_per_vendor):
-            volume_id = f"{vendor.lower()}_{i:02d}"
+            volume_id = f"{prefix}_{i:02d}"
             vol, labels = random_phantom(
                 dims,
                 seed=cfg.seed + counter,
@@ -255,6 +261,7 @@ def build_parser() -> argparse.ArgumentParser:
         description="Patch-based vs. full-image segmentation pipeline toolkit for OCT volumes",
     )
     subs = parser.add_subparsers(dest="command", required=True)
+    number = CODECS[int][0]  # integers as settings and report cells spell them
 
     p = subs.add_parser("info", help="print vendor and geometry of volumes")
     p.add_argument("paths", nargs="+", type=Path)
@@ -271,7 +278,7 @@ def build_parser() -> argparse.ArgumentParser:
 
     p = subs.add_parser("patchify", help="extract overlapping patches to disk")
     p.add_argument("--volume", required=True, help="volume id to patchify")
-    p.add_argument("--slice", type=int, help="single slice index (default: policy-selected)")
+    p.add_argument("--slice", type=number, help="single slice index (default: policy-selected)")
     _add_common(p)
     p.set_defaults(handler=cmd_patchify)
 
@@ -283,7 +290,7 @@ def build_parser() -> argparse.ArgumentParser:
     p.set_defaults(handler=cmd_stitch)
 
     p = subs.add_parser("evaluate", help="run the pipeline over cross-validation folds")
-    p.add_argument("--fold", type=int, help="evaluate a single fold (default: all)")
+    p.add_argument("--fold", type=number, help="evaluate a single fold (default: all)")
     _add_common(p)
     p.set_defaults(handler=cmd_evaluate)
 
@@ -294,9 +301,9 @@ def build_parser() -> argparse.ArgumentParser:
 
     p = subs.add_parser("synth", help="write a synthetic phantom dataset")
     p.add_argument("--dims", default="128x128x8", help="volume dims as WxHxD")
-    p.add_argument("--n-per-vendor", type=int, default=3)
+    p.add_argument("--n-per-vendor", type=number, default=3)
     p.add_argument("--vendors", default="Cirrus,Spectralis,Topcon")
-    p.add_argument("--n-blobs", type=int, default=6)
+    p.add_argument("--n-blobs", type=number, default=6)
     _add_common(p)
     p.set_defaults(handler=cmd_synth)
 

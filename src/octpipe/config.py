@@ -121,9 +121,9 @@ class Key:
 
 
 def _plain(kind: type, pattern: str, form: str) -> Callable[[str], Any]:
-    """``kind``'s parser, which also refuses text ``pattern`` does not match
-    in full (digit groups, surrounding space, other scripts' digits); text
-    ``kind`` cannot read keeps its own message."""
+    """``kind``'s parser, under ``kind``'s name (argparse's ``invalid int value``),
+    which also refuses text ``pattern`` does not match in full (digit groups, surrounding
+    space, other scripts' digits); text ``kind`` cannot read keeps its own message."""
     match = re.compile(pattern).fullmatch
 
     def parse(text: str) -> Any:
@@ -132,6 +132,7 @@ def _plain(kind: type, pattern: str, form: str) -> Callable[[str], Any]:
             raise ValueError(f"expected {form}, got {text!r}")
         return value
 
+    parse.__name__ = kind.__name__
     return parse
 
 

@@ -1,6 +1,8 @@
 """Evaluation side of the toolkit: metrics, fold planning, experiment runner,
 report rendering and synthetic phantom volumes."""
 
+from types import ModuleType as _Module
+
 from .folds import FoldPlan, make_folds, save_folds
 from .metrics import ConfusionCounts, confusion, dice, dice_volume
 from .phantom import BlobSpec, closing_stable, random_phantom, synth_phantom
@@ -23,30 +25,7 @@ from .runner import (
     segment_volume,
 )
 
-__all__ = [
-    "BlobSpec",
-    "ConfusionCounts",
-    "FoldPlan",
-    "ReportEntry",
-    "closing_stable",
-    "confusion",
-    "dice",
-    "dice_volume",
-    "entry_sort_key",
-    "evaluate_volume",
-    "format_cell",
-    "load_inventory",
-    "load_report_csv",
-    "make_folds",
-    "parse_report_csv",
-    "predict_volume",
-    "preprocess_pair",
-    "random_phantom",
-    "render_csv",
-    "render_report",
-    "render_table",
-    "run_experiment",
-    "save_folds",
-    "segment_volume",
-    "synth_phantom",
-]
+# the imports above are the export list: every public name they bind but submodules
+__all__ = sorted(
+    name for name, value in globals().items() if not (name.startswith("_") or isinstance(value, _Module))
+)

@@ -160,11 +160,6 @@ def _finite_range(vol: OctVolume) -> tuple[float, float]:
     return lo, hi
 
 
-def normalize(vol: OctVolume) -> OctVolume:
-    """Min-max normalize intensities to [0, 1]; a constant volume maps to all zeros."""
-    return _rescale(vol, *_finite_range(vol))
-
-
 def _rescale(vol: OctVolume, lo: float, hi: float) -> OctVolume:
     """Map the intensity range [lo, hi] onto [0, 1], or all zeros if lo == hi."""
     if hi > lo:

@@ -3,6 +3,7 @@
 import argparse
 import contextlib
 import hashlib
+import io
 import json
 import re
 import resource
@@ -12,11 +13,13 @@ from dataclasses import replace
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from octpipe import patch_engine
 from octpipe.backends import one_hot, threshold_backend
 from octpipe.cli import build_parser, main
-from octpipe.config import DATA_ROOT_ENV, KEYS, load_config
+from octpipe.config import CODECS, DATA_ROOT_ENV, KEYS, load_config
 from octpipe.errors import FormatError
 from octpipe.eval_harness import runner
 from octpipe.eval_harness.report import load_report_csv
@@ -186,6 +189,74 @@ def test_synth_bad_argument_is_usage_error(tmp_path, capsys, flag, value):
     assert rc == 2
     assert err.startswith("error:")
     assert not (root / "images").exists()
+
+
+@pytest.mark.parametrize("vendors", ["cirrus,Cirrus", "Cirrus,Topcon,Cirrus"])
+def test_synth_refuses_two_vendors_that_give_the_same_volume_ids(tmp_path, capsys, vendors):
+    root = tmp_path / "d"
+    rc, _, err = run(
+        capsys, "synth", "--data-root", root, "--vendors", vendors, "--n-per-vendor", "3", "--dims", "64x64x4"
+    )
+    first, *_, second = vendors.split(",")
+    assert rc == 2
+    assert f"error: --vendors {first!r} and {second!r} both give the volume ids cirrus_NN" in err
+    assert not root.exists()
+
+
+@pytest.mark.parametrize(
+    "argv, flag, value",
+    [
+        (["patchify", "--volume", "cirrus_00"], "--slice", "0_3"),
+        (["evaluate"], "--fold", " 1"),
+        (["synth"], "--n-per-vendor", "1_0"),
+        (["synth"], "--n-blobs", "\u0663"),
+    ],
+    ids=["slice", "fold", "n-per-vendor", "n-blobs"],
+)
+def test_a_malformed_command_number_is_a_usage_error_before_writing(
+    make_dataset, tmp_path, capsys, argv, flag, value
+):
+    """Command flags spell integers as settings do: no digit groups, no
+    surrounding space, no other script's digits."""
+    root, _, _ = make_dataset()
+    out_dir = tmp_path / "out"
+    where = ["--data-root", out_dir] if argv[0] == "synth" else ["--data-root", root, "--output-dir", out_dir]
+    with pytest.raises(SystemExit) as exc:
+        main([*argv, *map(str, where), flag, value])
+    assert exc.value.code == 2
+    assert f"argument {flag}: invalid int value: {value!r}" in capsys.readouterr().err
+    assert not out_dir.exists()
+
+
+# every command flag that takes an integer: (command and its required flags, flag, dest)
+_NUMBER_FLAGS = [
+    (["patchify", "--volume", "cirrus_00"], "--slice", "slice"),
+    (["evaluate"], "--fold", "fold"),
+    (["synth"], "--n-per-vendor", "n_per_vendor"),
+    (["synth"], "--n-blobs", "n_blobs"),
+]
+
+
+def _refused(text):
+    """Whether the settings' integer parser refuses ``text``."""
+    try:
+        CODECS[int][0](text)
+    except ValueError:
+        return True
+    return False
+
+
+@pytest.mark.parametrize("argv, flag, dest", _NUMBER_FLAGS, ids=["slice", "fold", "n-per-vendor", "n-blobs"])
+@settings(max_examples=200, deadline=None)
+@given(n=st.integers(), text=st.one_of(st.text(), st.text("0123456789_ +-\t\u0663\uff11")).filter(_refused))
+def test_every_command_number_reads_as_the_int_codec_reads(argv, flag, dest, n, text):
+    """``str(n)`` reads as ``n``; text the codec refuses, near misses such as
+    digit groups, space and other digits included, exits 2."""
+    parser = build_parser()
+    assert getattr(parser.parse_args([*argv, flag, str(n)]), dest) == n
+    with contextlib.redirect_stderr(io.StringIO()), pytest.raises(SystemExit) as exc:
+        parser.parse_args([*argv, flag, text])
+    assert exc.value.code == 2
 
 
 def test_stitch_checks_dims_before_reading_predictions(tmp_path, capsys):
@@ -1230,3 +1301,27 @@ def test_every_subcommand_keeps_its_flags_choices_and_help():
         ]
         assert got == [_HELP, *_SUBCOMMANDS[name][1], *_KEY_FLAGS], name
         assert all(a.choices is None for a in parser._actions), name
+
+
+# sha256 of each parser's format_help() at 80 columns: "" is the top parser
+_HELP_DIGESTS = {
+    "": "245035daf7d39aed435fe2a5d1c5886641b7e34a6138394055ca644340f5fb04",
+    "info": "ed971568a94504b5df8aabe8d1daddfa5274ff8e6c13d07f1c7f0b7350b72ba8",
+    "preprocess": "96de6dd6566ca6e45630db51d55c5eefc0182a1236f61096e53f9d336ca6efc5",
+    "folds": "95e563f6165701ca005307b2d889951350f18af0b9faceee08192bdcecf8533a",
+    "patchify": "f522d48f129cae2308ceedb213f49723fba903a875ae3111250f5aecd335bd16",
+    "stitch": "32044d4293c2c79211b01b39f8a5dd929bc06755fc1abc03b8b8d0c6c2f5c944",
+    "evaluate": "d6fb1959d19b4348f7318960ea73329d2ebe1e3916dadf1c7d3796ef86c030ed",
+    "report": "7c6e977197b5e108ae85f8aa85e6ebc1bf482ba2d9b7e5dc69eb8a128e7debe3",
+    "synth": "af5a7fba12e682448531877a4f5d03b71f8416f28887825e77ce50b9a4159f43",
+}
+
+
+def test_every_help_text_is_the_pinned_bytes(monkeypatch):
+    monkeypatch.setenv("COLUMNS", "80")
+    parser = build_parser()
+    (subs,) = [a for a in parser._actions if isinstance(a, argparse._SubParsersAction)]
+    texts = {"": parser.format_help(), **{name: p.format_help() for name, p in subs.choices.items()}}
+    assert list(texts) == list(_HELP_DIGESTS)
+    for name, text in texts.items():
+        assert hashlib.sha256(text.encode()).hexdigest() == _HELP_DIGESTS[name], text

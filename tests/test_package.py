@@ -1,18 +1,25 @@
-"""The package export lists name only real, distinct attributes, and importing
+"""Each package exports the public names its submodules define, and importing
 a module loads only what it needs."""
 
 import importlib
 import os
 import subprocess
 import sys
+import types
 
 
-def test_all_names_resolve_without_duplicates():
+def test_each_package_exports_public_names_its_submodules_define():
     for module_name in ("octpipe", "octpipe.eval_harness"):
         module = importlib.import_module(module_name)
-        assert len(module.__all__) == len(set(module.__all__)), module_name
-        missing = [name for name in module.__all__ if not hasattr(module, name)]
-        assert missing == [], module_name
+        namespace = {}
+        exec(f"from {module_name} import *", namespace)
+        del namespace["__builtins__"]
+        assert sorted(namespace) == sorted(module.__all__), module_name
+        assert len(set(module.__all__)) == len(module.__all__), module_name
+        for name in module.__all__:
+            value = getattr(module, name)
+            assert not name.startswith("_") and not isinstance(value, types.ModuleType), name
+            assert value.__module__.startswith(f"{module_name}."), name
 
 
 def _modules_after_import(module_name):

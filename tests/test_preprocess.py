@@ -16,7 +16,6 @@ from octpipe.preprocess import (
     default_slice_policy,
     denoise,
     filter_slices,
-    normalize,
     preprocess_volume,
     resize_volume,
 )
@@ -249,6 +248,12 @@ def test_resize_volume_identity_is_exact():
     assert resize_volume(image, (10, 12)) is image
 
 
+def normalize(vol):
+    """``preprocess_volume``'s min-max rescale alone: always normalize, at the
+    volume's own plane size, with no denoiser."""
+    return preprocess_volume(vol, PreprocessConfig(normalize="always"), vol.dims[:2])
+
+
 def test_normalize_affine_and_degenerate():
     vol = OctVolume(
         voxels=np.array([[[10.0, 20.0, 30.0]]], dtype=np.float32),
@@ -461,10 +466,10 @@ def per_slice_preprocess(voxels, cfg, target):
     """What ``preprocess_volume`` computed before it denoised in place:
     normalize per ``cfg.normalize``, resize, then copy each B-scan's float32
     ``denoise`` into a new volume."""
+    lo, hi = float(voxels.min()), float(voxels.max())
+    if cfg.normalize == "always" or (cfg.normalize == "auto" and (lo < 0.0 or hi > 1.0)):
+        voxels = (voxels - lo) / (hi - lo) if hi > lo else np.zeros_like(voxels)
     vol = OctVolume(voxels=voxels, volume_id="old")
-    out_of_range = voxels.min() < 0.0 or voxels.max() > 1.0
-    if cfg.normalize == "always" or (cfg.normalize == "auto" and out_of_range):
-        vol = normalize(vol)
     vol = resize_volume(vol, target)
     if cfg.denoiser == "none":
         return vol.voxels
