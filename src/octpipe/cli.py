@@ -28,7 +28,7 @@ from .config import (
     render_config,
     resolve_data_root,
 )
-from .errors import ConfigError
+from .errors import ConfigError, ValidationError
 from .eval_harness.folds import make_folds, save_folds
 from .eval_harness.phantom import random_phantom
 from .eval_harness.report import load_report_csvs, render_report
@@ -40,7 +40,8 @@ from .eval_harness.runner import (
     run_experiment,
 )
 from .preprocess import default_slice_policy, filter_slices
-from .volume_io import Vendor, prob_path, read_labels, read_volume, vendor_of, write_files, write_volume
+from .volume_io import Vendor, check_volume_id, prob_path, read_labels, read_volume, vendor_of
+from .volume_io import write_files, write_volume
 
 
 def _add_common(sub: argparse.ArgumentParser) -> None:
@@ -62,6 +63,14 @@ def _require(cfg: RunConfig, *keys: Key) -> None:
     for key in keys:
         if key.get(cfg) is None:
             raise ConfigError(f"{key.flag} is required for this command (or set it in the config)")
+
+
+def _flag_id(flag: str, text: str) -> str:
+    """``text`` as the volume id (or id prefix) ``flag`` gives; a path is a usage error."""
+    try:
+        return check_volume_id(text, flag)
+    except ValidationError as exc:
+        raise ConfigError(str(exc)) from None
 
 
 def _write_config_copy(cfg: RunConfig, directory: Path) -> None:
@@ -136,6 +145,7 @@ def _inventory_vendor(cfg: RunConfig, volume_id: str) -> Vendor | None:
 
 def cmd_patchify(args: argparse.Namespace, cfg: RunConfig) -> int:
     _require(cfg, DATA_ROOT, OUTPUT_DIR)
+    _flag_id("--volume", args.volume)
     mode = cfg.depth_mode
     if args.slice is not None and mode is patch_engine.DepthMode.D3:
         raise ConfigError("--slice picks one B-scan, which --depth-mode 3d does not patch by")
@@ -177,6 +187,7 @@ def cmd_patchify(args: argparse.Namespace, cfg: RunConfig) -> int:
 
 def cmd_stitch(args: argparse.Namespace, cfg: RunConfig) -> int:
     _require(cfg, OUTPUT_DIR)
+    _flag_id("--volume", args.volume)
     dims = parse_dims(args.dims, 3)
     sizes = []
 
@@ -220,7 +231,8 @@ def cmd_synth(args: argparse.Namespace, cfg: RunConfig) -> int:
     vendors = [v.strip() for v in args.vendors.split(",") if v.strip()]
     if not vendors:
         raise ConfigError("--vendors must name at least one vendor")
-    prefixes = [vendor.lower() for vendor in vendors]  # each volume id is a prefix and a number
+    # each volume id is a prefix and a number
+    prefixes = [_flag_id("--vendors", vendor.lower()) for vendor in vendors]
     for i, prefix in enumerate(prefixes):
         if prefix in prefixes[:i]:
             first = vendors[prefixes.index(prefix)]

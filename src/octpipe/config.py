@@ -77,7 +77,12 @@ class RunConfig:
 
     @property
     def resolved_jobs(self) -> int:
-        return self.jobs if self.jobs > 0 else (os.cpu_count() or 1)
+        """``jobs``, or for 0 the number of CPUs this process may run on."""
+        if self.jobs > 0:
+            return self.jobs
+        if hasattr(os, "sched_getaffinity"):
+            return len(os.sched_getaffinity(0))
+        return os.cpu_count() or 1
 
     @property
     def working_size(self) -> tuple[int, int]:
@@ -146,7 +151,7 @@ _parse_float = _plain(
 def parse_dims(text: str, parts: int) -> tuple[int, ...]:
     """``WxH`` (two parts) or ``WxHxD`` (three) as positive integers."""
     try:
-        dims = tuple(_parse_int(part) for part in text.lower().split("x"))
+        dims = tuple(_parse_int(part) for part in text.split("x"))
     except ValueError:
         dims = ()
     if len(dims) != parts or min(dims) < 1:
@@ -156,12 +161,9 @@ def parse_dims(text: str, parts: int) -> tuple[int, ...]:
 
 
 def _parse_bool(text: str) -> bool:
-    t = text.strip().lower()
-    if t in ("true", "yes", "1"):
-        return True
-    if t in ("false", "no", "0"):
-        return False
-    raise ValueError(f"expected a boolean, got {text!r}")
+    if text not in ("true", "false"):
+        raise ValueError(f"expected true or false, got {text!r}")
+    return text == "true"
 
 
 # (parser, renderer) for each annotated type of a setting or a report column;
@@ -172,7 +174,7 @@ CODECS: dict[Any, tuple[Callable[[str], Any], Callable[[Any], str]]] = {
     float: (_parse_float, lambda value: repr(float(value))),
     bool: (_parse_bool, lambda value: "true" if value else "false"),
     Path | None: (Path, str),
-    DepthMode: (DepthMode.parse, attrgetter("value")),
+    DepthMode: (DepthMode, attrgetter("value")),
     tuple[int, int]: (partial(parse_dims, parts=2), lambda dims: "x".join(map(str, dims))),
 }
 

@@ -44,7 +44,8 @@ from ..patch_engine import (
     stitch,
 )
 from ..preprocess import PreprocessConfig, preprocess_volume, resize_volume
-from ..volume_io import FLUIDS, LabelVolume, OctVolume, ProbVolume, read_labels, read_volume
+from ..volume_io import FLUIDS, LabelVolume, OctVolume, ProbVolume, check_volume_id, read_labels
+from ..volume_io import read_volume
 from .folds import make_folds
 from .metrics import ConfusionCounts, confusion, dice, dice_volume
 from .report import ReportEntry
@@ -66,7 +67,7 @@ def load_inventory(data_root: str | Path) -> dict[str, list[str]]:
         isinstance(k, str) and isinstance(v, list) for k, v in raw.items()
     ):
         raise ValidationError(f"{path} must map vendor names to volume id lists")
-    return {vendor: [str(v) for v in ids] for vendor, ids in raw.items()}
+    return {vendor: [check_volume_id(v, str(path)) for v in ids] for vendor, ids in raw.items()}
 
 
 def image_path(data_root: str | Path, volume_id: str) -> Path:

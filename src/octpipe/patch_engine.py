@@ -47,20 +47,11 @@ SLAB_RADIUS = 1  # a 2.5d patch carries its B-scan and this many neighbours on e
 class DepthMode(enum.Enum):
     """How much depth context a patch carries: one plane, a slab of
     ``2 * SLAB_RADIUS + 1`` planes, or all planes.  Each value is the mode's
-    name in configs, file names and spills."""
+    one spelling in configs, file names and spills."""
 
     D2 = "2d"
     D25 = "2.5d"
     D3 = "3d"
-
-    @classmethod
-    def parse(cls, text: str) -> "DepthMode":
-        t = text.strip().lower()
-        t = {"2": "2d", "2.5": "2.5d", "25d": "2.5d", "3": "3d"}.get(t, t)
-        try:
-            return cls(t)
-        except ValueError:
-            raise ValueError(f"cannot parse depth mode {text!r}") from None
 
     @property
     def label(self) -> str:

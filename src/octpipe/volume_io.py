@@ -292,6 +292,15 @@ def read_labels(path: str | Path) -> LabelVolume:
 _PROB_SUFFIX = "_prob"
 
 
+def check_volume_id(volume_id: object, origin: str) -> str:
+    """``volume_id`` if it is a non-empty ``str`` that is its own file name
+    and not ``..``, so every path built from it stays in its directory; else
+    ValidationError naming ``origin``, the file or flag the id came from."""
+    if not isinstance(volume_id, str) or volume_id in ("", "..") or Path(volume_id).name != volume_id:
+        raise ValidationError(f"{origin}: a volume id must be a plain file name string, got {volume_id!r}")
+    return volume_id
+
+
 def prob_path(directory: str | Path, volume_id: str) -> Path:
     """Where ``volume_id``'s probability volume lives in ``directory``."""
     return Path(directory) / f"{volume_id}{_PROB_SUFFIX}.mhd"

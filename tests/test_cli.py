@@ -191,6 +191,27 @@ def test_synth_bad_argument_is_usage_error(tmp_path, capsys, flag, value):
     assert not (root / "images").exists()
 
 
+def test_synth_dims_read_only_a_lowercase_x(tmp_path, capsys):
+    root = tmp_path / "d"
+    rc, _, err = run(capsys, "synth", "--data-root", root, "--dims", "64X64X4", "--n-per-vendor", "1")
+    assert rc == 2
+    assert "expected WIDTHxHEIGHTxDEPTH as positive integers, got '64X64X4'" in err
+    assert not root.exists()
+
+
+@pytest.mark.parametrize("vendors", ["../evil", "a/b", "Cirrus,..", "Cirrus,/abs"])
+def test_synth_refuses_a_vendor_that_is_no_file_name_before_writing(tmp_path, capsys, vendors):
+    """Each volume id is a vendor prefix and a number, so a prefix with a
+    directory part would write outside ``images/`` and ``labels/``."""
+    root = tmp_path / "d"
+    rc, _, err = run(
+        capsys, "synth", "--data-root", root, "--vendors", vendors, "--n-per-vendor", "1", "--dims", "64x64x4"
+    )
+    assert rc == 2
+    assert f"--vendors: a volume id must be a plain file name string, got {vendors.split(',')[-1]!r}" in err
+    assert not list(tmp_path.rglob("*"))
+
+
 @pytest.mark.parametrize("vendors", ["cirrus,Cirrus", "Cirrus,Topcon,Cirrus"])
 def test_synth_refuses_two_vendors_that_give_the_same_volume_ids(tmp_path, capsys, vendors):
     root = tmp_path / "d"
@@ -658,6 +679,36 @@ def test_patchify_refuses_a_volume_the_inventory_does_not_list(make_dataset, tmp
     assert not out_dir.exists()
     rc, _, _ = run(capsys, "patchify", *common, "--slice-policy", "all", "--output-dir", out_dir)
     assert rc == 0
+
+
+def test_patchify_and_stitch_refuse_a_volume_id_that_is_no_file_name(make_dataset, tmp_path, capsys):
+    """``../images/cirrus_00`` names a real image, so without the check
+    patchify would write its spills beside ``patches/``, not in it."""
+    root, _, _ = make_dataset()
+    out_dir = tmp_path / "out"
+    volume = "../images/cirrus_00"
+    for argv in (
+        ["patchify", "--data-root", root, "--slice-policy", "all", "--config", native_config(tmp_path)],
+        ["stitch", "--dims", "96x96x4", "--predictions", tmp_path / "absent"],
+    ):
+        rc, _, err = run(capsys, *argv, "--output-dir", out_dir, "--volume", volume)
+        assert rc == 2
+        assert f"error: --volume: a volume id must be a plain file name string, got {volume!r}" in err
+        assert not out_dir.exists()
+
+
+@pytest.mark.parametrize("bad_id", ["../images/cirrus_00", 7])
+def test_an_inventory_id_that_is_no_file_name_fails_before_writing(make_dataset, tmp_path, capsys, bad_id):
+    root, inventory, _ = make_dataset()
+    inventory["Cirrus"][0] = bad_id
+    (root / "inventory.json").write_text(json.dumps(inventory))
+    for command in ("preprocess", "folds", "evaluate"):
+        out_dir = tmp_path / command
+        rc, _, err = run(capsys, command, "--config", native_config(tmp_path), "--data-root", root,
+                         "--output-dir", out_dir, "--folds", "2")
+        assert rc == 1
+        assert f"{root / 'inventory.json'}: a volume id must be a plain file name string, got {bad_id!r}" in err
+        assert not out_dir.exists()
 
 
 def test_patchify_holds_no_native_volume_when_it_writes_its_first_spill(
@@ -1202,16 +1253,50 @@ def test_env_var_supplies_data_root(make_dataset, tmp_path, capsys, monkeypatch)
 
 
 def test_run_config_records_one_spelling_per_setting(make_dataset, tmp_path, capsys):
+    """The backend descriptor is recorded in its canonical form whatever its
+    case; a depth mode reads only as ``run_config.txt`` records it."""
     root, _, _ = make_dataset()
     copies = set()
-    for depth_mode, backend in (("3D", "Oracle"), ("3d", "oracle"), ("3", "ORACLE")):
-        out_dir = tmp_path / depth_mode
+    for backend in ("Oracle", "oracle", "ORACLE"):
+        out_dir = tmp_path / backend
         rc, _, err = run(capsys, "folds", "--data-root", root, "--output-dir", out_dir,
-                         "--folds", "2", "--depth-mode", depth_mode, "--backend", backend)
+                         "--folds", "2", "--depth-mode", "3d", "--backend", backend)
         assert rc == 0, err
         copies.add((out_dir / "folds" / "run_config.txt").read_text().replace(str(out_dir), "OUT"))
     (copy,) = copies
     assert "depth_mode=3d\n" in copy and "backend=oracle\n" in copy
+    for depth_mode in ("3D", "3"):
+        out_dir = tmp_path / f"alias {depth_mode}"
+        rc, _, err = run(capsys, "folds", "--data-root", root, "--output-dir", out_dir,
+                         "--folds", "2", "--depth-mode", depth_mode, "--backend", "oracle")
+        assert rc == 2
+        assert f"bad value for 'depth_mode': {depth_mode!r} is not a valid DepthMode" in err
+        assert not out_dir.exists()
+
+
+@pytest.mark.parametrize(
+    "key, flag, value",
+    [
+        *(("depth_mode", "--depth-mode", text) for text in ("3D", "2.5", "25d", "3", " 2d ")),
+        *(("training.shuffle_each_epoch", None, text) for text in ("yes", "1", "True")),
+        ("preprocess.target_vol", None, "96X80"),
+    ],
+)
+def test_a_setting_spelled_other_than_its_renderer_writes_it_is_a_usage_error(
+    make_dataset, tmp_path, capsys, key, flag, value
+):
+    root, _, _ = make_dataset()
+    out_dir = tmp_path / "out"
+    if flag is None:
+        cfg = tmp_path / "alias.cfg"
+        cfg.write_text(f"{key} = {value}\n")
+        given = ["--config", cfg]
+    else:
+        given = [flag, value]
+    rc, _, err = run(capsys, "folds", "--data-root", root, "--output-dir", out_dir, *given)
+    assert rc == 2
+    assert f"bad value for {key!r}" in err and repr(value) in err
+    assert not out_dir.exists()
 
 
 def test_flag_overrides_config_file(make_dataset, tmp_path, capsys):

@@ -1,5 +1,6 @@
 """Flat configuration files, overrides, and canonical rendering."""
 
+import os
 import re
 from pathlib import Path
 
@@ -191,6 +192,17 @@ def test_resolved_jobs_zero_means_cpu_count():
     assert RunConfig(jobs=3).resolved_jobs == 3
 
 
+def test_resolved_jobs_zero_counts_the_cpus_this_process_may_run_on(monkeypatch):
+    """Pinned to 2 of 8 CPUs (``taskset -c 0,3``), ``jobs = 0`` starts 2
+    threads; where ``os`` cannot tell the affinity, it counts every CPU."""
+    monkeypatch.setattr(os, "cpu_count", lambda: 8)
+    monkeypatch.setattr(os, "sched_getaffinity", lambda pid: {0, 3}, raising=False)
+    assert RunConfig(jobs=0).resolved_jobs == 2
+    assert RunConfig(jobs=3).resolved_jobs == 3
+    monkeypatch.delattr(os, "sched_getaffinity")
+    assert RunConfig(jobs=0).resolved_jobs == 8
+
+
 def test_run_config_validation_and_targets():
     lowest = RunConfig(jobs=0, patch_size=1, overlap=0.0, close_radius=0, folds_k=2)
     assert (lowest.jobs, lowest.patch_size, lowest.folds_k) == (0, 1, 2)
@@ -297,7 +309,7 @@ VALUE_STRATEGIES = {
     "data_root": _paths,
     "output_dir": _paths,
     "variant": st.sampled_from(["F", "P"]),
-    "depth_mode": st.sampled_from(["2d", "2.5d", "3d", "2", "3D", "25d"]),
+    "depth_mode": st.sampled_from(["2d", "2.5d", "3d"]),
     "backend": st.sampled_from(["threshold", "oracle", "external:/probs", "Oracle"]),
     "jobs": _ints(0, 64),
     "grid.patch_size": _ints(1, 1024),
@@ -318,7 +330,7 @@ VALUE_STRATEGIES = {
     "training.optimizer": _words,
     "training.decay": _floats(-1e6),
     "training.epochs": _ints(1, 1000),
-    "training.shuffle_each_epoch": st.sampled_from(["true", "false", "yes", "no", "1", "0"]),
+    "training.shuffle_each_epoch": st.sampled_from(["true", "false"]),
     "training.loss": _words,
 }
 
@@ -341,6 +353,15 @@ def test_value_strategies_cover_every_key():
     assert set(VALUE_STRATEGIES) | lr_keys == {key.name for key in KEYS}
 
 
+# spellings the depth-mode, boolean and size parsers once read, none of which a renderer writes
+FORMER_ALIASES = [
+    *(("depth_mode", text) for text in ("2", "2.5", "25d", "3", "3D", "2.5D", " 2d ", "2D")),
+    *(("training.shuffle_each_epoch", text) for text in ("yes", "no", "1", "0", "True", "FALSE", "No ")),
+    ("preprocess.target_vol", "96X80"),
+    ("preprocess.target_2d", "96X80"),
+]
+
+
 @settings(max_examples=200, deadline=None)
 @given(mapping=settings_mappings(), data=st.data())
 def test_render_config_is_a_fixed_point_in_any_order(mapping, data):
@@ -351,6 +372,9 @@ def test_render_config_is_a_fixed_point_in_any_order(mapping, data):
     assert render_config(again) == text
     shuffled = dict(data.draw(st.permutations(list(mapping.items()))))
     assert apply_settings(RunConfig(), shuffled) == cfg
+    name, alias = data.draw(st.sampled_from(FORMER_ALIASES))
+    with pytest.raises(ConfigError, match=re.escape(f"bad value for {name!r}")):
+        apply_settings(RunConfig(), {**mapping, name: alias})
 
 
 CODEC_VALUES = {
@@ -380,12 +404,46 @@ def test_render_config_stores_canonical_spellings():
     def rendered(**settings):
         return render_config(apply_settings(RunConfig(), settings))
 
-    assert rendered(depth_mode="3D") == rendered(depth_mode="3d") == rendered(depth_mode="3")
-    assert "depth_mode=3d\n" in rendered(depth_mode="3D")
-    assert "depth_mode=2.5d\n" in rendered(depth_mode="25d")
+    assert "depth_mode=3d\n" in rendered(depth_mode="3d")
+    assert "depth_mode=2.5d\n" in rendered(depth_mode="2.5d")
+    assert "training.shuffle_each_epoch=false\n" in rendered(**{"training.shuffle_each_epoch": "false"})
+    assert "preprocess.target_vol=96x80\n" in rendered(**{"preprocess.target_vol": "96x80"})
+    assert CODECS[DepthMode][0] is DepthMode
+    for name, alias in FORMER_ALIASES:
+        with pytest.raises(ConfigError, match=re.escape(f"bad value for {name!r}")):
+            rendered(**{name: alias})
     assert rendered(backend="Oracle") == rendered(backend="oracle")
     assert "backend=oracle\n" in rendered(backend=" ORACLE")
     assert "backend=external:/Some/Probs\n" in rendered(backend="External:/Some/Probs")
+
+
+def _spelling_variants(spellings):
+    """Each of ``spellings`` in another case, with whitespace around it."""
+    cases = st.sampled_from([str.lower, str.upper, str.title, str.swapcase])
+    space = st.text(" \t\n", max_size=2)
+    return st.builds(lambda text, case, before, after: before + case(text) + after,
+                     st.sampled_from(spellings), cases, space, space)
+
+
+@settings(max_examples=300, deadline=None)
+@given(data=st.data())
+def test_bool_and_depth_mode_read_exactly_what_they_render(data):
+    """A text parses if and only if the renderer writes it, and then as the
+    value the renderer wrote it from."""
+    for kind, values, aliases in (
+        (bool, (False, True), ("yes", "no", "1", "0", "on", "off")),
+        (DepthMode, tuple(DepthMode), ("2", "2.5", "25d", "3", "2d5")),
+    ):
+        parse, render = CODECS[kind]
+        spelled = {render(value): value for value in values}
+        text = data.draw(
+            st.text() | st.sampled_from(aliases) | _spelling_variants(sorted(spelled)), label=kind.__name__
+        )
+        if text in spelled:
+            assert parse(text) is spelled[text]
+        else:
+            with pytest.raises(ValueError):
+                parse(text)
 
 
 def test_run_config_stores_the_canonical_backend():

@@ -836,6 +836,17 @@ def test_load_inventory_errors(tmp_path):
         load_inventory(tmp_path)
 
 
+@pytest.mark.parametrize("bad_id", ["../images/cirrus_00", "a/b", "", 7, None])
+def test_load_inventory_refuses_an_id_that_is_no_file_name(tmp_path, bad_id):
+    """An id is neither joined onto a directory as a path nor converted
+    from another JSON type with ``str``."""
+    path = tmp_path / "inventory.json"
+    path.write_text(json.dumps({"Cirrus": ["cirrus_00", bad_id]}))
+    message = f"{path}: a volume id must be a plain file name string, got {bad_id!r}"
+    with pytest.raises(ValidationError, match=re.escape(message)):
+        load_inventory(tmp_path)
+
+
 def test_load_inventory_names_a_file_that_is_not_json(tmp_path):
     (tmp_path / "inventory.json").write_text('{"Cirrus": ["a"]\n"Topcon": ["b"]}')
     with pytest.raises(ValidationError, match=re.escape(str(tmp_path / "inventory.json"))):

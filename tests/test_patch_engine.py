@@ -494,15 +494,14 @@ def test_windows_equal_the_sliding_window_gather(case):
 
 
 def test_depth_mode_parse_and_labels():
-    for mode, spellings in (
-        (DepthMode.D2, ("2d", "2", " 2D ")),
-        (DepthMode.D25, ("2.5d", "2.5", "25d", "2.5D")),
-        (DepthMode.D3, ("3d", "3", "3D")),
-    ):
-        assert all(DepthMode.parse(text) is mode for text in spellings)
+    """A mode reads from its value alone; the report spells it by its label."""
+    for mode, value in ((DepthMode.D2, "2d"), (DepthMode.D25, "2.5d"), (DepthMode.D3, "3d")):
+        assert DepthMode(value) is mode and mode.value == value
     assert [mode.label for mode in DepthMode] == ["2D", "2.5D", "3D"]
-    with pytest.raises(ValueError, match="cannot parse depth mode '4d'"):
-        DepthMode.parse("4d")
+    assert not hasattr(DepthMode, "parse")
+    for text in ("2", " 2D ", "2.5", "25d", "2.5D", "3", "3D", "4d"):
+        with pytest.raises(ValueError, match=re.escape(f"{text!r} is not a valid DepthMode")):
+            DepthMode(text)
 
 
 def test_stitch_constant_consensus():

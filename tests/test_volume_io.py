@@ -17,6 +17,8 @@ from octpipe.volume_io import (
     OctVolume,
     ProbVolume,
     Vendor,
+    check_volume_id,
+    prob_path,
     read_labels,
     read_prob,
     read_volume,
@@ -483,6 +485,19 @@ def test_header_key_given_twice_is_a_format_error(tmp_path):
     for read in (read_volume, read_labels):
         with pytest.raises(FormatError, match=re.escape(f"{path}: header key 'DimSize' is given twice")):
             read(path)
+
+
+@pytest.mark.parametrize("volume_id", ["cirrus_00", "...", "a b", ".hidden"])
+def test_a_volume_id_that_is_a_file_name_stays_in_its_directory(tmp_path, volume_id):
+    assert check_volume_id(volume_id, "origin") == volume_id
+    assert prob_path(tmp_path, volume_id).parent == tmp_path
+
+
+@pytest.mark.parametrize("volume_id", ["", ".", "..", "../x", "a/b", "a/", "./a", "/abs", 7, None, b"x"])
+def test_a_volume_id_that_is_no_file_name_is_refused_naming_its_origin(volume_id):
+    message = f"inventory.json: a volume id must be a plain file name string, got {volume_id!r}"
+    with pytest.raises(ValidationError, match=re.escape(message)):
+        check_volume_id(volume_id, "inventory.json")
 
 
 def test_fluid_class_values():
