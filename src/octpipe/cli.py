@@ -30,7 +30,7 @@ from .config import (
 )
 from .errors import ConfigError, ValidationError
 from .eval_harness.folds import make_folds, save_folds
-from .eval_harness.phantom import random_phantom
+from .eval_harness.phantom import MIN_DIMS, random_phantom
 from .eval_harness.report import load_report_csvs, render_report
 from .eval_harness.runner import (
     image_path,
@@ -228,6 +228,8 @@ def cmd_report(args: argparse.Namespace, cfg: RunConfig) -> int:
 def cmd_synth(args: argparse.Namespace, cfg: RunConfig) -> int:
     _require(cfg, DATA_ROOT)
     dims = parse_dims(args.dims, 3)
+    if any(n < low for n, low in zip(dims, MIN_DIMS)):
+        raise ConfigError(f"--dims must be at least {'x'.join(map(str, MIN_DIMS))}, got {args.dims}")
     vendors = [v.strip() for v in args.vendors.split(",") if v.strip()]
     if not vendors:
         raise ConfigError("--vendors must name at least one vendor")

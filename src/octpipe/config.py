@@ -52,7 +52,7 @@ class RunConfig:
         DepthMode.D25, flag="--depth-mode", help=" | ".join(mode.value for mode in DepthMode)
     )
     backend: str = _setting("threshold", flag="--backend", help="threshold | oracle | external:DIR")
-    jobs: int = _setting(0, flag="--jobs", help="0 = all cores", low=0)
+    jobs: int = _setting(0, flag="--jobs", help="0 = one thread per CPU this process may run on", low=0)
     patch_size: int = _setting(128, key="grid.patch_size", flag="--patch-size", low=1)
     overlap: float = _setting(0.75, key="grid.overlap", flag="--overlap", low=0, below=1)
     close_radius: int = _setting(1, key="grid.close_radius", flag="--close-radius", low=0)

@@ -22,7 +22,6 @@ from .runner import (
     predict_volume,
     preprocess_pair,
     run_experiment,
-    segment_volume,
 )
 
 # the imports above are the export list: every public name they bind but submodules

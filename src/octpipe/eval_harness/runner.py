@@ -4,7 +4,9 @@ A run walks one fold's test volumes: read and preprocess to the working
 resolution (``preprocess_pair``, after which no native volume is alive;
 the ``preprocess`` and ``patchify`` commands load through it too),
 predict (whole image for variant F, overlapping patches for variant P),
-stitch, arg-max, close, score against the preprocessed truth.
+stitch, arg-max, close, score against the preprocessed truth.  The working
+image and the backend are freed once predict returns, the probabilities
+once arg-maxed, before closing.
 Prediction streams: ``jobs`` worker threads each take one grid-row run of
 one slice (one patch in 3D), with a bounded number in flight, cut it as one
 batch, a read-only view of the volume, and predict it; ``stitch`` sums each
@@ -160,17 +162,6 @@ def predict_volume(vol: OctVolume, backend: Backend, cfg: RunConfig) -> ProbVolu
         return stitch(pairs, grid, vol.dims[2], volume_id=vol.volume_id, jobs=cfg.resolved_jobs)
 
 
-def segment_volume(vol: OctVolume, backend: Backend, cfg: RunConfig) -> LabelVolume:
-    """predict -> stitch -> argmax -> per-fluid closing; returns the labels.
-    Closing runs after the probabilities are freed."""
-    prob = _stage("predict", vol.volume_id, predict_volume, vol, backend, cfg)
-    pred = _stage("labelize", vol.volume_id, labelize, prob)
-    del prob
-    if cfg.close_radius > 0:
-        pred = _stage("close", vol.volume_id, close_all, pred, cfg.close_radius)
-    return pred
-
-
 def _backend_for(descriptor: str, volume_id: str, truth: LabelVolume) -> Backend:
     """The backend ``descriptor`` names, built for ``volume_id``; only the
     oracle reads the truth, only the external backend reads a file."""
@@ -183,18 +174,25 @@ def _backend_for(descriptor: str, volume_id: str, truth: LabelVolume) -> Backend
 
 
 def evaluate_volume(volume_id: str, cfg: RunConfig) -> tuple[dict, dict]:
-    """Score one volume with the backend ``cfg.backend`` names; returns
-    (per-fluid dice, per-fluid confusion counts)."""
+    """Score one volume with the backend ``cfg.backend`` names: predict ->
+    stitch -> arg-max -> per-fluid closing -> score; returns (per-fluid
+    dice, per-fluid confusion counts)."""
     vol, truth = _stage(
         "preprocess", volume_id, preprocess_pair,
         partial(_stage, "read_volume", volume_id, read_volume, image_path(cfg.data_root, volume_id)),
         partial(_stage, "read_labels", volume_id, read_labels, label_path(cfg.data_root, volume_id)),
         cfg.preprocess, cfg.working_size,
     )
-    # no name holds the backend, so an external one's volume is freed before scoring
-    pred = segment_volume(
-        vol, _stage("predict", volume_id, _backend_for, cfg.backend, volume_id, truth), cfg
+    # no name holds the backend, so an external one's volume is freed once predict returns
+    prob = _stage(
+        "predict", volume_id, predict_volume,
+        vol, _stage("predict", volume_id, _backend_for, cfg.backend, volume_id, truth), cfg,
     )
+    del vol
+    pred = _stage("labelize", volume_id, labelize, prob)
+    del prob
+    if cfg.close_radius > 0:
+        pred = _stage("close", volume_id, close_all, pred, cfg.close_radius)
     counts = _stage("score", volume_id, lambda: {cls: confusion(pred, truth, cls) for cls in FLUIDS})
     return {cls: dice(c) for cls, c in counts.items()}, counts
 

@@ -199,6 +199,16 @@ def test_synth_dims_read_only_a_lowercase_x(tmp_path, capsys):
     assert not root.exists()
 
 
+@pytest.mark.parametrize("dims", ["10x10x2", "63x64x4", "64x63x4", "64x64x3"])
+def test_synth_refuses_dims_below_the_phantom_minimum_before_writing(tmp_path, capsys, dims):
+    root = tmp_path / "d"
+    rc, _, err = run(capsys, "synth", "--data-root", root, "--dims", dims, "--n-per-vendor", "1")
+    assert rc == 2
+    assert err.startswith("error:")
+    assert f"--dims must be at least 64x64x4, got {dims}" in err
+    assert not root.exists()
+
+
 @pytest.mark.parametrize("vendors", ["../evil", "a/b", "Cirrus,..", "Cirrus,/abs"])
 def test_synth_refuses_a_vendor_that_is_no_file_name_before_writing(tmp_path, capsys, vendors):
     """Each volume id is a vendor prefix and a number, so a prefix with a
@@ -1328,7 +1338,7 @@ _KEY_FLAGS = [
     (("--variant",), "variant", "F | P", None, False, None),
     (("--depth-mode",), "depth_mode", "2d | 2.5d | 3d", None, False, None),
     (("--backend",), "backend", "threshold | oracle | external:DIR", None, False, None),
-    (("--jobs",), "jobs", "0 = all cores", None, False, None),
+    (("--jobs",), "jobs", "0 = one thread per CPU this process may run on", None, False, None),
     (("--patch-size",), "grid.patch_size", None, None, False, None),
     (("--overlap",), "grid.overlap", None, None, False, None),
     (("--close-radius",), "grid.close_radius", None, None, False, None),
@@ -1391,14 +1401,14 @@ def test_every_subcommand_keeps_its_flags_choices_and_help():
 # sha256 of each parser's format_help() at 80 columns: "" is the top parser
 _HELP_DIGESTS = {
     "": "245035daf7d39aed435fe2a5d1c5886641b7e34a6138394055ca644340f5fb04",
-    "info": "ed971568a94504b5df8aabe8d1daddfa5274ff8e6c13d07f1c7f0b7350b72ba8",
-    "preprocess": "96de6dd6566ca6e45630db51d55c5eefc0182a1236f61096e53f9d336ca6efc5",
-    "folds": "95e563f6165701ca005307b2d889951350f18af0b9faceee08192bdcecf8533a",
-    "patchify": "f522d48f129cae2308ceedb213f49723fba903a875ae3111250f5aecd335bd16",
-    "stitch": "32044d4293c2c79211b01b39f8a5dd929bc06755fc1abc03b8b8d0c6c2f5c944",
-    "evaluate": "d6fb1959d19b4348f7318960ea73329d2ebe1e3916dadf1c7d3796ef86c030ed",
-    "report": "7c6e977197b5e108ae85f8aa85e6ebc1bf482ba2d9b7e5dc69eb8a128e7debe3",
-    "synth": "af5a7fba12e682448531877a4f5d03b71f8416f28887825e77ce50b9a4159f43",
+    "info": "1a36b58fce359983b74179f52e50dbba83a4167d159e8b28db1325ecb9ad372a",
+    "preprocess": "b7d72ef04e18fd14c8f8ffd0013476310c92442d9ab64d63be886bcb412de498",
+    "folds": "9dc51e4eaf05741d4ce1b121344b060a93cabac79f8fb08a607aef62eabe9555",
+    "patchify": "76b016e9bdb3631af2f1a0969745a6314b86870b19fe24384d472eae7855211f",
+    "stitch": "58d32361000e1c989e76b42189db0eeb45ffe4b855b50805da7467b76ea2cdab",
+    "evaluate": "50c259a0df92b0e4f722deb0bf1d9d68a848c1ddf27328426ff8eb65a175c73e",
+    "report": "1a5be6c18385d4c02dfc6ba5cf9513a124dc79f8decff06ba049ea6cd931a00a",
+    "synth": "8ef049de3612fd2bf7562def24f0cb90c79fa12a18a6a11fdb2f27ee6c0a3975",
 }
 
 

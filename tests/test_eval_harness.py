@@ -883,12 +883,8 @@ def test_evaluate_volume_counts_each_fluid_once(make_dataset, tmp_path, monkeypa
     # dice_volume reaches confusion through metrics, evaluate_volume through runner
     monkeypatch.setattr(metrics, "confusion", counted)
     monkeypatch.setattr(runner, "confusion", counted)
-    seen = {}
-    segment = runner.segment_volume
-    monkeypatch.setattr(
-        runner, "segment_volume",
-        lambda vol, *a: seen.setdefault("pred", segment(vol, *a)),
-    )
+    seen = {}  # at close_radius 0 the arg-maxed labels are the scored ones
+    monkeypatch.setattr(runner, "labelize", lambda prob: seen.setdefault("pred", labelize(prob)))
     cfg = nat_config(root, close_radius=0, backend=f"external:{prob_dir}")
     for vid, truth in truths.items():
         calls.clear()
@@ -954,12 +950,10 @@ def test_only_a_3d_stitch_opens_a_pool(monkeypatch, mode):
     assert opened == ([(2,)] if mode is DepthMode.D3 else [])
 
 
-def test_segment_volume_frees_the_probabilities_before_closing(monkeypatch):
+def test_evaluate_volume_frees_the_probabilities_before_closing(make_dataset, monkeypatch):
     """Closing runs once the probability volume is gone, so the two are
     never alive together."""
-    from octpipe.eval_harness import runner
-    from octpipe.volume_io import OctVolume
-
+    root, _, _ = make_dataset(vendors=("Cirrus",), n_per_vendor=1)
     probs, alive = [], []
     predict = runner.predict_volume
 
@@ -974,10 +968,45 @@ def test_segment_volume_frees_the_probabilities_before_closing(monkeypatch):
 
     monkeypatch.setattr(runner, "predict_volume", predict_kept)
     monkeypatch.setattr(runner, "close_all", close_checked)
-    vol = OctVolume(np.random.default_rng(76).random((4, 32, 32), dtype=np.float32), volume_id="free")
-    cfg = RunConfig(depth_mode=DepthMode.D25, patch_size=16, overlap=0.5, close_radius=1, jobs=1)
-    runner.segment_volume(vol, threshold_backend(), cfg)
+    evaluate_volume("cirrus_00", nat_config(root, patch_size=16, close_radius=1, jobs=1))
     assert alive == [False]
+
+
+@pytest.mark.parametrize("kind", ["threshold", "external"])
+def test_evaluate_volume_frees_the_image_and_the_backend_once_predict_returns(
+    make_dataset, tmp_path, monkeypatch, kind
+):
+    """Nothing holds the working image or the backend after predict, so
+    neither is alive while the probabilities are arg-maxed; for
+    ``external:`` that frees the probability volume the backend read."""
+    from octpipe import backends
+
+    root, _, truths = make_dataset(vendors=("Cirrus",), n_per_vendor=1)
+    for vid, truth in truths.items():
+        write_volume(ProbVolume(one_hot(truth.voxels), volume_id=vid), prob_path(tmp_path, vid))
+    refs, alive = [], []
+    predict, read = runner.predict_volume, backends.read_prob
+
+    def predict_seen(vol, backend, cfg):
+        refs.extend((weakref.ref(vol.voxels), weakref.ref(backend)))
+        return predict(vol, backend, cfg)
+
+    def read_seen(path):
+        prob = read(path)
+        refs.append(weakref.ref(prob.probs))
+        return prob
+
+    def labelize_checked(prob):
+        alive.append([ref() is not None for ref in refs])
+        return labelize(prob)
+
+    monkeypatch.setattr(runner, "predict_volume", predict_seen)
+    monkeypatch.setattr(backends, "read_prob", read_seen)
+    monkeypatch.setattr(runner, "labelize", labelize_checked)
+    backend = "threshold" if kind == "threshold" else f"external:{tmp_path}"
+    evaluate_volume("cirrus_00", nat_config(root, backend=backend, jobs=2))
+    assert len(refs) == (2 if kind == "threshold" else 3)
+    assert alive == [[False] * len(refs)]
 
 
 @pytest.mark.parametrize("jobs", [1, 2, 3])
@@ -1282,8 +1311,8 @@ def test_predict_path_equals_the_backend_reference_at_every_jobs(case):
         )
         seen = {}
         with pytest.MonkeyPatch.context() as mp:
-            segment = runner.segment_volume
-            mp.setattr(runner, "segment_volume", lambda *a: seen.setdefault("pred", segment(*a)))
+            # the closed labels are the scored ones
+            mp.setattr(runner, "close_all", lambda *a: seen.setdefault("pred", close_all(*a)))
             scores, _ = evaluate_volume("ph", cfg)
     tally = np.bincount(4 * truth.voxels.ravel() + seen["pred"].voxels.ravel(), minlength=16)
     tally = tally.reshape(4, 4)  # [true class, predicted class]
