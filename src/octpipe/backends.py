@@ -13,13 +13,13 @@ strings on externally produced predictions.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
+from dataclasses import dataclass, field
 from pathlib import Path
 from typing import Callable
 
 import numpy as np
 
-from .errors import ValidationError
+from .errors import ValidationError, check_fields
 from .patch_engine import DepthMode, PatchBatch, windows
 from .volume_io import N_CLASSES, LabelVolume, prob_path, read_prob
 
@@ -43,23 +43,22 @@ class Backend:
 
 @dataclass(frozen=True)
 class TrainingConfig:
-    """Optimizer metadata carried along into reports; no trainer lives here."""
+    """Optimizer metadata carried into reports (no trainer lives here); checks name file keys."""
 
     optimizer: str = "adam"
     decay: float = 0.95
     lr_start: float = 1e-3
     lr_end: float = 1e-4
-    epochs: int = 100
+    epochs: int = field(default=100, metadata={"low": 1})
     shuffle_each_epoch: bool = True
     loss: str = "weighted-cross-entropy"
 
     def __post_init__(self):
         if not self.lr_start >= self.lr_end > 0:
             raise ValidationError(
-                f"need lr_start >= lr_end > 0, got {self.lr_start} and {self.lr_end}"
+                f"need training.lr_start >= training.lr_end > 0, got {self.lr_start} and {self.lr_end}"
             )
-        if self.epochs <= 0:
-            raise ValidationError(f"epochs must be positive, got {self.epochs}")
+        check_fields(self, "training.")
 
     def summary(self) -> str:
         shuffled = "shuffled" if self.shuffle_each_epoch else "unshuffled"

@@ -16,7 +16,6 @@ parsing that text back yields an identical configuration.
 from __future__ import annotations
 
 import os
-import re
 from dataclasses import dataclass, field, fields, is_dataclass, replace
 from functools import partial
 from operator import attrgetter
@@ -27,6 +26,7 @@ from .backends import TrainingConfig, parse_backend_descriptor
 from .errors import ConfigError, ValidationError, check_fields
 from .patch_engine import DepthMode, PatchGrid, plan_grid
 from .preprocess import SLICE_POLICIES, PreprocessConfig
+from .volume_io import parse_float, parse_int, render_float
 
 DATA_ROOT_ENV = "OCTPIPE_DATA_ROOT"
 VARIANTS = ("F", "P")  # full image, overlapping patches; reports list them in this order
@@ -125,33 +125,10 @@ class Key:
         return attrgetter(self.path)(cfg)
 
 
-def _plain(kind: type, pattern: str, form: str) -> Callable[[str], Any]:
-    """``kind``'s parser, under ``kind``'s name (argparse's ``invalid int value``),
-    which also refuses text ``pattern`` does not match in full (digit groups, surrounding
-    space, other scripts' digits); text ``kind`` cannot read keeps its own message."""
-    match = re.compile(pattern).fullmatch
-
-    def parse(text: str) -> Any:
-        value = kind(text)
-        if match(text) is None:
-            raise ValueError(f"expected {form}, got {text!r}")
-        return value
-
-    parse.__name__ = kind.__name__
-    return parse
-
-
-# what str() writes of an int and repr() of a float: a sign, digits, one point, an exponent
-_parse_int = _plain(int, r"[+-]?[0-9]+", "an integer")
-_parse_float = _plain(
-    float, r"[+-]?(?:(?:[0-9]+\.?[0-9]*|\.[0-9]+)(?:[eE][+-]?[0-9]+)?|inf|nan)", "a decimal number"
-)
-
-
 def parse_dims(text: str, parts: int) -> tuple[int, ...]:
     """``WxH`` (two parts) or ``WxHxD`` (three) as positive integers."""
     try:
-        dims = tuple(_parse_int(part) for part in text.split("x"))
+        dims = tuple(parse_int(part) for part in text.split("x"))
     except ValueError:
         dims = ()
     if len(dims) != parts or min(dims) < 1:
@@ -166,12 +143,11 @@ def _parse_bool(text: str) -> bool:
     return text == "true"
 
 
-# (parser, renderer) for each annotated type of a setting or a report column;
-# a float is spelled as Python spells it, a numpy scalar included
+# (parser, renderer) for each annotated type of a setting or a report column
 CODECS: dict[Any, tuple[Callable[[str], Any], Callable[[Any], str]]] = {
     str: (str, str),
-    int: (_parse_int, str),
-    float: (_parse_float, lambda value: repr(float(value))),
+    int: (parse_int, str),
+    float: (parse_float, render_float),
     bool: (_parse_bool, lambda value: "true" if value else "false"),
     Path | None: (Path, str),
     DepthMode: (DepthMode, attrgetter("value")),

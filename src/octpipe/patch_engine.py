@@ -550,9 +550,19 @@ def _save_spill(path_base, kind: str, stack, meta: dict) -> None:
     write_files((raw_path, stack), (meta_path, json.dumps(meta, indent=2, sort_keys=True) + "\n"))
 
 
+def _integers(meta_path: Path, name: str, value, n: int = 0):
+    """``value`` if it is a JSON integer, or a list of ``n`` of them; else
+    FormatError naming the sidecar and ``name``, where ``int`` would read 64.9 or true."""
+    values = value if n else [value]
+    if not (type(values) is list and len(values) == max(n, 1) and all(type(v) is int for v in values)):
+        count = ("an integer", "", "two integers", "three integers")[n]
+        raise FormatError(f"{meta_path}: {name} {value!r} is not {count}")
+    return value
+
+
 def _load_spill(path_base, kind: str, build):
-    """Read a spill of ``kind`` and return ``build(meta, stack)``, given its
-    sidecar and an (n_anchors, *shape) stack.  A sidecar that is not JSON,
+    """Read a spill of ``kind`` and return ``build(meta_path, meta, stack)``, given
+    its sidecar and an (n_anchors, *shape) stack.  A sidecar that is not JSON,
     lacks a field, holds a value of the wrong type or an anchor that is not
     three integers raises FormatError naming it, as :func:`read_payload`
     does a raw file whose size differs from the sidecar's promise."""
@@ -562,10 +572,9 @@ def _load_spill(path_base, kind: str, build):
         if meta.get("kind") != kind:
             raise FormatError(f"{meta_path} describes {meta.get('kind')!r}, expected {kind!r}")
         for anchor in meta["anchors"]:
-            if not (type(anchor) is list and len(anchor) == 3 and all(type(v) is int for v in anchor)):
-                raise FormatError(f"{meta_path}: anchor {anchor!r} is not three integers")
+            _integers(meta_path, "anchor", anchor, 3)
         shape = (len(meta["anchors"]), *meta[_SHAPE_FIELDS[kind]])
-        return build(meta, read_payload(meta_path, raw_path, 0, np.float32, shape))
+        return build(meta_path, meta, read_payload(meta_path, raw_path, 0, np.float32, shape))
     except (AttributeError, KeyError, TypeError, ValueError) as exc:
         raise FormatError(f"{meta_path} is not a valid {kind} sidecar: {type(exc).__name__}: {exc}") from exc
 
@@ -589,14 +598,14 @@ def save_patches(path_base, batch: PatchBatch, grid: PatchGrid, volume_id: str =
 def load_patches(path_base) -> tuple[PatchBatch, PatchGrid, str]:
     """Read back a spilled patch batch; returns (batch, grid, volume_id)."""
 
-    def build(meta, stack):
+    def build(meta_path, meta, stack):
         g = meta["grid"]
-        radius = g["depth_mode"].get("radius", SLAB_RADIUS)
+        radius = _integers(meta_path, "grid.depth_mode.radius", g["depth_mode"].get("radius", SLAB_RADIUS))
         if radius != SLAB_RADIUS:
             raise ValueError(f"slab radius must be {SLAB_RADIUS}, got {radius!r}")
         grid = plan_grid(
-            tuple(g["image_dims"]),
-            tuple(g["patch"]),
+            tuple(_integers(meta_path, "grid.image_dims", g["image_dims"], 2)),
+            tuple(_integers(meta_path, "grid.patch", g["patch"], 2)),
             g["overlap"],
             DepthMode(g["depth_mode"]["kind"]),
         )
@@ -616,5 +625,5 @@ def load_predictions(path_base) -> list[tuple[tuple[int, int, int], np.ndarray]]
     """Read back spilled predictions as (anchor, prediction) pairs."""
     return _load_spill(
         path_base, "predictions",
-        lambda meta, stack: [(tuple(a), stack[i]) for i, a in enumerate(meta["anchors"])],
+        lambda _, meta, stack: [(tuple(a), stack[i]) for i, a in enumerate(meta["anchors"])],
     )

@@ -13,8 +13,10 @@ import enum
 import math
 import operator
 import os
+import re
 from dataclasses import dataclass
 from pathlib import Path
+from typing import Any, Callable
 
 import numpy as np
 
@@ -213,32 +215,62 @@ def read_payload(described_by: Path, source: Path, offset: int, dtype, shape) ->
     return data
 
 
-def _numbers(path: Path, header: dict[str, str], key: str, kind: type) -> list:
-    """The whitespace-separated values of header field ``key`` (none if absent)."""
+def _plain(kind: type, pattern: str, form: str) -> Callable[[str], Any]:
+    """``kind``'s parser, under ``kind``'s name (argparse's ``invalid int value``),
+    which also refuses text ``pattern`` does not match in full (digit groups, surrounding
+    space, other scripts' digits); text ``kind`` cannot read keeps its own message."""
+    match = re.compile(pattern).fullmatch
+
+    def parse(text: str) -> Any:
+        value = kind(text)
+        if match(text) is None:
+            raise ValueError(f"expected {form}, got {text!r}")
+        return value
+
+    parse.__name__ = kind.__name__
+    return parse
+
+
+# what str() writes of an int and repr() of a float: a sign, digits, one point, an exponent
+parse_int = _plain(int, r"[+-]?[0-9]+", "an integer")
+parse_float = _plain(
+    float, r"[+-]?(?:(?:[0-9]+\.?[0-9]*|\.[0-9]+)(?:[eE][+-]?[0-9]+)?|inf|nan)", "a decimal number"
+)
+
+
+def render_float(value) -> str:
+    """A float as Python spells it, a numpy scalar included: what ``parse_float`` reads."""
+    return repr(float(value))
+
+
+def _numbers(path: Path, header: dict[str, str], key: str, parse: Callable[[str], Any]) -> list:
+    """The whitespace-separated values of header field ``key`` (none if absent), each read by ``parse``."""
     try:
-        return [kind(t) for t in header.get(key, "").split()]
+        return [parse(t) for t in header.get(key, "").split()]
     except ValueError:
-        raise FormatError(
-            f"{path}: {key} must hold {kind.__name__} values, got {header[key]!r}"
-        ) from None
+        raise FormatError(f"{path}: {key} must hold {parse.__name__} values, got {header[key]!r}") from None
 
 
 def _load_array(path: Path, ndims: int) -> tuple[np.ndarray, dict[str, str]]:
     """Load an ``ndims``-D MetaImage file as an array shaped (..., depth, height, width)."""
     header, header_end = _parse_header(path)
-    if _numbers(path, header, "NDims", int) != [ndims]:
+    if _numbers(path, header, "NDims", parse_int) != [ndims]:
         raise FormatError(f"{path}: NDims must be {ndims}, got {header.get('NDims')}")
     if "DimSize" not in header:
         raise FormatError(f"{path}: header is missing DimSize")
-    dim_size = _numbers(path, header, "DimSize", int)
+    dim_size = _numbers(path, header, "DimSize", parse_int)
     if len(dim_size) != ndims:
         raise FormatError(f"{path}: DimSize has {len(dim_size)} entries for NDims={ndims}")
     if any(d < 1 for d in dim_size):
         raise FormatError(f"{path}: non-positive DimSize {dim_size}")
-    if header.get("CompressedData", "False").lower() == "true":
-        raise FormatError(f"{path}: compressed payloads are not supported")
-    if header.get("BinaryDataByteOrderMSB", "False").lower() == "true":
-        raise FormatError(f"{path}: big-endian payloads are not supported")
+    # each flag reads True or False in any case; an absent one names the payload octpipe reads
+    for key, refused, payload in (("BinaryData", "false", "ASCII"), ("CompressedData", "true", "compressed"),
+                                  ("BinaryDataByteOrderMSB", "true", "big-endian")):
+        text = header.get(key, "").lower()
+        if key in header and text not in ("true", "false"):
+            raise FormatError(f"{path}: {key} must be True or False, got {header[key]!r}")
+        if text == refused:
+            raise FormatError(f"{path}: {payload} payloads are not supported")
     element_type = header.get("ElementType", "")
     dtype = ELEMENT_DTYPES.get(element_type)
     if dtype is None:
@@ -262,7 +294,7 @@ def _parse_spacing(path: Path, header: dict[str, str]) -> tuple[float, float, fl
     first three values must be finite and > 0 (any further ones are ignored)."""
     if "ElementSpacing" not in header:
         return None
-    parts = _numbers(path, header, "ElementSpacing", float)
+    parts = _numbers(path, header, "ElementSpacing", parse_float)
     if len(parts) < 3 or not (np.isfinite(parts[:3]).all() and min(parts[:3]) > 0):
         raise FormatError(
             f"{path}: ElementSpacing needs three finite values > 0, got {header['ElementSpacing']!r}"
@@ -367,18 +399,17 @@ def write_volume(vol: OctVolume | LabelVolume | ProbVolume, path: str | Path) ->
     field, element_type = written
     data = getattr(vol, field).astype(ELEMENT_DTYPES[element_type], copy=False)
 
-    dim_size = " ".join(str(d) for d in reversed(data.shape))
     lines = [
         "ObjectType = Image",
         f"NDims = {data.ndim}",
         "BinaryData = True",
         "BinaryDataByteOrderMSB = False",
         "CompressedData = False",
-        f"DimSize = {dim_size}",
+        f"DimSize = {' '.join(map(str, reversed(data.shape)))}",
         f"ElementType = {element_type}",
     ]
     spacing = getattr(vol, "spacing", None)
     if spacing is not None:
-        lines.append("ElementSpacing = " + " ".join(repr(float(s)) for s in spacing))
+        lines.append("ElementSpacing = " + " ".join(map(render_float, spacing)))
     lines.append(f"ElementDataFile = {raw_name}")
     write_files((path.parent / raw_name, data), (path, "\n".join(lines) + "\n"))

@@ -257,6 +257,22 @@ def test_bad_value_fails_alike_in_code_and_in_settings(attr, key, value):
     assert str(in_code.value) in str(in_settings.value)
 
 
+@pytest.mark.parametrize(
+    "values, message",
+    [
+        ({"epochs": 0}, "training.epochs must be >= 1, got 0"),
+        ({"lr_end": 0.01}, "need training.lr_start >= training.lr_end > 0, got 0.001 and 0.01"),
+        ({"lr_start": 0.0, "lr_end": 0.0}, "need training.lr_start >= training.lr_end > 0, got 0.0 and 0.0"),
+    ],
+)
+def test_training_errors_name_their_file_keys(values, message):
+    with pytest.raises(ValidationError, match=re.escape(message)):
+        TrainingConfig(**values)
+    mapping = {f"training.{name}": repr(value) for name, value in values.items()}
+    with pytest.raises(ConfigError, match=re.escape(f"bad training settings: {message}")):
+        apply_settings(RunConfig(), mapping)
+
+
 def test_render_config_round_trips_lr_pair_below_defaults():
     cfg = RunConfig(training=TrainingConfig(lr_start=0.01, lr_end=0.005))
     assert apply_settings(RunConfig(), parse_config_text(render_config(cfg))) == cfg

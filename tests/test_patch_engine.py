@@ -1225,6 +1225,30 @@ def test_prediction_spill_anchor_must_be_three_integers(tmp_path, anchor):
         load_predictions(tmp_path / "pred")
 
 
+@pytest.mark.parametrize(
+    "field, value, message",
+    [
+        # int() would read these as a 1x32 patch, a 64-wide image and the slab radius
+        ("patch", [True, 32], "grid.patch [True, 32] is not two integers"),
+        ("patch", ["32", 32], "grid.patch ['32', 32] is not two integers"),
+        ("image_dims", [64.9, 64], "grid.image_dims [64.9, 64] is not two integers"),
+        ("radius", 1.0, "grid.depth_mode.radius 1.0 is not an integer"),
+        ("radius", True, "grid.depth_mode.radius True is not an integer"),
+    ],
+    ids=["patch-bool", "patch-string", "image-dims-float", "radius-float", "radius-bool"],
+)
+def test_patch_spill_grid_integers_must_be_json_integers(tmp_path, field, value, message):
+    vol = make_volume((64, 64, 4), seed=9)
+    grid = plan_grid((64, 64), (32, 32), 0.5, DepthMode.D25)
+    save_patches(tmp_path / "batch", extract(vol, grid, z=1), grid, volume_id="v")
+    sidecar = tmp_path / "batch.json"
+    meta = json.loads(sidecar.read_text())
+    (meta["grid"]["depth_mode"] if field == "radius" else meta["grid"])[field] = value
+    sidecar.write_text(json.dumps(meta))
+    with pytest.raises(FormatError, match=re.escape(f"{sidecar}: {message}")):
+        load_patches(tmp_path / "batch")
+
+
 @pytest.mark.parametrize("base, load", [("batch", load_patches), ("pred", load_predictions)])
 def test_spill_loaders_check_the_raw_size_before_reading(tmp_path, base, load):
     """An oversized raw file (64 MiB, sparse) is rejected by its size alone,

@@ -10,6 +10,7 @@ from hypothesis import example, given, settings
 from hypothesis import strategies as st
 from hypothesis.extra import numpy as hnp
 
+from octpipe.config import CODECS
 from octpipe.errors import FormatError, ValidationError
 from octpipe.volume_io import (
     FluidClass,
@@ -18,10 +19,13 @@ from octpipe.volume_io import (
     ProbVolume,
     Vendor,
     check_volume_id,
+    parse_float,
+    parse_int,
     prob_path,
     read_labels,
     read_prob,
     read_volume,
+    render_float,
     vendor_of,
     write_volume,
 )
@@ -446,6 +450,84 @@ def test_non_numeric_header_field_is_a_format_error(tmp_path, field, line):
     with pytest.raises(FormatError) as err:
         read_volume(path)
     assert str(path) in str(err.value) and field in str(err.value)
+
+
+@pytest.mark.parametrize(
+    "line, message",
+    [
+        # a writer that spells true as 1 would have its big-endian payload read as little-endian
+        ("BinaryDataByteOrderMSB = 1", "BinaryDataByteOrderMSB must be True or False, got '1'"),
+        ("CompressedData = yes", "CompressedData must be True or False, got 'yes'"),
+        ("BinaryData = False", "ASCII payloads are not supported"),
+        ("BinaryData = false", "ASCII payloads are not supported"),
+        ("BinaryDataByteOrderMSB = TRUE", "big-endian payloads are not supported"),
+    ],
+)
+def test_header_flags_read_true_or_false_in_any_case(tmp_path, line, message):
+    path = tmp_path / "flag.mhd"
+    write_mhd(path, header_for((2, 2, 2), "MET_UCHAR") + [line], np.zeros(8, dtype=np.uint8).tobytes())
+    with pytest.raises(FormatError, match=re.escape(f"{path}: {message}")):
+        read_volume(path)
+
+
+def test_header_flags_in_any_case_that_name_a_raw_payload_read(tmp_path):
+    path = tmp_path / "flags.mhd"
+    flags = ["BinaryData = TRUE", "CompressedData = false", "BinaryDataByteOrderMSB = False"]
+    write_mhd(path, header_for((2, 2, 2), "MET_UCHAR") + flags, bytes(range(8)))
+    assert read_volume(path).voxels.ravel().tolist() == list(range(8))
+
+
+def test_headers_and_settings_read_numbers_with_one_codec():
+    assert CODECS[int] == (parse_int, str)
+    assert CODECS[float] == (parse_float, render_float)
+
+
+def _digit_group(token: str, at: int) -> str:
+    """``token`` with an underscore between two of its digits, which Python's
+    ``int`` and ``float`` read as if it were not there; a token with no two
+    digits side by side gets a leading zero first (``3`` becomes ``0_3``)."""
+    pairs = [i + 1 for i in range(len(token) - 1) if token[i : i + 2].isdigit()]
+    if not pairs:
+        return _digit_group("0" + token, at)
+    i = pairs[at % len(pairs)]
+    return token[:i] + "_" + token[i:]
+
+
+@settings(max_examples=100, deadline=None)
+@given(
+    dims=st.tuples(*[st.integers(1, 24)] * 3),
+    spacing=st.tuples(*[st.floats(0, exclude_min=True, allow_infinity=False)] * 3),
+    mutation=st.tuples(st.sampled_from([("NDims", int), ("DimSize", int), ("ElementSpacing", float)]),
+                       st.integers(0, 2), st.integers(0, 30)),
+)
+# spacings whose repr has an exponent, a subnormal one among them, and a depth of 0_2
+@example(dims=(10, 11, 12), spacing=(1e-07, 2.5e+16, 5e-324), mutation=(("ElementSpacing", float), 0, 0))
+@example(dims=(4, 3, 2), spacing=(1.0, 1.0, 1.0), mutation=(("DimSize", int), 2, 0))
+@example(dims=(4, 3, 2), spacing=(1.0, 1.0, 1.0), mutation=(("NDims", int), 0, 0))
+def test_header_numbers_read_back_exactly_and_refuse_digit_groups(dims, spacing, mutation):
+    """What ``write_volume`` writes reads back exactly; the same header with
+    one ``NDims``, ``DimSize`` or ``ElementSpacing`` token spelled with a
+    digit-group underscore is refused naming that key, though Python's
+    ``int`` or ``float`` reads the token as the value it was written from."""
+    (key, kind), which, at = mutation
+    w, h, d = dims
+    with tempfile.TemporaryDirectory() as tmp:
+        path = Path(tmp) / "v.mhd"
+        write_volume(OctVolume(np.zeros((d, h, w), np.float32), spacing=spacing), path)
+        back = read_volume(path)
+        assert back.dims == dims and back.spacing == spacing
+
+        lines = path.read_text().splitlines()
+        i = next(n for n, line in enumerate(lines) if line.startswith(f"{key} = "))
+        tokens = lines[i].split(" = ")[1].split()
+        which %= len(tokens)
+        grouped = _digit_group(tokens[which], at)
+        assert "_" in grouped and kind(grouped) == kind(tokens[which])
+        tokens[which] = grouped
+        lines[i] = f"{key} = {' '.join(tokens)}"
+        path.write_text("\n".join(lines) + "\n")
+        with pytest.raises(FormatError, match=re.escape(f"{path}: {key} must hold {kind.__name__} values")):
+            read_volume(path)
 
 
 @pytest.mark.parametrize(
