@@ -94,16 +94,22 @@ def preprocess_pair(
     cfg: PreprocessConfig, target: tuple[int, int],
 ) -> tuple[OctVolume, LabelVolume | None]:
     """Read an image, then its labels (None without ``load_labels``), and
-    bring both to the working size.  Labels of another size than the image
-    raise ValidationError naming both.  No native volume outlives its
-    preprocessing: the native labels are freed once resized, before the
-    image is preprocessed, and the image on return."""
+    bring both to the working size.  Labels of another size than the image,
+    or of another spacing when both headers give one, raise ValidationError
+    naming both.  No native volume outlives its preprocessing: the native
+    labels are freed once resized, before the image is preprocessed, and the
+    image on return."""
     vol, labels = load_image(), None
     if load_labels is not None:
         labels = load_labels()
         if labels.dims != vol.dims:
             raise ValidationError(
                 f"labels of '{vol.volume_id}' are {labels.dims} (w, h, d), its image is {vol.dims}"
+            )
+        if None not in (labels.spacing, vol.spacing) and labels.spacing != vol.spacing:
+            raise ValidationError(
+                f"labels of '{vol.volume_id}' have spacing {labels.spacing} (x, y, z), "
+                f"its image has {vol.spacing}"
             )
         labels = resize_volume(labels, target)
     return preprocess_volume(vol, cfg, target), labels

@@ -10,8 +10,8 @@ the range without a clamp.  Nearest-neighbour picks
 alphabet.  Volume-wide stages work one B-scan at a time, and range and
 finiteness checks are reductions, so no stage holds a second volume-sized
 temporary besides its output: each denoised B-scan is written back into the
-volume the rescale or resize allocated.  Only the denoisers use scipy, and
-they import it when they run.
+volume the rescale or resize allocated.  Only the nlm denoiser uses scipy,
+and it imports it when it runs.
 """
 
 from __future__ import annotations
@@ -196,6 +196,38 @@ def _nlm(image: np.ndarray, search_radius: int, patch_radius: int, h: float) -> 
     return num / den
 
 
+_STRIP = 64  # rows per gaussian pass, so its float64 buffers stay cache-sized
+
+
+def _gaussian(image: np.ndarray, sigma: float) -> np.ndarray:
+    """scipy's ``gaussian_filter(image, sigma, mode="nearest")``, bit for bit:
+    its float64 weights over radius ``int(4 * sigma + 0.5)``, axis 0 and then
+    axis 1, each output ``x * w[0]`` and then ``+= (x[-k] + x[+k]) * w[k]``
+    for k from the radius down to 1, on one edge-padded float64 copy.  Axis 0
+    filters each column alone, so it leaves the padded columns the edge's."""
+    if sigma <= 1e-15:  # scipy filters no axis
+        return image.astype(np.float64)
+    r = int(4 * sigma + 0.5)
+    taps = np.exp(-0.5 / (sigma * sigma) * np.arange(-r, r + 1) ** 2)
+    taps = (taps / taps.sum())[r:]
+    height, width = image.shape
+    padded = np.pad(image, r, mode="edge").astype(np.float64, copy=False)
+    out, cols = np.empty((height, width)), np.empty((_STRIP, width + 2 * r))
+    terms = np.empty(cols.size)
+
+    def correlate(at, acc):
+        term = terms[: acc.size].reshape(acc.shape)
+        np.multiply(at(0), taps[0], out=acc)
+        for k in range(r, 0, -1):
+            acc += np.multiply(np.add(at(-k), at(k), out=term), taps[k], out=term)
+
+    for top in range(0, height, _STRIP):
+        col = cols[: min(_STRIP, height - top)]
+        correlate(lambda d: padded[top + r + d : top + r + d + len(col)], col)
+        correlate(lambda d: col[:, r + d : r + d + width], out[top : top + len(col)])
+    return out
+
+
 def denoise(image: np.ndarray, cfg: PreprocessConfig) -> np.ndarray:
     """Denoise one B-scan per the configured stage; ``none`` is an exact identity.
     Filters run in float64, and the filtered B-scan is returned as float32."""
@@ -205,11 +237,7 @@ def denoise(image: np.ndarray, cfg: PreprocessConfig) -> np.ndarray:
     if image.ndim != 2:
         raise ValueError(f"expected a 2-D image, got shape {image.shape}")
     if cfg.denoiser == "gaussian":
-        from scipy import ndimage
-
-        # scipy filters each line in float64 whatever the input type, so a
-        # float32 image filters exactly as its float64 copy would
-        out = ndimage.gaussian_filter(image, cfg.sigma, mode="nearest", output=np.float64)
+        out = _gaussian(image, cfg.sigma)
     else:
         out = _nlm(image, cfg.search_radius, cfg.patch_radius, cfg.h)
     return out.astype(np.float32)

@@ -265,12 +265,13 @@ def _load_array(path: Path, ndims: int) -> tuple[np.ndarray, dict[str, str]]:
         raise FormatError(f"{path}: non-positive DimSize {dim_size}")
     # each flag reads True or False in any case; an absent one names the payload octpipe reads
     for key, refused, payload in (("BinaryData", "false", "ASCII"), ("CompressedData", "true", "compressed"),
-                                  ("BinaryDataByteOrderMSB", "true", "big-endian")):
+                                  ("BinaryDataByteOrderMSB", "true", "big-endian"),
+                                  ("ElementByteOrderMSB", "true", "big-endian")):
         text = header.get(key, "").lower()
         if key in header and text not in ("true", "false"):
             raise FormatError(f"{path}: {key} must be True or False, got {header[key]!r}")
         if text == refused:
-            raise FormatError(f"{path}: {payload} payloads are not supported")
+            raise FormatError(f"{path}: {payload} payloads are not supported ({key} = {header[key]})")
     element_type = header.get("ElementType", "")
     dtype = ELEMENT_DTYPES.get(element_type)
     if dtype is None:

@@ -935,6 +935,33 @@ def test_a_volume_of_another_size_than_its_image_fails_before_writing(
     assert not [path for path in out_dir.rglob("*") if path.is_file()]
 
 
+@pytest.mark.parametrize("command", ["evaluate", "preprocess", "patchify"])
+def test_labels_of_another_spacing_than_their_image_fail_before_writing(make_dataset, tmp_path, capsys, command):
+    """Labels whose header gives another ElementSpacing than the image's
+    would be scored, written or filtered as if they lay on the same grid;
+    labels whose header gives none are read as they are."""
+    root, _, truths = make_dataset()
+    write_volume(replace(truths["cirrus_00"], spacing=(9.0, 9.0, 9.0)), root / "labels" / "cirrus_00.mhd")
+    write_volume(replace(truths["cirrus_01"], spacing=None), root / "labels" / "cirrus_01.mhd")
+    extra = {"evaluate": ["--backend", "oracle", "--folds", "2"], "preprocess": [],
+             "patchify": ["--volume", "cirrus_00"]}[command]
+    out_dir = tmp_path / "out"
+    rc, _, err = run(
+        capsys, command, *extra,
+        "--config", native_config(tmp_path), "--data-root", root, "--output-dir", out_dir,
+    )
+    message = "labels of 'cirrus_00' have spacing (9.0, 9.0, 9.0) (x, y, z), its image has (1.0, 1.0, 1.0)"
+    assert rc == 1
+    assert message in err
+    assert not [path for path in out_dir.rglob("*") if path.is_file()]
+    if command == "patchify":
+        rc, _, _ = run(
+            capsys, command, "--volume", "cirrus_01",
+            "--config", native_config(tmp_path), "--data-root", root, "--output-dir", out_dir,
+        )
+        assert rc == 0
+
+
 def test_evaluate_repeat_runs_byte_identical(make_dataset, tmp_path, capsys):
     root, _, _ = make_dataset()
     cfg = native_config(tmp_path)

@@ -362,6 +362,24 @@ def test_preprocess_volume_gaussian_equals_per_slice_float64_filter(sigma):
     assert all(denoise(p, cfg).tobytes() == e.tobytes() for p, e in zip(voxels, expected))
 
 
+@settings(max_examples=150, deadline=None)
+@given(
+    shape=st.tuples(st.integers(1, 48), st.integers(1, 48)),
+    sigma_scale=st.floats(0.0, 1.0),
+    magnitude=st.floats(1e-3, 1e3),
+    seed=st.integers(0, 2**32 - 1),
+)
+def test_gaussian_is_scipys_filter_bit_for_bit(shape, sigma_scale, magnitude, seed):
+    """From a sigma scipy does not filter at (<= 1e-15) to one whose radius
+    passes the image's larger side several times over."""
+    from scipy import ndimage
+
+    sigma = 1e-16 * (2 * max(shape) / 1e-16) ** sigma_scale  # log-uniform over 1e-16 .. 2 * side
+    image = np.random.default_rng(seed).uniform(-magnitude, magnitude, shape).astype(np.float32)
+    expected = ndimage.gaussian_filter(image.astype(np.float64), sigma, mode="nearest").astype(np.float32)
+    assert denoise(image, PreprocessConfig(denoiser="gaussian", sigma=sigma)).tobytes() == expected.tobytes()
+
+
 def nlm_oracle(image, search_radius, patch_radius, h):
     """Non-local means pixel by pixel: every coordinate that leaves the image,
     a search offset's or a comparison patch's, is clamped to the edge."""
@@ -522,7 +540,7 @@ def test_preprocess_volume_peak_denoises_in_place(shape, scale):
 
     vol = read_only_volume(shape, seed=46, scale=scale)
     cfg = PreprocessConfig(denoiser="gaussian")
-    preprocess_volume(vol, cfg, (32, 32))  # warm the path: scipy's import
+    preprocess_volume(vol, cfg, (32, 32))  # warm the path
     tracemalloc.start()
     try:
         out = preprocess_volume(vol, cfg, (32, 32))

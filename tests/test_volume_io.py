@@ -461,6 +461,9 @@ def test_non_numeric_header_field_is_a_format_error(tmp_path, field, line):
         ("BinaryData = False", "ASCII payloads are not supported"),
         ("BinaryData = false", "ASCII payloads are not supported"),
         ("BinaryDataByteOrderMSB = TRUE", "big-endian payloads are not supported"),
+        # MetaIO's other name for the byte-order flag
+        ("ElementByteOrderMSB = True", "big-endian payloads are not supported (ElementByteOrderMSB = True)"),
+        ("ElementByteOrderMSB = 1", "ElementByteOrderMSB must be True or False, got '1'"),
     ],
 )
 def test_header_flags_read_true_or_false_in_any_case(tmp_path, line, message):
@@ -472,7 +475,8 @@ def test_header_flags_read_true_or_false_in_any_case(tmp_path, line, message):
 
 def test_header_flags_in_any_case_that_name_a_raw_payload_read(tmp_path):
     path = tmp_path / "flags.mhd"
-    flags = ["BinaryData = TRUE", "CompressedData = false", "BinaryDataByteOrderMSB = False"]
+    flags = ["BinaryData = TRUE", "CompressedData = false", "BinaryDataByteOrderMSB = False",
+             "ElementByteOrderMSB = False"]
     write_mhd(path, header_for((2, 2, 2), "MET_UCHAR") + flags, bytes(range(8)))
     assert read_volume(path).voxels.ravel().tolist() == list(range(8))
 
