@@ -11,6 +11,7 @@ from __future__ import annotations
 import argparse
 import json
 import sys
+from concurrent.futures import ThreadPoolExecutor
 from functools import partial
 from pathlib import Path
 
@@ -197,9 +198,8 @@ def cmd_stitch(args: argparse.Namespace, cfg: RunConfig) -> int:
             sizes.append(len(pairs))
             yield from pairs
 
-    prob = patch_engine.stitch(
-        spilled(), cfg.grid(dims[:2]), dims[2], volume_id=args.volume, jobs=cfg.resolved_jobs
-    )
+    with ThreadPoolExecutor(cfg.resolved_jobs) as pool:
+        prob = patch_engine.stitch(spilled(), cfg.grid(dims[:2]), dims[2], volume_id=args.volume, pool=pool)
     prob.validate()
     out_dir = cfg.output_dir / "predictions"
     out_path = prob_path(out_dir, args.volume)

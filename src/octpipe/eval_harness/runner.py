@@ -7,20 +7,22 @@ predict (whole image for variant F, overlapping patches for variant P),
 stitch, arg-max, close, score against the preprocessed truth.  The working
 image and the backend are freed once predict returns, the probabilities
 once arg-maxed, before closing.
-Prediction streams: ``jobs`` worker threads each take one grid-row run of
-one slice (one patch in 3D), with a bounded number in flight, cut it as one
-batch, a read-only view of the volume, and predict it; ``stitch`` sums each
+Prediction streams: a volume runs on one executor of ``jobs`` workers,
+which ``predict_volume`` owns.  Each worker takes one grid-row run of one
+slice (one patch in 3D), with a bounded number in flight, cuts it as one
+batch, a read-only view of the volume, and predicts it; ``stitch`` sums each
 prediction into the output volume on the calling thread as it arrives, in
 canonical anchor order (only the sum that completes a 3D grid is split by
-class over up to ``jobs`` threads), so results never depend on the worker
-count.  Each volume is scored with one confusion count per fluid.
+class, on the same executor, lent to it; ``stitch`` starts no thread), so
+results never depend on the worker count.  Each volume is scored with one
+confusion count per fluid.
 """
 
 from __future__ import annotations
 
 import json
 from collections import deque
-from concurrent.futures import ThreadPoolExecutor
+from concurrent.futures import Executor, ThreadPoolExecutor
 from contextlib import closing
 from functools import partial
 from pathlib import Path
@@ -116,15 +118,15 @@ def preprocess_pair(
 
 
 def _predictions(
-    vol: OctVolume, grid: PatchGrid, backend: Backend, jobs: int
+    vol: OctVolume, grid: PatchGrid, backend: Backend, pool: Executor, jobs: int
 ) -> Iterator[tuple[tuple[int, int, int], np.ndarray]]:
     """Yield (anchor, prediction) pairs in canonical order.
 
     Each run of :func:`grid_runs` at each slice, or in 3d each full-depth
-    patch on its own, is one task for ``jobs`` threads, which run while the
-    caller consumes earlier tasks.  A task extracts its run as a read-only
-    view of the volume and runs ``backend.predict`` on that one batch, so no
-    patch is copied and the caller's thread only stitches.  At most
+    patch on its own, is one task for ``pool``'s ``jobs`` workers, which
+    run while the caller consumes earlier tasks.  A task extracts its run as
+    a read-only view of the volume and runs ``backend.predict`` on that one
+    batch, so no patch is copied and the caller's thread only stitches.  At most
     ``jobs + 1`` tasks are in flight, so memory does not grow with the
     depth, the anchor count or the anchors per slice.
     """
@@ -139,14 +141,13 @@ def _predictions(
         batch = extract(vol, grid, z, which)
         return zip(map(tuple, batch.anchors.tolist()), backend.predict(batch, mode, vol.volume_id))
 
-    with ThreadPoolExecutor(max_workers=jobs) as pool:
-        in_flight: deque = deque()
-        for task in tasks:
-            in_flight.append(pool.submit(predict, *task))
-            if len(in_flight) > jobs:
-                yield from in_flight.popleft().result()
-        while in_flight:
+    in_flight: deque = deque()
+    for task in tasks:
+        in_flight.append(pool.submit(predict, *task))
+        if len(in_flight) > jobs:
             yield from in_flight.popleft().result()
+    while in_flight:
+        yield from in_flight.popleft().result()
 
 
 def predict_volume(vol: OctVolume, backend: Backend, cfg: RunConfig) -> ProbVolume:
@@ -157,15 +158,17 @@ def predict_volume(vol: OctVolume, backend: Backend, cfg: RunConfig) -> ProbVolu
     prediction stream directly, summing each batch into the output volume as
     it arrives, so no list of a volume's predictions is ever built; at most
     ``cfg.resolved_jobs + 1`` tasks (grid-row runs of one slice, or single
-    patches in 3d) are in flight on ``cfg.resolved_jobs`` threads that
-    extract and predict, which also share the sum that completes a 3d grid.
+    patches in 3d) are in flight on one pool of ``cfg.resolved_jobs``
+    workers that extract and predict.  The pool is opened here, one per
+    volume, and lent to ``stitch``, whose sum that completes a 3d grid runs
+    on it; it is shut down before this returns or raises.
     In 2d and 2.5d a backend gets one batch per run of a grid row, a
     read-only view of the volume.  The result is bit-identical for every
     ``cfg.jobs``.
     """
-    grid = cfg.grid(vol.dims[:2])
-    with closing(_predictions(vol, grid, backend, cfg.resolved_jobs)) as pairs:
-        return stitch(pairs, grid, vol.dims[2], volume_id=vol.volume_id, jobs=cfg.resolved_jobs)
+    grid, jobs = cfg.grid(vol.dims[:2]), cfg.resolved_jobs
+    with ThreadPoolExecutor(jobs) as pool, closing(_predictions(vol, grid, backend, pool, jobs)) as pairs:
+        return stitch(pairs, grid, vol.dims[2], volume_id=vol.volume_id, pool=pool)
 
 
 def _backend_for(descriptor: str, volume_id: str, truth: LabelVolume) -> Backend:

@@ -14,12 +14,12 @@ canonical row-major order has been summed (until then it waits in one
 per-slice map), so each voxel receives its predictions in canonical order
 whatever the input order or upstream schedule.  Only a 3d grid holds a
 prediction that is a window of a larger array (a backend's volume) until
-its last anchor arrives, and splits the run that completes it by class over
-up to ``jobs`` threads writing disjoint voxels.  A slice range whose
-predictions are all in is divided in place by the grid's coverage plane.  A
-3d grid of one image-sized patch (variant F) has one prediction, the whole
-volume, and stitch takes it over as the result instead of summing it into a
-second volume.
+its last anchor arrives, and sums the run that completes it one class per
+task on the caller's pool, if it lends one; stitch starts no thread.  A
+slice range whose predictions are all in is divided in place by the grid's
+coverage plane.  A 3d grid of one image-sized patch (variant F) has one
+prediction, the whole volume, and stitch takes it over as the result
+instead of summing it into a second volume.
 Per-voxel passes over a whole volume (the finiteness check, arg-max, closing)
 run one slice at a time, so none allocates a temporary the size of the volume.
 """
@@ -29,7 +29,7 @@ from __future__ import annotations
 import enum
 import functools
 import json
-from concurrent.futures import ThreadPoolExecutor
+from concurrent.futures import Executor
 from dataclasses import dataclass
 from pathlib import Path
 from typing import Iterable
@@ -278,7 +278,7 @@ def stitch(
     grid: PatchGrid,
     depth: int,
     volume_id: str = "",
-    jobs: int = 1,
+    pool: Executor | None = None,
 ) -> ProbVolume:
     """Average per-patch class probabilities into a probability volume of
     ``depth`` slices, each the size of the grid's image.
@@ -299,15 +299,17 @@ def stitch(
     arrived anchor from the count, so an early prediction waits only for the
     anchors before it.  On a 3d grid a window of a larger array (its
     ``base`` is a bigger ndarray, so holding it costs no memory) also waits
-    for the rest of the grid, whose completing run ``min(jobs, 4)`` threads
-    share, the caller and a pool shut down before stitch returns or raises,
-    each summing, then dividing, one contiguous slice of the class axis.
-    Every voxel therefore sums its predictions in canonical row-major anchor
-    order whatever the input order, upstream schedule or ``jobs``, so the
-    result is bit-identical however the predictions are stored.  Once an
-    anchor z has all its predictions, its slice range is divided in place by
-    :func:`coverage_plane`; that matches dividing by per-voxel counts bit for
-    bit, since both operands are exact in float32.
+    for the rest of the grid.  The run that completes a 3d grid is summed,
+    then divided, one class per task on ``pool`` with ``pool.map``, or on
+    the calling thread without a pool.  Every prediction is in by then, so
+    the pool's workers are idle; the caller owns the pool, and stitch
+    starts no thread.  Every voxel therefore sums its predictions in
+    canonical row-major anchor order whatever the input order, upstream
+    schedule or pool, so the result is bit-identical however the
+    predictions are stored.  Once an anchor z has all its predictions, its
+    slice range is divided in place by :func:`coverage_plane`; that matches
+    dividing by per-voxel counts bit for bit, since both operands are exact
+    in float32.
 
     A 3d grid whose one anchor's patch is the whole image has one block, the
     whole volume, covering each voxel once.  Stitch takes that prediction
@@ -326,7 +328,7 @@ def stitch(
     first bad voxel.
     """
     planes = depth if grid.depth_mode is DepthMode.D3 else 1
-    probs, summed, waiting = _accumulate(patch_probs, grid, depth, planes, jobs)
+    probs, summed, waiting = _accumulate(patch_probs, grid, depth, planes, pool)
     _check_complete(grid, depth, planes, summed, waiting)
     for z in range(depth):
         finite = np.isfinite(probs[:, z]).all(axis=0)
@@ -335,16 +337,15 @@ def stitch(
     return ProbVolume(probs=probs, volume_id=volume_id)
 
 
-def _accumulate(patch_probs, grid: PatchGrid, depth: int, planes: int, jobs: int):
+def _accumulate(patch_probs, grid: PatchGrid, depth: int, planes: int, pool: Executor | None):
     """Sum ``patch_probs``, each ``planes`` deep, into a zeroed float32
     (4, ``depth``, height, width) array and divide each completed slice
     range by the coverage plane, or take over the one block of a
     whole-volume 3d grid; returns (probs, summed, waiting): the result, and
     per anchor z the count of anchors summed and the predictions that
     arrived but are not yet summed, by anchor index.  Runs are summed on the
-    calling thread, except that the run completing a 3d grid is split by
-    class over ``min(jobs, 4)`` threads, the caller summing the first slice
-    and a pool the rest."""
+    calling thread, except that the run completing a 3d grid is summed on
+    ``pool``, if given, one class per task."""
     anchors = grid.anchors
     index = {anchor: i for i, anchor in enumerate(anchors)}
     ph, pw = grid.patch_h, grid.patch_w
@@ -357,9 +358,6 @@ def _accumulate(patch_probs, grid: PatchGrid, depth: int, planes: int, jobs: int
     plane = coverage_plane(grid)
     summed: dict[int, int] = {}
     waiting: dict[int, dict[int, np.ndarray]] = {}
-    threads = max(1, min(jobs, N_CLASSES))
-    cuts = [N_CLASSES * t // threads for t in range(threads + 1)]
-    parts = [slice(lo, hi) for lo, hi in zip(cuts, cuts[1:])]
 
     # kept: summing each 3d window on this thread as it arrives made exchange-3d evaluates ~2x slower
     def closes_run(i: int, block: np.ndarray) -> bool:
@@ -410,14 +408,11 @@ def _accumulate(patch_probs, grid: PatchGrid, depth: int, planes: int, jobs: int
             owned = block.dtype == np.float32 and block.flags.writeable and block.flags.c_contiguous
             probs = block if owned else block.astype(np.float32, order="C")
             np.add(probs, 0.0, out=probs)  # -0.0 reads +0.0, as after a sum into zeros
-        elif last and planes > 1 and len(parts) > 1:  # every prediction is in, so no predict thread competes
-            with ThreadPoolExecutor(len(parts) - 1) as pool:
-                helpers = pool.map(lambda part: add(run, z, part, True), parts[1:])
-                add(run, z, parts[0], True)
-                list(helpers)
+        elif last and planes > 1 and pool is not None:  # every prediction is in, so the pool is idle
+            list(pool.map(lambda cls: add(run, z, slice(cls, cls + 1), True), range(N_CLASSES)))
         else:
             add(run, z, slice(None), last)
-        del run  # hold no summed block while the next one arrives
+        del run, pred, block  # hold no summed block while the next one arrives
         summed[z] = end
     return probs, summed, waiting
 

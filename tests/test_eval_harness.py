@@ -3,7 +3,9 @@
 import hashlib
 import json
 import re
+import sys
 import tempfile
+import threading
 import weakref
 
 import numpy as np
@@ -926,28 +928,63 @@ def test_predict_volume_peak_memory_stays_near_output_size(mode, variant, jobs):
     assert peak < (3 if variant == "P" else 1.25) * prob.probs.nbytes
 
 
-@pytest.mark.parametrize("mode", list(DepthMode))
-def test_only_a_3d_stitch_opens_a_pool(monkeypatch, mode):
-    """At ``jobs`` 3 a 2D or 2.5D ``predict_volume`` stitches on the calling
-    thread and opens no pool in ``patch_engine``; a 3D one opens one pool of
-    2, which with the calling thread splits by class the run that completes
-    its grid."""
-    from octpipe import patch_engine
-    from octpipe.eval_harness.runner import predict_volume
-    from octpipe.volume_io import OctVolume
+@pytest.mark.parametrize("mode", list(DepthMode), ids=lambda mode: mode.value)
+def test_predict_volume_runs_on_one_pool_of_jobs_threads(monkeypatch, mode):
+    """A volume's threads are started in one place: ``predict_volume`` opens
+    one pool per volume and ``patch_engine`` opens none, so in 3d the run
+    that completes the grid is summed on the same pool.  Whenever a thread
+    starts, no more than ``jobs`` are alive beside the caller's, and none is
+    left once the volume is predicted."""
+    from concurrent.futures import ThreadPoolExecutor
 
-    opened = []
-    pool = patch_engine.ThreadPoolExecutor
+    opened, alive = [], []
+    init, start = ThreadPoolExecutor.__init__, threading.Thread.start
 
-    def counted(*args, **kwargs):
-        opened.append(args)
-        return pool(*args, **kwargs)
+    def counted_init(self, *args, **kwargs):
+        opened.append(sys._getframe(1).f_globals["__name__"])
+        init(self, *args, **kwargs)
 
-    monkeypatch.setattr(patch_engine, "ThreadPoolExecutor", counted)
+    def counted_start(self):
+        start(self)
+        alive.append(threading.active_count() - before)
+
+    monkeypatch.setattr(ThreadPoolExecutor, "__init__", counted_init)
+    monkeypatch.setattr(threading.Thread, "start", counted_start)
     vol = OctVolume(np.random.default_rng(75).random((4, 32, 32), dtype=np.float32), volume_id="pool")
-    cfg = RunConfig(depth_mode=mode, patch_size=16, overlap=0.5, jobs=3)
-    predict_volume(vol, threshold_backend(), cfg)
-    assert opened == ([(2,)] if mode is DepthMode.D3 else [])
+    for jobs in (1, 2, 3):
+        opened.clear()
+        alive.clear()
+        before = threading.active_count()
+        cfg = RunConfig(depth_mode=mode, patch_size=16, overlap=0.5, jobs=jobs)
+        predict_volume(vol, threshold_backend(), cfg)
+        assert opened == ["octpipe.eval_harness.runner"]
+        assert alive and max(alive) <= jobs, (jobs, alive)
+        assert threading.active_count() == before
+
+
+@pytest.mark.parametrize("mode", list(DepthMode), ids=lambda mode: mode.value)
+def test_predict_volume_leaves_no_thread_when_a_backend_raises(mode):
+    """A backend that raises at its k-th call, first, midway or last: the
+    error reaches the caller, and the pool ``predict_volume`` owns is shut
+    down before it does, so no thread is left behind at any ``jobs``."""
+    from octpipe.backends import Backend
+
+    vol = OctVolume(np.random.default_rng(76).random((4, 32, 32), dtype=np.float32), volume_id="raise")
+    threads = threading.active_count()
+    for jobs in (1, 2, 3):
+        for k in (1, 4, 9):
+            predict, calls = threshold_backend().predict, []
+
+            def failing(batch, depth_mode, volume_id):
+                calls.append(batch)
+                if len(calls) == k:
+                    raise RuntimeError(f"call {k} failed")
+                return predict(batch, depth_mode, volume_id)
+
+            cfg = RunConfig(depth_mode=mode, patch_size=16, overlap=0.5, jobs=jobs)
+            with pytest.raises(RuntimeError, match=f"^call {k} failed$"):
+                predict_volume(vol, Backend(failing), cfg)
+            assert threading.active_count() == threads, (jobs, k)
 
 
 def test_evaluate_volume_frees_the_probabilities_before_closing(make_dataset, monkeypatch):
@@ -1067,6 +1104,30 @@ def test_planar_predict_volume_keeps_few_predictions_alive(mode):
         assert len(counts) == 6 * 20
         assert max(counts) <= jobs + 2, (jobs, max(counts))
     assert len(outputs) == 1
+
+
+@pytest.mark.parametrize("mode", list(DepthMode), ids=lambda mode: mode.value)
+def test_predict_volume_holds_no_summed_prediction(mode):
+    """70x50x6, patch 16, overlap 0.75, as in the test above.  When a
+    predict call starts, at most ``jobs`` earlier outputs are alive: those
+    of the tasks in flight.  Stitch holds none of the outputs it has summed,
+    so the last one is freed before the next task is submitted."""
+    from octpipe.backends import Backend
+
+    vol = OctVolume(np.random.default_rng(77).random((6, 50, 70), dtype=np.float32), volume_id="live")
+    for jobs in (1, 2, 3):
+        predict = threshold_backend().predict
+        refs, counts = [], []
+
+        def counted(batch, depth_mode, volume_id):
+            counts.append(sum(ref() is not None for ref in list(refs)))
+            out = predict(batch, depth_mode, volume_id)
+            refs.append(weakref.ref(out))
+            return out
+
+        cfg = RunConfig(depth_mode=mode, variant="P", patch_size=16, overlap=0.75, jobs=jobs)
+        predict_volume(vol, Backend(counted), cfg)
+        assert max(counts) <= jobs, (jobs, max(counts))
 
 
 @pytest.mark.parametrize("jobs", [1, 2])

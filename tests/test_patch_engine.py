@@ -6,6 +6,8 @@ import re
 import tempfile
 import threading
 import weakref
+from concurrent.futures import ThreadPoolExecutor
+from contextlib import nullcontext
 
 import numpy as np
 import pytest
@@ -363,7 +365,6 @@ def test_extract_plans_agree_when_many_threads_fill_them_at_once():
     of one fresh grid at once with a short switch interval; each batch
     equals the one a single thread cuts from another fresh grid."""
     import sys
-    from concurrent.futures import ThreadPoolExecutor
 
     vol = make_volume((70, 50, 4), seed=7)
     tasks = [(z, run) for z in range(4) for run in grid_runs(plan_grid((70, 50), 16, 0.75, DepthMode.D25))]
@@ -627,10 +628,16 @@ def test_stitch_matches_reference_in_any_order(case):
     assert stitch(iter(shuffled), grid, dims[2]).probs.tobytes() == expected.tobytes()
 
 
+def lent(jobs):
+    """A pool of ``jobs`` workers to lend to stitch, or none for None."""
+    return nullcontext() if jobs is None else ThreadPoolExecutor(jobs)
+
+
 @st.composite
 def threaded_stitch_inputs(draw):
     """A grid with an edge anchor on some axis, in any depth mode, with owned
-    or window predictions (or a mix), an arrival order and a thread count."""
+    or window predictions (or a mix), an arrival order and the worker count
+    of the pool stitch borrows (None for no pool)."""
     mode = draw(st.sampled_from(list(DepthMode)))
     width, height = draw(st.integers(3, 40)), draw(st.integers(3, 40))
     patch = (draw(st.integers(2, width - 1)), draw(st.integers(2, height - 1)))
@@ -652,7 +659,8 @@ def threaded_stitch_inputs(draw):
     preds = [v.copy() if own else v for v, own in zip(views, owned)]
     pairs = list(zip(keys, preds))
     order = draw(st.permutations(range(len(pairs))))
-    return grid, (width, height, depth), pairs, [pairs[i] for i in order], draw(st.integers(1, 5))
+    jobs = draw(st.none() | st.integers(1, 5))
+    return grid, (width, height, depth), pairs, [pairs[i] for i in order], jobs
 
 
 @settings(max_examples=150, deadline=None)
@@ -660,16 +668,17 @@ def threaded_stitch_inputs(draw):
 def test_stitch_is_bit_identical_at_every_jobs_and_order(case):
     grid, dims, pairs, shuffled, jobs = case
     threads = threading.active_count()
-    expected = stitch(iter(pairs), grid, dims[2], jobs=1).probs.tobytes()
-    assert stitch(iter(shuffled), grid, dims[2], jobs=jobs).probs.tobytes() == expected
+    expected = stitch(iter(pairs), grid, dims[2]).probs.tobytes()
+    with lent(jobs) as pool:
+        assert stitch(iter(shuffled), grid, dims[2], pool=pool).probs.tobytes() == expected
     assert threading.active_count() == threads
 
 
 def test_stitch_errors_are_alike_at_every_jobs_and_leave_no_thread():
     """A repeated anchor and a wrong-shaped prediction arrive after earlier
     runs were summed, on a 3d grid after the run that completes it was
-    summed on the pool; the message is the one a single thread gives, and
-    no thread is left when stitch raises."""
+    summed on the lent pool; the message is the one stitch gives without a
+    pool, and no thread is left once the pool is shut down."""
     grid = plan_grid((32, 32), (16, 16), 0.0)
     grid3 = plan_grid((32, 32), (16, 16), 0.0, DepthMode.D3)
     pairs = flat_pairs(grid, 1)
@@ -682,13 +691,14 @@ def test_stitch_errors_are_alike_at_every_jobs_and_leave_no_thread():
     )
     threads = threading.active_count()
     for g, bad, message in cases:
-        for jobs in (1, 3):
-            with pytest.raises(ValidationError, match=f"^{re.escape(message)}$"):
-                stitch(iter(bad), g, 1, jobs=jobs)
+        for jobs in (None, 1, 3):
+            with lent(jobs) as pool, pytest.raises(ValidationError, match=f"^{re.escape(message)}$"):
+                stitch(iter(bad), g, 1, pool=pool)
             assert threading.active_count() == threads
     for g, good in ((grid, pairs), (grid3, pairs3)):
-        for jobs in (1, 3):
-            assert stitch(iter(good), g, 1, jobs=jobs).probs.min() == 0.25
+        for jobs in (None, 1, 3):
+            with lent(jobs) as pool:
+                assert stitch(iter(good), g, 1, pool=pool).probs.min() == 0.25
             assert threading.active_count() == threads
 
 
@@ -797,9 +807,10 @@ def test_stitch_frees_a_planar_window_before_its_grid_ends(mode):
             yield (x, y, 0), source[:, 1:, 2:]
             del source
 
-    for jobs in (1, 3):
+    for jobs in (None, 1, 3):
         bases.clear()
-        assert stitch(pairs(), grid, 1, jobs=jobs).probs.min() == 0.25
+        with lent(jobs) as pool:
+            assert stitch(pairs(), grid, 1, pool=pool).probs.min() == 0.25
 
 
 def test_stitch_takes_over_a_whole_volume_3d_prediction():
