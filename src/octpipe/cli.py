@@ -107,11 +107,12 @@ def cmd_preprocess(args: argparse.Namespace, cfg: RunConfig) -> int:
     for vendor in sorted(inventory):
         for volume_id in sorted(inventory[vendor]):
             lpath = label_path(cfg.data_root, volume_id)
-            vol, labels = preprocess_pair(
-                partial(read_volume, image_path(cfg.data_root, volume_id)),
-                partial(read_labels, lpath) if lpath.exists() else None,
-                cfg.preprocess, target,
-            )
+            with ThreadPoolExecutor(cfg.resolved_jobs) as pool:
+                vol, labels = preprocess_pair(
+                    partial(read_volume, image_path(cfg.data_root, volume_id)),
+                    partial(read_labels, lpath) if lpath.exists() else None,
+                    cfg.preprocess, target, pool, cfg.resolved_jobs,
+                )
             write_volume(vol, out_dir / f"{volume_id}.mhd")
             if labels is not None:
                 write_volume(labels, out_dir / f"{volume_id}_labels.mhd")
@@ -159,10 +160,12 @@ def cmd_patchify(args: argparse.Namespace, cfg: RunConfig) -> int:
     if per_slice and cfg.slice_policy == "diseased_only" and not lpath.exists():
         raise ConfigError(f"--slice-policy diseased_only needs the label file {lpath}, which does not exist")
     filtered = per_slice and policy == "diseased_only" and lpath.exists()
-    vol, labels = preprocess_pair(
-        partial(read_volume, image_path(cfg.data_root, args.volume)),
-        partial(read_labels, lpath) if filtered else None, cfg.preprocess, cfg.working_size,
-    )
+    with ThreadPoolExecutor(cfg.resolved_jobs) as pool:
+        vol, labels = preprocess_pair(
+            partial(read_volume, image_path(cfg.data_root, args.volume)),
+            partial(read_labels, lpath) if filtered else None, cfg.preprocess, cfg.working_size,
+            pool, cfg.resolved_jobs,
+        )
     if args.slice is not None and not 0 <= args.slice < vol.dims[2]:
         raise ConfigError(f"--slice {args.slice} outside volume depth {vol.dims[2]}")
     grid = cfg.grid(vol.dims[:2])

@@ -7,15 +7,17 @@ predict (whole image for variant F, overlapping patches for variant P),
 stitch, arg-max, close, score against the preprocessed truth.  The working
 image and the backend are freed once predict returns, the probabilities
 once arg-maxed, before closing.
-Prediction streams: a volume runs on one executor of ``jobs`` workers,
-which ``predict_volume`` owns.  Each worker takes one grid-row run of one
-slice (one patch in 3D), with a bounded number in flight, cuts it as one
-batch, a read-only view of the volume, and predicts it; ``stitch`` sums each
-prediction into the output volume on the calling thread as it arrives, in
-canonical anchor order (only the sum that completes a 3D grid is split by
-class, on the same executor, lent to it; ``stitch`` starts no thread), so
-results never depend on the worker count.  Each volume is scored with one
-confusion count per fluid.
+A volume runs on one executor of ``jobs`` workers, which
+``evaluate_volume`` owns and lends to preprocessing and to predict.
+Preprocessing resizes and denoises B-scans on the calling thread and on
+those workers, each B-scan written by one of them.  Prediction streams: each
+worker takes one grid-row run of one slice (one patch in 3D), with a bounded
+number in flight, cuts it as one batch, a read-only view of the volume, and
+predicts it; ``stitch`` sums each prediction into the output volume on the
+calling thread as it arrives, in canonical anchor order (only the sum that
+completes a 3D grid is split by class, on the same executor, lent to it;
+``stitch`` starts no thread), so results never depend on the worker count.
+Each volume is scored with one confusion count per fluid.
 """
 
 from __future__ import annotations
@@ -23,7 +25,7 @@ from __future__ import annotations
 import json
 from collections import deque
 from concurrent.futures import Executor, ThreadPoolExecutor
-from contextlib import closing
+from contextlib import closing, nullcontext
 from functools import partial
 from pathlib import Path
 from typing import TYPE_CHECKING, Callable, Iterator
@@ -93,14 +95,15 @@ def _stage(stage: str, volume_id: str, fn, *args, **kwargs):
 
 def preprocess_pair(
     load_image: Callable[[], OctVolume], load_labels: Callable[[], LabelVolume] | None,
-    cfg: PreprocessConfig, target: tuple[int, int],
+    cfg: PreprocessConfig, target: tuple[int, int], pool: Executor | None = None, jobs: int = 0,
 ) -> tuple[OctVolume, LabelVolume | None]:
     """Read an image, then its labels (None without ``load_labels``), and
-    bring both to the working size.  Labels of another size than the image,
-    or of another spacing when both headers give one, raise ValidationError
-    naming both.  No native volume outlives its preprocessing: the native
-    labels are freed once resized, before the image is preprocessed, and the
-    image on return."""
+    bring both to the working size, the image's B-scans on the calling
+    thread and ``jobs`` tasks of the lent ``pool``.  Labels of another size
+    than the image, or of another spacing when both headers give one, raise
+    ValidationError naming both.  No native volume outlives its
+    preprocessing: the native labels are freed once resized, before the
+    image is preprocessed, and the image on return."""
     vol, labels = load_image(), None
     if load_labels is not None:
         labels = load_labels()
@@ -114,7 +117,7 @@ def preprocess_pair(
                 f"its image has {vol.spacing}"
             )
         labels = resize_volume(labels, target)
-    return preprocess_volume(vol, cfg, target), labels
+    return preprocess_volume(vol, cfg, target, pool, jobs), labels
 
 
 def _predictions(
@@ -150,7 +153,9 @@ def _predictions(
         yield from in_flight.popleft().result()
 
 
-def predict_volume(vol: OctVolume, backend: Backend, cfg: RunConfig) -> ProbVolume:
+def predict_volume(
+    vol: OctVolume, backend: Backend, cfg: RunConfig, pool: Executor | None = None
+) -> ProbVolume:
     """Predict a whole volume through the patch pipeline and stitch.
 
     Each plane is tiled with ``cfg.grid``: overlapping patches for variant P,
@@ -159,15 +164,17 @@ def predict_volume(vol: OctVolume, backend: Backend, cfg: RunConfig) -> ProbVolu
     it arrives, so no list of a volume's predictions is ever built; at most
     ``cfg.resolved_jobs + 1`` tasks (grid-row runs of one slice, or single
     patches in 3d) are in flight on one pool of ``cfg.resolved_jobs``
-    workers that extract and predict.  The pool is opened here, one per
-    volume, and lent to ``stitch``, whose sum that completes a 3d grid runs
-    on it; it is shut down before this returns or raises.
+    workers that extract and predict.  That pool is the one the caller
+    lends, which must have that many workers, or else one opened here and
+    shut down before this returns or raises; ``stitch`` borrows it for the
+    sum that completes a 3d grid.
     In 2d and 2.5d a backend gets one batch per run of a grid row, a
     read-only view of the volume.  The result is bit-identical for every
     ``cfg.jobs``.
     """
     grid, jobs = cfg.grid(vol.dims[:2]), cfg.resolved_jobs
-    with ThreadPoolExecutor(jobs) as pool, closing(_predictions(vol, grid, backend, pool, jobs)) as pairs:
+    lent = nullcontext(pool) if pool is not None else ThreadPoolExecutor(jobs)
+    with lent as pool, closing(_predictions(vol, grid, backend, pool, jobs)) as pairs:
         return stitch(pairs, grid, vol.dims[2], volume_id=vol.volume_id, pool=pool)
 
 
@@ -185,19 +192,23 @@ def _backend_for(descriptor: str, volume_id: str, truth: LabelVolume) -> Backend
 def evaluate_volume(volume_id: str, cfg: RunConfig) -> tuple[dict, dict]:
     """Score one volume with the backend ``cfg.backend`` names: predict ->
     stitch -> arg-max -> per-fluid closing -> score; returns (per-fluid
-    dice, per-fluid confusion counts)."""
-    vol, truth = _stage(
-        "preprocess", volume_id, preprocess_pair,
-        partial(_stage, "read_volume", volume_id, read_volume, image_path(cfg.data_root, volume_id)),
-        partial(_stage, "read_labels", volume_id, read_labels, label_path(cfg.data_root, volume_id)),
-        cfg.preprocess, cfg.working_size,
-    )
-    # no name holds the backend, so an external one's volume is freed once predict returns
-    prob = _stage(
-        "predict", volume_id, predict_volume,
-        vol, _stage("predict", volume_id, _backend_for, cfg.backend, volume_id, truth), cfg,
-    )
-    del vol
+    dice, per-fluid confusion counts).  The volume runs on one executor of
+    ``cfg.resolved_jobs`` workers, opened here and lent to preprocessing and
+    to predict; it is shut down once predict returns or raises."""
+    jobs = cfg.resolved_jobs
+    with ThreadPoolExecutor(jobs) as pool:
+        vol, truth = _stage(
+            "preprocess", volume_id, preprocess_pair,
+            partial(_stage, "read_volume", volume_id, read_volume, image_path(cfg.data_root, volume_id)),
+            partial(_stage, "read_labels", volume_id, read_labels, label_path(cfg.data_root, volume_id)),
+            cfg.preprocess, cfg.working_size, pool, jobs,
+        )
+        # no name holds the backend, so an external one's volume is freed once predict returns
+        prob = _stage(
+            "predict", volume_id, predict_volume,
+            vol, _stage("predict", volume_id, _backend_for, cfg.backend, volume_id, truth), cfg, pool,
+        )
+        del vol
     pred = _stage("labelize", volume_id, labelize, prob)
     del prob
     if cfg.close_radius > 0:

@@ -10,19 +10,29 @@ the range without a clamp.  Nearest-neighbour picks
 alphabet.  Volume-wide stages work one B-scan at a time, and range and
 finiteness checks are reductions, so no stage holds a second volume-sized
 temporary besides its output: each denoised B-scan is written back into the
-volume the rescale or resize allocated.  Only the nlm denoiser uses scipy,
-and it imports it when it runs.
+volume the rescale or resize allocated.  The resize and the denoiser run
+their B-scans on the calling thread and on ``jobs`` tasks of an executor
+the caller lends, if any; each takes the next free B-scan index and writes
+only its own B-scan of the output, so the result is the same bits however
+many threads share the work.  Only the nlm denoiser uses scipy, and it
+imports it when it runs.
 """
 
 from __future__ import annotations
 
 import math
+import threading
+from concurrent.futures import wait
 from dataclasses import dataclass, field
+from typing import TYPE_CHECKING, Callable, Iterator
 
 import numpy as np
 
 from .errors import ValidationError, check_fields
 from .volume_io import LabelVolume, OctVolume, Vendor
+
+if TYPE_CHECKING:
+    from concurrent.futures import Executor
 
 DENOISERS = ("none", "gaussian", "nlm")
 NORMALIZE_MODES = ("auto", "always", "never")
@@ -79,19 +89,23 @@ def _linear_coords(src: int, dst: int) -> tuple[np.ndarray, np.ndarray, np.ndarr
     return np.clip(lo, 0, src - 1), np.clip(lo + 1, 0, src - 1), frac
 
 
+_STRIP = 64  # rows per resize or gaussian pass, so their float64 buffers stay cache-sized
+
+
 def _bilinear(shape: tuple[int, int], target: tuple[int, int]):
     """Return ``resize(image, out)``, which writes the bilinear resize of one
     float32 ``shape`` image to ``target`` = (width, height) into the
     (height, width) float32 array ``out``.
 
-    The row and column buffers are allocated here, once, and reused by every
-    call.  Each needed row is gathered from the image as float32 and
-    weighted into float64, which promotes it exactly as converting the whole
-    image first would.  The weights are non-negative and sum to 1 within
-    float64 round-off, so a result can leave the image's value range only by
-    a few float64 ulps.  That is far below half a float32 ulp of the edge
-    value, which is itself a float32, so the cast to ``out`` rounds it back
-    onto the edge, and no clamp is needed.
+    The row and column buffers, ``_STRIP`` output rows each, are allocated
+    here, once, and reused by every strip of every call, so each thread that
+    resizes builds its own.  Each needed row is gathered from the image as
+    float32 and weighted into float64, which promotes it exactly as
+    converting the whole image first would.  The weights are non-negative
+    and sum to 1 within float64 round-off, so a result can leave the image's
+    value range only by a few float64 ulps.  That is far below half a
+    float32 ulp of the edge value, which is itself a float32, so the cast to
+    ``out`` rounds it back onto the edge, and no clamp is needed.
     """
     src_h, src_w = shape
     tw, th = target
@@ -99,30 +113,72 @@ def _bilinear(shape: tuple[int, int], target: tuple[int, int]):
     x0, x1, fx = _linear_coords(src_w, tw)
     wy0, wy1, wx0 = (1.0 - fy)[:, None], fy[:, None], 1.0 - fx
     # kept: fancy-indexed temporaries give the same bits but make each resize ~2x slower
-    gathered = np.empty((th, src_w), dtype=np.float32)
-    rows, row_term = np.empty((th, src_w)), np.empty((th, src_w))
-    cols, col_term = np.empty((th, tw)), np.empty((th, tw))
+    strip = min(_STRIP, th)
+    gathered = np.empty((strip, src_w), dtype=np.float32)
+    rows, row_term = np.empty((strip, src_w)), np.empty((strip, src_w))
+    cols, col_term = np.empty((strip, tw)), np.empty((strip, tw))
 
     def resize(image: np.ndarray, out: np.ndarray) -> None:
-        # the indices are already in range, and mode="clip" lets take write to out unbuffered
-        np.multiply(np.take(image, y0, axis=0, out=gathered, mode="clip"), wy0, out=rows)
-        np.multiply(np.take(image, y1, axis=0, out=gathered, mode="clip"), wy1, out=row_term)
-        np.add(rows, row_term, out=rows)
-        np.multiply(np.take(rows, x0, axis=1, out=cols, mode="clip"), wx0, out=cols)
-        np.multiply(np.take(rows, x1, axis=1, out=col_term, mode="clip"), fx, out=col_term)
-        np.add(cols, col_term, out=cols)
-        out[...] = cols
+        for top in range(0, th, strip):
+            at = slice(top, min(top + strip, th))
+            n = at.stop - top
+            row, term, col, cterm = rows[:n], row_term[:n], cols[:n], col_term[:n]
+            # the indices are already in range, and mode="clip" lets take write to out unbuffered
+            np.multiply(np.take(image, y0[at], axis=0, out=gathered[:n], mode="clip"), wy0[at], out=row)
+            np.multiply(np.take(image, y1[at], axis=0, out=gathered[:n], mode="clip"), wy1[at], out=term)
+            np.add(row, term, out=row)
+            np.multiply(np.take(row, x0, axis=1, out=col, mode="clip"), wx0, out=col)
+            np.multiply(np.take(row, x1, axis=1, out=cterm, mode="clip"), fx, out=cterm)
+            np.add(col, cterm, out=col)
+            out[at] = col
 
     return resize
 
 
-def resize_volume(vol: OctVolume | LabelVolume, target: tuple[int, int]):
+def _drain(depth: int, work: Callable[[Iterator[int]], None], pool: Executor | None, jobs: int) -> None:
+    """Run ``work(indices)`` on the calling thread and, with a ``pool``, in
+    ``jobs`` tasks on it.  Every ``indices`` takes the next B-scan index
+    from one shared counter, so each of ``range(depth)`` goes to exactly one
+    drainer, whichever is free.  Once a drainer raises, the others take no
+    more indices; the caller waits for every task, then raises its own error
+    or the first task's."""
+    lock, counter, failed = threading.Lock(), iter(range(depth)), threading.Event()
+
+    def indices() -> Iterator[int]:
+        while not failed.is_set():
+            with lock:
+                z = next(counter, None)
+            if z is None:
+                return
+            yield z
+
+    def drainer() -> None:
+        try:
+            work(indices())
+        except BaseException:
+            failed.set()
+            raise
+
+    tasks = [pool.submit(drainer) for _ in range(jobs)] if pool is not None else []
+    try:
+        drainer()
+    finally:
+        wait(tasks)
+    for task in tasks:
+        task.result()
+
+
+def resize_volume(
+    vol: OctVolume | LabelVolume, target: tuple[int, int], pool: Executor | None = None, jobs: int = 0
+):
     """Resize every B-scan to ``target`` = (width, height); depth is preserved.
 
-    Intensity volumes are interpolated bilinearly, label volumes with
-    nearest-neighbour so no new class can appear.  The x and y spacing scale
-    with the resize, so each axis keeps its physical extent; z spacing is
-    unchanged.  A volume already at ``target`` is returned as it is.
+    Intensity volumes are interpolated bilinearly, their B-scans shared out
+    by ``_drain`` over the calling thread and ``jobs`` tasks on ``pool``;
+    label volumes with nearest-neighbour so no new class can appear, on the
+    calling thread.  The x and y spacing scale with the resize, so each axis
+    keeps its physical extent; z spacing is unchanged.  A volume already at
+    ``target`` is returned as it is.
     """
     tw, th = (int(t) for t in target)
     if tw < 1 or th < 1:
@@ -145,9 +201,13 @@ def resize_volume(vol: OctVolume | LabelVolume, target: tuple[int, int]):
         return LabelVolume(voxels=out, volume_id=vol.volume_id, spacing=spacing)
 
     out = np.empty((depth, th, tw), dtype=np.float32)
-    resize = _bilinear((src_h, src_w), (tw, th))
-    for z in range(depth):
-        resize(vol.voxels[z], out[z])
+
+    def resize_each(indices: Iterator[int]) -> None:
+        resize = _bilinear((src_h, src_w), (tw, th))
+        for z in indices:
+            resize(vol.voxels[z], out[z])
+
+    _drain(depth, resize_each, pool, jobs)
     return OctVolume(voxels=out, spacing=spacing, volume_id=vol.volume_id)
 
 
@@ -161,7 +221,16 @@ def _finite_range(vol: OctVolume) -> tuple[float, float]:
 
 
 def _rescale(vol: OctVolume, lo: float, hi: float) -> OctVolume:
-    """Map the intensity range [lo, hi] onto [0, 1], or all zeros if lo == hi."""
+    """Map the intensity range [lo, hi] onto [0, 1], or all zeros if lo == hi.
+    A range whose float32 width overflows raises ValidationError: its
+    rescale would turn voxels into NaN."""
+    with np.errstate(over="ignore"):
+        width = np.float32(hi) - np.float32(lo)
+    if not np.isfinite(width):
+        raise ValidationError(
+            f"volume '{vol.volume_id}' spans intensities {lo:g} to {hi:g}, "
+            "a range too wide to rescale in float32"
+        )
     if hi > lo:
         out = vol.voxels - lo
         out /= hi - lo
@@ -194,9 +263,6 @@ def _nlm(image: np.ndarray, search_radius: int, patch_radius: int, h: float) -> 
             num += w * shifted
             den += w
     return num / den
-
-
-_STRIP = 64  # rows per gaussian pass, so its float64 buffers stay cache-sized
 
 
 def _gaussian(image: np.ndarray, sigma: float) -> np.ndarray:
@@ -255,23 +321,32 @@ def filter_slices(labels: LabelVolume, policy: str) -> list[int]:
 
 
 def preprocess_volume(
-    vol: OctVolume, cfg: PreprocessConfig, target: tuple[int, int]
+    vol: OctVolume, cfg: PreprocessConfig, target: tuple[int, int],
+    pool: Executor | None = None, jobs: int = 0,
 ) -> OctVolume:
     """Normalize (per ``cfg.normalize``), resize to ``target``, and denoise.
 
     Every mode takes the intensity range once and rejects a volume with a
     non-finite intensity.  With ``normalize="auto"`` the affine rescale only
     runs when intensities fall outside [0, 1], so already-normalized volumes
-    pass through bit-true.  Each denoised B-scan is written into the volume
-    the rescale or resize allocated, never into ``vol``."""
+    pass through bit-true.  The resize and the denoiser run their B-scans on
+    the calling thread and on ``jobs`` tasks of the lent ``pool``, if any;
+    the result is the same bits at every ``jobs``.  Each denoised B-scan is
+    written into the volume the rescale or resize allocated, never into
+    ``vol``."""
     caller = vol.voxels
     lo, hi = _finite_range(vol)
     if cfg.normalize == "always" or (cfg.normalize == "auto" and (lo < 0.0 or hi > 1.0)):
         vol = _rescale(vol, lo, hi)
-    vol = resize_volume(vol, target)
+    vol = resize_volume(vol, target, pool, jobs)
     if cfg.denoiser != "none":
-        voxels = np.empty_like(caller) if vol.voxels is caller else vol.voxels
-        for z, plane in enumerate(vol.voxels):
-            voxels[z] = denoise(plane, cfg)
+        planes = vol.voxels
+        voxels = np.empty_like(caller) if planes is caller else planes
+
+        def denoise_each(indices: Iterator[int]) -> None:
+            for z in indices:
+                voxels[z] = denoise(planes[z], cfg)
+
+        _drain(len(planes), denoise_each, pool, jobs)
         vol = OctVolume(voxels=voxels, spacing=vol.spacing, volume_id=vol.volume_id)
     return vol

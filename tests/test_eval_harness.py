@@ -987,6 +987,117 @@ def test_predict_volume_leaves_no_thread_when_a_backend_raises(mode):
             assert threading.active_count() == threads, (jobs, k)
 
 
+@pytest.mark.parametrize("mode", list(DepthMode), ids=lambda mode: mode.value)
+def test_evaluate_volume_preprocesses_and_predicts_on_one_executor(make_dataset, monkeypatch, mode):
+    """``evaluate_volume`` opens one executor per volume and lends that one
+    to preprocessing and to predict: the gaussian denoises B-scans on the
+    calling thread and on its workers, and the backend predicts on those
+    workers.  Whenever a thread starts, no more than ``jobs`` are alive
+    beside the caller's, and none is left once the volume is scored.
+    ``preprocess`` borrows the executor and imports no executor class."""
+    import dataclasses
+    from concurrent.futures import Executor, ThreadPoolExecutor
+
+    from octpipe import preprocess
+
+    assert not [v for v in vars(preprocess).values() if isinstance(v, type) and issubclass(v, Executor)]
+    root, _, _ = make_dataset(dims=(72, 64, 6), vendors=("Cirrus",), n_per_vendor=1)
+    opened, alive, started, lent, ran = [], [], [], [], {"denoise": set(), "predict": set()}
+    entered = threading.Event(), threading.Event()  # the caller, a worker
+    init, start = ThreadPoolExecutor.__init__, threading.Thread.start
+    preprocess_volume, predict, denoise = runner.preprocess_volume, runner.predict_volume, preprocess.denoise
+    threshold = runner.threshold_backend
+
+    def counted_init(self, *args, **kwargs):
+        opened.append((sys._getframe(1).f_globals["__name__"], self))
+        init(self, *args, **kwargs)
+
+    def counted_start(self):
+        start(self)
+        started.append(self)
+        alive.append(threading.active_count() - before)
+
+    def preprocess_lent(vol, cfg, target, pool=None, jobs=0):
+        lent.append(pool)
+        return preprocess_volume(vol, cfg, target, pool, jobs)
+
+    def predict_lent(vol, backend, cfg, pool=None):
+        lent.append(pool)
+        return predict(vol, backend, cfg, pool)
+
+    def denoise_seen(plane, cfg):
+        # each side holds its first B-scan until the other has taken one; at most
+        # jobs of the 6 B-scans are held by workers, so the caller gets one too
+        mine, theirs = entered if threading.current_thread() is threading.main_thread() else entered[::-1]
+        mine.set()
+        theirs.wait(10)
+        ran["denoise"].add(threading.current_thread())
+        return denoise(plane, cfg)
+
+    def backend_seen():
+        backend = threshold()
+
+        def seen(*args):
+            ran["predict"].add(threading.current_thread())
+            return backend.predict(*args)
+
+        return dataclasses.replace(backend, predict=seen)
+
+    monkeypatch.setattr(ThreadPoolExecutor, "__init__", counted_init)
+    monkeypatch.setattr(threading.Thread, "start", counted_start)
+    monkeypatch.setattr(runner, "preprocess_volume", preprocess_lent)
+    monkeypatch.setattr(runner, "predict_volume", predict_lent)
+    monkeypatch.setattr(preprocess, "denoise", denoise_seen)
+    monkeypatch.setattr(runner, "threshold_backend", backend_seen)
+    for jobs in (1, 2, 3):
+        for record in (opened, alive, started, lent, *ran.values()):
+            record.clear()
+        for event in entered:
+            event.clear()
+        before = threading.active_count()
+        target = PreprocessConfig(target_2d=(32, 32), target_vol=(32, 32), denoiser="gaussian")
+        cfg = RunConfig(data_root=root, preprocess=target, depth_mode=mode, patch_size=16, jobs=jobs)
+        evaluate_volume("cirrus_00", cfg)
+        assert [name for name, _ in opened] == ["octpipe.eval_harness.runner"]
+        assert lent == [opened[0][1]] * 2
+        workers = set(started)
+        assert ran["denoise"] - workers == {threading.main_thread()} and ran["denoise"] & workers
+        assert ran["predict"] and ran["predict"] <= workers
+        assert alive and max(alive) <= jobs, (jobs, alive)
+        assert threading.active_count() == before
+
+
+@pytest.mark.parametrize("at", ["first", "middle", "last"])
+def test_evaluate_volume_denoise_error_is_a_preprocess_stage_error_and_leaves_no_thread(
+    tmp_path, monkeypatch, at
+):
+    """B-scan ``z`` of an 8-deep volume holds the constant z / 8, so the
+    denoiser can fail on one B-scan, whichever thread takes it.  At every
+    ``jobs`` the error surfaces as a ``StageError`` of stage ``preprocess``
+    once every thread has stopped, and no thread is left."""
+    from octpipe import preprocess
+
+    depth, fail = 8, {"first": 0, "middle": 4, "last": 7}[at]
+    voxels = np.repeat(np.arange(depth, dtype=np.float32) / depth, 24 * 20).reshape(depth, 24, 20)
+    write_volume(OctVolume(voxels, volume_id="bad"), image_path(tmp_path, "bad"))
+    write_volume(LabelVolume(np.zeros(voxels.shape, dtype=np.uint8), "bad"), label_path(tmp_path, "bad"))
+    denoise = preprocess.denoise
+
+    def failing(plane, cfg):
+        if plane[0, 0] == np.float32(fail / depth):
+            raise RuntimeError(f"B-scan {fail} failed")
+        return denoise(plane, cfg)
+
+    monkeypatch.setattr(preprocess, "denoise", failing)
+    threads = threading.active_count()
+    for jobs in (1, 2, 3):
+        target = PreprocessConfig(target_vol=(16, 16), denoiser="gaussian")
+        cfg = RunConfig(data_root=tmp_path, preprocess=target, depth_mode=DepthMode.D3, jobs=jobs)
+        with pytest.raises(StageError, match=f"^stage 'preprocess' failed for volume 'bad': B-scan {fail} failed$"):
+            evaluate_volume("bad", cfg)
+        assert threading.active_count() == threads, jobs
+
+
 def test_evaluate_volume_frees_the_probabilities_before_closing(make_dataset, monkeypatch):
     """Closing runs once the probability volume is gone, so the two are
     never alive together."""
@@ -1024,9 +1135,9 @@ def test_evaluate_volume_frees_the_image_and_the_backend_once_predict_returns(
     refs, alive = [], []
     predict, read = runner.predict_volume, backends.read_prob
 
-    def predict_seen(vol, backend, cfg):
+    def predict_seen(vol, backend, cfg, pool=None):
         refs.extend((weakref.ref(vol.voxels), weakref.ref(backend)))
-        return predict(vol, backend, cfg)
+        return predict(vol, backend, cfg, pool)
 
     def read_seen(path):
         prob = read(path)

@@ -2,6 +2,7 @@
 
 import math
 import re
+from concurrent.futures import ThreadPoolExecutor
 
 import numpy as np
 import pytest
@@ -11,6 +12,8 @@ from hypothesis.extra import numpy as hnp
 
 from octpipe.errors import ValidationError
 from octpipe.preprocess import (
+    _STRIP,
+    _drain,
     NORMALIZE_MODES,
     PreprocessConfig,
     default_slice_policy,
@@ -480,6 +483,21 @@ def test_preprocess_volume_rejects_non_finite_intensities_in_every_mode(mode, ba
         preprocess_volume(vol, PreprocessConfig(normalize=mode), (8, 8))
 
 
+def test_preprocess_volume_refuses_a_range_too_wide_for_float32():
+    """[-2e38, 2e38] is finite, but its width is not a float32, so a rescale
+    would read NaN where it should read 1; a range just inside still
+    rescales, and ``never`` passes the volume on as it is."""
+    wide = OctVolume(voxels=np.array([[[-2e38, 0.0], [2e38, 1.0]]], dtype=np.float32), volume_id="wide")
+    for mode in ("auto", "always"):
+        with pytest.raises(ValidationError, match=r"^volume 'wide' spans intensities -2e\+38 to 2e\+38"):
+            preprocess_volume(wide, PreprocessConfig(normalize=mode), (2, 2))
+    out = preprocess_volume(wide, PreprocessConfig(normalize="never"), (2, 2))
+    assert out.voxels.tobytes() == wide.voxels.tobytes()
+    inside = OctVolume(voxels=np.array([[[-1.5e38, 0.0], [1.5e38, 1.0]]], dtype=np.float32))
+    out = preprocess_volume(inside, PreprocessConfig(), (2, 2)).voxels
+    assert np.isfinite(out).all() and out.min() == 0.0 and out.max() == 1.0
+
+
 def per_slice_preprocess(voxels, cfg, target):
     """What ``preprocess_volume`` computed before it denoised in place:
     normalize per ``cfg.normalize``, resize, then copy each B-scan's float32
@@ -547,6 +565,110 @@ def test_preprocess_volume_peak_denoises_in_place(shape, scale):
         peak = tracemalloc.get_traced_memory()[1]
     finally:
         tracemalloc.stop()
+    assert peak < 1.25 * out.voxels.nbytes
+
+
+@st.composite
+def threaded_preprocess_cases(draw):
+    """A volume, its settings and a target whose height lies below, at or
+    above ``_STRIP``, or spans several strips; the source is the target's
+    size or another (up to 1.5x as many rows), nlm gets narrow B-scans."""
+    denoiser = draw(st.sampled_from(["none", "gaussian", "nlm"]))
+    th = draw(st.sampled_from([1, _STRIP - 1, _STRIP, _STRIP + 1, 2 * _STRIP + 3]))
+    tw = draw(st.integers(1, 4 if denoiser == "nlm" else 12))
+    if draw(st.booleans()):
+        src = (th, tw)
+    else:
+        src = (draw(st.integers(1, th + th // 2 + 1)), draw(st.integers(1, 12)))
+    depth = draw(st.integers(1, 3 if denoiser == "nlm" else 6))
+    rng = np.random.default_rng(draw(st.integers(0, 2**32 - 1)))
+    offset, scale = draw(st.sampled_from([(0.0, 1.0), (0.0, 1.5), (-3.0, 300.0)]))
+    voxels = (rng.random((depth,) + src, dtype=np.float32) * np.float32(scale) + np.float32(offset))
+    cfg = PreprocessConfig(denoiser=denoiser, normalize=draw(st.sampled_from(NORMALIZE_MODES)))
+    return OctVolume(voxels=voxels, volume_id="t"), cfg, (tw, th), draw(st.integers(1, 3))
+
+
+@settings(max_examples=60, deadline=None)
+@given(case=threaded_preprocess_cases())
+def test_threaded_preprocess_volume_is_bit_identical_to_one_thread(case):
+    """Resize and denoise share B-scans between the caller and ``jobs``
+    workers of a lent pool; each B-scan is computed as on one thread, so
+    the bytes are the same at every ``jobs`` and under any schedule."""
+    vol, cfg, target, jobs = case
+    alone = preprocess_volume(vol, cfg, target)
+    with ThreadPoolExecutor(jobs) as pool:
+        shared = preprocess_volume(vol, cfg, target, pool, jobs)
+    assert shared.voxels.tobytes() == alone.voxels.tobytes()
+    assert shared.spacing == alone.spacing
+
+
+def test_drain_gives_each_bscan_to_exactly_one_drainer():
+    """Eight workers beside the caller, more than the cores, and a switch
+    interval of a microsecond: every index is taken exactly once, or a
+    drainer's list would hold a repeat or the union would miss one."""
+    import sys
+
+    interval = sys.getswitchinterval()
+    sys.setswitchinterval(1e-6)
+    try:
+        for _ in range(20):
+            taken = []
+
+            def work(indices):
+                mine = [z for z in indices]
+                taken.append(mine)
+
+            with ThreadPoolExecutor(8) as pool:
+                _drain(500, work, pool, 8)
+            assert len(taken) == 9
+            assert sorted(z for mine in taken for z in mine) == list(range(500))
+    finally:
+        sys.setswitchinterval(interval)
+
+
+@pytest.mark.parametrize("jobs", [0, 1, 3])
+def test_drain_stops_taking_bscans_once_a_drainer_raises(jobs):
+    """Index 5 fails; the other drainers, a millisecond per index, would
+    need seconds for all 5,000, but they stop taking indices, every task is
+    waited for, and the one error reaches the caller."""
+    import time
+
+    taken = []
+
+    def work(indices):
+        for z in indices:
+            taken.append(z)
+            if z == 5:
+                raise RuntimeError("B-scan 5 failed")
+            time.sleep(0.001)
+
+    with ThreadPoolExecutor(max(jobs, 1)) as pool:
+        with pytest.raises(RuntimeError, match="^B-scan 5 failed$"):
+            _drain(5000, work, pool if jobs else None, jobs)
+        stopped = len(taken)
+        time.sleep(0.05)
+    assert len(taken) == stopped < 1000  # no drainer was still running
+
+
+@pytest.mark.parametrize("jobs", [1, 2, 3])
+def test_threaded_preprocess_volume_peak_holds_no_second_volume(jobs):
+    """With a lent pool, each of the ``jobs + 1`` threads holds its own
+    resize strips and gaussian planes, under 80 KB at 48x40 -> 32x32, so
+    four threads fit in a quarter of the 2 MB output.  The resize still
+    allocates the one output and the gaussian writes back into it, so a
+    second output-sized volume does not fit."""
+    import tracemalloc
+
+    vol = read_only_volume((512, 48, 40), seed=47)
+    cfg = PreprocessConfig(denoiser="gaussian")
+    with ThreadPoolExecutor(jobs) as pool:
+        preprocess_volume(vol, cfg, (32, 32), pool, jobs)  # warm the path and start the workers
+        tracemalloc.start()
+        try:
+            out = preprocess_volume(vol, cfg, (32, 32), pool, jobs)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
     assert peak < 1.25 * out.voxels.nbytes
 
 
